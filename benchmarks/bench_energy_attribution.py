@@ -32,7 +32,7 @@ from repro.telemetry import bench_document as _bench_document
 
 def _engine_counters(backend):
     """Event counters of one full-path mlp inference run."""
-    from repro.api import Simulator
+    from repro.api import InferenceJob, Simulator
     from repro.xbar.engine import CrossbarEngineConfig
 
     collector = Collector(record_spans=False)
@@ -44,7 +44,7 @@ def _engine_counters(backend):
         seed=0,
         collector=collector,
     )
-    simulator.run_inference(count=8)
+    simulator.run(InferenceJob(workload="mlp", seed=0, count=8))
     return collector.counters()
 
 

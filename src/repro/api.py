@@ -17,9 +17,8 @@ True
   :class:`repro.xbar.engine.CrossbarEngineConfig`);
 * :meth:`Simulator.run` — execute a frozen job spec
   (:class:`~repro.serve.jobs.InferenceJob` /
-  :class:`~repro.serve.jobs.TrainingJob`) against this instance; the
-  legacy kwarg journeys (:meth:`Simulator.run_inference`,
-  :meth:`Simulator.train`) remain as thin deprecated wrappers;
+  :class:`~repro.serve.jobs.TrainingJob`) against this instance — the
+  one way to run a job on a deployed simulator;
 * :func:`run_job` — one-shot entry point: build the right simulator
   for any job spec (including
   :class:`~repro.serve.jobs.ReliabilityJob`) and execute it;
@@ -42,7 +41,6 @@ routes every subcommand through them.
 from __future__ import annotations
 
 import hashlib
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -110,7 +108,7 @@ def _row_dict(row: TableOneRow) -> Dict[str, Any]:
 
 @dataclass
 class InferenceResult:
-    """Outcome of :meth:`Simulator.run_inference`."""
+    """Outcome of :meth:`Simulator.run` on an ``InferenceJob``."""
 
     accuracy: float
     count: int
@@ -138,7 +136,7 @@ class InferenceResult:
 
 @dataclass
 class TrainResult:
-    """Outcome of :meth:`Simulator.train`."""
+    """Outcome of :meth:`Simulator.run` on a ``TrainingJob``."""
 
     final_accuracy: float
     epochs: int
@@ -215,11 +213,10 @@ class Simulator:
         the network on exact float matmul (the GPU-baseline
         counterpart).  ``collector`` attaches a
         :class:`repro.telemetry.Collector` (or scoped view): the
-        per-layer engines write under ``engine/<layer>/...`` and the
-        journeys (:meth:`run_inference`, :meth:`train`) add their own
-        counters and timing spans.  Counter telemetry is deterministic
-        (part of the backend bit-identity contract); spans are
-        wall-clock.
+        per-layer engines write under ``engine/<layer>/...`` and
+        :meth:`run` adds the job's own counters and timing spans.
+        Counter telemetry is deterministic (part of the backend
+        bit-identity contract); spans are wall-clock.
         """
         if name not in cls.WORKLOADS:
             raise ValueError(
@@ -331,7 +328,7 @@ class Simulator:
         ``InferenceJob.input_seed``.
 
         The class *templates* always come from the ``"train"`` stream
-        — the same template family :meth:`train` fits — so inference
+        — the same template family a ``TrainingJob`` fits — so inference
         after training measures generalisation on held-out draws of
         the trained task, not performance on an unrelated one.
         """
@@ -445,50 +442,6 @@ class Simulator:
             batch_losses=list(history.batch_losses),
             stats=self.stats(),
             engine_info=self.engine_info(),
-        )
-
-    # -- deprecated kwarg wrappers -------------------------------------------
-    def run_inference(
-        self, count: int = 64, batch: int = 32
-    ) -> InferenceResult:
-        """Deprecated wrapper; use :meth:`run` with an ``InferenceJob``."""
-        warnings.warn(
-            "Simulator.run_inference(count=, batch=) is deprecated; "
-            "build an repro.api.InferenceJob and call Simulator.run(job)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(
-            InferenceJob(
-                workload=self.name, seed=self.seed, count=count, batch=batch
-            )
-        )
-
-    def train(
-        self,
-        epochs: int = 1,
-        batch: int = 32,
-        train_count: int = 256,
-        test_count: int = 64,
-        learning_rate: float = 0.05,
-    ) -> TrainResult:
-        """Deprecated wrapper; use :meth:`run` with a ``TrainingJob``."""
-        warnings.warn(
-            "Simulator.train(epochs=, batch=, ...) is deprecated; "
-            "build an repro.api.TrainingJob and call Simulator.run(job)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(
-            TrainingJob(
-                workload=self.name,
-                seed=self.seed,
-                epochs=epochs,
-                batch=batch,
-                train_count=train_count,
-                test_count=test_count,
-                learning_rate=learning_rate,
-            )
         )
 
     def cache_key(

@@ -24,7 +24,6 @@ import json
 import logging
 import time
 import traceback
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
@@ -296,36 +295,18 @@ def run_suite(
     update_baselines: bool = False,
     rel_tol: float = baseline_mod.DEFAULT_REL_TOL,
     workers: int = 1,
-    **deprecated: Any,
 ) -> SuiteRun:
     """Discover, execute, gate, and record one benchmark suite run.
 
-    ``name_filter`` is an fnmatch glob over bench names (the parameter
-    was once called ``filter``; that spelling shadowed the builtin —
-    see checks rule PY003 — and survives only as a deprecated keyword
-    alias).  With ``update_baselines`` the committed baselines are
-    rewritten from this run instead of being compared (the run then
-    never reports regressions).  ``trajectory_path=None`` derives
+    ``name_filter`` is an fnmatch glob over bench names.  With
+    ``update_baselines`` the committed baselines are rewritten from
+    this run instead of being compared (the run then never reports
+    regressions).  ``trajectory_path=None`` derives
     ``<bench_dir>/../BENCH_trajectory.json``; pass an explicit path to
     redirect, e.g. in tests.  ``workers=N`` shards the benches over a
     process pool (deterministic metrics are unaffected; wall times
     then measure contended hosts).
     """
-    if "filter" in deprecated:
-        warnings.warn(
-            "run_suite(filter=...) is deprecated (it shadowed the "
-            "builtin); use name_filter=...",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        legacy = deprecated.pop("filter")
-        if name_filter is None:
-            name_filter = legacy
-    if deprecated:
-        raise TypeError(
-            "run_suite() got unexpected keyword argument(s): "
-            f"{sorted(deprecated)}"
-        )
     bench_dir = Path(bench_dir) if bench_dir else None
     specs = discover(bench_dir)
     if bench_dir is None:

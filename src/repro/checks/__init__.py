@@ -5,9 +5,9 @@ repo-specific invariants every reproducibility claim rests on:
 randomness routes through :mod:`repro.utils.rng` (RNG001), wall-clock
 never touches a simulation path (DET001), emitted JSON documents are
 stamped with ``schema_version`` (SCHEMA001), telemetry paths follow
-the counter grammar (TEL001), deprecated ``repro.core`` shims are not
-used internally (API001), plus generic hygiene (PY001 mutable
-defaults, PY002 float equality).
+the counter grammar (TEL001) and metric names carry a unit (TEL002),
+plus generic hygiene (PY001 mutable defaults, PY002 float equality,
+PY003 builtin-shadowing parameters).
 
 On top of the per-file rules sits a whole-program pass
 (:mod:`repro.checks.project`) over an import graph and symbol index

@@ -120,14 +120,6 @@ class Rule:
     #: Default allowed-path globs (posix, rooted at ``repro/``).
     allow: Tuple[str, ...] = ()
 
-    def prepare(self, root: Optional[Path]) -> None:
-        """Hook called once per run with the scanned package root.
-
-        Rules that derive their configuration from the checked tree
-        (e.g. the deprecated-shim table) override this; the default is
-        a no-op.
-        """
-
     def check(self, context: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
 
@@ -339,9 +331,6 @@ def check_paths(
         rule for rule in rules if isinstance(rule, ProjectRule)
     ]
     targets = [Path(p) for p in paths] if paths else [default_root()]
-    package_root = default_root()
-    for rule in rules:
-        rule.prepare(package_root)
     findings: List[Finding] = []
     raw: List[Finding] = []
     tables: Dict[str, Dict[int, Optional[FrozenSet[str]]]] = {}

@@ -23,9 +23,6 @@ TEL002    histogram/metric observation paths (``observe`` /
           ``timed`` call sites) whose leaf lacks a unit suffix
           (``_seconds``, ``_bytes``, ``_jobs``, ...); unit-suffixed
           names are what keep the Prometheus exposition legible.
-API001    importing a deprecated ``repro.core`` flat-shim name from
-          inside the package (the shim table in
-          ``repro/core/__init__.py`` is the source of truth).
 PY001     mutable default argument values.
 PY002     ``==`` / ``!=`` against non-sentinel float literals
           (exact sentinels ``0.0`` / ``1.0`` used for mode detection
@@ -41,8 +38,7 @@ from __future__ import annotations
 import ast
 import builtins
 import re
-from pathlib import Path
-from typing import Dict, Iterator, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.checks.engine import (
     FileContext,
@@ -466,94 +462,6 @@ class MetricNameRule(Rule):
                     "unit suffix; end it in one of "
                     f"{', '.join('_' + u for u in _TEL_UNITS)}",
                 )
-
-
-# -- API001 -----------------------------------------------------------------
-
-
-@register
-class DeprecatedCoreImportRule(Rule):
-    """No internal imports of the retired ``repro.core`` flat names.
-
-    The name table (``_RETIRED`` — historically ``_DEPRECATED`` — in
-    ``repro/core/__init__.py``) is parsed from the checked tree
-    itself, so retiring or adding a name needs no checker change.
-    """
-
-    id = "API001"
-    summary = (
-        "import of a deprecated repro.core flat-shim name from "
-        "inside the package"
-    )
-    allow = ("repro/core/__init__.py",)
-
-    def __init__(
-        self, deprecated: Optional[Sequence[str]] = None
-    ) -> None:
-        self._deprecated: Set[str] = set(deprecated or ())
-
-    def prepare(self, root: Optional[Path]) -> None:
-        if root is None or self._deprecated:
-            return
-        shim_file = Path(root) / "core" / "__init__.py"
-        if not shim_file.is_file():
-            return
-        self._deprecated = self._parse_table(shim_file.read_text())
-
-    @staticmethod
-    def _parse_table(source: str) -> Set[str]:
-        try:
-            tree = ast.parse(source)
-        except SyntaxError:
-            return set()
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id in ("_RETIRED", "_DEPRECATED")
-                and isinstance(node.value, ast.Dict)
-            ):
-                return {
-                    key.value
-                    for key in node.value.keys
-                    if isinstance(key, ast.Constant)
-                    and isinstance(key.value, str)
-                }
-        return set()
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        if not self._deprecated:
-            return
-        aliases = import_aliases(context.tree)
-        for node in ast.walk(context.tree):
-            if (
-                isinstance(node, ast.ImportFrom)
-                and node.module == "repro.core"
-            ):
-                for alias in node.names:
-                    if alias.name in self._deprecated:
-                        yield context.finding(
-                            self,
-                            node,
-                            f"{alias.name!r} is a deprecated repro.core "
-                            "shim; import it from its defining "
-                            "submodule",
-                        )
-            elif isinstance(node, ast.Attribute):
-                name = canonical_dotted(node, aliases)
-                if (
-                    name is not None
-                    and name.startswith("repro.core.")
-                    and name.rsplit(".", 1)[1] in self._deprecated
-                    and name.count(".") == 2
-                ):
-                    yield context.finding(
-                        self,
-                        node,
-                        f"{name!r} resolves through the deprecated "
-                        "repro.core shim; use the defining submodule",
-                    )
 
 
 # -- PY001 ------------------------------------------------------------------

@@ -1587,8 +1587,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="AST-based determinism & contract linter over the package",
         description="Run the repro.checks rules (RNG001 randomness "
         "routing, DET001 wall-clock isolation, SCHEMA001 schema_version "
-        "stamping, TEL001 telemetry path grammar, API001 deprecated "
-        "shim imports, PY001/PY002 hygiene) plus the whole-program "
+        "stamping, TEL001/TEL002 telemetry path and unit grammar, "
+        "PY001-003 hygiene) plus the whole-program "
         "pass (ARCH001 layer DAG, CONC001-003 concurrency contracts, "
         "SCHEMA002 validator exhaustiveness, NOQA001 stale "
         "suppressions) over the installed package or the given paths.  "

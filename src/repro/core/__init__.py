@@ -10,15 +10,10 @@ accelerator models, the Table I estimator, the network compiler, and
 crossbar-in-the-loop training.  Lower-level building blocks (mapping
 arithmetic, pipeline cycle formulas, schedule simulators, trace
 rendering, ...) live in their defining submodules — import them from
-there (``repro.core.mapping``, ``repro.core.pipeline``, ...).  The
-old flat names went through a ``DeprecationWarning`` shim for one
-release and are now retired: accessing one raises
-:class:`AttributeError` naming the defining submodule to import from.
+there (``repro.core.mapping``, ``repro.core.pipeline``, ...).
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 from repro.core.compiler import Deployment, deploy_network, spec_from_network
 from repro.core.estimator import (
@@ -67,90 +62,3 @@ __all__ = [
     "train_on_crossbar",
     "compare_noise_aware",
 ]
-
-#: Former ``repro.core`` flat exports -> their defining submodule.
-#: Retired: these no longer resolve; the table only powers the
-#: pointer in the AttributeError (and the API001 linter rule, which
-#: parses it to ban such imports in-package).
-_RETIRED = {
-    # allocation
-    "AllocationResult": "repro.core.allocation",
-    "BankConfig": "repro.core.allocation",
-    "Placement": "repro.core.allocation",
-    "allocate_banks": "repro.core.allocation",
-    # fcnn
-    "equivalent_conv_kernel": "repro.core.fcnn",
-    "extended_input_shape": "repro.core.fcnn",
-    "fcnn_backward_strided_conv": "repro.core.fcnn",
-    "fcnn_forward_zero_insertion": "repro.core.fcnn",
-    "zero_fraction": "repro.core.fcnn",
-    "zero_insertion_padding": "repro.core.fcnn",
-    # gan_pipeline
-    "SCHEME_COSTS": "repro.core.gan_pipeline",
-    "SCHEMES": "repro.core.gan_pipeline",
-    "SchemeCost": "repro.core.gan_pipeline",
-    "d_training_cycles_pipelined": "repro.core.gan_pipeline",
-    "d_training_cycles_unpipelined": "repro.core.gan_pipeline",
-    "g_training_cycles_pipelined": "repro.core.gan_pipeline",
-    "g_training_cycles_unpipelined": "repro.core.gan_pipeline",
-    "iteration_cycles": "repro.core.gan_pipeline",
-    "iteration_speedup": "repro.core.gan_pipeline",
-    "scheme_table": "repro.core.gan_pipeline",
-    "sweep_d_fake": "repro.core.gan_pipeline",
-    "sweep_d_real": "repro.core.gan_pipeline",
-    "sweep_g": "repro.core.gan_pipeline",
-    # mapping
-    "LayerMapping": "repro.core.mapping",
-    "MappingConfig": "repro.core.mapping",
-    "balance_duplication": "repro.core.mapping",
-    "balanced_mapping": "repro.core.mapping",
-    "duplication_for_passes": "repro.core.mapping",
-    "mapping_table": "repro.core.mapping",
-    "naive_mapping": "repro.core.mapping",
-    # pipeline
-    "PipelineSummary": "repro.core.pipeline",
-    "asymptotic_training_speedup": "repro.core.pipeline",
-    "inference_cycles_pipelined": "repro.core.pipeline",
-    "inference_cycles_sequential": "repro.core.pipeline",
-    "training_cycles_per_batch_pipelined": "repro.core.pipeline",
-    "training_cycles_pipelined": "repro.core.pipeline",
-    "training_cycles_sequential": "repro.core.pipeline",
-    "training_speedup": "repro.core.pipeline",
-    # gan_schedule
-    "GanEvent": "repro.core.gan_schedule",
-    "GanScheduleResult": "repro.core.gan_schedule",
-    "simulate_gan_iteration": "repro.core.gan_schedule",
-    "verify_scheme": "repro.core.gan_schedule",
-    # pipelined trainers
-    "PipelinedGANTrainer": "repro.core.pipelined_gan",
-    "fix_vbn_references": "repro.core.pipelined_gan",
-    "PipelinedTrainer": "repro.core.pipelined_trainer",
-    "PipelineTickLog": "repro.core.pipelined_trainer",
-    "group_into_stages": "repro.core.pipelined_trainer",
-    # trace
-    "occupancy_profile": "repro.core.trace",
-    "render_gan_schedule": "repro.core.trace",
-    "render_training_schedule": "repro.core.trace",
-    # schedule
-    "ScheduleEvent": "repro.core.schedule",
-    "ScheduleResult": "repro.core.schedule",
-    "simulate_inference_pipeline": "repro.core.schedule",
-    "simulate_training_pipeline": "repro.core.schedule",
-    "simulate_training_sequential": "repro.core.schedule",
-}
-
-
-def __getattr__(name: str) -> Any:
-    module_path = _RETIRED.get(name)
-    if module_path is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    raise AttributeError(
-        f"the flat 'repro.core' export {name!r} has been retired; "
-        f"import it from {module_path!r} instead"
-    )
-
-
-def __dir__() -> list:
-    return sorted(__all__)

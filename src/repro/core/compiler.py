@@ -125,21 +125,19 @@ class Deployment:
 
     def total_stats(self) -> Dict[str, int]:
         """Aggregate operation counters across all engines."""
-        totals = {
-            "mvm_calls": 0,
-            "subcycles": 0,
-            "array_reads": 0,
-            "array_programs": 0,
-            "adc_conversions": 0,
+        return {
+            name: sum(
+                int(engine.telemetry.get(name))
+                for engine in self.engines.values()
+            )
+            for name in (
+                "mvm_calls",
+                "subcycles",
+                "array_reads",
+                "array_programs",
+                "adc_conversions",
+            )
         }
-        for engine in self.engines.values():
-            stats = engine.stats
-            totals["mvm_calls"] += stats.mvm_calls
-            totals["subcycles"] += stats.subcycles
-            totals["array_reads"] += stats.array_reads
-            totals["array_programs"] += stats.array_programs
-            totals["adc_conversions"] += stats.adc_conversions
-        return totals
 
     def engine_info(self) -> Dict[str, dict]:
         """Per-layer engine descriptions (backend, array counts, ...)."""

@@ -6,9 +6,8 @@ run, or a reliability fault-injection campaign — in plain JSON-able
 fields.  Specs are the single entry currency of both layers:
 
 * in-process, :meth:`repro.api.Simulator.run` and
-  :func:`repro.api.run_job` accept them directly (the redesigned
-  facade API; the old kwarg entry points remain as deprecated
-  wrappers);
+  :func:`repro.api.run_job` accept them directly — the only entry
+  points of the facade;
 * over the wire, :class:`repro.serve.server.JobServer` receives them
   as JSON documents (``to_dict`` / :func:`job_from_dict` round-trip,
   pinned by ``schema_version``).
@@ -16,11 +15,14 @@ fields.  Specs are the single entry currency of both layers:
 Every field that affects the result is in the spec, and every spec
 field is JSON-able — so a spec is also the determinism contract: two
 runs of an equal spec produce bit-identical outputs (and equal
-reports) on either engine backend.
+reports) on either engine backend.  Field types are checked at
+construction, so a malformed wire document fails at the boundary
+instead of inside a worker.
 """
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Dict, Optional, Tuple, Type
@@ -36,6 +38,25 @@ BACKENDS = ("loop", "vectorized")
 #: (``serve/tenant[<id>]/...`` paths): lowercase alphanumerics plus
 #: ``_ . -``, starting with a letter, digit, or underscore.
 _TENANT_RE = re.compile(r"[a-z0-9_][a-z0-9_.-]*\Z")
+
+
+def _check_integer(name: str, value: Any) -> None:
+    """Reject non-integers (and ``bool``, which ``Integral`` admits)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_counts(spec: "JobSpec", *names: str) -> None:
+    """Each named field of ``spec`` must be a positive integer."""
+    for name in names:
+        _check_integer(name, getattr(spec, name))
+        check_positive(name, getattr(spec, name))
+
+
+def _check_real(name: str, value: Any) -> None:
+    """Reject non-real numbers (and ``bool``)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
 
 
 def check_tenant(tenant: str) -> None:
@@ -77,6 +98,7 @@ class JobSpec:
                 f"unknown workload {self.workload!r}; pick from "
                 f"{RUNNABLE_WORKLOADS}"
             )
+        _check_integer("seed", self.seed)
         if self.backend is not None:
             check_choice("backend", self.backend, BACKENDS)
         check_tenant(self.tenant)
@@ -134,8 +156,8 @@ class InferenceJob(JobSpec):
     """Forward ``count`` synthetic inputs through a deployed workload.
 
     ``input_seed`` selects the evaluation draw: ``None`` is the
-    workload's canonical evaluation set (the same inputs the classic
-    ``run_inference`` journey used); an explicit value derives an
+    workload's canonical evaluation set (see
+    :meth:`repro.api.Simulator.make_inputs`); an explicit value derives an
     independent input stream over the same class templates, letting
     tenants that share a model evaluate on distinct data.
     """
@@ -148,8 +170,9 @@ class InferenceJob(JobSpec):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        check_positive("count", self.count)
-        check_positive("batch", self.batch)
+        _check_counts(self, "count", "batch")
+        if self.input_seed is not None:
+            _check_integer("input_seed", self.input_seed)
 
 
 @dataclass(frozen=True)
@@ -166,10 +189,8 @@ class TrainingJob(JobSpec):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        check_positive("epochs", self.epochs)
-        check_positive("batch", self.batch)
-        check_positive("train_count", self.train_count)
-        check_positive("test_count", self.test_count)
+        _check_counts(self, "epochs", "batch", "train_count", "test_count")
+        _check_real("learning_rate", self.learning_rate)
         check_positive("learning_rate", self.learning_rate)
 
 
@@ -195,14 +216,19 @@ class ReliabilityJob(JobSpec):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        check_positive("count", self.count)
-        check_positive("batch", self.batch)
-        check_positive("train_count", self.train_count)
+        _check_counts(self, "count", "batch", "train_count")
+        _check_integer("train_epochs", self.train_epochs)
         if self.train_epochs < 0:
             raise ValueError(
                 f"train_epochs must be >= 0, got {self.train_epochs}"
             )
+        if not isinstance(self.include_tiles, bool):
+            raise TypeError(
+                f"include_tiles must be a bool, got {self.include_tiles!r}"
+            )
         if self.rates is not None:
+            for rate in self.rates:
+                _check_real("rates", rate)
             object.__setattr__(
                 self, "rates", tuple(float(rate) for rate in self.rates)
             )

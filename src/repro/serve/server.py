@@ -134,12 +134,24 @@ def _counter_delta(
             delta[path] = change
     return delta
 
+
+#: Largest request body the server reads (bytes).  Job documents are
+#: well under 1 KB; a larger ``Content-Length`` is answered with 413
+#: without buffering the body.
+MAX_BODY_BYTES = 1 << 20
+
+
+class _BodyTooLarge(Exception):
+    """A request announced a body over :data:`MAX_BODY_BYTES`."""
+
+
 _REASONS = {
     200: "OK",
     202: "Accepted",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Payload Too Large",
 }
 
 
@@ -852,6 +864,8 @@ class JobServer:
         try:
             method, target, body = await self._read_request(reader)
             status, document = await self._route(method, target, body)
+        except _BodyTooLarge as exc:
+            status, document = 413, {"error": str(exc)}
         except (
             asyncio.IncompleteReadError,
             ConnectionError,
@@ -897,6 +911,11 @@ class JobServer:
             name, _, value = line.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
                 length = int(value.strip())
+        if length > MAX_BODY_BYTES:
+            raise _BodyTooLarge(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            )
         body = await reader.readexactly(length) if length else b""
         return method, target, body
 

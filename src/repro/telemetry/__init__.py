@@ -16,11 +16,12 @@ tile occupancy for the engine) from any counter map.
 Quick start::
 
     from repro import Simulator
+    from repro.api import InferenceJob
     from repro.telemetry import Collector, analyze_counters
 
     collector = Collector()
     sim = Simulator.from_workload("mlp", seed=0, collector=collector)
-    sim.run_inference(count=32)
+    sim.run(InferenceJob(workload="mlp", seed=0, count=32))
     print(collector.counters())          # engine/<layer>/... hierarchy
     report = analyze_counters(collector)  # derived metrics document
     collector.write_chrome_trace("trace.json")   # chrome://tracing

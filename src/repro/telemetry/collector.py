@@ -75,8 +75,7 @@ SCHEMA_VERSION = 1
 
 #: Default bound on recorded spans: a long training run opens one span
 #: per epoch and per profiled call, and an unbounded list would grow
-#: without limit (same rationale as the bounded per-call history of
-#: ``XbarStats``).  Past the cap, spans are counted but not stored.
+#: without limit.  Past the cap, spans are counted but not stored.
 DEFAULT_MAX_SPANS = 100_000
 
 #: Counter path under which a collector accounts spans it had to drop

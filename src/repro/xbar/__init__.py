@@ -29,7 +29,7 @@ from repro.xbar.calibration import (
     collect_calibration,
     deploy_calibrated,
 )
-from repro.xbar.engine import CrossbarEngine, CrossbarEngineConfig, XbarStats
+from repro.xbar.engine import CrossbarEngine, CrossbarEngineConfig
 from repro.xbar.memory import ReRAMMemory
 from repro.xbar.mapping import (
     SlicedWeights,
@@ -62,7 +62,6 @@ __all__ = [
     "deploy_calibrated",
     "CrossbarEngine",
     "CrossbarEngineConfig",
-    "XbarStats",
     "ReRAMMemory",
     "WeightMapping",
     "SlicedWeights",

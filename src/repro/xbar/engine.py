@@ -55,7 +55,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -246,111 +246,10 @@ def engine_config_from_dict(data: Mapping[str, Any]) -> CrossbarEngineConfig:
     )
 
 
-#: Engine-level counter paths surfaced as ``XbarStats`` attributes.
-_STAT_FIELDS = (
-    "mvm_calls",
-    "subcycles",
-    "array_reads",
-    "array_programs",
-    "adc_conversions",
-    "weights_programmed",
-    "fast_ideal_calls",
-)
-
-#: Physical event counters priced by the energy-attribution layer
-#: (:mod:`repro.telemetry.energy`).  Dotted names are counter paths
-#: only (no ``XbarStats`` attribute); all are emitted identically by
-#: both full-path backends, so the bit-identity contract extends to
-#: energy attribution for free.
-_EVENT_FIELDS = (
-    "dac.line_fires",
-    "adc.samples",
-    "shift_adds",
-    "buffer.bits",
-    "cell_writes",
-    "static.array_subcycles",
-    "static.controller_subcycles",
-)
-
 #: Digital accumulator width (bits) a result word occupies in the
 #: output buffer — mirrors ``repro.core.pipelayer.ACCUMULATOR_BITS``
 #: (the xbar layer must not import the core layer).
 _ACCUMULATOR_BITS = 16
-
-
-class XbarStats:
-    """Operation counters consumed by the energy/latency models.
-
-    Since the telemetry subsystem landed this is a *thin view* over a
-    :class:`repro.telemetry.Collector`: the engine writes every
-    operation count through its collector (engine-level totals plus
-    per-tile ``tile[<plane>,<slice>]/...`` paths), and the attributes
-    here (``mvm_calls``, ``array_reads``, ...) are read-only
-    properties over the engine-level counters.  Counters are mutated
-    through the collector (``stats.telemetry.count()`` / ``set()``);
-    the deprecated attribute-assignment shim has been retired and
-    assigning to a counter attribute raises :class:`AttributeError`.
-
-    The per-call sub-cycle history is **opt-in** (``track_per_call``)
-    and bounded by ``per_call_limit``: a training run makes one matmul
-    call per layer per batch, so an always-on unbounded list grows
-    without limit across epochs.  The aggregate ``subcycles`` counter
-    is always maintained; the history only adds per-call resolution
-    for callers that ask for it.
-    """
-
-    def __init__(
-        self,
-        track_per_call: bool = False,
-        per_call_limit: int = 4096,
-        collector: Optional[TelemetryLike] = None,
-    ) -> None:
-        check_positive("per_call_limit", per_call_limit)
-        self.track_per_call = track_per_call
-        self.per_call_limit = per_call_limit
-        self.telemetry: TelemetryLike = (
-            collector
-            if collector is not None
-            else Collector(record_spans=False)
-        )
-        self.per_call_subcycles: List[int] = []
-
-    def reset(self) -> None:
-        """Drop all engine counters (including per-tile sub-trees)."""
-        for field in _STAT_FIELDS:
-            self.telemetry.clear(field)
-        for field in _EVENT_FIELDS:
-            self.telemetry.clear(field)
-        self.telemetry.clear("prepare.skips")
-        self.telemetry.clear_tree("tile[")
-        self.per_call_subcycles = []
-
-    def record_call(self, subcycles: int) -> None:
-        """Account one full-path matmul call of ``subcycles`` sub-cycles."""
-        self.telemetry.count("subcycles", subcycles)
-        if (
-            self.track_per_call
-            and len(self.per_call_subcycles) < self.per_call_limit
-        ):
-            self.per_call_subcycles.append(subcycles)
-
-    def as_dict(self) -> Dict[str, int]:
-        """Engine-level counters as a plain name -> value dict."""
-        return {field: getattr(self, field) for field in _STAT_FIELDS}
-
-
-def _stat_property(field: str) -> property:
-    def getter(self: XbarStats) -> int:
-        return int(self.telemetry.get(field))
-
-    # Read-only: assigning raises AttributeError.  Counters are
-    # mutated through the collector (stats.telemetry.count()/set()).
-    return property(getter, doc=f"Engine-level {field!r} counter.")
-
-
-for _field in _STAT_FIELDS:
-    setattr(XbarStats, _field, _stat_property(_field))
-del _field
 
 
 @dataclass
@@ -398,14 +297,12 @@ class CrossbarEngine(MatmulEngine):
         self,
         config: Optional[CrossbarEngineConfig] = None,
         rng: RngLike = None,
-        track_per_call: bool = False,
         collector: Optional[TelemetryLike] = None,
     ) -> None:
         self.config = config or CrossbarEngineConfig()
         self._rng = new_rng(rng)
         # Counters always flow through a collector; without an external
-        # one the engine owns a private, span-free instance so stats
-        # work exactly as before at the same cost.  An attached
+        # one the engine owns a private, span-free instance.  An attached
         # collector (usually a per-layer scope from deploy_network)
         # additionally receives prepare/matmul timing spans and the
         # per-tile counter hierarchy.
@@ -413,9 +310,6 @@ class CrossbarEngine(MatmulEngine):
             collector
             if collector is not None
             else Collector(record_spans=False)
-        )
-        self.stats = XbarStats(
-            track_per_call=track_per_call, collector=self.telemetry
         )
         self._sliced: Optional[SlicedWeights] = None
         self._tiles: Dict[Tuple[str, int], TiledCrossbar] = {}
@@ -723,7 +617,7 @@ class CrossbarEngine(MatmulEngine):
                 accumulator -= input_sign * sliced.offset_int * row_sums
 
         self._record_call_events(call_subcycles, batch)
-        self.stats.record_call(call_subcycles)
+        self.telemetry.count("subcycles", call_subcycles)
         return accumulator * (a_scale * sliced.scale)
 
     def _record_call_events(self, call_subcycles: int, batch: int) -> None:
@@ -1053,7 +947,7 @@ class CrossbarEngine(MatmulEngine):
                     array.reads += reads
                     array.adc.conversions += conversions
         self._record_call_events(call_subcycles, batch)
-        self.stats.record_call(call_subcycles)
+        self.telemetry.count("subcycles", call_subcycles)
         return accumulator * (a_scale * sliced.scale)
 
 def validate_fault_report(document: Dict[str, object]) -> None:

@@ -71,13 +71,11 @@ class TestRunSuite:
         assert [b.name for b in filtered.benches] == ["slow"]
 
     def test_deprecated_filter_alias(self, make_bench_dir, tmp_path):
-        bench_dir = make_bench_dir(
-            bench_good=GOOD_BENCH, bench_full=FULL_ONLY_BENCH
-        )
-        with pytest.warns(DeprecationWarning, match="name_filter"):
-            run = _run(bench_dir, tmp_path, suite="full", filter="sl*")
-        assert [b.name for b in run.benches] == ["slow"]
-        assert run.filter == "sl*"
+        # The alias shadowed the builtin (PY003) and is gone; only
+        # name_filter= selects benches.
+        bench_dir = make_bench_dir(bench_good=GOOD_BENCH)
+        with pytest.raises(TypeError, match="'filter'"):
+            _run(bench_dir, tmp_path, suite="full", filter="sl*")
 
     def test_unexpected_kwarg_rejected(self, make_bench_dir, tmp_path):
         bench_dir = make_bench_dir(bench_good=GOOD_BENCH)

@@ -31,9 +31,6 @@ VIOLATIONS = {
         def f(tel):
             tel.count("Bad Path", 1)
         """,
-    "API001": """
-        from repro.core import naive_mapping
-        """,
     "PY001": """
         def f(x=[]):
             return x
@@ -105,7 +102,7 @@ def test_clean_json_on_committed_tree(capsys):
     assert document["findings"] == []
     assert set(document["rules"]) == {
         "RNG001", "DET001", "SCHEMA001", "TEL001", "TEL002",
-        "API001", "PY001", "PY002", "PY003",
+        "PY001", "PY002", "PY003",
         "ARCH001", "CONC001", "CONC002", "CONC003", "SCHEMA002",
         "NOQA001",
     }

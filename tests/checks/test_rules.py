@@ -9,7 +9,6 @@ import textwrap
 import pytest
 
 from repro import checks
-from repro.checks.rules import DeprecatedCoreImportRule
 
 
 def run(source, select, path="repro/somewhere/module.py", allow=None):
@@ -452,73 +451,6 @@ class TestTel002:
             ["TEL002"],
         )
         assert findings == []
-
-
-# -- API001 -----------------------------------------------------------------
-
-
-SHIM_SOURCE = """
-_DEPRECATED = {
-    "naive_mapping": "repro.core.mapping",
-    "scheme_table": "repro.core.gan_pipeline",
-}
-"""
-
-
-class TestApi001:
-    def run_api(self, source, path="repro/nn/somewhere.py"):
-        rule = DeprecatedCoreImportRule(
-            deprecated=["naive_mapping", "scheme_table"]
-        )
-        return checks.check_source(
-            textwrap.dedent(source), path=path, rules=[rule]
-        )
-
-    def test_flags_deprecated_from_import(self):
-        findings = self.run_api(
-            "from repro.core import naive_mapping\n"
-        )
-        assert rule_ids(findings) == ["API001"]
-        assert "naive_mapping" in findings[0].message
-
-    def test_flags_deprecated_attribute_use(self):
-        findings = self.run_api(
-            """
-            import repro.core
-
-            table = repro.core.scheme_table()
-            """
-        )
-        assert rule_ids(findings) == ["API001"]
-
-    def test_allows_curated_surface(self):
-        findings = self.run_api(
-            """
-            from repro.core import PipeLayerModel, table1
-            from repro.core.mapping import naive_mapping
-            """
-        )
-        assert findings == []
-
-    def test_shim_module_itself_is_exempt(self):
-        rule = DeprecatedCoreImportRule(deprecated=["naive_mapping"])
-        findings = checks.check_source(
-            "from repro.core import naive_mapping\n",
-            path="repro/core/__init__.py",
-            rules=[rule],
-        )
-        assert findings == []
-
-    def test_table_parsed_from_shim_source(self):
-        parsed = DeprecatedCoreImportRule._parse_table(SHIM_SOURCE)
-        assert parsed == {"naive_mapping", "scheme_table"}
-
-    def test_prepare_reads_committed_shim_table(self):
-        rule = DeprecatedCoreImportRule()
-        rule.prepare(checks.default_root())
-        # A few names pinned from the committed shim table.
-        assert "naive_mapping" in rule._deprecated
-        assert "simulate_gan_iteration" in rule._deprecated
 
 
 # -- PY001 ------------------------------------------------------------------

@@ -33,7 +33,6 @@ def test_every_registered_rule_ran_against_the_tree():
         "SCHEMA001",
         "TEL001",
         "TEL002",
-        "API001",
         "PY001",
         "PY002",
         "PY003",

@@ -11,6 +11,8 @@ import repro
 import repro.core
 from repro import Simulator
 from repro.api import (
+    InferenceJob,
+    TrainingJob,
     gan_scheme_report,
     mapping_sweep,
     pipeline_sweep,
@@ -40,7 +42,9 @@ class TestSimulator:
 
     def test_run_inference_counts_operations(self):
         sim = Simulator.from_workload("mlp", seed=3)
-        result = sim.run_inference(count=16, batch=8)
+        result = sim.run(
+            InferenceJob(workload="mlp", seed=3, count=16, batch=8)
+        )
         assert result.count == 16
         assert result.outputs.shape == (16, sim.dataset.classes)
         assert result.stats["mvm_calls"] > 0
@@ -50,12 +54,9 @@ class TestSimulator:
         assert "outputs" not in document
 
     def test_run_inference_is_deterministic(self):
-        first = Simulator.from_workload("mlp", seed=9).run_inference(
-            count=8, batch=8
-        )
-        second = Simulator.from_workload("mlp", seed=9).run_inference(
-            count=8, batch=8
-        )
+        job = InferenceJob(workload="mlp", seed=9, count=8, batch=8)
+        first = Simulator.from_workload("mlp", seed=9).run(job)
+        second = Simulator.from_workload("mlp", seed=9).run(job)
         assert np.array_equal(first.outputs, second.outputs)
 
     def test_backends_bit_identical_through_facade(self):
@@ -67,13 +68,22 @@ class TestSimulator:
             sim = Simulator.from_workload(
                 "mlp", engine_config=config, backend=backend, seed=4
             )
-            outputs[backend] = sim.run_inference(count=8, batch=8).outputs
+            outputs[backend] = sim.run(
+                InferenceJob(workload="mlp", seed=4, count=8, batch=8)
+            ).outputs
         assert np.array_equal(outputs["loop"], outputs["vectorized"])
 
     def test_train_reprograms_arrays(self):
         sim = Simulator.from_workload("mlp", seed=5)
-        result = sim.train(
-            epochs=1, batch=16, train_count=48, test_count=16
+        result = sim.run(
+            TrainingJob(
+                workload="mlp",
+                seed=5,
+                epochs=1,
+                batch=16,
+                train_count=48,
+                test_count=16,
+            )
         )
         assert result.stats["array_programs"] > 0
         assert result.batch_losses
@@ -85,7 +95,9 @@ class TestSimulator:
         assert sim.engine_info() == {}
         assert sim.stats() == {}
         # forward still works on the exact path
-        result = sim.run_inference(count=8, batch=8)
+        result = sim.run(
+            InferenceJob(workload="mlp", seed=3, count=8, batch=8)
+        )
         assert result.stats == {}
 
     def test_spec_derivation(self):
@@ -97,6 +109,16 @@ class TestSimulator:
     def test_facade_reexported_from_package_root(self):
         assert repro.Simulator is Simulator
         assert "Simulator" in repro.__all__
+
+
+def test_front_door_doctest_runs():
+    import doctest
+
+    import repro.api
+
+    results = doctest.testmod(repro.api)
+    assert results.attempted > 0
+    assert results.failed == 0
 
 
 class TestReportFunctions:
@@ -138,24 +160,16 @@ class TestCuratedCoreSurface:
                 train_on_crossbar,
             )
 
-    def test_retired_names_raise_with_pointer(self):
-        for name, module in (
-            ("balanced_mapping", "repro.core.mapping"),
-            ("simulate_training_pipeline", "repro.core.schedule"),
-            ("scheme_table", "repro.core.gan_pipeline"),
-            ("render_training_schedule", "repro.core.trace"),
-        ):
-            with pytest.raises(AttributeError, match=module):
-                getattr(repro.core, name)
-
     def test_submodule_import_still_works(self):
         from repro.core.mapping import balanced_mapping
 
         assert callable(balanced_mapping)
 
     def test_unknown_name_raises_attribute_error(self):
-        with pytest.raises(AttributeError):
-            repro.core.does_not_exist
+        # Building blocks live only in their defining submodules.
+        for name in ("does_not_exist", "balanced_mapping", "scheme_table"):
+            with pytest.raises(AttributeError):
+                getattr(repro.core, name)
 
     def test_dir_lists_only_curated_surface(self):
         names = dir(repro.core)

@@ -46,13 +46,22 @@ class TestApiReportsCarryVersion:
 
     def test_inference_result(self):
         sim = api.Simulator.from_workload("mlp", seed=0)
-        document = sim.run_inference(count=8, batch=8).to_dict()
+        document = sim.run(
+            api.InferenceJob(workload="mlp", seed=0, count=8, batch=8)
+        ).to_dict()
         assert document["schema_version"] == PINNED_VERSION
 
     def test_train_result(self):
         sim = api.Simulator.from_workload("mlp", seed=0)
-        document = sim.train(
-            epochs=1, batch=16, train_count=32, test_count=16
+        document = sim.run(
+            api.TrainingJob(
+                workload="mlp",
+                seed=0,
+                epochs=1,
+                batch=16,
+                train_count=32,
+                test_count=16,
+            )
         ).to_dict()
         assert document["schema_version"] == PINNED_VERSION
 

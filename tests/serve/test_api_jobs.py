@@ -1,10 +1,9 @@
 """The redesigned facade entry points: Simulator.run / run_job.
 
-Pins the API contract the serve layer builds on: spec-driven
-execution matches the retired kwarg journeys bit-for-bit, the
-deprecated wrappers still work (warning loudly), and the programmed
-state identity (``cache_key`` + in-engine reprogram skipping) behaves
-as the cache assumes.
+Pins the API contract the serve layer builds on: a spec must describe
+the simulator it runs on, explicit input seeds draw independent
+streams, and the programmed state identity (``cache_key`` + in-engine
+reprogram skipping) behaves as the cache assumes.
 """
 
 from __future__ import annotations
@@ -23,29 +22,6 @@ from repro.xbar.engine import CrossbarEngineConfig
 
 
 class TestSimulatorRun:
-    def test_run_matches_deprecated_wrapper_bit_for_bit(self):
-        job = InferenceJob(workload="mlp", seed=5, count=8, batch=4)
-        new = Simulator.from_workload("mlp", seed=5).run(job)
-        with pytest.warns(DeprecationWarning, match="run_inference"):
-            old = Simulator.from_workload("mlp", seed=5).run_inference(
-                count=8, batch=4
-            )
-        assert np.array_equal(new.outputs, old.outputs)
-        assert new.accuracy == old.accuracy
-
-    def test_train_wrapper_matches_spec_path(self):
-        spec = TrainingJob(
-            workload="mlp", seed=2, epochs=1, batch=8, train_count=32,
-            test_count=16,
-        )
-        new = Simulator.from_workload("mlp", seed=2).run(spec)
-        with pytest.warns(DeprecationWarning, match="TrainingJob"):
-            old = Simulator.from_workload("mlp", seed=2).train(
-                epochs=1, batch=8, train_count=32, test_count=16
-            )
-        assert new.batch_losses == old.batch_losses
-        assert new.final_accuracy == old.final_accuracy
-
     def test_mismatched_spec_rejected(self):
         sim = Simulator.from_workload("mlp", seed=1)
         with pytest.raises(ValueError, match="does not describe"):

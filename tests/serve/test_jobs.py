@@ -93,6 +93,50 @@ class TestValidation:
             ReliabilityJob(rates=())
 
 
+class TestFieldTypes:
+    """Wire values of the wrong type fail at the boundary."""
+
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("inference", "seed", "x"),
+            ("inference", "seed", 1.5),
+            ("inference", "seed", True),
+            ("inference", "count", 2.5),
+            ("inference", "count", True),
+            ("inference", "count", "3"),
+            ("inference", "batch", 4.0),
+            ("inference", "input_seed", "abc"),
+            ("inference", "input_seed", 1.5),
+            ("training", "epochs", 1.5),
+            ("training", "batch", True),
+            ("training", "train_count", "32"),
+            ("training", "test_count", 16.0),
+            ("training", "learning_rate", "0.1"),
+            ("training", "learning_rate", True),
+            ("reliability", "train_epochs", 1.0),
+            ("reliability", "train_count", False),
+            ("reliability", "count", "8"),
+            ("reliability", "include_tiles", 1),
+            ("reliability", "include_tiles", "yes"),
+            ("reliability", "rates", ["0.1"]),
+            ("reliability", "rates", [True]),
+        ],
+    )
+    def test_bad_value_rejected(self, kind, field, value):
+        document = {"kind": kind, field: value}
+        with pytest.raises(TypeError, match=field):
+            job_from_dict(document)
+
+    def test_numpy_and_plain_numbers_accepted(self):
+        import numpy as np
+
+        job = InferenceJob(seed=np.int64(3), count=np.int32(4))
+        assert job.seed == 3 and job.count == 4
+        assert TrainingJob(learning_rate=1).learning_rate == 1
+        assert ReliabilityJob(rates=[0, 0.5]).rates == (0.0, 0.5)
+
+
 class TestWireRejections:
     def test_wrong_schema_version(self):
         document = InferenceJob().to_dict()

@@ -8,11 +8,14 @@ appear under ``serve/tenant[<id>]/``.
 
 from __future__ import annotations
 
+import socket
+
 import pytest
 
 from repro.serve import InferenceJob, ReliabilityJob, TrainingJob
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.server import (
+    MAX_BODY_BYTES,
     ServerConfig,
     call_on,
     job_report,
@@ -65,6 +68,27 @@ class TestHttpSurface:
         with pytest.raises(ServeError) as excinfo:
             client.submit({"kind": "inference", "workload": "nope"})
         assert excinfo.value.status == 400
+
+    def test_non_integer_field_400(self, served):
+        _, (host, port), _ = served
+        client = ServeClient(host, port)
+        with pytest.raises(ServeError) as excinfo:
+            client.submit({"kind": "inference", "seed": 1.5})
+        assert excinfo.value.status == 400
+        assert "seed" in str(excinfo.value)
+
+    def test_oversized_body_413(self, served):
+        # The announced length alone is refused; no body is sent.
+        _, (host, port), _ = served
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(
+                b"POST /v1/jobs HTTP/1.1\r\n"
+                b"Content-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1)
+            )
+            response = b""
+            while chunk := sock.recv(4096):
+                response += chunk
+        assert response.startswith(b"HTTP/1.1 413 Payload Too Large")
 
     def test_unknown_route_404(self, served):
         _, (host, port), _ = served

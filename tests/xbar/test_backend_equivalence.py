@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.telemetry import Collector
 from repro.xbar.device import NOISY_DEVICE, PIPELAYER_DEVICE
-from repro.xbar.engine import CrossbarEngine, CrossbarEngineConfig, XbarStats
+from repro.xbar.engine import CrossbarEngine, CrossbarEngineConfig
 from repro.xbar.mapping import WeightMapping
 
 STUCK_DEVICE = replace(
@@ -58,10 +58,10 @@ def run_both(config_kwargs, weights, activations, seed=11):
         results[backend] = (
             out,
             (
-                engine.stats.subcycles,
-                engine.stats.array_reads,
-                engine.stats.adc_conversions,
-                engine.stats.mvm_calls,
+                engine.telemetry.get("subcycles"),
+                engine.telemetry.get("array_reads"),
+                engine.telemetry.get("adc_conversions"),
+                engine.telemetry.get("mvm_calls"),
             ),
             collector.counters(),
         )
@@ -234,41 +234,6 @@ class TestCollapsedFastPath:
         assert engine._vector.gmat is not None
 
 
-class TestXbarStatsHistory:
-    """Per-call sub-cycle history is opt-in and bounded."""
-
-    def test_default_does_not_accumulate(self, rng):
-        engine = CrossbarEngine(small_config(), rng=0)
-        engine.prepare(rng.normal(size=(20, 12)))
-        for _ in range(4):
-            engine.matmul(rng.normal(size=(2, 20)))
-        assert engine.stats.per_call_subcycles == []
-        assert engine.stats.subcycles > 0
-
-    def test_opt_in_records_and_caps(self, rng):
-        engine = CrossbarEngine(small_config(), rng=0, track_per_call=True)
-        engine.stats.per_call_limit = 3
-        engine.prepare(rng.normal(size=(20, 12)))
-        for _ in range(5):
-            engine.matmul(rng.normal(size=(2, 20)))
-        assert len(engine.stats.per_call_subcycles) == 3
-
-    def test_reset_shares_init_state(self):
-        stats = XbarStats(track_per_call=True)
-        stats.record_call(7)
-        with pytest.raises(AttributeError):
-            stats.mvm_calls = 3
-        stats.telemetry.set("mvm_calls", 3)
-        stats.reset()
-        fresh = XbarStats(track_per_call=True)
-        assert stats.as_dict() == fresh.as_dict()
-        assert stats.per_call_subcycles == fresh.per_call_subcycles
-
-    def test_invalid_limit_rejected(self):
-        with pytest.raises(ValueError):
-            XbarStats(per_call_limit=0)
-
-
 class TestTelemetryThroughEngine:
     """The collector contract at engine granularity."""
 
@@ -291,11 +256,11 @@ class TestTelemetryThroughEngine:
         engine = CrossbarEngine(small_config(), rng=0, collector=collector)
         engine.prepare(rng.normal(size=(20, 12)))
         engine.matmul(rng.normal(size=(2, 20)))
-        assert engine.stats.array_reads == collector.get("array_reads")
-        assert engine.stats.adc_conversions == collector.get(
-            "adc_conversions"
-        )
-        assert engine.stats.mvm_calls == collector.get("mvm_calls")
+        # The attached collector is the engine's only counter store.
+        assert engine.telemetry is collector
+        assert collector.get("array_reads") > 0
+        assert collector.get("adc_conversions") > 0
+        assert collector.get("mvm_calls") == 1
 
     def test_disabled_collector_records_nothing(self, rng):
         disabled = Collector(enabled=False)

@@ -422,7 +422,7 @@ class TestRateModeEngine:
             )
             engine.prepare(weights)
             outputs[mode] = engine.matmul(activations)
-            stats[mode] = engine.stats.subcycles
+            stats[mode] = engine.telemetry.get("subcycles")
         np.testing.assert_allclose(
             outputs["rate"], outputs["spike"], atol=1e-9
         )

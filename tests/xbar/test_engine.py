@@ -26,8 +26,8 @@ class TestIdealEquivalence:
         np.testing.assert_allclose(
             fast.matmul(activations), full.matmul(activations), atol=1e-9
         )
-        assert fast.stats.fast_ideal_calls == 1
-        assert full.stats.fast_ideal_calls == 0
+        assert fast.telemetry.get("fast_ideal_calls") == 1
+        assert full.telemetry.get("fast_ideal_calls") == 0
 
     def test_close_to_exact_matmul(self, rng):
         weights = rng.normal(size=(40, 24))
@@ -80,7 +80,9 @@ class TestIdealEquivalence:
         )
         analog.prepare(weights)
         analog.matmul(activations)
-        assert analog.stats.subcycles < spike.stats.subcycles
+        assert analog.telemetry.get("subcycles") < spike.telemetry.get(
+            "subcycles"
+        )
 
 
 class TestNonIdealities:
@@ -141,16 +143,16 @@ class TestEngineMechanics:
         weights = rng.normal(size=(20, 10))
         engine = CrossbarEngine(small_config(), rng=0)
         engine.prepare(weights)
-        programs = engine.stats.array_programs
+        programs = engine.telemetry.get("array_programs")
         engine.prepare(weights.copy())
-        assert engine.stats.array_programs == programs
+        assert engine.telemetry.get("array_programs") == programs
 
     def test_prepare_reprograms_new_weights(self, rng):
         engine = CrossbarEngine(small_config(), rng=0)
         engine.prepare(rng.normal(size=(20, 10)))
-        programs = engine.stats.array_programs
+        programs = engine.telemetry.get("array_programs")
         engine.prepare(rng.normal(size=(20, 10)))
-        assert engine.stats.array_programs > programs
+        assert engine.telemetry.get("array_programs") > programs
 
     def test_matmul_before_prepare_raises(self, rng):
         with pytest.raises(RuntimeError):
@@ -191,11 +193,3 @@ class TestEngineMechanics:
         np.testing.assert_allclose(
             out[0], [1.0, -1.0, 0.5, 0.0], atol=0.01
         )
-
-    def test_stats_reset(self, rng):
-        engine = CrossbarEngine(small_config(), rng=0)
-        engine.prepare(rng.normal(size=(8, 4)))
-        engine.matmul(rng.normal(size=(2, 8)))
-        engine.stats.reset()
-        assert engine.stats.mvm_calls == 0
-        assert engine.stats.array_programs == 0
