@@ -57,6 +57,8 @@ class CrossbarArray:
         self.adc = IntegrateFireADC(adc)
         self._levels: Optional[np.ndarray] = None
         self._conductance: Optional[np.ndarray] = None
+        #: Bit lines the last :meth:`program` wrote (the rest is padding).
+        self.live_cols = 0
         self.programs = 0
         self.reads = 0
 
@@ -67,6 +69,8 @@ class CrossbarArray:
         ``levels`` must be ``(rows, cols)`` integers in the cell's
         level range; smaller matrices may be passed and are placed in
         the top-left corner with the rest of the array at level 0.
+        The column count passed in becomes :attr:`live_cols`, the bit
+        lines :meth:`mvm` evaluates.
         """
         levels = np.asarray(levels)
         if levels.ndim != 2:
@@ -87,6 +91,7 @@ class CrossbarArray:
         self._conductance = (
             self.device.g_min + self._levels * self.device.g_step
         )
+        self.live_cols = int(levels.shape[1])
         self.programs += 1
 
     @property
@@ -107,10 +112,12 @@ class CrossbarArray:
         """Draw per-read output noise from *this array's* stream.
 
         The explicit device-noise seam shared by both evaluation
-        backends: one stacked draw of shape ``(subcycles, batch, cols)``
-        consumes the generator exactly like that many sequential
-        per-subcycle draws, which is what makes the vectorized backend
-        bit-identical to the loop path under a shared seed.
+        backends: one stacked draw of shape ``(subcycles, batch,
+        live_cols)`` consumes the generator exactly like that many
+        sequential per-subcycle draws, which is what makes the
+        vectorized backend bit-identical to the loop path under a shared
+        seed.  Padded bit lines are counted, not simulated: they draw
+        nothing.
         """
         return self._model.read_noise_levels(shape)
 
@@ -118,8 +125,9 @@ class CrossbarArray:
         """Per-read soft-error impulses from *this array's* own stream.
 
         Same stacked-equals-sequential contract as
-        :meth:`read_noise_levels`; the upsets live on a dedicated child
-        stream so enabling them never shifts the read-noise draws.
+        :meth:`read_noise_levels`, over the same ``live_cols`` bit
+        lines; the upsets live on a dedicated child stream so enabling
+        them never shifts the read-noise draws.
         """
         return self._model.transient_upset_levels(shape)
 
@@ -153,6 +161,11 @@ class CrossbarArray:
         leakage ``g_min`` (computed directly in the level domain, where
         ``currents - g_min * sum(drive) == drive @ levels * g_step``),
         read-noise-corrupted, then quantized by the ADC.
+
+        Padded bit lines are counted, not simulated: only the
+        ``live_cols`` programmed ones are multiplied, perturbed and
+        digitised, the rest read as exact zeros, while :attr:`reads`
+        and the ADC's ``conversions`` still cover the physical width.
         """
         if self._levels is None:
             raise RuntimeError("array has not been programmed")
@@ -165,9 +178,11 @@ class CrossbarArray:
             )
         if np.any(drive < 0):
             raise ValueError("word-line drive must be non-negative")
-        self.reads += int(drive.shape[0])
+        batch = int(drive.shape[0])
+        self.reads += batch
 
-        level_values = drive @ self._levels
+        live = self.live_cols
+        level_values = drive @ self._levels[:, :live]
         # Read-path effect order (shared with the vectorized backend):
         # drift scales the signal, then Gaussian read noise, then
         # transient upsets, then the ADC digitises the sum.
@@ -181,7 +196,10 @@ class CrossbarArray:
             level_values = level_values + self._model.transient_upset_levels(
                 level_values.shape
             )
-        return self.adc.convert(level_values)
+        digitised = np.zeros((batch, self.cols))
+        digitised[:, :live] = self.adc.convert(level_values)
+        self.adc.conversions += batch * (self.cols - live)
+        return digitised
 
     def exact_mvm(self, drive: np.ndarray) -> np.ndarray:
         """Reference result ignoring read noise and the ADC.

@@ -33,14 +33,14 @@ Two interchangeable backends evaluate the full datapath:
     per (sub-cycle, plane).  Slow but structurally identical to the
     hardware description above.
 ``backend="vectorized"`` (default)
-    Stacks every slice plane of every tile into one conductance tensor
-    per sign, evaluates all sub-cycles of a batch with batched matmuls,
-    and applies the I&F ADC quantization across the whole stack at
-    once.  Bit-for-bit identical to the loop backend under a shared
-    seed: read noise is drawn from each array's own generator in
-    sub-cycle order (a stacked draw consumes a numpy ``Generator``
-    exactly like sequential per-sub-cycle draws), and both backends
-    share one ADC transfer function
+    Stacks the programmed bit lines of every slice plane of every tile
+    into one conductance tensor, evaluates all sub-cycles of a batch
+    with batched matmuls, and applies the I&F ADC quantization across
+    the whole stack at once.  Bit-for-bit identical to the loop backend
+    under a shared seed: read noise is drawn from each array's own
+    generator in sub-cycle order (a stacked draw consumes a numpy
+    ``Generator`` exactly like sequential per-sub-cycle draws), and
+    both backends share one ADC transfer function
     (:func:`repro.xbar.adc.quantize_levels`).  When every per-array
     conversion is provably the identity — integer level matrices, no
     read noise, unit-grid ADC with sufficient range (stuck faults
@@ -48,6 +48,12 @@ Two interchangeable backends evaluate the full datapath:
     combined effective-weights matrix, turning the whole evaluation
     into one exact integer matmul (~100x over the loop backend on a
     256x256 layer).
+
+Neither backend simulates padded bit lines.  An edge array holding
+fewer logical columns than ``array_cols`` evaluates, perturbs, and
+digitises only its programmed columns; the padded ones are counted,
+not simulated — read, conversion, and energy counters still cover the
+full physical width.
 """
 
 from __future__ import annotations
@@ -256,15 +262,18 @@ _ACCUMULATOR_BITS = 16
 class _VectorizedState:
     """Per-prepare() cache backing the vectorized backend.
 
-    ``gmat`` is the stacked conductance tensor of *every* physical
+    ``gmat`` is the stacked conductance tensor of every physical
     array of every slice plane, pre-transposed into the batched-matmul
-    layout ``(grid_rows, array_rows, n_planes * grid_cols *
-    array_cols)``; ``plane_weights`` carries each plane's signed
-    shift-and-add factor (``±radix**slice``).  Built lazily on the
-    first vectorized matmul and invalidated whenever ``prepare()``
-    reprograms the arrays.  When the ADC is transparent (see
-    ``collapsed``), ``gmat`` is ``None`` — the stacked path is never
-    taken.
+    layout ``(grid_rows, array_rows, n_planes * logical_cols)``: only
+    programmed bit lines are stacked, so block column ``j`` of a plane
+    owns columns ``[j * array_cols, min((j + 1) * array_cols,
+    logical_cols))`` of that plane's slab, while padded word lines
+    stay (they carry zero drive).  ``plane_weights`` carries each
+    plane's signed shift-and-add factor (``±radix**slice``).  Built
+    lazily on the first vectorized matmul and invalidated whenever
+    ``prepare()`` reprograms the arrays.  When the ADC is transparent
+    (see ``collapsed``), ``gmat`` is ``None`` — the stacked path is
+    never taken.
     """
 
     gmat: Optional[np.ndarray]
@@ -739,15 +748,22 @@ class CrossbarEngine(MatmulEngine):
                     sign * radix**slice_index * tile.effective_logical()
                 )
         else:
-            stacked = np.empty((n_planes, grid_rows, grid_cols, rows, cols))
-            for index, (_, tile) in enumerate(tiles.items()):
-                stacked[index] = tile.level_blocks()
-            # (P, g, h, R, C) -> (g, R, P*h*C): one batched matmul per MVM.
-            gmat = np.ascontiguousarray(
-                stacked.transpose(1, 3, 0, 2, 4).reshape(
-                    grid_rows, rows, n_planes * grid_cols * cols
+            # Block column j's live columns are the logical columns it
+            # holds, so the blocks laid side by side and cut at
+            # logical_cols keep exactly the programmed bit lines.
+            logical_cols = self._cached_weights.shape[1]
+            stacked = np.empty((grid_rows, rows, n_planes, logical_cols))
+            for index, tile in enumerate(tiles.values()):
+                # (g, h, R, C) -> (g, R, h*C) -> (g, R, L).
+                stacked[:, :, index, :] = (
+                    tile.level_blocks()
+                    .transpose(0, 2, 1, 3)
+                    .reshape(grid_rows, rows, grid_cols * cols)[
+                        :, :, :logical_cols
+                    ]
                 )
-            )
+            # (g, R, P*L): one batched matmul per MVM.
+            gmat = stacked.reshape(grid_rows, rows, n_planes * logical_cols)
         self._vector = _VectorizedState(
             gmat=gmat,
             plane_weights=plane_weights,
@@ -776,10 +792,14 @@ class CrossbarEngine(MatmulEngine):
         applies it: per-array read noise (drawn from each array's own
         stream in sub-cycle order), the I&F ADC on each array's columns
         *before* the vertical partial-sum add, then the sequential
-        row-block fold of :meth:`TiledCrossbar.mvm`.  The sub-cycle
-        axis is chunked to bound memory; chunks run in sub-cycle order
-        so the RNG streams and the accumulation order are exactly the
-        loop backend's.
+        row-block fold of :meth:`TiledCrossbar.mvm`.  Partial sums are
+        laid out ``(grid_rows, span, batch, n_planes, logical_cols)``;
+        each array is the view ``[block_row, :, :, plane, c0:c1]`` over
+        its live columns and draws ``(span, batch, c1 - c0)`` per
+        effect, as the loop's ``span`` sequential ``(batch, c1 - c0)``
+        draws would.  The sub-cycle axis is chunked to bound memory;
+        chunks run in sub-cycle order so the RNG streams and the
+        accumulation order are exactly the loop backend's.
         """
         device = self.config.device
         grid_rows, grid_cols = state.grid_rows, state.grid_cols
@@ -791,7 +811,7 @@ class CrossbarEngine(MatmulEngine):
         padded[:, :, :logical_rows] = planes
         blocked = padded.reshape(subcycles, batch, grid_rows, rows)
 
-        per_subcycle = batch * n_planes * grid_rows * grid_cols * cols
+        per_subcycle = batch * n_planes * grid_rows * logical_cols
         chunk = max(1, _VECTOR_CHUNK_ELEMENTS // per_subcycle)
         # On a unit count grid every post-ADC value is an integer, so
         # any summation order is exact and one einsum suffices.  On a
@@ -806,7 +826,7 @@ class CrossbarEngine(MatmulEngine):
                 grid_rows, span * batch, rows
             )
             levels = np.matmul(drive, state.gmat).reshape(
-                grid_rows, span, batch, n_planes, grid_cols, cols
+                grid_rows, span, batch, n_planes, logical_cols
             )
             # Per-array read-path effects in the loop backend's order:
             # drift scales the signal, then Gaussian read noise, then
@@ -823,26 +843,25 @@ class CrossbarEngine(MatmulEngine):
                     for block_row in range(grid_rows):
                         for block_col in range(grid_cols):
                             array = state.arrays[plane][block_row][block_col]
-                            view = levels[block_row, :, :, plane, block_col, :]
+                            c0 = block_col * cols
+                            c1 = min(c0 + cols, logical_cols)
+                            view = levels[block_row, :, :, plane, c0:c1]
                             if drift:
                                 view *= array.drift_factors(span)[
                                     :, None, None
                                 ]
                             if noise:
                                 view += array.read_noise_levels(
-                                    (span, batch, cols)
+                                    (span, batch, c1 - c0)
                                 )
                             if upsets:
                                 view += array.transient_upset_levels(
-                                    (span, batch, cols)
+                                    (span, batch, c1 - c0)
                                 )
             quantized = quantize_levels(levels, state.adc)
             folded = quantized[0].copy()
             for block_row in range(1, grid_rows):
                 folded += quantized[block_row]
-            folded = folded.reshape(span, batch, n_planes, grid_cols * cols)[
-                :, :, :, :logical_cols
-            ]
             weights = plane_weights[start : start + span]
             if exact_grid:
                 accumulator += input_sign * np.einsum(

@@ -31,6 +31,9 @@ UPSET_DEVICE = replace(PIPELAYER_DEVICE, upset_rate=0.05)
 DRIFT_DEVICE = replace(PIPELAYER_DEVICE, drift_nu=0.1)
 # Everything at once: static faults, both noises, both transients.
 SOFT_DEVICE = replace(NOISY_DEVICE, upset_rate=0.02, drift_nu=0.05)
+# Stuck-on cells common enough that padded columns hold non-zero
+# levels; read noise keeps the engine on the stacked path.
+STUCK_ON_DEVICE = replace(NOISY_DEVICE, stuck_on_rate=0.2)
 
 # Rate coding at full 8-bit width costs 255 sub-cycles per sign; a
 # narrower encoding keeps the loop oracle fast without losing coverage.
@@ -148,6 +151,40 @@ class TestBitExactEquivalence:
                 engines["vectorized"].matmul(activations),
             )
 
+    @pytest.mark.parametrize(
+        "shape", [(40, 5), (20, 17)], ids=["40x5", "20x17"]
+    )
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(device=SOFT_DEVICE, adc_bits=3), dict(device=STUCK_ON_DEVICE)],
+        ids=["soft-lossy-adc", "stuck-on"],
+    )
+    def test_mostly_padded_arrays(self, shape, kwargs, rng):
+        """Narrow layers leave most bit lines of each 16x16 array
+        padded; 20x17 leaves the last block column one live column."""
+        weights = rng.normal(size=shape)
+        activations = rng.normal(size=(5, shape[0]))
+        assert_bit_identical(run_both(kwargs, weights, activations))
+
+    def test_narrow_layer_lockstep(self, rng):
+        """Streams and the drift clock stay aligned over three calls on
+        a layer whose last block column is one column wide."""
+        weights = rng.normal(size=(20, 17))
+        engines = {}
+        for backend in ("loop", "vectorized"):
+            engine = CrossbarEngine(
+                small_config(backend=backend, device=SOFT_DEVICE, adc_bits=3),
+                rng=9,
+            )
+            engine.prepare(weights)
+            engines[backend] = engine
+        for _ in range(3):
+            activations = rng.normal(size=(3, 20))
+            assert np.array_equal(
+                engines["loop"].matmul(activations),
+                engines["vectorized"].matmul(activations),
+            )
+
     def test_reprogram_invalidates_cache(self, rng):
         """New weights must flow into the vectorized state."""
         first = rng.normal(size=(20, 12))
@@ -232,6 +269,21 @@ class TestCollapsedFastPath:
         engine.matmul(rng.normal(size=(2, 20)))
         assert engine._vector.collapsed is None
         assert engine._vector.gmat is not None
+
+    def test_stack_holds_only_programmed_columns(self, rng):
+        engine = CrossbarEngine(
+            small_config(backend="vectorized", device=NOISY_DEVICE), rng=0
+        )
+        engine.prepare(rng.normal(size=(20, 17)))
+        engine.matmul(rng.normal(size=(2, 20)))
+        state = engine._vector
+        # Two 16-column block columns hold 17 live columns per plane.
+        assert state.grid_cols == 2
+        assert state.gmat.shape == (
+            state.grid_rows,
+            16,
+            state.n_planes * 17,
+        )
 
 
 class TestTelemetryThroughEngine:

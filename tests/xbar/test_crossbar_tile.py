@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.xbar.adc import ADCConfig
+from repro.utils.rng import new_rng
+from repro.xbar.adc import ADCConfig, quantize_levels
 from repro.xbar.crossbar import CrossbarArray
-from repro.xbar.device import DeviceConfig, PIPELAYER_DEVICE
+from repro.xbar.device import DeviceConfig, DeviceModel, PIPELAYER_DEVICE
 from repro.xbar.tile import TiledCrossbar, tile_grid
 
 
@@ -88,6 +89,40 @@ class TestCrossbarArray:
         array.mvm(np.ones((3, 4)))
         assert array.programs == 2
         assert array.reads == 3
+
+
+class TestPaddedBitLines:
+    """Bit lines past the programmed width are counted, not simulated."""
+
+    def test_only_live_columns_draw_or_convert(self, rng):
+        device = DeviceConfig(upset_rate=0.3)
+        rows, cols, live, batch = 8, 8, 3, 4
+        array = CrossbarArray(rows, cols, device, rng=21)
+        levels = rng.integers(0, 16, size=(rows, live))
+        array.program(levels)
+        assert array.live_cols == live
+        # Twin of the array's device model: same seed, same streams.
+        twin = DeviceModel(device, rng=new_rng(21))
+        for _ in range(3):
+            drive = rng.integers(0, 2, size=(batch, rows)).astype(float)
+            out = array.mvm(drive)
+            impulses = twin.transient_upset_levels((batch, live))
+            assert out.shape == (batch, cols)
+            np.testing.assert_array_equal(
+                out[:, :live],
+                quantize_levels(drive @ levels + impulses, array.adc.config),
+            )
+            # Padded bit lines read as exact zeros.
+            assert np.all(out[:, live:] == 0.0)
+        # The transient stream advanced by exactly batch x live doubles
+        # per mvm: the next draws still agree with the twin.
+        np.testing.assert_array_equal(
+            array.transient_upset_levels((5,)),
+            twin.transient_upset_levels((5,)),
+        )
+        # Counters keep the physical width.
+        assert array.reads == 3 * batch
+        assert array.adc.conversions == 3 * batch * cols
 
 
 class TestTileGrid:
