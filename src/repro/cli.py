@@ -60,9 +60,11 @@ from repro.telemetry import (
     profile_report,
     render_analysis_report,
     sample_value,
+    trace_chrome_document,
     validate_analysis_report,
     validate_profile_report,
 )
+from repro.utils.io import write_json_atomic
 from repro.utils.logging import configure as _configure_logging
 from repro.workloads import (
     alexnet_spec,
@@ -303,7 +305,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         sweep_report,
         sweep_summary,
     )
-    from repro.utils.io import write_json_atomic
     from repro.xbar.engine import CrossbarEngineConfig, engine_config_to_dict
 
     rates, code = _parse_rates(args)
@@ -377,8 +378,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         trace=trace_root,
     )
     if trace_root is not None and trace_log is not None:
-        from repro.telemetry import trace_chrome_document
-
         trace_root.finish({"cells": len(cells)})
         write_json_atomic(
             Path(args.trace_out),
@@ -930,7 +929,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     collector, exit_code, wall_time_s, wrapped_output = _run_wrapped(
         command, inner
     )
-    collector.write_chrome_trace(args.trace_out)
+    write_json_atomic(
+        Path(args.trace_out), trace_chrome_document(collector.spans())
+    )
     document = profile_report(
         collector,
         command,

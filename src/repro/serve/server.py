@@ -365,10 +365,10 @@ class _JobRecord:
 
     job_id: str
     spec: JobSpec
+    trace: TraceContext
     status: str = "pending"
     report: Optional[Dict[str, Any]] = None
     done: asyncio.Event = field(default_factory=asyncio.Event)
-    trace: Optional[TraceContext] = None
     queue_span: Optional[TraceContext] = None
     execute_span: Optional[TraceContext] = None
     submitted_at: float = 0.0
@@ -473,7 +473,6 @@ class JobServer:
         """Journal one lifecycle transition (loop thread only)."""
         if self._events is None:
             return
-        assert record.trace is not None
         self._event_seq += 1
         self._events.write(
             event_record(
@@ -490,9 +489,13 @@ class JobServer:
 
     def _register(self, spec: JobSpec) -> _JobRecord:
         self._next_id += 1
-        record = _JobRecord(job_id=f"job-{self._next_id:05d}", spec=spec)
-        self._records[record.job_id] = record
-        record.trace = TraceContext.root(record.job_id, self._trace_log)
+        job_id = f"job-{self._next_id:05d}"
+        record = _JobRecord(
+            job_id=job_id,
+            spec=spec,
+            trace=TraceContext.root(job_id, self._trace_log),
+        )
+        self._records[job_id] = record
         record.queue_span = record.trace.start("queue")
         record.submitted_at = wall_clock()
         scope = self.collector.scope(f"serve/tenant[{spec.tenant}]")
@@ -572,8 +575,7 @@ class JobServer:
             if record.queue_span is not None:
                 record.queue_span.finish()
                 record.queue_span = None
-            if record.trace is not None:
-                record.execute_span = record.trace.start("execute")
+            record.execute_span = record.trace.start("execute")
             self._event("dispatched", record)
         tasks = [
             self._execute_group([records[i] for i in group])
@@ -590,43 +592,26 @@ class JobServer:
         local = Collector(record_spans=False)
         specs = [record.spec for record in records]
         leader = records[0]
-        carrier = None
-        if leader.trace is not None:
-            carrier = leader.trace.fork(
-                "unit", proc=f"unit[{leader.job_id}]"
-            )
+        carrier = leader.trace.fork("unit", proc=f"unit[{leader.job_id}]")
 
         def work() -> Tuple[list, List[Dict[str, Any]], Dict[str, float]]:
             # Worker-side spans live on a throwaway per-unit log with
             # its own proc lane; the loop absorbs them afterwards so
             # the shared trace log stays loop-thread-only.
-            unit_spans: List[Dict[str, Any]] = []
-            if carrier is not None:
-                unit_log = TraceLog(proc=str(carrier["proc"]))
-                ctx = TraceContext.adopt(carrier, unit_log)
-                with ctx.span("cache_lease"):
-                    entry = self._cache.lease(specs[0])
-                with entry.lock, ctx.span("engine_evaluate"):
-                    before = entry.simulator.counters_snapshot()
-                    results = run_coalesced(
-                        entry.simulator, specs, collector=local
-                    )
-                    delta = _counter_delta(
-                        before, entry.simulator.counters_snapshot()
-                    )
-                ctx.finish({"jobs": len(specs)})
-                unit_spans = unit_log.to_dicts()
-            else:
+            unit_log = TraceLog(proc=str(carrier["proc"]))
+            ctx = TraceContext.adopt(carrier, unit_log)
+            with ctx.span("cache_lease"):
                 entry = self._cache.lease(specs[0])
-                with entry.lock:
-                    before = entry.simulator.counters_snapshot()
-                    results = run_coalesced(
-                        entry.simulator, specs, collector=local
-                    )
-                    delta = _counter_delta(
-                        before, entry.simulator.counters_snapshot()
-                    )
-            return results, unit_spans, delta
+            with entry.lock, ctx.span("engine_evaluate"):
+                before = entry.simulator.counters_snapshot()
+                results = run_coalesced(
+                    entry.simulator, specs, collector=local
+                )
+                delta = _counter_delta(
+                    before, entry.simulator.counters_snapshot()
+                )
+            ctx.finish({"jobs": len(specs)})
+            return results, unit_log.to_dicts(), delta
 
         try:
             results, unit_spans, delta = await loop.run_in_executor(
@@ -761,8 +746,7 @@ class JobServer:
         if record.execute_span is not None:
             record.execute_span.finish(attrs)
             record.execute_span = None
-        if record.trace is not None:
-            record.trace.finish()
+        record.trace.finish()
 
     def _finish(
         self, record: _JobRecord, result: Any, coalesced: bool
@@ -776,10 +760,7 @@ class JobServer:
             "done",
             result=_result_payload(spec, result),
             coalesced=coalesced,
-            trace_id=(
-                record.trace.trace_id if record.trace is not None
-                else None
-            ),
+            trace_id=record.trace.trace_id,
         )
         e2e = wall_clock() - record.submitted_at
         scope = self.collector.scope(f"serve/tenant[{spec.tenant}]")
@@ -800,10 +781,7 @@ class JobServer:
                 record.job_id,
                 "error",
                 error=f"{type(exc).__name__}: {exc}",
-                trace_id=(
-                    record.trace.trace_id if record.trace is not None
-                    else None
-                ),
+                trace_id=record.trace.trace_id,
             )
             self._serve_scope.count("jobs.failed", 1)
             self._event(
@@ -846,11 +824,7 @@ class JobServer:
 
     def trace_report(self, job_id: str) -> Dict[str, Any]:
         """One job's stitched trace as a schema-versioned document."""
-        record = self._records[job_id]
-        trace_id = (
-            record.trace.trace_id if record.trace is not None
-            else trace_id_for(job_id)
-        )
+        trace_id = self._records[job_id].trace.trace_id
         return trace_document(
             trace_id, self._trace_log.spans_for(trace_id)
         )

@@ -5,8 +5,11 @@ not a logger: one :class:`Collector` threads through the crossbar
 engine (both backends, bit-identical counters), the pipeline schedule
 simulators, the training loop, and the reliability campaigns, keyed by
 ``/``-separated component paths.  Timing :meth:`~Collector.span`\\ s
-ride along for profiling and export to the Chrome-trace format;
-they are wall-clock and excluded from every determinism contract.
+ride along for profiling: they are :class:`TraceSpan`\\ s (the one
+span model, shared with the serve/sweep traces) whose wall-clock
+start and duration are excluded from every determinism contract, and
+:func:`trace_chrome_document` (the one Chrome-trace exporter) renders
+them for ``chrome://tracing`` or Perfetto.
 
 Raw counters are *consumed* by :mod:`repro.telemetry.analysis`, which
 derives the paper-level efficiency metrics (stage utilization and
@@ -17,14 +20,18 @@ Quick start::
 
     from repro import Simulator
     from repro.api import InferenceJob
-    from repro.telemetry import Collector, analyze_counters
+    from repro.telemetry import (
+        Collector, analyze_counters, trace_chrome_document,
+    )
+    from repro.utils.io import write_json_atomic
 
     collector = Collector()
     sim = Simulator.from_workload("mlp", seed=0, collector=collector)
     sim.run(InferenceJob(workload="mlp", seed=0, count=32))
     print(collector.counters())          # engine/<layer>/... hierarchy
     report = analyze_counters(collector)  # derived metrics document
-    collector.write_chrome_trace("trace.json")   # chrome://tracing
+    write_json_atomic("trace.json",               # chrome://tracing
+                      trace_chrome_document(collector.spans()))
 
 CLI: ``repro profile <subcommand> ...`` runs any existing subcommand's
 workload under a collector and emits the raw report; ``repro report``
@@ -57,7 +64,6 @@ from repro.telemetry.analysis import (
     stage_utilization,
 )
 from repro.telemetry.collector import (
-    DEFAULT_MAX_SPANS,
     DROPPED_SPANS_COUNTER,
     LATENCY_BUCKET_BOUNDS,
     NULL_COLLECTOR,
@@ -66,7 +72,6 @@ from repro.telemetry.collector import (
     Collector,
     Histogram,
     ScopedCollector,
-    SpanRecord,
     TelemetryLike,
     default_bucket_bounds,
 )
@@ -104,7 +109,7 @@ from repro.telemetry.metrics import (
 )
 from repro.telemetry.timing import wall_clock
 from repro.telemetry.trace import (
-    DEFAULT_MAX_TRACE_SPANS,
+    DEFAULT_MAX_SPANS,
     TraceContext,
     TraceLog,
     TraceSpan,
@@ -117,7 +122,6 @@ from repro.telemetry.trace import (
 __all__ = [
     "Collector",
     "ScopedCollector",
-    "SpanRecord",
     "TelemetryLike",
     "NULL_COLLECTOR",
     "SCHEMA_VERSION",
@@ -155,7 +159,6 @@ __all__ = [
     "validate_cost_table",
     "validate_energy_report",
     "render_energy_report",
-    "DEFAULT_MAX_TRACE_SPANS",
     "TraceContext",
     "TraceLog",
     "TraceSpan",

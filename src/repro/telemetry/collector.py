@@ -1,4 +1,4 @@
-"""Hierarchical telemetry collector: counters and timing spans.
+"""Hierarchical telemetry collector: counters, histograms and spans.
 
 The accelerator's headline numbers are *counted events* — spike-driver
 activations, I&F ADC conversions, crossbar reads and writes, pipeline
@@ -12,10 +12,13 @@ than a logger bolted on after the fact.  One :class:`Collector` holds
   **identical** counter telemetry under a shared seed (the
   bit-identity contract of :mod:`repro.xbar.engine`, extended to
   observability and enforced by the backend-equivalence tests).
-* **timing spans** — wall-clock intervals opened with :meth:`span`.
-  Spans are *non-deterministic by construction* (they measure the
-  host, not the simulated hardware) and are therefore excluded from
-  every equality check; exporters keep them in a separate section.
+* **timing spans** — intervals opened with :meth:`span`, recorded as
+  :class:`~repro.telemetry.trace.TraceSpan`\\ s on a collector-owned
+  :class:`~repro.telemetry.trace.TraceLog`: the innermost open span is
+  the parent, ids and logical ticks are the identity, and each span
+  also carries its wall-clock start and duration.  Wall time measures
+  the host, not the simulated hardware, so it is excluded from every
+  equality check; exporters keep spans in a separate section.
 * **histograms** — fixed-bucket distributions recorded with
   :meth:`observe` (or the :meth:`timed` context manager for wall
   latencies).  Bucket *bounds* are deterministic constants chosen by
@@ -48,13 +51,10 @@ changes simulation outputs (pinned by tests).
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass
-from pathlib import Path
 from typing import (
     Any,
     ContextManager,
@@ -68,15 +68,20 @@ from typing import (
     Union,
 )
 
+from repro.telemetry.trace import (
+    DEFAULT_MAX_SPANS,
+    SCHEMA_VERSION,
+    TraceContext,
+    TraceLog,
+    TraceSpan,
+    trace_id_for,
+)
+
 Number = Union[int, float]
 
-#: Version stamp of every JSON document the telemetry layer emits.
-SCHEMA_VERSION = 1
-
-#: Default bound on recorded spans: a long training run opens one span
-#: per epoch and per profiled call, and an unbounded list would grow
-#: without limit.  Past the cap, spans are counted but not stored.
-DEFAULT_MAX_SPANS = 100_000
+#: Trace id shared by every span a collector records; top-level spans
+#: are its roots ``"0"``, ``"1"``, ... so span ids stay unique.
+_COLLECTOR_TRACE_ID = trace_id_for("collector")
 
 #: Counter path under which a collector accounts spans it had to drop
 #: because ``max_spans`` was reached — the overflow is *visible* in
@@ -188,24 +193,6 @@ class Histogram:
         )
 
 
-@dataclass(frozen=True)
-class SpanRecord:
-    """One closed timing span (wall-clock, non-deterministic)."""
-
-    path: str
-    start_s: float
-    duration_s: float
-    depth: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "path": self.path,
-            "start_s": self.start_s,
-            "duration_s": self.duration_s,
-            "depth": self.depth,
-        }
-
-
 class Collector:
     """Hierarchical counter + span store (see module docstring).
 
@@ -222,7 +209,7 @@ class Collector:
         records nobody asked for.
     max_spans:
         Bound on stored spans; further spans are timed but only
-        counted in :attr:`spans_dropped`.
+        counted under :data:`DROPPED_SPANS_COUNTER`.
     """
 
     def __init__(
@@ -238,9 +225,12 @@ class Collector:
         self.max_spans = max_spans
         self._counters: Dict[str, Number] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._spans: List[SpanRecord] = []
-        self._span_depth = 0
-        self._spans_dropped = 0
+        self._reset_spans()
+
+    def _reset_spans(self) -> None:
+        self._log = TraceLog(max_spans=self.max_spans)
+        self._open: Optional[TraceContext] = None
+        self._roots = 0
         self._drop_warned = False
         self._origin = time.perf_counter()
 
@@ -395,36 +385,37 @@ class Collector:
     # -- spans --------------------------------------------------------------
     @contextmanager
     def span(self, path: str) -> Iterator[None]:
-        """Time a block of work as one wall-clock span at ``path``.
+        """Time a block of work as one span named ``path``.
 
-        Nesting is recorded through ``depth``; spans are never part of
-        any determinism contract.
+        The innermost open span is the parent; the closed
+        :class:`~repro.telemetry.trace.TraceSpan` carries its wall
+        start and duration, which no determinism contract covers.
         """
         if not (self.enabled and self.record_spans):
             yield
             return
-        depth = self._span_depth
-        self._span_depth = depth + 1
+        parent = self._open
+        if parent is None:
+            context = TraceContext(
+                _COLLECTOR_TRACE_ID, str(self._roots), None, path, self._log
+            )
+            self._roots += 1
+        else:
+            context = parent.start(path)
+        self._open = context
         start = time.perf_counter()
         try:
             yield
         finally:
-            duration = time.perf_counter() - start
-            self._span_depth = depth
-            if len(self._spans) < self.max_spans:
-                self._spans.append(
-                    SpanRecord(
-                        path=path,
-                        start_s=start - self._origin,
-                        duration_s=duration,
-                        depth=depth,
-                    )
-                )
-            else:
+            context.wall_start_s = start - self._origin
+            context.wall_duration_s = time.perf_counter() - start
+            self._open = parent
+            dropped = self._log.dropped
+            context.finish()
+            if self._log.dropped > dropped:
                 # Surface the overflow instead of discarding silently:
                 # account the drop as a counter (visible in every
                 # report) and warn once per collector.
-                self._spans_dropped += 1
                 self._counters[DROPPED_SPANS_COUNTER] = (
                     self._counters.get(DROPPED_SPANS_COUNTER, 0) + 1
                 )
@@ -437,25 +428,21 @@ class Collector:
                         DROPPED_SPANS_COUNTER,
                     )
 
-    def spans(self) -> List[SpanRecord]:
+    def spans(self) -> List[TraceSpan]:
         """The recorded spans, in closing order."""
-        return list(self._spans)
+        return self._log.spans()
 
     @property
     def spans_dropped(self) -> int:
         """Spans timed but not stored because ``max_spans`` was hit."""
-        return self._spans_dropped
+        return self._log.dropped
 
     # -- lifecycle ----------------------------------------------------------
     def reset(self) -> None:
         """Drop all counters, histograms, and spans; restart the origin."""
         self._counters.clear()
         self._histograms.clear()
-        self._spans.clear()
-        self._span_depth = 0
-        self._spans_dropped = 0
-        self._drop_warned = False
-        self._origin = time.perf_counter()
+        self._reset_spans()
 
     def scope(self, prefix: str) -> "ScopedCollector":
         """A view that prefixes every path with ``prefix + '/'``."""
@@ -468,7 +455,8 @@ class Collector:
     def __repr__(self) -> str:
         return (
             f"Collector(enabled={self.enabled}, "
-            f"counters={len(self._counters)}, spans={len(self._spans)})"
+            f"counters={len(self._counters)}, "
+            f"spans={len(self._log.spans())})"
         )
 
     # -- export -------------------------------------------------------------
@@ -484,46 +472,9 @@ class Collector:
             "counters": self.counters(),
             "counter_tree": self.counter_tree(),
             "histograms": self.histograms(),
-            "spans": [record.to_dict() for record in self._spans],
-            "spans_dropped": self._spans_dropped,
+            "spans": self._log.to_dicts(),
+            "spans_dropped": self._log.dropped,
         }
-
-    def chrome_trace(self) -> Dict[str, Any]:
-        """Spans as Chrome-trace / Perfetto "complete" (``X``) events.
-
-        Load the written file at ``chrome://tracing`` or
-        https://ui.perfetto.dev to see the span hierarchy on a
-        timeline.  Timestamps are microseconds since the collector's
-        origin; nesting falls out of the enclosing ts/dur intervals.
-        """
-        events: List[Dict[str, Any]] = [
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": 1,
-                "args": {"name": "repro.telemetry"},
-            }
-        ]
-        for record in self._spans:
-            events.append(
-                {
-                    "name": record.path,
-                    "ph": "X",
-                    "pid": 1,
-                    "tid": 1,
-                    "ts": record.start_s * 1e6,
-                    "dur": record.duration_s * 1e6,
-                    "args": {"depth": record.depth},
-                }
-            )
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-    def write_chrome_trace(self, path: Union[str, Path]) -> Path:
-        """Write :meth:`chrome_trace` to ``path``; returns the path."""
-        path = Path(path)
-        path.write_text(json.dumps(self.chrome_trace(), indent=2) + "\n")
-        return path
 
 
 class ScopedCollector:

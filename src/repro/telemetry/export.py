@@ -1,13 +1,15 @@
 """Stable JSON documents built from a telemetry collector.
 
-Three document kinds leave this module:
+Three document kinds leave this module, plus the one Chrome-trace
+exporter (:func:`trace_chrome_document`) for every span the repo
+records:
 
 * **profile reports** — what ``repro profile <subcommand> --json``
-  emits: the wrapped command, its exit code and wall time, the full
-  hierarchical counter map (deterministic: byte-identical across
-  backends and across same-seed runs), the timing spans
-  (non-deterministic, separate section), and the path of the written
-  Chrome-trace file.
+  emits: :meth:`Collector.report` (the hierarchical counter map —
+  deterministic: byte-identical across backends and across same-seed
+  runs — histograms, and the timing spans, whose wall times are not
+  deterministic) plus the wrapped command, its exit code and wall
+  time, and the path of the written Chrome-trace file.
 * **benchmark documents** — the machine-readable ``BENCH_*.json``
   files the benchmark harness records next to its text tables, seeding
   the perf trajectory (workload, backend, wall time, key counters,
@@ -62,16 +64,11 @@ def profile_report(
 ) -> Dict[str, Any]:
     """The ``repro profile`` JSON document for one wrapped command."""
     document: Dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
         "kind": "profile",
         "command": list(command),
         "exit_code": int(exit_code),
         "wall_time_s": float(wall_time_s),
-        "counters": collector.counters(),
-        "counter_tree": collector.counter_tree(),
-        "histograms": collector.histograms(),
-        "spans": [record.to_dict() for record in collector.spans()],
-        "spans_dropped": collector.spans_dropped,
+        **collector.report(),
     }
     if chrome_trace is not None:
         document["chrome_trace"] = str(chrome_trace)
@@ -135,10 +132,12 @@ def validate_profile_report(document: Dict[str, Any]) -> None:
             raise ValueError(f"counter {path!r} -> {value!r} is not a "
                              "string path with a numeric value")
     for span in document["spans"]:
-        for field in ("path", "start_s", "duration_s", "depth"):
+        for field in ("trace_id", "span_id", "parent_id", "name", "proc",
+                      "start", "end"):
             if field not in span:
                 raise ValueError(f"span record missing field {field!r}")
-        if span["duration_s"] < 0 or span["depth"] < 0:
+        if span["end"] < span["start"] or \
+                span.get("wall_duration_s", 0.0) < 0:
             raise ValueError(f"span record out of range: {span!r}")
 
 
@@ -165,19 +164,21 @@ def validate_bench_document(document: Dict[str, Any]) -> None:
 def trace_chrome_document(
     spans: Sequence[Union[TraceSpan, Mapping[str, Any]]],
 ) -> Dict[str, Any]:
-    """Chrome-trace JSON for deterministic trace spans, one pid per proc.
+    """Chrome-trace JSON for trace spans, one pid per proc.
 
-    The multi-process fix: :meth:`Collector.chrome_trace` renders
-    wall-clock spans of *one* process and hardcodes ``pid=1``/``tid=1``
-    — spans stitched from sweep workers or serve execution units would
-    interleave in a single lane.  Here every distinct ``proc`` name
-    gets its own pid (assigned by first appearance in span-id order,
-    so the assignment is deterministic), with a ``process_name``
-    metadata event labelling the lane.
+    The repo's only Chrome-trace exporter.  Spans stitched from sweep
+    workers or serve execution units must not interleave in a single
+    lane, so every distinct ``proc`` name gets its own pid (assigned
+    by first appearance in span-id order, so the assignment is
+    deterministic), with a ``process_name`` metadata event labelling
+    the lane.
 
-    Timestamps are the spans' logical ticks rendered as microseconds —
-    ordering and nesting are exact, absolute durations are not wall
-    time.  Because every input (ids, ticks, procs) is deterministic,
+    The input decides the time axis.  When every span carries wall
+    times (:meth:`Collector.span` spans), ``ts``/``dur`` are wall
+    microseconds since the collector's origin.  Otherwise they are the
+    spans' logical ticks rendered as microseconds — ordering and
+    nesting are exact, absolute durations are not wall time — and
+    because every input (ids, ticks, procs) is then deterministic,
     the whole document is byte-identical across same-seed runs and
     worker counts.
     """
@@ -188,6 +189,10 @@ def trace_chrome_document(
             for span in spans
         ),
         key=lambda span: (span.trace_id, span_sort_key(span.span_id)),
+    )
+    wall = all(
+        span.wall_start_s is not None and span.wall_duration_s is not None
+        for span in ordered
     )
     pids: Dict[str, int] = {}
     for span in ordered:
@@ -204,14 +209,19 @@ def trace_chrome_document(
         for proc, pid in pids.items()
     ]
     for span in ordered:
+        wall_start, wall_duration = span.wall_start_s, span.wall_duration_s
+        if wall and wall_start is not None and wall_duration is not None:
+            ts, dur = wall_start * 1e6, wall_duration * 1e6
+        else:
+            ts, dur = span.start * 1.0, (span.end - span.start) * 1.0
         events.append(
             {
                 "name": span.name,
                 "ph": "X",
                 "pid": pids[span.proc],
                 "tid": 1,
-                "ts": span.start * 1.0,
-                "dur": (span.end - span.start) * 1.0,
+                "ts": ts,
+                "dur": dur,
                 "args": {
                     "trace_id": span.trace_id,
                     "span_id": span.span_id,

@@ -8,9 +8,12 @@ end-to-end histograms — therefore read the clock through this module
 instead of importing :mod:`time` themselves: the dependency is
 explicit, grep-able, and stays inside the allow-listed package.
 
-Wall-clock values feed *histograms and spans only*; they are excluded
-from every determinism contract (the same rule that has always
-applied to :meth:`repro.telemetry.Collector.span`).
+Wall-clock values feed *histograms and span wall fields only*
+(``wall_start_s`` / ``wall_duration_s`` of the
+:class:`~repro.telemetry.trace.TraceSpan`\\ s that
+:meth:`repro.telemetry.Collector.span` records); they are excluded
+from every determinism contract, and a span's logical ids and ticks
+stay its identity.
 """
 
 from __future__ import annotations

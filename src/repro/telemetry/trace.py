@@ -1,9 +1,9 @@
-"""Deterministic distributed tracing: one trace across many processes.
+"""Spans: the one span model, for distributed traces and local timing.
 
 A *trace* is the tree of work done on behalf of one logical request —
-a served job's path through queue, scheduler, cache, and engine, or a
-sweep's fan-out across a process pool.  Unlike the wall-clock
-:meth:`~repro.telemetry.Collector.span` timeline, traces here are
+a served job's path through queue, scheduler, cache, and engine, a
+sweep's fan-out across a process pool, or a profiled command's
+:meth:`~repro.telemetry.Collector.span` tree.  Spans' identity is
 **deterministic by construction**:
 
 * ``trace_id`` is a content hash of the root name
@@ -18,7 +18,10 @@ sweep's fan-out across a process pool.  Unlike the wall-clock
 The result: the same seeded run produces byte-identical trace
 documents and Chrome-trace exports regardless of worker count, shard
 order, or cache state — traces join the repo's determinism contract
-instead of being excluded from it.
+instead of being excluded from it.  A span may *also* carry host
+wall-clock time (``wall_start_s`` / ``wall_duration_s``): the
+collector sets them on the spans it times, sweep and serve spans
+never do, and serialized spans omit them when unset.
 
 Cross-process propagation uses the carrier pattern:
 :meth:`TraceContext.fork` allocates a child span id and returns a
@@ -48,11 +51,14 @@ from typing import (
     Tuple,
 )
 
-from repro.telemetry.collector import SCHEMA_VERSION
+#: Version stamp of every JSON document the telemetry layer emits.
+SCHEMA_VERSION = 1
 
-#: Bound on spans one :class:`TraceLog` stores (same rationale as the
-#: collector's span cap); overflow is counted in :attr:`TraceLog.dropped`.
-DEFAULT_MAX_TRACE_SPANS = 100_000
+#: Default bound on spans one :class:`TraceLog` stores: a long training
+#: run opens one span per epoch and per profiled call, and an unbounded
+#: list would grow without limit.  Past the cap, spans are counted in
+#: :attr:`TraceLog.dropped` but not stored.
+DEFAULT_MAX_SPANS = 100_000
 
 
 def trace_id_for(name: str) -> str:
@@ -79,6 +85,8 @@ class TraceSpan:
     clock — comparable within one ``proc`` lane, not across lanes.
     ``attrs`` is a sorted tuple of ``(key, value)`` pairs so the
     record stays hashable and its JSON form canonical.
+    ``wall_start_s`` (seconds since the collector's origin) and
+    ``wall_duration_s`` are host time, set only on collector spans.
     """
 
     trace_id: str
@@ -89,9 +97,11 @@ class TraceSpan:
     start: int
     end: int
     attrs: Tuple[Tuple[str, Any], ...] = ()
+    wall_start_s: Optional[float] = None
+    wall_duration_s: Optional[float] = None
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
+        record: Dict[str, Any] = {
             "trace_id": self.trace_id,
             "span_id": self.span_id,
             "parent_id": self.parent_id,
@@ -101,6 +111,11 @@ class TraceSpan:
             "end": self.end,
             "attrs": dict(self.attrs),
         }
+        if self.wall_start_s is not None:
+            record["wall_start_s"] = self.wall_start_s
+        if self.wall_duration_s is not None:
+            record["wall_duration_s"] = self.wall_duration_s
+        return record
 
     @classmethod
     def from_dict(cls, record: Mapping[str, Any]) -> "TraceSpan":
@@ -117,7 +132,13 @@ class TraceSpan:
             start=int(record["start"]),
             end=int(record["end"]),
             attrs=tuple(sorted(attrs.items())),
+            wall_start_s=_optional_float(record.get("wall_start_s")),
+            wall_duration_s=_optional_float(record.get("wall_duration_s")),
         )
+
+
+def _optional_float(value: Any) -> Optional[float]:
+    return None if value is None else float(value)
 
 
 class TraceLog:
@@ -132,7 +153,7 @@ class TraceLog:
     def __init__(
         self,
         proc: str = "main",
-        max_spans: int = DEFAULT_MAX_TRACE_SPANS,
+        max_spans: int = DEFAULT_MAX_SPANS,
     ) -> None:
         if max_spans < 0:
             raise ValueError(f"max_spans must be >= 0, got {max_spans}")
@@ -196,7 +217,9 @@ class TraceContext:
     Create the root with :meth:`root`, children with :meth:`start` /
     :meth:`span`, cross-process children with :meth:`fork` (parent
     side) + :meth:`adopt` (worker side).  :meth:`finish` closes the
-    span into the log exactly once.
+    span into the log exactly once.  An owner that times the span on
+    the host (:meth:`repro.telemetry.Collector.span`) sets
+    ``wall_start_s`` / ``wall_duration_s`` before finishing it.
     """
 
     def __init__(
@@ -217,6 +240,8 @@ class TraceContext:
         self._children = 0
         self._start = log.tick()
         self._finished = False
+        self.wall_start_s: Optional[float] = None
+        self.wall_duration_s: Optional[float] = None
 
     @classmethod
     def root(
@@ -315,6 +340,8 @@ class TraceContext:
             start=self._start,
             end=self.log.tick(),
             attrs=tuple(sorted((attrs or {}).items())),
+            wall_start_s=self.wall_start_s,
+            wall_duration_s=self.wall_duration_s,
         )
         self.log.add(span)
         return span
@@ -398,7 +425,8 @@ def validate_trace_document(document: Mapping[str, Any]) -> None:
 
 
 __all__ = [
-    "DEFAULT_MAX_TRACE_SPANS",
+    "DEFAULT_MAX_SPANS",
+    "SCHEMA_VERSION",
     "TraceContext",
     "TraceLog",
     "TraceSpan",

@@ -9,6 +9,7 @@ worker counts, shard orders, and cache states.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 
@@ -166,3 +167,29 @@ class TestCacheInteraction:
             traced.payloads[0]["counters"]
             == untraced.payloads[0]["counters"]
         )
+
+
+class TestGoldenChromeTrace:
+    """The EXPERIMENTS S3 trace, pinned by digest.
+
+    CI compares the workers=1 and workers=4 traces with ``cmp``, which
+    cannot catch a format drift that changes both sides alike; this
+    pins the bytes of the documented run itself.
+    """
+
+    S3_SHA256 = (
+        "b8600f975a01363a0e00160ad5c8d694288217c24608a94a7edf1ef5fb940b4f"
+    )
+
+    def test_s3_chrome_trace_digest(self, tmp_path, capsys):
+        from repro.cli import main
+
+        trace = tmp_path / "trace.json"
+        assert main([
+            "sweep", "mlp", "--rates", "0.0,0.02", "--seeds", "0",
+            "--count", "16", "--train-epochs", "1", "--batch", "8",
+            "--trace-out", str(trace),
+        ]) == 0
+        capsys.readouterr()
+        digest = hashlib.sha256(trace.read_bytes()).hexdigest()
+        assert digest == self.S3_SHA256

@@ -13,10 +13,13 @@ from repro.telemetry import (
     SCHEMA_VERSION,
     Collector,
     ScopedCollector,
+    TraceSpan,
     profile_report,
+    trace_chrome_document,
     validate_bench_document,
     validate_profile_report,
 )
+from repro.utils.io import write_json_atomic
 from repro.telemetry import bench_document as make_bench_document
 
 
@@ -143,18 +146,33 @@ class TestSpans:
         with collector.span("work"):
             pass
         (record,) = collector.spans()
-        assert record.path == "work"
-        assert record.duration_s >= 0.0
-        assert record.depth == 0
+        assert isinstance(record, TraceSpan)
+        assert record.name == "work"
+        assert record.wall_start_s >= 0.0
+        assert record.wall_duration_s >= 0.0
+        assert record.end > record.start
+        assert record.parent_id is None
 
-    def test_nested_spans_track_depth(self):
+    def test_nested_spans_record_parent_id(self):
         collector = Collector()
         with collector.span("outer"):
             with collector.span("inner"):
                 pass
-        by_path = {record.path: record for record in collector.spans()}
-        assert by_path["outer"].depth == 0
-        assert by_path["inner"].depth == 1
+        by_name = {record.name: record for record in collector.spans()}
+        assert by_name["outer"].parent_id is None
+        assert by_name["inner"].parent_id == by_name["outer"].span_id
+
+    def test_span_ids_unique_across_roots(self):
+        collector = Collector()
+        for _ in range(3):
+            with collector.span("root"):
+                with collector.span("child"):
+                    pass
+                with collector.span("child"):
+                    pass
+        ids = [record.span_id for record in collector.spans()]
+        assert len(ids) == len(set(ids)) == 9
+        assert len({record.trace_id for record in collector.spans()}) == 1
 
     def test_record_spans_false_keeps_counters_only(self):
         collector = Collector(record_spans=False)
@@ -184,11 +202,12 @@ class TestSpans:
             with collector.span("failing"):
                 raise RuntimeError("boom")
         (record,) = collector.spans()
-        assert record.path == "failing"
-        # Depth bookkeeping recovered: a new span is top-level again.
+        assert record.name == "failing"
+        assert record.wall_duration_s >= 0.0
+        # Nesting recovered: a new span is top-level again.
         with collector.span("after"):
             pass
-        assert collector.spans()[-1].depth == 0
+        assert collector.spans()[-1].parent_id is None
 
 
 class TestScopedCollector:
@@ -210,7 +229,7 @@ class TestScopedCollector:
         with collector.scope("pipeline").span("stage"):
             pass
         (record,) = collector.spans()
-        assert record.path == "pipeline/stage"
+        assert record.name == "pipeline/stage"
 
     def test_scope_requires_prefix(self):
         with pytest.raises(ValueError):
@@ -238,7 +257,7 @@ class TestExport:
         json.dumps(document)
 
     def test_chrome_trace_events(self):
-        trace = self._collector().chrome_trace()
+        trace = trace_chrome_document(self._collector().spans())
         assert trace["displayTimeUnit"] == "ms"
         kinds = [event["ph"] for event in trace["traceEvents"]]
         assert kinds[0] == "M"  # metadata first
@@ -249,7 +268,9 @@ class TestExport:
 
     def test_write_chrome_trace(self, tmp_path):
         out = tmp_path / "trace.json"
-        written = self._collector().write_chrome_trace(out)
+        written = write_json_atomic(
+            out, trace_chrome_document(self._collector().spans())
+        )
         assert written == out
         loaded = json.loads(out.read_text())
         assert "traceEvents" in loaded
@@ -265,6 +286,22 @@ class TestExport:
         validate_profile_report(document)
         assert document["kind"] == "profile"
         assert document["chrome_trace"] == "trace.json"
+
+    def test_profile_report_extends_collector_report(self):
+        collector = self._collector()
+        document = profile_report(collector, ["x"], 0, 0.1)
+        report = collector.report()
+        assert {key: document[key] for key in report} == report
+
+    def test_profile_validator_rejects_malformed_span(self):
+        document = profile_report(self._collector(), ["x"], 0, 0.1)
+        del document["spans"][0]["span_id"]
+        with pytest.raises(ValueError, match="span_id"):
+            validate_profile_report(document)
+        document = profile_report(self._collector(), ["x"], 0, 0.1)
+        document["spans"][0]["wall_duration_s"] = -1.0
+        with pytest.raises(ValueError, match="out of range"):
+            validate_profile_report(document)
 
     def test_profile_validator_rejects_missing_field(self):
         document = profile_report(self._collector(), ["x"], 0, 0.1)

@@ -2,9 +2,9 @@
 
 These are the properties the serve and sweep layers lean on: content-
 hashed trace ids, collision-free hierarchical span ids, logical-clock
-timestamps (no wall time anywhere), and a fork/adopt/absorb round trip
-whose stitched result is a pure function of the work — so the same
-run always yields the same trace bytes.
+timestamps (no wall time unless a collector sets it), and a
+fork/adopt/absorb round trip whose stitched result is a pure function
+of the work — so the same run always yields the same trace bytes.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.telemetry import (
     TraceContext,
@@ -207,3 +209,56 @@ class TestChromeExport:
             [span.to_dict() for span in log.spans_for(trace_id)]
         )
         assert from_spans == from_dicts
+
+
+_names = st.text(min_size=1, max_size=12)
+_span_ids = st.lists(
+    st.integers(min_value=0, max_value=50), min_size=1, max_size=4
+).map(lambda parts: ".".join(map(str, parts)))
+_wall = st.floats(
+    min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def _trace_spans(draw, wall):
+    start = draw(st.integers(min_value=0, max_value=10_000))
+    attrs = draw(
+        st.dictionaries(
+            _names,
+            st.one_of(st.integers(), st.booleans(), _names, st.none()),
+            max_size=3,
+        )
+    )
+    return TraceSpan(
+        trace_id=draw(_names),
+        span_id=draw(_span_ids),
+        parent_id=draw(st.one_of(st.none(), _span_ids)),
+        name=draw(_names),
+        proc=draw(_names),
+        start=start,
+        end=start + draw(st.integers(min_value=0, max_value=10_000)),
+        attrs=tuple(sorted(attrs.items())),
+        wall_start_s=draw(_wall) if wall else None,
+        wall_duration_s=draw(_wall) if wall else None,
+    )
+
+
+class TestSpanRoundTripProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(span=st.one_of(_trace_spans(wall=False), _trace_spans(wall=True)))
+    def test_dict_round_trip_is_identity(self, span):
+        record = span.to_dict()
+        assert TraceSpan.from_dict(record) == span
+        # ... through the canonical JSON a cross-process payload uses.
+        wire = json.loads(json.dumps(record, sort_keys=True))
+        assert TraceSpan.from_dict(wire) == span
+
+    @settings(max_examples=30, deadline=None)
+    @given(span=_trace_spans(wall=False))
+    def test_untimed_dict_carries_no_wall_keys(self, span):
+        """Sweep/serve spans keep their pre-wall-field bytes."""
+        assert set(span.to_dict()) == {
+            "trace_id", "span_id", "parent_id", "name", "proc", "start",
+            "end", "attrs",
+        }
