@@ -193,3 +193,27 @@ class TestGoldenChromeTrace:
         capsys.readouterr()
         digest = hashlib.sha256(trace.read_bytes()).hexdigest()
         assert digest == self.S3_SHA256
+
+
+class TestGoldenSweepReport:
+    """The EXPERIMENTS S2 report, pinned by digest.
+
+    The S2 table records one sha256 for the workers=1, workers=4 and
+    cache-resume runs; this pins the bytes of the documented command.
+    """
+
+    S2_SHA256 = (
+        "b6b59ce213381b2388b46c48016c62b7186448bc212d9d547b9fdeeebd9e368f"
+    )
+
+    def test_s2_report_digest(self, capsys):
+        from repro.cli import main
+
+        capsys.readouterr()
+        assert main([
+            "sweep", "mlp", "--rates", "0.0,0.02", "--seeds", "0,1",
+            "--count", "16", "--train-epochs", "1", "--batch", "8",
+            "--json",
+        ]) == 0
+        report = capsys.readouterr().out.encode()
+        assert hashlib.sha256(report).hexdigest() == self.S2_SHA256
