@@ -92,20 +92,6 @@ _log = get_logger("api")
 _TOY_SHAPE = DatasetShape("toy", 1, 8, 4)
 
 
-def _row_dict(row: TableOneRow) -> Dict[str, Any]:
-    return {
-        "accelerator": row.accelerator,
-        "speedup": row.speedup,
-        "energy_saving": row.energy_saving,
-        "paper_speedup": row.paper_speedup,
-        "paper_energy_saving": row.paper_energy_saving,
-        "per_workload": [
-            {"network": name, "speedup": speedup, "energy_saving": energy}
-            for name, speedup, energy in row.per_workload
-        ],
-    }
-
-
 @dataclass
 class InferenceResult:
     """Outcome of :meth:`Simulator.run` on an ``InferenceJob``."""
@@ -532,11 +518,10 @@ def run_job(
 def table1_report(batch: int = 32) -> Dict[str, Any]:
     """Table I rows as a plain dictionary."""
     rows = Simulator.table1(batch=batch)
-    document: Dict[str, Any] = {"schema_version": SCHEMA_VERSION}
-    document.update(
-        {name: _row_dict(row) for name, row in rows.items()}
-    )
-    return document
+    return {
+        "schema_version": SCHEMA_VERSION,
+        **{name: row.to_dict() for name, row in rows.items()},
+    }
 
 
 def validate_table1_report(document: Dict[str, Any]) -> Dict[str, Any]:

@@ -65,6 +65,20 @@ class TableOneRow:
         """measured / paper energy saving."""
         return self.energy_saving / self.paper_energy_saving
 
+    def to_dict(self) -> Dict[str, Any]:
+        """The row as plain JSON data (one ``table1_report`` entry)."""
+        return {
+            "accelerator": self.accelerator,
+            "speedup": self.speedup,
+            "energy_saving": self.energy_saving,
+            "paper_speedup": self.paper_speedup,
+            "paper_energy_saving": self.paper_energy_saving,
+            "per_workload": [
+                {"network": name, "speedup": speedup, "energy_saving": energy}
+                for name, speedup, energy in self.per_workload
+            ],
+        }
+
     def summary(self) -> str:
         lines = [
             f"{self.accelerator}: speedup {self.speedup:.2f}x "

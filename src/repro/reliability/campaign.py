@@ -329,6 +329,51 @@ def run_campaign_cell(
     )
 
 
+def campaign_cells(
+    workload: str,
+    scenarios: Sequence[FaultScenario],
+    seeds: Sequence[int],
+    backends: Sequence[str],
+    count: int,
+    batch: int,
+    train_epochs: int,
+    include_tiles: bool,
+    engine_config: Optional[CrossbarEngineConfig] = None,
+    train_count: int = 256,
+) -> List[SweepCell]:
+    """The ``campaign_scenario`` cells of a seed × backend × scenario grid.
+
+    Seed-major, then backend, then scenario.  Each spec carries its
+    ``name``, ``seed`` and ``backend``, so callers name the cells'
+    telemetry scopes from the cell itself.
+    """
+    config_dict = engine_config_to_dict(
+        engine_config or CrossbarEngineConfig()
+    )
+    return [
+        SweepCell(
+            "campaign_scenario",
+            {
+                "name": scenario.name,
+                "axis": scenario.axis,
+                "rate": scenario.rate,
+                "workload": workload,
+                "seed": int(seed),
+                "count": int(count),
+                "batch": int(batch),
+                "backend": run_backend,
+                "engine_config": config_dict,
+                "train_epochs": int(train_epochs),
+                "train_count": int(train_count),
+                "include_tiles": bool(include_tiles),
+            },
+        )
+        for seed in seeds
+        for run_backend in backends
+        for scenario in scenarios
+    ]
+
+
 def run_campaign(
     workload: str = "mlp",
     axis: str = "stuck",
@@ -414,41 +459,28 @@ def run_campaign(
     baseline_accuracy = context.baseline_accuracy
 
     backends = ("loop", "vectorized") if backend == "both" else (backend,)
-    config_dict = engine_config_to_dict(base_config)
-    cells: List[SweepCell] = []
-    scopes: List[str] = []
-    for run_backend in backends:
-        for scenario in scenarios:
-            scope = f"scenario[{scenario.name}]"
-            if backend == "both":
-                scope = f"backend[{run_backend}]/{scope}"
-            scopes.append(scope)
-            cells.append(
-                SweepCell(
-                    "campaign_scenario",
-                    {
-                        "name": scenario.name,
-                        "axis": scenario.axis,
-                        "rate": scenario.rate,
-                        "workload": workload,
-                        "seed": int(seed),
-                        "count": int(count),
-                        "batch": int(batch),
-                        "backend": run_backend,
-                        "engine_config": config_dict,
-                        "train_epochs": int(train_epochs),
-                        "train_count": int(train_count),
-                        "include_tiles": bool(include_tiles),
-                    },
-                )
-            )
-
+    cells = campaign_cells(
+        workload,
+        scenarios,
+        (seed,),
+        backends,
+        count=count,
+        batch=batch,
+        engine_config=base_config,
+        train_epochs=train_epochs,
+        train_count=train_count,
+        include_tiles=include_tiles,
+    )
+    # "both" mode prefixes each scope so the two runs stay separable.
+    prefix = "backend[{backend}]/" if backend == "both" else ""
     sweep = run_sweep(
         cells,
         workers=workers,
         cache=sweep_cache,
         collector=tel,
-        scope_for=lambda index, cell: scopes[index],
+        scope_for=lambda index, cell: (
+            prefix + "scenario[{name}]"
+        ).format(**cell.spec),
         shard_order=shard_order,
         mp_context=mp_context,
     )

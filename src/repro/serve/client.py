@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import http.client
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.serve.jobs import JobSpec, job_from_dict  # noqa: F401
 
@@ -144,4 +144,78 @@ class ServeClient:
         return bool(answer.get("ok"))
 
 
-__all__ = ["ServeClient", "ServeError"]
+#: Counter/histogram path prefix of the per-tenant telemetry scopes.
+TENANT_PREFIX = "serve/tenant["
+
+
+def tenant_ids(paths: Iterable[str]) -> List[str]:
+    """Sorted tenant ids named by ``serve/tenant[<id>]/...`` paths."""
+    return sorted(
+        {
+            path[len(TENANT_PREFIX) : path.index("]")]
+            for path in paths
+            if path.startswith(TENANT_PREFIX) and "]" in path
+        }
+    )
+
+
+def tenant_rows(
+    stats: Dict[str, Any],
+    previous: Optional[Dict[str, Any]],
+    interval: float,
+) -> List[Dict[str, Any]]:
+    """Per-tenant throughput/latency/energy rows of a ``/v1/stats`` document.
+
+    ``previous`` is the stats document polled ``interval`` seconds
+    earlier (``None`` on the first poll, which reports zero throughput).
+    """
+    from repro.telemetry import histogram_percentiles
+
+    counters = stats.get("counters", {})
+    histograms = stats.get("histograms", {})
+    rows: List[Dict[str, Any]] = []
+    for tenant in tenant_ids(list(counters) + list(histograms)):
+        prefix = f"{TENANT_PREFIX}{tenant}]/"
+        done, previous_done = (
+            sum(
+                value
+                for path, value in snapshot.get("counters", {}).items()
+                if path.startswith(f"{prefix}jobs[")
+            )
+            for snapshot in (stats, previous or {})
+        )
+        histogram = histograms.get(f"{prefix}latency/e2e_seconds")
+        percentiles = (
+            histogram_percentiles(histogram)
+            if histogram
+            else {"p50": 0.0, "p95": 0.0, "p99": 0.0}
+        )
+        rows.append(
+            {
+                "tenant": tenant,
+                "submitted": int(counters.get(f"{prefix}submitted", 0)),
+                "done": int(done),
+                "throughput_jobs_s": (
+                    (done - previous_done) / interval
+                    if previous is not None and interval > 0
+                    else 0.0
+                ),
+                **{
+                    key: round(float(value), 6)
+                    for key, value in percentiles.items()
+                },
+                "energy_joules": float(
+                    counters.get(f"{prefix}energy/total_joules", 0.0)
+                ),
+            }
+        )
+    return rows
+
+
+__all__ = [
+    "ServeClient",
+    "ServeError",
+    "TENANT_PREFIX",
+    "tenant_ids",
+    "tenant_rows",
+]

@@ -137,3 +137,16 @@ def test_noqa_suppresses_via_cli(tmp_path, capsys):
 def test_check_is_not_profile_wrappable(capsys):
     assert main(["profile", "check"]) == 2
     assert "cannot wrap" in capsys.readouterr().err
+
+
+def test_list_rules_honours_select(capsys):
+    assert main(["check", "--list-rules", "--select", "RNG001"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["RNG001"]
+
+
+def test_list_rules_rejects_unknown_select(capsys):
+    assert main(["check", "--list-rules", "--select", "NOPE01"]) == 2
+    captured = capsys.readouterr()
+    assert "unknown rule" in captured.err
+    assert captured.out == ""

@@ -1,12 +1,13 @@
 """Golden-frame tests for the ``repro top`` renderer.
 
-``_top_rows``/``_render_top`` are pure functions of a ``/v1/stats``
+``tenant_rows``/``_render_top`` are pure functions of a ``/v1/stats``
 document, so a fixture stats dict pins the exact frame text — column
 layout, the energy(J) column, throughput deltas against a previous
 snapshot, and the empty-server placeholder.
 """
 
-from repro.cli import _render_top, _top_rows
+from repro.cli import _render_top
+from repro.serve.client import tenant_rows
 
 
 def _stats():
@@ -33,7 +34,7 @@ def _stats():
 
 class TestTopRows:
     def test_rows_aggregate_jobs_and_energy(self):
-        rows = _top_rows(_stats(), previous=None, interval=0.0)
+        rows = tenant_rows(_stats(), previous=None, interval=0.0)
         assert [row["tenant"] for row in rows] == ["alice", "bob"]
         alice, bob = rows
         assert alice["submitted"] == 4
@@ -50,7 +51,7 @@ class TestTopRows:
                 "serve/tenant[alice]/jobs[inference]": 1,
             }
         }
-        rows = _top_rows(_stats(), previous=previous, interval=2.0)
+        rows = tenant_rows(_stats(), previous=previous, interval=2.0)
         alice = rows[0]
         assert alice["throughput_jobs_s"] == (4 - 1) / 2.0
         assert rows[1]["throughput_jobs_s"] == 2 / 2.0
@@ -59,7 +60,7 @@ class TestTopRows:
 class TestRenderTop:
     def test_golden_frame(self):
         stats = _stats()
-        frame = _render_top(stats, _top_rows(stats, None, 0.0))
+        frame = _render_top(stats, tenant_rows(stats, None, 0.0))
         assert frame == "\n".join(
             [
                 "queue depth 2; cache 3/4 hits (75%), 2 resident",
@@ -79,7 +80,7 @@ class TestRenderTop:
             "counters": {},
             "histograms": {},
         }
-        frame = _render_top(stats, _top_rows(stats, None, 0.0))
+        frame = _render_top(stats, tenant_rows(stats, None, 0.0))
         assert frame == "\n".join(
             [
                 "queue depth 0; cache 0/0 hits (0%), 0 resident",
@@ -91,5 +92,5 @@ class TestRenderTop:
 
     def test_frame_fits_terminal_width(self):
         stats = _stats()
-        frame = _render_top(stats, _top_rows(stats, None, 0.0))
+        frame = _render_top(stats, tenant_rows(stats, None, 0.0))
         assert all(len(line) <= 79 for line in frame.splitlines())
