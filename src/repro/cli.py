@@ -797,7 +797,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(
-        name: str, func: Callable, *parents: argparse.ArgumentParser, **kw
+        name: str,
+        func: Callable[[argparse.Namespace], int],
+        *parents: argparse.ArgumentParser,
+        **kw: Any,
     ) -> argparse.ArgumentParser:
         """Register subcommand ``name`` running ``func``."""
         subparser = sub.add_parser(name, parents=list(parents), **kw)
