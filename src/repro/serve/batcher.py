@@ -24,7 +24,7 @@ code path, trading throughput, never correctness.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
@@ -63,7 +63,9 @@ def run_coalesced(
     and outputs are exactly what the singleton path would produce;
     only the shared engine counters (``stats``) reflect the coalesced
     schedule, which is why job reports carry per-job output digests
-    rather than cumulative engine stats.
+    rather than cumulative engine stats.  A single job runs the same
+    slabs as :meth:`Simulator.run`; only two or more jobs count as a
+    coalesced batch in the ``coalesced.*`` tallies.
     """
     from repro.api import InferenceResult
 
@@ -86,9 +88,10 @@ def run_coalesced(
                 )
             )
     logits = np.concatenate(outputs, axis=0)
-    collector.count("coalesced.batches", 1)
-    collector.count("coalesced.jobs", len(jobs))
-    collector.count("coalesced.inputs", total)
+    if len(jobs) > 1:
+        collector.count("coalesced.batches", 1)
+        collector.count("coalesced.jobs", len(jobs))
+        collector.count("coalesced.inputs", total)
 
     results: List[InferenceResult] = []
     offset = 0
@@ -110,13 +113,4 @@ def run_coalesced(
     return results
 
 
-def coalesce_stats(collector: TelemetryLike) -> Dict[str, int]:
-    """The batcher's own counters as a plain dict (zeros if unused)."""
-    return {
-        "batches": int(collector.get("coalesced.batches")),
-        "jobs": int(collector.get("coalesced.jobs")),
-        "inputs": int(collector.get("coalesced.inputs")),
-    }
-
-
-__all__ = ["batch_invariant", "run_coalesced", "coalesce_stats"]
+__all__ = ["batch_invariant", "run_coalesced"]

@@ -63,10 +63,6 @@ class Plan:
     groups: Tuple[Tuple[int, ...], ...] = ()
     singles: Tuple[int, ...] = ()
 
-    @property
-    def coalesced_job_count(self) -> int:
-        return sum(len(group) for group in self.groups)
-
 
 def coalesce_plan(
     jobs: Sequence[JobSpec],

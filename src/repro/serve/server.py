@@ -16,14 +16,20 @@ GET       ``/v1/healthz``          liveness probe
 ========  =======================  =====================================
 
 Execution pipeline (all policy lives in :mod:`repro.serve.scheduler`):
-submissions queue on the event loop; the dispatcher drains the queue,
-asks :func:`~repro.serve.scheduler.coalesce_plan` for an exact
-partition into coalesced inference groups and singles, and runs each
-unit on a bounded thread pool.  Groups and inference singles lease
-programmed state from the :class:`~repro.serve.cache.\
-ProgrammedStateCache`; training and reliability jobs always get fresh
+submissions queue on the event loop, and dispatch is work-conserving.
+While one of the ``workers`` pool threads is free, the dispatcher takes
+everything queued at once; while all are busy the queue fills, and the
+next unit to finish frees a worker for all of it.  Load, not a clock,
+decides how much coalesces: an idle server runs each job the moment it
+lands.  Each dispatched batch goes through
+:func:`~repro.serve.scheduler.coalesce_plan`, an exact partition into
+execution units — coalesced inference groups and singles — each of
+which occupies one pool thread.  Cached inference units (a group, or a
+lone job as a unit of one) lease programmed state from the
+:class:`~repro.serve.cache.ProgrammedStateCache`; training,
+reliability, and non-batch-invariant inference jobs get fresh
 simulators (they mutate or own their state).  Numpy releases the GIL
-inside the matmuls, so distinct models genuinely overlap; jobs
+inside the matmuls, so distinct models genuinely overlap; units
 sharing a cached model serialize on its entry lock.
 
 Threading discipline (the :class:`~repro.telemetry.Collector` is not
@@ -37,20 +43,22 @@ Determinism: a job's numerical result is a function of its spec alone
 :mod:`repro.serve.batcher`), so rerunning any mix of specs reproduces
 every ``result`` payload byte-for-byte; only scheduling artifacts
 (the ``coalesced`` flag under live traffic) may differ.
-:meth:`JobServer.run_all` drains a whole spec list through one plan,
-which pins the schedule itself — the CI smoke and the
-``serve_throughput`` benchmark use it.
+:meth:`JobServer.run_all` enqueues a whole spec list before the
+dispatcher wakes, so an idle server plans it as one batch; that pins
+the schedule itself, which the determinism tests and the
+``serve_throughput`` benchmark rely on.
 
 Observability: every job gets a deterministic trace id
 (:func:`repro.telemetry.trace_id_for` of its ``job_id``) with
-``queue`` / ``execute`` spans on the server's logical clock; coalesced
-groups fork a carrier into the worker thread so ``cache_lease`` and
-``engine_evaluate`` spans land in a distinct per-unit lane of the
-stitched trace (``GET /v1/traces/<id>``).  Queue-wait, end-to-end,
-cache-lookup, and engine-evaluate latencies record into collector
-histograms exposed at ``GET /v1/stats`` and — in Prometheus text form
-— at ``GET /v1/metrics``; ``--event-log`` journals one JSONL
-:func:`repro.telemetry.event_record` per lifecycle transition.
+``queue`` / ``execute`` spans on the server's logical clock; cached
+inference units fork a carrier into the worker thread so
+``cache_lease`` and ``engine_evaluate`` spans land in a distinct
+per-unit lane of the stitched trace (``GET /v1/traces/<id>``).
+Queue-wait, end-to-end, cache-lookup, and engine-evaluate latencies
+record into collector histograms exposed at ``GET /v1/stats`` and —
+in Prometheus text form — at ``GET /v1/metrics``; ``--event-log``
+journals one JSONL :func:`repro.telemetry.event_record` per lifecycle
+transition.
 """
 
 from __future__ import annotations
@@ -63,12 +71,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterator,
     List,
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
 )
 from concurrent.futures import ThreadPoolExecutor
@@ -105,6 +115,8 @@ from repro.xbar.engine import CrossbarEngineConfig, weights_hash
 from repro.utils.logging import get_logger
 
 _log = get_logger("serve")
+
+_T = TypeVar("_T")
 
 #: Statuses a job record moves through (monotonically, left to right).
 JOB_STATUSES = ("pending", "running", "done", "error")
@@ -173,9 +185,10 @@ class ServerConfig:
     programmed-state reuse apply.  A non-invariant config (stochastic
     reads, observed-batch quantization) degrades gracefully: every job
     runs alone on a fresh simulator, trading throughput, never
-    correctness.  ``coalesce_window`` is how long (seconds) the
-    dispatcher lingers after the first queued job to let concurrent
-    clients land in the same plan; ``0`` dispatches immediately.
+    correctness.  ``workers`` is the pool size and the dispatch rule:
+    a job is handed to a free worker the moment it arrives, and jobs
+    coalesce only when they queue up behind ``workers`` busy execution
+    units (at most ``max_coalesce`` per group) — no timer.
     ``cache_max_entries`` bounds the programmed-state cache
     LRU-style (``None`` disables the bound — the pre-bound behavior,
     which grows one resident deployment per distinct tenant).
@@ -188,7 +201,6 @@ class ServerConfig:
     workers: int = 4
     max_coalesce: int = DEFAULT_MAX_COALESCE
     default_backend: str = "vectorized"
-    coalesce_window: float = 0.01
     engine_config: CrossbarEngineConfig = field(
         default_factory=_default_engine_config
     )
@@ -206,10 +218,6 @@ class ServerConfig:
         if self.max_coalesce < 1:
             raise ValueError(
                 f"max_coalesce must be >= 1, got {self.max_coalesce}"
-            )
-        if self.coalesce_window < 0:
-            raise ValueError(
-                f"coalesce_window must be >= 0, got {self.coalesce_window}"
             )
 
 
@@ -402,6 +410,10 @@ class JobServer:
         self._records: Dict[str, _JobRecord] = {}
         self._queue: "asyncio.Queue[Optional[_JobRecord]]" = asyncio.Queue()
         self._inflight: set = set()
+        # Execution units handed to the pool and not yet finished; the
+        # dispatcher plans again only while fewer than ``workers`` are.
+        self._busy_units = 0
+        self._unit_finished = asyncio.Event()
         self._next_id = 0
         self._pool: Optional[ThreadPoolExecutor] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -519,43 +531,41 @@ class JobServer:
     async def run_all(
         self, specs: Sequence[JobSpec]
     ) -> List[Dict[str, Any]]:
-        """Drain mode: plan the whole spec list at once, run it, return
+        """Drain mode: queue the whole spec list at once, return its
         reports in submission order.
 
-        Bypasses the live queue so the coalescing plan — and therefore
-        the exact batched evaluations and cache-counter tallies — is a
-        deterministic function of ``specs`` alone, independent of
-        request timing.  Used by the determinism tests, the CI smoke,
-        and the throughput benchmark.
+        Every spec is queued before the dispatcher next runs, so an
+        idle server plans the list as one batch and the coalescing
+        plan — and therefore the exact batched evaluations and
+        cache-counter tallies — is a deterministic function of
+        ``specs`` alone, independent of request timing.  Used by the
+        determinism tests and the throughput benchmark.
         """
         records = [self._register(spec) for spec in specs]
-        await self._execute_plan(records)
-        return [record.report for record in records if record.report]
+        for record in records:
+            self._queue.put_nowait(record)
+        return [await self.wait(record.job_id) for record in records]
 
     # -- dispatch ------------------------------------------------------------
     async def _dispatch_loop(self) -> None:
-        stopping = False
-        while not stopping:
-            record = await self._queue.get()
-            if record is None:
-                break
-            batch = [record]
-            if self.config.coalesce_window > 0:
-                await asyncio.sleep(self.config.coalesce_window)
-            while True:
-                try:
-                    item = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if item is None:
-                    stopping = True
-                    break
-                batch.append(item)
-            task = asyncio.ensure_future(self._execute_plan(batch))
-            self._inflight.add(task)
-            task.add_done_callback(self._inflight.discard)
+        """Until the ``None`` stop sentinel: wait for a job, then for a
+        free worker, then plan everything queued by then as one batch."""
+        while True:
+            batch = [await self._queue.get()]
+            while self._busy_units >= self.config.workers:
+                self._unit_finished.clear()
+                await self._unit_finished.wait()
+            while not self._queue.empty():
+                batch.append(self._queue.get_nowait())
+            stopping = None in batch
+            records = [record for record in batch if record is not None]
+            if records:
+                self._dispatch(records)
+            if stopping:
+                return
 
-    async def _execute_plan(self, records: List[_JobRecord]) -> None:
+    def _dispatch(self, records: List[_JobRecord]) -> None:
+        """Plan ``records`` and start one task per execution unit."""
         plan = coalesce_plan(
             [record.spec for record in records],
             self.config.engine_config,
@@ -577,18 +587,38 @@ class JobServer:
                 record.queue_span = None
             record.execute_span = record.trace.start("execute")
             self._event("dispatched", record)
-        tasks = [
-            self._execute_group([records[i] for i in group])
+        units = [
+            self._execute_cached([records[i] for i in group])
             for group in plan.groups
         ]
-        tasks.extend(
-            self._execute_single(records[i]) for i in plan.singles
-        )
-        await asyncio.gather(*tasks)
+        for index in plan.singles:
+            record = records[index]
+            if isinstance(record.spec, InferenceJob) and self._reusable:
+                units.append(self._execute_cached([record]))
+            else:
+                units.append(self._execute_fresh(record))
+        # Counted now, not when the tasks first run, so the dispatcher
+        # never sees a free worker that a unit has already claimed.
+        self._busy_units += len(units)
+        for unit in units:
+            task = asyncio.ensure_future(unit)
+            self._inflight.add(task)
+            task.add_done_callback(self._inflight.discard)
+
+    async def _in_worker(self, work: Callable[[], _T]) -> _T:
+        """Run one unit's ``work`` on the pool, then free its worker."""
+        try:
+            return await asyncio.get_running_loop().run_in_executor(
+                self._pool, work
+            )
+        finally:
+            self._busy_units -= 1
+            self._unit_finished.set()
 
     # -- execution units -----------------------------------------------------
-    async def _execute_group(self, records: List[_JobRecord]) -> None:
-        loop = asyncio.get_event_loop()
+    async def _execute_cached(self, records: List[_JobRecord]) -> None:
+        """Inference on leased programmed state: a coalesced group, or
+        one job as a unit of one."""
         local = Collector(record_spans=False)
         specs = [record.spec for record in records]
         leader = records[0]
@@ -614,55 +644,44 @@ class JobServer:
             return results, unit_log.to_dicts(), delta
 
         try:
-            results, unit_spans, delta = await loop.run_in_executor(
-                self._pool, work
-            )
+            results, unit_spans, delta = await self._in_worker(work)
         except Exception as exc:  # noqa: BLE001 - job isolation boundary
             self._fail(records, exc)
             return
         self._trace_log.absorb(unit_spans)
         self._merge(self._serve_scope, local)
-        # One coalesced evaluation priced once, split across the
-        # group's jobs in proportion to their input counts.
+        # One evaluation priced once, split across the unit's jobs in
+        # proportion to their input counts.
         energy = self._price_energy(delta)
         total_inputs = sum(record.spec.count for record in records)
+        coalesced = len(records) > 1
         for record, result in zip(records, results):
-            if total_inputs > 0:
-                self._record_energy(
-                    record.spec.tenant,
-                    energy,
-                    share=record.spec.count / total_inputs,
-                )
-            self._finish(record, result, coalesced=True)
+            self._record_energy(
+                record.spec.tenant,
+                energy,
+                share=record.spec.count / total_inputs,
+            )
+            self._finish(record, result, coalesced=coalesced)
 
-    async def _execute_single(self, record: _JobRecord) -> None:
-        loop = asyncio.get_event_loop()
+    async def _execute_fresh(self, record: _JobRecord) -> None:
+        """One job on its own simulator: training, reliability, and
+        inference under a non-batch-invariant config."""
         local = Collector(record_spans=False)
         spec = record.spec
 
-        def work() -> Tuple[Any, Optional[Dict[str, float]]]:
+        def work() -> Any:
             from repro.api import run_job
 
-            if isinstance(spec, InferenceJob) and self._reusable:
-                entry = self._cache.lease(spec)
-                with entry.lock:
-                    before = entry.simulator.counters_snapshot()
-                    result = entry.simulator.run(spec)
-                    return result, _counter_delta(
-                        before, entry.simulator.counters_snapshot()
-                    )
-            engine_config = self._cache.resolved_config(spec.backend)
             if isinstance(spec, ReliabilityJob):
-                return run_job(spec, collector=local), None
-            return (
-                run_job(
-                    spec, engine_config=engine_config, collector=local
-                ),
-                None,
+                return run_job(spec, collector=local)
+            return run_job(
+                spec,
+                engine_config=self._cache.resolved_config(spec.backend),
+                collector=local,
             )
 
         try:
-            result, delta = await loop.run_in_executor(self._pool, work)
+            result = await self._in_worker(work)
         except Exception as exc:  # noqa: BLE001 - job isolation boundary
             self._fail([record], exc)
             return
@@ -670,13 +689,8 @@ class JobServer:
             f"serve/tenant[{spec.tenant}]"
         )
         self._merge(tenant_scope, local)
-        # Cached runs price the entry-simulator snapshot delta; fresh
-        # runs price the events their private collector captured.
         self._record_energy(
-            spec.tenant,
-            self._price_energy(
-                delta if delta is not None else local.counters()
-            ),
+            spec.tenant, self._price_energy(local.counters())
         )
         self._finish(record, result, coalesced=False)
 
@@ -718,11 +732,15 @@ class JobServer:
         Each contribution is quantized to :data:`ENERGY_QUANTUM` so the
         cumulative counters are exact (order-independent) sums, then
         the ``energy/average_watts`` gauge is re-derived from the
-        cumulative joules over cumulative simulated seconds.
+        cumulative joules over cumulative simulated seconds.  A job
+        that priced nothing (a warm fast-ideal run) still opens its
+        tenant's ``energy/total_joules`` series at zero, so which
+        series exist does not depend on the schedule.
         """
-        if not energy:
-            return
         tenant_scope = self.collector.scope(f"serve/tenant[{tenant}]")
+        if not energy:
+            tenant_scope.count("energy/total_joules", 0.0)
+            return
         for name, value in energy.items():
             slice_value = _quantize_energy(value * share)
             tenant_scope.count(name, slice_value)

@@ -83,3 +83,40 @@ def test_empty_job_list_is_a_noop():
         seed=3,
     )
     assert run_coalesced(sim, []) == []
+
+
+@pytest.mark.parametrize("fast_ideal", [True, False])
+def test_single_job_matches_simulator_run(fast_ideal):
+    # The server runs a lone cached inference job through
+    # run_coalesced as a unit of one: same outputs and the same engine
+    # events (hence the same priced energy) as Simulator.run, and no
+    # coalesced-batch tallies.
+    config = CrossbarEngineConfig(
+        activation_range=8.0,
+        fast_ideal=fast_ideal,
+        array_rows=32,
+        array_cols=32,
+    )
+    job = _jobs()[1]
+    unit_sim, solo_sim = (
+        Simulator.from_workload(
+            "mlp", engine_config=config, seed=3, collector=Collector()
+        )
+        for _ in range(2)
+    )
+    collector = Collector()
+    (unit,) = run_coalesced(unit_sim, [job], collector=collector)
+    solo = solo_sim.run(job)
+    assert np.array_equal(unit.outputs, solo.outputs)
+    assert unit.accuracy == solo.accuracy
+    assert collector.get("coalesced.batches") == 0
+    assert collector.get("coalesced.jobs") == 0
+
+    def engine_events(sim):
+        return {
+            path: value
+            for path, value in sim.counters_snapshot().items()
+            if not path.startswith("inference.")
+        }
+
+    assert engine_events(unit_sim) == engine_events(solo_sim)

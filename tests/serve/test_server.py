@@ -41,7 +41,7 @@ def _mix():
 @pytest.fixture(scope="module")
 def served():
     collector = Collector()
-    config = ServerConfig(workers=2, coalesce_window=0.005)
+    config = ServerConfig(workers=2)
     with running_server(config, collector=collector) as (server, address):
         yield server, address, collector
 
