@@ -16,7 +16,8 @@ Architecture
   implementation of the contract itself, e.g. ``repro/utils/rng.py``
   for the RNG rule).
 * :class:`FileContext` — one parsed file (canonical path, AST,
-  source) with a :meth:`FileContext.finding` factory.
+  source, module name) with a :meth:`FileContext.finding` factory;
+  the per-file rules and the whole-program index share it.
 * :class:`CheckConfig` — per-run rule selection and per-rule extra
   allowed paths.
 * :func:`check_source` / :func:`check_paths` — run the selected rules
@@ -50,6 +51,7 @@ from typing import (
     Sequence,
     Tuple,
     Type,
+    Union,
 )
 
 #: Version stamp on the ``repro check --format json`` document.
@@ -87,13 +89,16 @@ class Finding:
         }
 
 
+@dataclass
 class FileContext:
-    """One parsed source file as seen by the rules."""
+    """One parsed source file, as the rules and the project index see it."""
 
-    def __init__(self, path: str, tree: ast.AST, source: str) -> None:
-        self.path = path
-        self.tree = tree
-        self.source = source
+    path: str  #: canonical posix path (``repro/serve/server.py``)
+    tree: ast.Module
+    source: str
+    #: dotted module name (``repro.serve.server``) inside a project
+    #: scan; empty for a file checked on its own
+    name: str = ""
 
     def finding(self, rule: "Rule", node: ast.AST, message: str) -> Finding:
         """A :class:`Finding` anchored at ``node``."""
@@ -235,6 +240,15 @@ def _suppressed(
     return rules is None or finding.rule in rules
 
 
+def package_root(path: Path) -> Optional[Path]:
+    """The innermost ``repro`` directory holding ``path`` (inclusive)."""
+    resolved = path.resolve()
+    for candidate in (resolved, *resolved.parents):
+        if candidate.name == "repro":
+            return candidate
+    return None
+
+
 def canonical_path(path: Path) -> str:
     """Posix path rooted at the innermost ``repro`` package directory.
 
@@ -242,54 +256,67 @@ def canonical_path(path: Path) -> str:
     Paths outside a ``repro`` package keep their name relative to the
     current directory (or stay absolute).
     """
-    parts = path.resolve().parts
-    for index in range(len(parts) - 1, -1, -1):
-        if parts[index] == "repro":
-            return "/".join(parts[index:])
+    root = package_root(path)
+    if root is not None:
+        return path.resolve().relative_to(root.parent).as_posix()
     try:
         return path.resolve().relative_to(Path.cwd()).as_posix()
     except ValueError:
         return path.as_posix()
 
 
+def parse_file(
+    path: str, source: str, name: str = ""
+) -> Union[FileContext, Finding]:
+    """The parsed record of one file, or its ``PARSE`` pseudo-finding."""
+    try:
+        tree = ast.parse(source)
+    except SyntaxError as error:
+        return Finding(
+            rule="PARSE",
+            path=path,
+            line=error.lineno or 1,
+            col=(error.offset or 0) + 1,
+            message=f"file does not parse: {error.msg}",
+        )
+    return FileContext(path, tree, source, name)
+
+
+def _check_file(
+    context: FileContext, rules: Sequence[Rule], config: CheckConfig
+) -> Iterator[Finding]:
+    """Findings of the per-file rules on one record, before noqa."""
+    for rule in rules:
+        if rule.applies_to(context.path, config.allow.get(rule.id, ())):
+            yield from rule.check(context)
+
+
+def _location(finding: Finding) -> Tuple[str, int, int, str]:
+    return (finding.path, finding.line, finding.col, finding.rule)
+
+
 def check_source(
     source: str,
     path: str = "repro/<string>.py",
     config: Optional[CheckConfig] = None,
-    rules: Optional[Sequence[Rule]] = None,
 ) -> List[Finding]:
-    """Run the selected rules over one source string.
+    """Run the selected per-file rules over one source string.
 
     ``path`` participates in allowed-path matching, so tests can
     exercise the path exemptions.  A file that does not parse yields a
     single pseudo-finding under rule id ``PARSE``.
     """
     config = config or CheckConfig()
-    if rules is None:
-        rules = config.rules()
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as error:
-        return [
-            Finding(
-                rule="PARSE",
-                path=path,
-                line=error.lineno or 1,
-                col=(error.offset or 0) + 1,
-                message=f"file does not parse: {error.msg}",
-            )
-        ]
-    context = FileContext(path, tree, source)
+    context = parse_file(path, source)
+    if isinstance(context, Finding):
+        return [context]
     table = suppressions(source)
-    findings = []
-    for rule in rules:
-        if not rule.applies_to(path, config.allow.get(rule.id, ())):
-            continue
-        for finding in rule.check(context):
-            if not _suppressed(finding, table):
-                findings.append(finding)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
+    findings = [
+        finding
+        for finding in _check_file(context, config.rules(), config)
+        if not _suppressed(finding, table)
+    ]
+    return sorted(findings, key=_location)
 
 
 def default_root() -> Path:
@@ -313,75 +340,82 @@ def check_paths(
 ) -> List[Finding]:
     """Run the checker over file-system targets (default: the package).
 
-    File rules run per file; :class:`ProjectRule` subclasses run once
-    per directory target over a whole-project index.  Suppressions are
-    applied to both, and every suppression that never fired is handed
-    to the ``NOQA001`` audit so stale pins surface as findings.
+    Every file is read and parsed once, keyed by its canonical path,
+    so overlapping targets check each file once.  File rules run on
+    every targeted file.  :class:`ProjectRule` subclasses run once
+    over one index of the enclosing package of every directory target
+    (the innermost ``repro`` directory, else the directory itself),
+    and report only findings in files under a directory target.
+    Suppressions are applied to both, and every suppression that never
+    fired is handed to the ``NOQA001`` audit so stale pins surface as
+    findings.
 
     Returns every unsuppressed finding, sorted by location.  Raises
     :class:`FileNotFoundError` for a missing target and
     :class:`ValueError` for an unknown rule in ``config.select``.
     """
+    from repro.checks.graph import module_name_for
+    from repro.checks.project import ProjectIndex
+
     config = config or CheckConfig()
     rules = config.rules()
-    file_rules = [
-        rule for rule in rules if not isinstance(rule, ProjectRule)
-    ]
-    project_rules = [
-        rule for rule in rules if isinstance(rule, ProjectRule)
-    ]
     targets = [Path(p) for p in paths] if paths else [default_root()]
-    findings: List[Finding] = []
-    raw: List[Finding] = []
-    tables: Dict[str, Dict[int, Optional[FrozenSet[str]]]] = {}
     for target in targets:
         if not target.exists():
             raise FileNotFoundError(f"no such file or directory: {target}")
-        for source_file in iter_python_files(target):
-            path = canonical_path(source_file)
-            if path in tables:
-                continue
-            source = source_file.read_text()
-            tables[path] = suppressions(source)
-            try:
-                tree = ast.parse(source)
-            except SyntaxError as error:
-                findings.append(
-                    Finding(
-                        rule="PARSE",
-                        path=path,
-                        line=error.lineno or 1,
-                        col=(error.offset or 0) + 1,
-                        message=f"file does not parse: {error.msg}",
-                    )
-                )
-                continue
-            context = FileContext(path, tree, source)
-            for rule in file_rules:
-                if not rule.applies_to(
-                    path, config.allow.get(rule.id, ())
-                ):
-                    continue
-                raw.extend(rule.check(context))
-    if project_rules:
-        from repro.checks.project import ProjectIndex
+    scopes = sorted(
+        {package_root(t) or t.resolve() for t in targets if t.is_dir()}
+    )
+    sources: Dict[str, str] = {}
+    parsed: Dict[str, Union[FileContext, Finding]] = {}
 
-        for target in targets:
-            if not Path(target).is_dir():
-                continue
-            project = ProjectIndex.build(Path(target).resolve())
-            for rule in project_rules:
-                for finding in rule.check_project(project):
-                    if rule.applies_to(
-                        finding.path, config.allow.get(rule.id, ())
-                    ):
-                        raw.append(finding)
+    def load(file: Path, name: str = "") -> str:
+        path = canonical_path(file)
+        if path not in sources:
+            sources[path] = file.read_text()
+            parsed[path] = parse_file(path, sources[path], name)
+        return path
+
+    for scope in scopes:
+        for source_file in iter_python_files(scope):
+            load(source_file, module_name_for(scope, source_file))
+    #: targeted canonical path -> whether a directory target holds it
+    targeted: Dict[str, bool] = {}
+    for target in targets:
+        for source_file in iter_python_files(target):
+            path = load(source_file)
+            targeted[path] = targeted.get(path, False) or target.is_dir()
+    findings: List[Finding] = []
+    raw: List[Finding] = []
+    tables: Dict[str, Dict[int, Optional[FrozenSet[str]]]] = {}
+    for path in targeted:
+        tables[path] = suppressions(sources[path])
+        context = parsed[path]
+        if isinstance(context, Finding):
+            findings.append(context)
+        else:
+            raw.extend(_check_file(context, rules, config))
+    project_rules = [rule for rule in rules if isinstance(rule, ProjectRule)]
+    if scopes and project_rules:
+        project = ProjectIndex.build(
+            {
+                context.name: context
+                for context in parsed.values()
+                if isinstance(context, FileContext) and context.name
+            },
+            scopes,
+        )
+        for rule in project_rules:
+            for finding in rule.check_project(project):
+                if targeted.get(finding.path) and rule.applies_to(
+                    finding.path, config.allow.get(rule.id, ())
+                ):
+                    raw.append(finding)
     # Apply suppressions, remembering which pins actually fired so the
     # NOQA001 audit can flag the rest as stale.
     used: Dict[Tuple[str, int], set] = {}
     for finding in raw:
-        table = tables.get(finding.path, {})
-        if _suppressed(finding, table):
+        if _suppressed(finding, tables[finding.path]):
             used.setdefault(
                 (finding.path, finding.line), set()
             ).add(finding.rule)
@@ -405,8 +439,7 @@ def check_paths(
                     config.select is None,
                 )
             )
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
+    return sorted(findings, key=_location)
 
 
 def check_report(
@@ -460,93 +493,6 @@ def validate_check_report(document: Mapping[str, Any]) -> None:
         tally[entry["rule"]] = tally.get(entry["rule"], 0) + 1
     if counts != tally:
         raise ValueError("counts disagrees with findings")
-
-
-# -- baseline ratchet -------------------------------------------------------
-#
-# A baseline is the set of findings a tree is *known* to have: matched
-# findings are muted so new code can adopt a rule incrementally, and
-# entries that no longer fire are reported as stale so the file only
-# ever shrinks.  Fingerprints are (rule, path, message) — line numbers
-# are excluded so unrelated edits do not churn the file.
-
-
-def baseline_document(
-    findings: Sequence[Finding],
-) -> Dict[str, Any]:
-    """A ``checks_baseline.json`` document muting ``findings``."""
-    entries = sorted(
-        {(f.rule, f.path, f.message) for f in findings}
-    )
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "check_baseline",
-        "entries": [
-            {"rule": rule, "path": path, "message": message}
-            for rule, path, message in entries
-        ],
-    }
-
-
-def validate_baseline_document(document: Mapping[str, Any]) -> None:
-    """Raise ``ValueError`` unless ``document`` is a check baseline."""
-    if document.get("kind") != "check_baseline":
-        raise ValueError(
-            f"not a check_baseline: kind={document.get('kind')!r}"
-        )
-    if document.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            "unsupported check_baseline schema_version "
-            f"{document.get('schema_version')!r}"
-        )
-    entries = document.get("entries")
-    if not isinstance(entries, list):
-        raise ValueError("check_baseline entries must be a list")
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise ValueError("baseline entry must be an object")
-        for key in ("rule", "path", "message"):
-            if not isinstance(entry.get(key), str):
-                raise ValueError(
-                    f"baseline entry {key} must be a string"
-                )
-
-
-def load_baseline(path: Path) -> Dict[str, Any]:
-    """Read and validate a baseline file."""
-    import json
-
-    document = json.loads(Path(path).read_text())
-    validate_baseline_document(document)
-    return document
-
-
-def apply_baseline(
-    findings: Sequence[Finding], baseline: Mapping[str, Any]
-) -> Tuple[List[Finding], List[Dict[str, str]]]:
-    """Split findings against a baseline.
-
-    Returns ``(fresh, stale)``: findings not muted by the baseline,
-    and baseline entries that no longer fire (the ratchet — stale
-    entries must be deleted from the file).
-    """
-    muted = {
-        (entry["rule"], entry["path"], entry["message"])
-        for entry in baseline["entries"]
-    }
-    fresh = [
-        finding
-        for finding in findings
-        if (finding.rule, finding.path, finding.message) not in muted
-    ]
-    fired = {(f.rule, f.path, f.message) for f in findings}
-    stale = [
-        entry
-        for entry in baseline["entries"]
-        if (entry["rule"], entry["path"], entry["message"])
-        not in fired
-    ]
-    return fresh, stale
 
 
 def render_findings(

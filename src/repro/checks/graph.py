@@ -1,9 +1,9 @@
 """Project-wide import graph for the cross-file check rules.
 
-:func:`build_import_graph` parses every module under one package root
-and resolves its ``import`` / ``from ... import`` statements to
-in-project modules, producing an :class:`ImportGraph` of
-:class:`ImportEdge` s.  Each edge is classified:
+An :class:`ImportGraph` resolves the ``import`` / ``from ... import``
+statements of parsed modules (the engine's shared parse, or
+:func:`build_import_graph` over one package root) to in-project
+modules, as :class:`ImportEdge` s.  Each edge is classified:
 
 ``eager``
     executed at module import time — the edges that define load order,
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 from typing import (
     Dict,
     Iterator,
@@ -44,6 +44,8 @@ from typing import (
     Set,
     Tuple,
 )
+
+from repro.checks.engine import FileContext, canonical_path, parse_file
 
 #: The committed layer DAG, lowest layer first.  Longest matching
 #: prefix wins; entries ending in ``/`` match a directory subtree,
@@ -118,30 +120,15 @@ class ImportEdge:
     kind: str  #: ``eager`` | ``lazy`` | ``typing``
 
 
-@dataclass
-class ModuleInfo:
-    """One parsed project module."""
-
-    name: str  #: dotted module name (``repro.serve.server``)
-    path: str  #: canonical posix path (``repro/serve/server.py``)
-    file: Path
-    tree: ast.Module
-    source: str
-
-
 class ImportGraph:
-    """Modules plus their resolved in-project import edges."""
+    """Parsed modules (by dotted name) plus their in-project imports."""
 
-    def __init__(
-        self,
-        modules: Mapping[str, ModuleInfo],
-        edges: Sequence[ImportEdge],
-    ) -> None:
-        self.modules: Dict[str, ModuleInfo] = dict(
+    def __init__(self, modules: Mapping[str, FileContext]) -> None:
+        self.modules: Dict[str, FileContext] = dict(
             sorted(modules.items())
         )
         self.edges: List[ImportEdge] = sorted(
-            edges,
+            _resolve_edges(self.modules),
             key=lambda e: (e.source, e.line, e.col, e.target, e.kind),
         )
 
@@ -261,7 +248,7 @@ def _iter_imports(
 
 
 def _longest_known(
-    dotted: str, known: Mapping[str, ModuleInfo]
+    dotted: str, known: Mapping[str, FileContext]
 ) -> Optional[str]:
     parts = dotted.split(".")
     for end in range(len(parts), 0, -1):
@@ -275,7 +262,7 @@ def _resolve_targets(
     module: str,
     is_package: bool,
     statement: ast.stmt,
-    known: Mapping[str, ModuleInfo],
+    known: Mapping[str, FileContext],
 ) -> Iterator[str]:
     """In-project modules one import statement binds."""
     if isinstance(statement, ast.Import):
@@ -314,39 +301,28 @@ def _resolve_targets(
             yield target
 
 
-def build_import_graph(
-    root: Path,
-    modules: Optional[Mapping[str, ModuleInfo]] = None,
-) -> ImportGraph:
-    """Parse ``root`` (a package directory) into an import graph.
+def build_import_graph(root: Path) -> ImportGraph:
+    """Parse every module under ``root`` (a package directory).
 
-    ``modules`` may carry pre-parsed :class:`ModuleInfo` entries (the
-    project index shares its parse); otherwise every ``*.py`` under
-    ``root`` is parsed here.  Files that fail to parse are skipped —
-    the engine reports them separately as ``PARSE`` findings.
+    Files that fail to parse are skipped -- the engine reports them
+    separately as ``PARSE`` findings.
     """
     root = root.resolve()
-    if modules is None:
-        collected: Dict[str, ModuleInfo] = {}
-        for file in sorted(root.rglob("*.py")):
-            source = file.read_text()
-            try:
-                tree = ast.parse(source)
-            except SyntaxError:
-                continue
-            name = module_name_for(root, file)
-            collected[name] = ModuleInfo(
-                name=name,
-                path=_canonical(root, file),
-                file=file,
-                tree=tree,
-                source=source,
-            )
-        modules = collected
+    modules: Dict[str, FileContext] = {}
+    for file in sorted(root.rglob("*.py")):
+        name = module_name_for(root, file)
+        context = parse_file(canonical_path(file), file.read_text(), name)
+        if isinstance(context, FileContext):
+            modules[name] = context
+    return ImportGraph(modules)
+
+
+def _resolve_edges(modules: Mapping[str, FileContext]) -> List[ImportEdge]:
+    """The deduplicated in-project import edges of ``modules``."""
     edges: List[ImportEdge] = []
     seen: Set[Tuple[str, str, int, str]] = set()
-    for name, info in sorted(modules.items()):
-        is_package = info.file.name == "__init__.py"
+    for name, info in modules.items():
+        is_package = PurePosixPath(info.path).name == "__init__.py"
         for statement, kind in _iter_imports(info.tree, False, False):
             for target in _resolve_targets(
                 name, is_package, statement, modules
@@ -366,16 +342,7 @@ def build_import_graph(
                         kind=kind,
                     )
                 )
-    return ImportGraph(modules, edges)
-
-
-def _canonical(root: Path, file: Path) -> str:
-    """Posix path of ``file`` rooted at the package directory name."""
-    return (
-        f"{root.name}/{file.relative_to(root).as_posix()}"
-        if file != root
-        else root.name
-    )
+    return edges
 
 
 __all__ = [
@@ -383,7 +350,6 @@ __all__ = [
     "LAYER_TABLE",
     "ImportEdge",
     "ImportGraph",
-    "ModuleInfo",
     "build_import_graph",
     "layer_of",
     "module_name_for",

@@ -71,8 +71,6 @@ from repro.checks.graph import (
     LAYER_LABELS,
     LAYER_TABLE,
     ImportGraph,
-    ModuleInfo,
-    build_import_graph,
     layer_of,
 )
 from repro.checks.rules import (
@@ -83,66 +81,45 @@ from repro.checks.rules import (
 )
 
 
-def _finding(
-    rule: Rule, path: str, node: Optional[ast.AST], message: str
-) -> Finding:
-    return Finding(
-        rule=rule.id,
-        path=path,
-        line=getattr(node, "lineno", 1),
-        col=getattr(node, "col_offset", 0) + 1,
-        message=message,
-    )
-
-
 class ProjectIndex:
-    """Parsed view of one package root for the project rules.
+    """Parsed view of one package for the project rules.
 
-    Holds the import graph (shared parse), the set of top-level
-    symbol names per module, and — when a sibling ``tests/`` tree is
-    found — every name referenced anywhere in the tests (used by
-    SCHEMA002 to require test coverage of validators).
+    Holds the import graph over the engine's parsed records, the set
+    of top-level symbol names per module, and — when a ``tests/``
+    tree sits beside a package root — every name referenced anywhere
+    in the tests (used by SCHEMA002 to require test coverage of
+    validators).
     """
 
     def __init__(
         self,
-        root: Path,
-        graph: ImportGraph,
-        symbols: Mapping[str, Set[str]],
+        modules: Mapping[str, FileContext],
         test_names: Optional[Set[str]],
-        tests_root: Optional[Path],
     ) -> None:
-        self.root = root
-        self.graph = graph
+        self.graph = ImportGraph(modules)
         #: module dotted name -> top-level names bound in it
-        self.symbols: Dict[str, Set[str]] = dict(symbols)
-        #: every Name/attr/import referenced under ``tests_root``,
-        #: or ``None`` when no tests tree was found.
+        self.symbols: Dict[str, Set[str]] = {
+            name: _top_level_names(info.tree)
+            for name, info in self.graph.modules.items()
+        }
+        #: every Name/attr/import referenced in the tests, or ``None``
+        #: when no tests tree was found.
         self.test_names = test_names
-        self.tests_root = tests_root
 
     @classmethod
     def build(
         cls,
-        root: Path,
-        tests_root: Optional[Path] = None,
+        modules: Mapping[str, FileContext],
+        roots: Sequence[Path],
     ) -> "ProjectIndex":
-        root = Path(root).resolve()
-        graph = build_import_graph(root)
-        symbols: Dict[str, Set[str]] = {}
-        for name, info in graph.modules.items():
-            symbols[name] = _top_level_names(info.tree)
-        if tests_root is None:
-            for candidate in (
-                root.parent / "tests",
-                root.parent.parent / "tests",
-            ):
-                if candidate.is_dir():
-                    tests_root = candidate
-                    break
-        test_names: Optional[Set[str]] = None
-        if tests_root is not None and tests_root.is_dir():
-            test_names = set()
+        """Index ``modules`` (by dotted name) of the package ``roots``."""
+        tests_roots = sorted(
+            {tests for tests in map(_tests_root, roots) if tests}
+        )
+        if not tests_roots:
+            return cls(modules, None)
+        test_names: Set[str] = set()
+        for tests_root in tests_roots:
             for file in sorted(tests_root.rglob("*.py")):
                 try:
                     tree = ast.parse(file.read_text())
@@ -156,7 +133,7 @@ class ProjectIndex:
                     elif isinstance(node, ast.ImportFrom):
                         for alias in node.names:
                             test_names.add(alias.name)
-        return cls(root, graph, symbols, test_names, tests_root)
+        return cls(modules, test_names)
 
     def has_symbol(self, name: str) -> bool:
         """Whether any module binds ``name`` at top level."""
@@ -164,13 +141,21 @@ class ProjectIndex:
 
     def modules_under(
         self, prefixes: Sequence[str]
-    ) -> List[ModuleInfo]:
+    ) -> List[FileContext]:
         """Modules whose canonical path starts with any prefix."""
         return [
             info
             for info in self.graph.modules.values()
             if any(info.path.startswith(p) for p in prefixes)
         ]
+
+
+def _tests_root(root: Path) -> Optional[Path]:
+    """The ``tests/`` tree beside package ``root``, if any."""
+    for candidate in (root.parent / "tests", root.parent.parent / "tests"):
+        if candidate.is_dir():
+            return candidate
+    return None
 
 
 def _top_level_names(tree: ast.Module) -> Set[str]:
@@ -309,8 +294,7 @@ class AsyncBlockingRule(Rule):
     _scope = "repro/serve/"
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        path = context.path
-        if not path.startswith(self._scope):
+        if not context.path.startswith(self._scope):
             return
         tree = context.tree
         aliases = import_aliases(tree)
@@ -320,7 +304,7 @@ class AsyncBlockingRule(Rule):
             for call in _direct_calls(node):
                 message = self._blocking(call, aliases)
                 if message is not None:
-                    yield _finding(self, path, call, message)
+                    yield context.finding(self, call, message)
 
     def _blocking(
         self, call: ast.Call, aliases: Dict[str, str]
@@ -432,7 +416,7 @@ def _constructor_binding(
     value: ast.AST,
     aliases: Dict[str, str],
     classes: Mapping[Tuple[str, str], "_ClassInfo"],
-    modules: Mapping[str, ModuleInfo],
+    modules: Mapping[str, FileContext],
 ) -> Optional[Tuple[str, str]]:
     """``(module, class)`` when ``value`` constructs a project class."""
     if not isinstance(value, ast.Call):
@@ -909,8 +893,7 @@ class ForkSafetyRule(Rule):
     _scope = "repro/sweep/"
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        path = context.path
-        if not path.startswith(self._scope):
+        if not context.path.startswith(self._scope):
             return
         tree = context.tree
         aliases = import_aliases(tree)
@@ -942,9 +925,8 @@ class ForkSafetyRule(Rule):
                         expr, function, aliases
                     )
                     if reason is not None:
-                        yield _finding(
+                        yield context.finding(
                             self,
-                            path,
                             expr,
                             (
                                 f"{reason} is captured into a "
@@ -1011,9 +993,8 @@ class SchemaValidatorRule(ProjectRule):
                     continue
                 validator = f"validate_{node.name}"
                 if not project.has_symbol(validator):
-                    yield _finding(
+                    yield info.finding(
                         self,
-                        info.path,
                         node,
                         (
                             f"emitter '{node.name}' has no "
@@ -1026,9 +1007,8 @@ class SchemaValidatorRule(ProjectRule):
                     project.test_names is not None
                     and validator not in project.test_names
                 ):
-                    yield _finding(
+                    yield info.finding(
                         self,
-                        info.path,
                         node,
                         (
                             f"validator '{validator}' is never "

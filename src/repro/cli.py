@@ -624,20 +624,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
             suffix = f"  [allowed: {', '.join(allow)}]" if allow else ""
             print(f"{rule_id:<{width}s}  {summary}{suffix}")
         return 0
-    stale = []
-    if args.baseline:
-        try:
-            baseline = checks.load_baseline(Path(args.baseline))
-        except (OSError, ValueError) as error:
-            return _fail(f"check: bad baseline: {error}")
-        findings, stale = checks.apply_baseline(findings, baseline)
-        for entry in stale:
-            print(
-                "check: stale baseline entry (no longer fires): "
-                f"{entry['path']}: {entry['rule']} {entry['message']}"
-                " -- delete it from the baseline",
-                file=sys.stderr,
-            )
     if args.format == "sarif":
         # Raw SARIF 2.1.0: the log must not gain a schema_version key.
         checked = select if select is not None else sorted(checks.RULES)
@@ -658,7 +644,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 findings, select if select is not None else checks.RULES
             ),
         )
-    return 1 if findings or stale else 0
+    return 1 if findings else 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -1152,8 +1138,8 @@ def build_parser() -> argparse.ArgumentParser:
         "pass (ARCH001 layer DAG, CONC001-003 concurrency contracts, "
         "SCHEMA002 validator exhaustiveness, NOQA001 stale "
         "suppressions) over the installed package or the given paths.  "
-        "Exits 1 on findings (or stale baseline entries), 0 when "
-        "clean.  Suppress one line with '# repro: noqa[RULE]'.",
+        "Exits 1 on findings, 0 when clean.  Suppress one line "
+        "with '# repro: noqa[RULE]'.",
     )
     p_check.add_argument(
         "paths",
@@ -1167,13 +1153,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output format (default text; sarif emits a SARIF 2.1.0 "
         "log for GitHub code scanning)",
-    )
-    p_check.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="checks_baseline.json ratchet file: listed findings are "
-        "muted, entries that no longer fire are reported stale (exit "
-        "1) so the file only ever shrinks",
     )
     p_check.add_argument(
         "--json",

@@ -69,18 +69,18 @@ class ProgrammedStateCache:
     a drained job set regardless of worker interleaving: each *job*
     counts exactly once, and a key's builder is elected under the
     cache lock, so hits = jobs - distinct keys.  ``max_entries``
-    bounds residency LRU-style (``None`` disables the bound).
+    bounds residency LRU-style.
     """
 
     def __init__(
         self,
         engine_config: Optional[CrossbarEngineConfig] = None,
         collector: Optional[TelemetryLike] = None,
-        max_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
+        max_entries: int = DEFAULT_MAX_ENTRIES,
     ) -> None:
-        if max_entries is not None and max_entries < 1:
+        if max_entries < 1:
             raise ValueError(
-                f"max_entries must be >= 1 or None, got {max_entries}"
+                f"max_entries must be >= 1, got {max_entries}"
             )
         self.engine_config = engine_config or CrossbarEngineConfig()
         self.max_entries = max_entries
@@ -172,10 +172,7 @@ class ProgrammedStateCache:
                         self._entries[key] = entry
                         self._entries.move_to_end(key)
                         self._collector.count("cache/misses", 1)
-                        while (
-                            self.max_entries is not None
-                            and len(self._entries) > self.max_entries
-                        ):
+                        while len(self._entries) > self.max_entries:
                             self._entries.popitem(last=False)
                             self._collector.count("cache/evictions", 1)
                         self._collector.set(

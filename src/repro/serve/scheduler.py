@@ -36,18 +36,19 @@ DEFAULT_MAX_COALESCE = 8
 
 
 def compatibility_key(
-    job: JobSpec, default_backend: str = "vectorized"
+    job: JobSpec, engine_config: CrossbarEngineConfig
 ) -> Tuple[str, int, str]:
     """The shared-programmed-state identity of a job.
 
     Jobs with equal keys target byte-identical crossbar state: the
-    network weights derive from ``(workload, seed)`` and the backend
-    resolves against the server default.  (The full honest cache key
+    network weights derive from ``(workload, seed)`` and an unpinned
+    backend resolves against ``engine_config.backend``, as the
+    programmed-state cache resolves it.  (The full honest cache key
     additionally hashes the weights and engine config —
     :meth:`repro.api.Simulator.cache_key`; this tuple is the cheap
     planning-time view of the same identity.)
     """
-    return job.workload, job.seed, job.backend or default_backend
+    return job.workload, job.seed, job.backend or engine_config.backend
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,6 @@ def coalesce_plan(
     jobs: Sequence[JobSpec],
     engine_config: CrossbarEngineConfig,
     max_coalesce: int = DEFAULT_MAX_COALESCE,
-    default_backend: str = "vectorized",
     collector: Optional[TelemetryLike] = None,
 ) -> Plan:
     """Partition pending ``jobs`` into coalesced groups and singles.
@@ -96,7 +96,7 @@ def coalesce_plan(
             singles.append(index)
             continue
         buckets.setdefault(
-            compatibility_key(job, default_backend), []
+            compatibility_key(job, engine_config), []
         ).append(index)
     groups: List[Tuple[int, ...]] = []
     for key in sorted(buckets):

@@ -84,7 +84,7 @@ from typing import (
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.serve.batcher import batch_invariant, run_coalesced
-from repro.serve.cache import DEFAULT_MAX_ENTRIES, ProgrammedStateCache
+from repro.serve.cache import ProgrammedStateCache
 from repro.serve.jobs import (
     JOB_KINDS,
     InferenceJob,
@@ -189,9 +189,9 @@ class ServerConfig:
     a job is handed to a free worker the moment it arrives, and jobs
     coalesce only when they queue up behind ``workers`` busy execution
     units (at most ``max_coalesce`` per group) — no timer.
-    ``cache_max_entries`` bounds the programmed-state cache
-    LRU-style (``None`` disables the bound — the pre-bound behavior,
-    which grows one resident deployment per distinct tenant).
+    The programmed-state cache keeps at most
+    :data:`~repro.serve.cache.DEFAULT_MAX_ENTRIES` deployments,
+    LRU-style.
     ``event_log`` (optional path) appends one JSONL event record per
     job lifecycle transition.
     """
@@ -200,21 +200,14 @@ class ServerConfig:
     port: int = 0
     workers: int = 4
     max_coalesce: int = DEFAULT_MAX_COALESCE
-    default_backend: str = "vectorized"
     engine_config: CrossbarEngineConfig = field(
         default_factory=_default_engine_config
     )
-    cache_max_entries: Optional[int] = DEFAULT_MAX_ENTRIES
     event_log: Optional[Path] = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.cache_max_entries is not None and self.cache_max_entries < 1:
-            raise ValueError(
-                "cache_max_entries must be >= 1 or None, got "
-                f"{self.cache_max_entries}"
-            )
         if self.max_coalesce < 1:
             raise ValueError(
                 f"max_coalesce must be >= 1, got {self.max_coalesce}"
@@ -405,7 +398,6 @@ class JobServer:
         self._cache = ProgrammedStateCache(
             engine_config=self.config.engine_config,
             collector=self._serve_scope,
-            max_entries=self.config.cache_max_entries,
         )
         self._records: Dict[str, _JobRecord] = {}
         self._queue: "asyncio.Queue[Optional[_JobRecord]]" = asyncio.Queue()
@@ -570,7 +562,6 @@ class JobServer:
             [record.spec for record in records],
             self.config.engine_config,
             max_coalesce=self.config.max_coalesce,
-            default_backend=self.config.default_backend,
             collector=self._serve_scope,
         )
         for record in records:

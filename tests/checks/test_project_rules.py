@@ -563,6 +563,72 @@ def test_noqa001_does_not_judge_pins_of_unselected_rules(tmp_path):
     assert run_rules(root, ["NOQA001"]) == []
 
 
+# -- target handling --------------------------------------------------------
+
+#: A thread target mutating ``self.items`` unlocked (CONC002, line 12)
+#: beside an emitter whose SCHEMA002 finding is pinned on line 3.
+THREADED_MODULE = """\
+import threading
+
+def thing_report():  # repro: noqa[SCHEMA002]
+    return {"schema_version": 1}
+
+
+class Pool:
+    def start(self):
+        threading.Thread(target=self._drain).start()
+
+    def _drain(self):
+        self.items.append(1)
+"""
+
+
+def test_subpackage_target_sees_the_whole_package(tmp_path):
+    root = write_project(
+        tmp_path / "repro",
+        {
+            "serve/y.py": THREADED_MODULE,
+            "serve/z.py": """
+                def other_report():
+                    return {"schema_version": 1}
+                """,
+            "api.py": """
+                def validate_other_report(document):
+                    return document
+                """,
+        },
+    )
+    # The serve/ target is indexed as part of its enclosing package:
+    # paths stay package-rooted, the repro/serve/ scope of CONC002
+    # applies, the pin mutes SCHEMA002 without a NOQA001, and the
+    # validator outside serve/ still counts.
+    expected = [("CONC002", "repro/serve/y.py", 12)]
+    for target in (root, root / "serve"):
+        findings = check_paths([target])
+        assert [(f.rule, f.path, f.line) for f in findings] == expected
+
+
+def test_overlapping_targets_check_each_file_once(tmp_path):
+    root = write_project(
+        tmp_path / "repro",
+        {
+            "serve/y.py": THREADED_MODULE,
+            "api.py": """
+                def thing_report():
+                    return {"schema_version": 1}
+                """,
+        },
+    )
+    whole = check_paths([root])
+    assert [f.rule for f in whole] == ["SCHEMA002", "CONC002"]
+    assert check_paths([root, root / "serve"]) == whole
+    assert check_paths([root / "serve", root]) == whole
+    # A subpackage target reports only its own files, and a file
+    # target gets the per-file rules alone.
+    assert check_paths([root / "serve"]) == whole[1:]
+    assert check_paths([root / "serve", root / "api.py"]) == whole[1:]
+
+
 def test_project_rules_are_inert_under_check_source():
     # check_source is the single-file API: project rules (and the
     # suppression audit) only run via check_paths.

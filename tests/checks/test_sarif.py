@@ -1,5 +1,7 @@
 """SARIF 2.1.0 export: document shape, validator, CLI, determinism."""
 
+import contextlib
+import io
 import json
 import textwrap
 
@@ -149,9 +151,24 @@ def test_cli_sarif_on_fixture(tmp_path, capsys):
     assert result["ruleId"] == "DET001"
 
 
-def test_cli_sarif_clean_tree_advertises_rules(capsys):
-    assert main(["check", "--format", "sarif"]) == 0
-    document = json.loads(capsys.readouterr().out)
+@pytest.fixture(scope="module")
+def clean_tree_sarif_runs():
+    """Two ``repro check --format sarif`` runs over the committed tree.
+
+    Shared by the tests below so tier-1 pays for the whole-program
+    check twice, not once per test.
+    """
+    outputs = []
+    for _ in range(2):
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            assert main(["check", "--format", "sarif"]) == 0
+        outputs.append(buffer.getvalue())
+    return outputs
+
+
+def test_cli_sarif_clean_tree_advertises_rules(clean_tree_sarif_runs):
+    document = json.loads(clean_tree_sarif_runs[0])
     validate_sarif_document(document)
     (run,) = document["runs"]
     assert run["results"] == []
@@ -159,8 +176,6 @@ def test_cli_sarif_clean_tree_advertises_rules(capsys):
     assert {"ARCH001", "CONC002", "SCHEMA002", "NOQA001"} <= rule_ids
 
 
-def test_cli_sarif_runs_are_byte_identical(capsys):
-    assert main(["check", "--format", "sarif"]) == 0
-    first = capsys.readouterr().out
-    assert main(["check", "--format", "sarif"]) == 0
-    assert capsys.readouterr().out == first
+def test_cli_sarif_runs_are_byte_identical(clean_tree_sarif_runs):
+    first, second = clean_tree_sarif_runs
+    assert second == first

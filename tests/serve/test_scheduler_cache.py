@@ -92,7 +92,25 @@ class TestCoalescePlan:
         # default backend resolves to vectorized -> 1 and 2 share a key
         assert plan.groups == ((1, 2),)
         assert plan.singles == (0,)
-        assert compatibility_key(jobs[2]) == compatibility_key(jobs[1])
+        assert compatibility_key(jobs[2], INVARIANT) == compatibility_key(
+            jobs[1], INVARIANT
+        )
+
+    def test_unpinned_backend_resolves_against_engine_config(self):
+        from dataclasses import replace
+
+        loop = replace(INVARIANT, backend="loop")
+        jobs = [
+            InferenceJob(workload="mlp", seed=3),
+            InferenceJob(workload="mlp", seed=3, backend="loop"),
+            InferenceJob(workload="mlp", seed=3, backend="vectorized"),
+        ]
+        plan = coalesce_plan(jobs, loop)
+        assert plan.groups == ((0, 1),)
+        assert plan.singles == (2,)
+        # The cache deploys the unpinned job under the same backend.
+        cache = ProgrammedStateCache(engine_config=loop)
+        assert cache.resolved_config(jobs[0].backend).backend == "loop"
 
     def test_plan_is_deterministic(self):
         jobs = [
@@ -201,16 +219,6 @@ class TestProgrammedStateCache:
         assert cache.stats()["evictions"] == 1
         cache.lease(a)
         assert cache.stats()["hits"] == 2  # a survived the eviction
-
-    def test_unbounded_when_max_entries_none(self):
-        cache = ProgrammedStateCache(
-            engine_config=INVARIANT, max_entries=None
-        )
-        for seed in range(40):
-            cache.lease(InferenceJob(workload="mlp", seed=seed))
-        stats = cache.stats()
-        assert stats["entries"] == 40
-        assert stats["evictions"] == 0
 
     def test_bad_max_entries_rejected(self):
         with pytest.raises(ValueError, match="max_entries"):
