@@ -8,7 +8,8 @@ layer, batch 32, 8-bit weighted-spike drive — plus a noisy-device
 variant where the per-sub-cycle ADC/noise physics cannot be collapsed
 and both backends pay the same arithmetic.
 
-Acceptance: vectorized >= 10x loop on the ideal-device workload.
+Acceptance: vectorized >= 10x loop on the ideal-device workload, on
+the fastest of interleaved calls (min of N in one process).
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ SEED = 1
 NOISY = replace(PIPELAYER_DEVICE, program_noise=0.05, read_noise=0.02)
 
 
-def _time_backend(backend: str, device, reps: int):
-    """(Seconds per MVM-batch, telemetry counters) for one backend."""
+def _engine(backend: str, device):
+    """A prepared, warmed engine, its collector, and the activations."""
     rng = np.random.default_rng(0)
     weights = rng.normal(size=(ROWS, COLS))
     activations = rng.normal(size=(BATCH, ROWS))
@@ -44,16 +45,41 @@ def _time_backend(backend: str, device, reps: int):
     engine = CrossbarEngine(config, rng=SEED, collector=collector)
     engine.prepare(weights)
     engine.matmul(activations)  # warm the per-prepare caches
-    start = time.perf_counter()
-    for _ in range(reps):
+    return engine, collector, activations
+
+
+def _time_backends(device, reps):
+    """Per-backend (min seconds per MVM-batch, telemetry counters).
+
+    The backends' calls alternate in one process, each spread evenly
+    over the run, and each backend keeps its fastest call: a burst of
+    load from another process slows a few calls of both backends
+    instead of one backend's whole run.  ``reps`` fixes each backend's
+    call count, which keeps the counters exact across reruns.
+    """
+    runs = {backend: _engine(backend, device) for backend in reps}
+    best = dict.fromkeys(reps, float("inf"))
+    schedule = sorted(
+        (index / count, backend)
+        for backend, count in reps.items()
+        for index in range(count)
+    )
+    for _, backend in schedule:
+        engine, _, activations = runs[backend]
+        start = time.perf_counter()
         engine.matmul(activations)
-    seconds = (time.perf_counter() - start) / reps
-    counters = {
-        path: value
-        for path, value in collector.counters().items()
-        if "tile[" not in path
+        best[backend] = min(best[backend], time.perf_counter() - start)
+    return {
+        backend: (
+            best[backend],
+            {
+                path: value
+                for path, value in collector.counters().items()
+                if "tile[" not in path
+            },
+        )
+        for backend, (_, collector, _) in runs.items()
     }
-    return seconds, counters
 
 
 @register(suite="quick")
@@ -65,8 +91,11 @@ def bench_engine_throughput():
         ("ideal", PIPELAYER_DEVICE, 3, 20),
         ("noisy", NOISY, 2, 3),
     ):
-        loop_s, loop_counters = _time_backend("loop", device, loop_reps)
-        vec_s, vec_counters = _time_backend("vectorized", device, vec_reps)
+        timed = _time_backends(
+            device, {"loop": loop_reps, "vectorized": vec_reps}
+        )
+        loop_s, loop_counters = timed["loop"]
+        vec_s, vec_counters = timed["vectorized"]
         speedups[label] = loop_s / vec_s
         for backend, seconds, counters in (
             ("loop", loop_s, loop_counters),
@@ -115,7 +144,7 @@ def bench_engine_throughput():
             )
     lines = [
         f"Crossbar engine throughput, {ROWS}x{COLS} layer, batch {BATCH}, "
-        "8-bit spike drive, fast_ideal=False:",
+        "8-bit spike drive, fast_ideal=False (fastest of interleaved calls):",
         "",
     ]
     lines += format_table(

@@ -29,9 +29,10 @@ class ADCConfig:
         Counter width; the output saturates at ``2**bits - 1`` counts.
     full_scale_levels:
         Analog input (in conductance-level units) that maps to the full
-        count.  For loss-free conversion of a ``rows``-row array with
-        ``levels``-level cells this must be at least
-        ``rows * (levels - 1)`` with ``bits >= log2`` of the same.
+        count.  Integer column sums up to ``n`` convert without loss
+        only on a unit grid (one count per level unit, so
+        ``full_scale_levels == 2**bits - 1``) with ``2**bits - 1 >= n``
+        — what :meth:`lossless_for` builds.
     """
 
     bits: int = 8
@@ -105,11 +106,3 @@ class IntegrateFireADC:
         level_values = np.asarray(level_values, dtype=np.float64)
         clipped = np.clip(level_values, 0.0, self.config.full_scale_levels)
         return np.rint(clipped / self.config.levels_per_count).astype(np.int64)
-
-    def is_lossless_for(self, rows: int, cell_levels: int) -> bool:
-        """Whether this ADC digitises such a column without loss."""
-        needed = rows * (cell_levels - 1)
-        return (
-            self.config.full_scale_levels >= needed
-            and self.config.max_count >= needed
-        )

@@ -144,7 +144,7 @@ class CrossbarArray:
 
         This is the exact matrix every read multiplies by — the tensor
         the vectorized backend stacks, and the basis of the engine's
-        linear fast path.
+        signed level sum (its collapsed full path and ``fast_linear``).
         """
         if self._levels is None:
             raise RuntimeError("array has not been programmed")

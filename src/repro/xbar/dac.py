@@ -9,14 +9,17 @@ replaces a power-hungry multi-level DAC with binary drive — the paper
 credits it with reduced area and energy (after ISAAC [9]).
 
 :class:`SpikeCoder` performs the decomposition and the matching
-shift-accumulate; :class:`AnalogDAC` models the alternative multi-level
-driver, which applies the (quantized) value in a single sub-cycle.
+shift-accumulate; :class:`RateCoder` is the unary baseline it beats and
+:class:`AnalogDAC` the alternative multi-level driver, which applies
+the (quantized) value in a single sub-cycle.  All three share the
+:class:`DriveCoder` interface: drive planes, per-plane weights, and one
+recombination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -45,126 +48,107 @@ class InputEncoding:
         return 2**self.bits - 1
 
 
-class SpikeCoder:
-    """Weighted spike (bit-serial) input coding.
+class DriveCoder:
+    """Word-line drive of one input sign: planes, weights, recombination.
 
-    Operates on *non-negative integer* activation matrices; the caller
-    (the crossbar engine) handles sign by splitting into positive and
-    negative streams, exactly as differential input drive would.
+    :meth:`decompose` turns a *non-negative integer* activation matrix
+    into a stack of drive planes, one per sub-cycle, whose
+    :attr:`plane_weights`-weighted sum is the integers again;
+    :meth:`accumulate` applies the same weights to the per-plane array
+    outputs (the digital shift-and-add).  The caller (the crossbar
+    engine) handles sign by splitting into positive and negative
+    streams, exactly as differential input drive would.
     """
 
-    def __init__(self, encoding: InputEncoding) -> None:
+    def __init__(
+        self, encoding: InputEncoding, plane_weights: np.ndarray
+    ) -> None:
         self.encoding = encoding
-
-    def decompose(self, integers: np.ndarray) -> List[np.ndarray]:
-        """Split integers into per-bit binary planes, LSB first.
-
-        Each returned array has the input's shape with values in
-        ``{0.0, 1.0}`` — the word-line drive pattern of one sub-cycle.
-        """
-        integers = np.asarray(integers)
-        if np.any(integers < 0):
-            raise ValueError("spike coding requires non-negative integers")
-        if np.any(integers > self.encoding.max_int):
-            raise ValueError(
-                f"integers exceed {self.encoding.bits}-bit range"
-            )
-        work = integers.astype(np.int64)
-        planes = []
-        for _ in range(self.encoding.bits):
-            planes.append((work & 1).astype(np.float64))
-            work >>= 1
-        return planes
-
-    def accumulate(self, partials: List[np.ndarray]) -> np.ndarray:
-        """Shift-accumulate per-bit results: ``sum(partials[j] << j)``."""
-        if len(partials) != self.encoding.bits:
-            raise ValueError(
-                f"expected {self.encoding.bits} partials, got {len(partials)}"
-            )
-        total = np.zeros_like(np.asarray(partials[0], dtype=np.float64))
-        for significance, partial in enumerate(partials):
-            total = total + np.asarray(partial, dtype=np.float64) * (
-                2.0**significance
-            )
-        return total
+        #: Shift-and-add factor of each sub-cycle's plane.
+        self.plane_weights = plane_weights
 
     @property
     def subcycles(self) -> int:
-        """Sub-cycles per MVM (one per input bit)."""
-        return self.encoding.bits
+        """Sub-cycles (array reads) per MVM and input sign."""
+        return len(self.plane_weights)
 
-
-class RateCoder:
-    """Unary (rate) spike coding: the baseline weighted coding beats.
-
-    The integer activation is presented as that many unit spikes over
-    ``2**bits - 1`` sub-cycles, all of weight 1.  Functionally
-    equivalent to the weighted scheme, but a ``b``-bit input costs
-    ``2**b - 1`` sub-cycles instead of ``b`` — the exponential-vs-
-    linear gap that motivates PipeLayer's "weighted spike coding scheme
-    to further reduce the area and energy overhead" (Sec. III-A-3(a)).
-    """
-
-    def __init__(self, encoding: InputEncoding) -> None:
-        self.encoding = encoding
-
-    def decompose(self, integers: np.ndarray) -> List[np.ndarray]:
-        """Unary planes: plane ``j`` drives where ``value > j``."""
+    def decompose(self, integers: np.ndarray) -> np.ndarray:
+        """``(subcycles, *integers.shape)`` word-line drive planes."""
         integers = np.asarray(integers)
-        if np.any(integers < 0):
-            raise ValueError("rate coding requires non-negative integers")
-        if np.any(integers > self.encoding.max_int):
+        if np.any(integers < 0) or np.any(integers > self.encoding.max_int):
             raise ValueError(
-                f"integers exceed {self.encoding.bits}-bit range"
+                f"drive integers must be in [0, {self.encoding.max_int}]"
             )
-        work = integers.astype(np.int64)
-        return [
-            (work > threshold).astype(np.float64)
-            for threshold in range(self.encoding.max_int)
-        ]
+        return self._planes(integers.astype(np.int64))
 
-    def accumulate(self, partials: List[np.ndarray]) -> np.ndarray:
-        """Plain sum: every spike carries weight one."""
+    def _planes(self, integers: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def accumulate(self, partials: Sequence[np.ndarray]) -> np.ndarray:
+        """Recombine per-plane results: ``sum_j weight_j * partials[j]``."""
         if len(partials) != self.subcycles:
             raise ValueError(
                 f"expected {self.subcycles} partials, got {len(partials)}"
             )
         total = np.zeros_like(np.asarray(partials[0], dtype=np.float64))
-        for partial in partials:
-            total = total + np.asarray(partial, dtype=np.float64)
+        for weight, partial in zip(self.plane_weights, partials):
+            total = total + np.asarray(partial, dtype=np.float64) * weight
         return total
 
-    @property
-    def subcycles(self) -> int:
-        """Sub-cycles per MVM: one per representable level."""
-        return self.encoding.max_int
 
+class SpikeCoder(DriveCoder):
+    """Weighted spike (bit-serial) input coding.
 
-class AnalogDAC:
-    """Multi-level voltage driver: one sub-cycle, quantized amplitude.
-
-    The integer activation drives the word line as an analog voltage
-    proportional to its value; the full MVM completes in one sub-cycle
-    at the cost of a ``bits``-bit DAC per word line.
+    Plane ``j`` is bit ``j`` of every integer, LSB first, with values
+    in ``{0.0, 1.0}`` and weight ``2**j``: one sub-cycle per input bit.
     """
 
     def __init__(self, encoding: InputEncoding) -> None:
-        self.encoding = encoding
+        super().__init__(encoding, 2.0 ** np.arange(encoding.bits))
 
-    def drive(self, integers: np.ndarray) -> np.ndarray:
-        """Word-line amplitudes (in integer units) for one sub-cycle."""
-        integers = np.asarray(integers)
-        if np.any(integers < 0) or np.any(integers > self.encoding.max_int):
-            raise ValueError(
-                f"integers must be in [0, {self.encoding.max_int}]"
-            )
-        return integers.astype(np.float64)
+    def _planes(self, integers: np.ndarray) -> np.ndarray:
+        shifts = np.arange(self.encoding.bits).reshape(
+            (-1,) + (1,) * integers.ndim
+        )
+        return ((integers >> shifts) & 1).astype(np.float64)
 
-    @property
-    def subcycles(self) -> int:
-        """Sub-cycles per MVM (always one)."""
-        return 1
+
+class RateCoder(DriveCoder):
+    """Unary (rate) spike coding: the baseline weighted coding beats.
+
+    The integer activation is presented as that many unit spikes over
+    ``2**bits - 1`` sub-cycles, all of weight 1 (plane ``j`` drives
+    where ``value > j``).  Functionally equivalent to the weighted
+    scheme, but a ``b``-bit input costs ``2**b - 1`` sub-cycles instead
+    of ``b`` — the exponential-vs-linear gap that motivates PipeLayer's
+    "weighted spike coding scheme to further reduce the area and energy
+    overhead" (Sec. III-A-3(a)).
+    """
+
+    def __init__(self, encoding: InputEncoding) -> None:
+        super().__init__(encoding, np.ones(encoding.max_int))
+
+    def _planes(self, integers: np.ndarray) -> np.ndarray:
+        thresholds = np.arange(self.encoding.max_int).reshape(
+            (-1,) + (1,) * integers.ndim
+        )
+        return (integers > thresholds).astype(np.float64)
+
+
+class AnalogDAC(DriveCoder):
+    """Multi-level voltage driver: one sub-cycle, quantized amplitude.
+
+    The integer activation drives the word line as an analog voltage
+    proportional to its value (one plane, in integer units, weight 1);
+    the full MVM completes in one sub-cycle at the cost of a
+    ``bits``-bit DAC per word line.
+    """
+
+    def __init__(self, encoding: InputEncoding) -> None:
+        super().__init__(encoding, np.ones(1))
+
+    def _planes(self, integers: np.ndarray) -> np.ndarray:
+        return integers[None].astype(np.float64)
 
 
 def quantize_activations(

@@ -21,9 +21,22 @@ forward matmul through the complete simulated pipeline —
 5. digital shift-and-add recombines input bits, weight slices, and
    signs.
 
+Each datapath decision is made once.  The drive coder of the
+``input_mode`` (:class:`~repro.xbar.dac.DriveCoder`) supplies the
+planes, plane weights and sub-cycle count both backends use.  ADC
+exactness is one test, :attr:`CrossbarEngineConfig.adc_is_exact`; the
+successively narrower predicates ``is_linear`` (exact read path),
+``is_collapsible`` (plus integer levels) and ``is_ideal`` (plus no
+stuck cells) are built on it.  One tally,
+:meth:`CrossbarEngine._record_call_events`, books every counter of a
+full-path call from its sub-cycles, batch and geometry.
+
 With an ideal device and a lossless ADC the pipeline is exactly integer
 matmul; ``fast_ideal`` exploits that identity to skip the bit-serial
-loop (the equivalence is covered by tests).
+loop (the equivalence is covered by tests).  ``fast_linear`` applies the
+effective programmed matrix in one matmul when the read path is linear,
+an approximation that drops the ADC's rounding of noisy partial sums
+(bounded by ``test_linear_path_close_to_full_path``).
 
 Two interchangeable backends evaluate the full datapath:
 
@@ -41,13 +54,12 @@ Two interchangeable backends evaluate the full datapath:
     generator in sub-cycle order (a stacked draw consumes a numpy
     ``Generator`` exactly like sequential per-sub-cycle draws), and
     both backends share one ADC transfer function
-    (:func:`repro.xbar.adc.quantize_levels`).  When every per-array
-    conversion is provably the identity — integer level matrices, no
-    read noise, unit-grid ADC with sufficient range (stuck faults
-    allowed) — the sub-cycle loop additionally collapses onto a cached
-    combined effective-weights matrix, turning the whole evaluation
-    into one exact integer matmul (~100x over the loop backend on a
-    256x256 layer).
+    (:func:`repro.xbar.adc.quantize_levels`).  When the config
+    ``is_collapsible`` — every per-array conversion is provably the
+    identity — the sub-cycle loop collapses onto the cached signed
+    level sum (the same matrix :meth:`CrossbarEngine.effective_weights`
+    scales), turning the whole evaluation into one exact integer matmul
+    (~100x over the loop backend on a 256x256 layer).
 
 Neither backend simulates padded bit lines.  An edge array holding
 fewer logical columns than ``array_cols`` evaluates, perturbs, and
@@ -61,6 +73,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -84,6 +97,9 @@ from repro.xbar.tile import TiledCrossbar
 
 _log = get_logger("engine")
 
+#: Word-line driver of each ``input_mode``.
+_CODERS = {"spike": SpikeCoder, "rate": RateCoder, "analog": AnalogDAC}
+
 
 @dataclass(frozen=True)
 class CrossbarEngineConfig:
@@ -104,88 +120,98 @@ class CrossbarEngineConfig:
     def __post_init__(self) -> None:
         check_positive("array_rows", self.array_rows)
         check_positive("array_cols", self.array_cols)
-        check_choice("input_mode", self.input_mode, ("spike", "rate", "analog"))
+        check_choice("input_mode", self.input_mode, tuple(_CODERS))
         check_choice("backend", self.backend, ("loop", "vectorized"))
         if self.adc_bits is not None:
             check_positive("adc_bits", self.adc_bits)
         if self.activation_range is not None:
             check_positive("activation_range", self.activation_range)
 
-    def adc_config(self) -> Optional[ADCConfig]:
+    @property
+    def column_sum_bound(self) -> int:
+        """Worst-case column sum of one array read, in level units.
+
+        Every cell at its top level under full drive: spike and rate
+        drive are binary, the analog DAC drives up to ``max_int``.
+        """
+        amplitude = self.encoding.max_int if self.input_mode == "analog" else 1
+        return self.array_rows * (self.device.levels - 1) * amplitude
+
+    def adc_config(self) -> ADCConfig:
         """ADC for one physical array under this drive mode.
 
-        ``None`` means "use the array's lossless default" (only valid
-        for binary drive; analog drive always gets an explicit config
-        because its full scale grows with the DAC amplitude).
+        ``adc_bits=None`` sizes a lossless converter for
+        :attr:`column_sum_bound` (one count per level unit); otherwise
+        that bound maps to the full ``2**adc_bits - 1`` count.
         """
-        binary_full_scale = self.array_rows * (self.device.levels - 1)
-        if self.input_mode in ("spike", "rate"):
-            if self.adc_bits is None:
-                return None
-            return ADCConfig(
-                bits=self.adc_bits,
-                full_scale_levels=float(binary_full_scale),
-            )
-        full_scale = float(binary_full_scale * self.encoding.max_int)
         if self.adc_bits is None:
-            bits = max(1, int(np.ceil(np.log2(full_scale + 1))))
-            # One count per level unit so integer drives convert exactly.
-            return ADCConfig(bits=bits, full_scale_levels=float(2**bits - 1))
-        return ADCConfig(bits=self.adc_bits, full_scale_levels=full_scale)
+            # lossless_for sizes for rows * (cell_levels - 1) level
+            # units; two-level "cells" make that the bound itself.
+            return ADCConfig.lossless_for(self.column_sum_bound, 2)
+        return ADCConfig(
+            bits=self.adc_bits, full_scale_levels=float(self.column_sum_bound)
+        )
+
+    @cached_property
+    def adc_is_exact(self) -> bool:
+        """True when the ADC converts every integer column sum unchanged.
+
+        Needs one count per level unit (so the full scale equals the
+        count range) and a count range covering
+        :attr:`column_sum_bound`.  The datapath predicates below narrow
+        this one step at a time.  Cached: the config is frozen and every
+        fast-path dispatch asks.
+        """
+        adc = self.adc_config()
+        return (
+            adc.levels_per_count == 1.0
+            and adc.max_count >= self.column_sum_bound
+        )
 
     @property
     def is_linear(self) -> bool:
         """True when the read path is exact (noise only in programming).
 
-        With no read noise and a lossless unit-grid ADC, the bit-serial
-        pipeline is a linear function of the word-line drive, so the
-        whole evaluation collapses to one matmul with the *effective*
-        programmed matrix — up to the ADC's half-count rounding of
-        non-integer (noisy-cell) partial sums, which the fast path
-        approximates away (bounded by half an output LSB).
+        With no read noise, no transient faults and an exact ADC, the
+        bit-serial pipeline is a linear function of the word-line drive,
+        so the whole evaluation collapses to one matmul with the
+        *effective* programmed matrix — up to the ADC's half-count
+        rounding of non-integer (noisy-cell) partial sums, which the
+        ``fast_linear`` path approximates away (bounded by half an
+        output LSB).
         """
-        if self.device.read_noise != 0.0 or self.device.has_transient_faults:
-            return False
-        adc = self.adc_config()
-        if adc is None:
-            return True
-        needed = self.array_rows * (self.device.levels - 1)
-        if self.input_mode == "analog":
-            needed *= self.encoding.max_int
+        device = self.device
         return (
-            adc.max_count >= needed
-            and adc.full_scale_levels >= needed
-            and adc.levels_per_count == 1.0
+            device.read_noise == 0.0
+            and not device.has_transient_faults
+            and self.adc_is_exact
+        )
+
+    @property
+    def is_collapsible(self) -> bool:
+        """True when every per-array conversion is provably the identity.
+
+        A linear read path over integer effective levels (no
+        programming noise, no IR drop; a stuck cell still holds an
+        integer level): every pre-ADC partial sum is an integer inside
+        the exact range, so the full path may evaluate all sub-cycles
+        as one exact matmul with the combined effective level matrix.
+        """
+        device = self.device
+        return (
+            device.program_noise == 0.0
+            and device.wire_resistance == 0.0
+            and self.is_linear
         )
 
     @property
     def is_ideal(self) -> bool:
         """True when the pipeline equals exact integer matmul."""
         device = self.device
-        clean_device = (
-            device.program_noise == 0.0
-            and device.read_noise == 0.0
-            and device.stuck_off_rate == 0.0
-            and device.stuck_on_rate == 0.0
-            and not device.has_transient_faults
-            and device.wire_resistance == 0.0
-        )
-        if not clean_device:
-            return False
-        adc = self.adc_config()
-        if adc is None:
-            return True
-        if self.input_mode in ("spike", "rate"):
-            needed = self.array_rows * (device.levels - 1)
-        else:
-            needed = (
-                self.array_rows * (device.levels - 1) * self.encoding.max_int
-            )
-        # Exactness needs range AND a one-count-per-level grid.
         return (
-            adc.max_count >= needed
-            and adc.full_scale_levels >= needed
-            and adc.levels_per_count == 1.0
+            device.stuck_off_rate == 0.0
+            and device.stuck_on_rate == 0.0
+            and self.is_collapsible
         )
 
 
@@ -271,9 +297,10 @@ class _VectorizedState:
     stay (they carry zero drive).  ``plane_weights`` carries each
     plane's signed shift-and-add factor (``±radix**slice``).  Built
     lazily on the first vectorized matmul and invalidated whenever
-    ``prepare()`` reprograms the arrays.  When the ADC is transparent
-    (see ``collapsed``), ``gmat`` is ``None`` — the stacked path is
-    never taken.
+    ``prepare()`` reprograms the arrays.  When the config
+    :attr:`~CrossbarEngineConfig.is_collapsible`, ``collapsed`` holds
+    the engine's signed level sum instead and ``gmat`` is ``None`` —
+    the stacked path is never taken.
     """
 
     gmat: Optional[np.ndarray]
@@ -283,11 +310,6 @@ class _VectorizedState:
     grid_rows: int
     grid_cols: int
     n_planes: int
-    #: Combined signed effective level matrix (logical shape), present
-    #: only when the ADC is provably transparent for this config — the
-    #: effective-weights cache that collapses the whole bit-serial
-    #: evaluation into one matmul.  Invalidated with the rest of the
-    #: state whenever ``prepare()`` reprograms the arrays.
     collapsed: Optional[np.ndarray] = None
 
 
@@ -323,13 +345,13 @@ class CrossbarEngine(MatmulEngine):
         self._sliced: Optional[SlicedWeights] = None
         self._tiles: Dict[Tuple[str, int], TiledCrossbar] = {}
         self._tile_paths: Dict[Tuple[str, int], str] = {}
+        #: Signed shift-and-add factor of each tile: ``±radix**slice``.
+        self._tile_weights: Dict[Tuple[str, int], float] = {}
         self._cached_weights: Optional[np.ndarray] = None
         self._cached_weights_hash: Optional[str] = None
         self._quantized: Optional[np.ndarray] = None
-        self._coder = SpikeCoder(self.config.encoding)
-        self._rate_coder = RateCoder(self.config.encoding)
-        self._dac = AnalogDAC(self.config.encoding)
-        self._effective: Optional[np.ndarray] = None
+        self._coder = _CODERS[self.config.input_mode](self.config.encoding)
+        self._signed_levels: Optional[np.ndarray] = None
         self._vector: Optional[_VectorizedState] = None
 
     # -- weight programming -------------------------------------------------
@@ -382,6 +404,7 @@ class CrossbarEngine(MatmulEngine):
             # persist across weight updates like real hardware.
             self._tiles = {}
             self._tile_paths = {}
+            self._tile_weights = {}
             for plane_name, slices in planes:
                 for slice_index in range(len(slices)):
                     self._tiles[(plane_name, slice_index)] = TiledCrossbar(
@@ -399,6 +422,10 @@ class CrossbarEngine(MatmulEngine):
                     # loops only ever do dict increments.
                     self._tile_paths[(plane_name, slice_index)] = (
                         f"tile[{plane_name},{slice_index}]"
+                    )
+                    sign = -1.0 if plane_name == "neg" else 1.0
+                    self._tile_weights[(plane_name, slice_index)] = (
+                        sign * float(radix) ** slice_index
                     )
         tel = self.telemetry
         with tel.span("prepare"):
@@ -423,8 +450,8 @@ class CrossbarEngine(MatmulEngine):
                     )
             tel.count("weights_programmed", int(weights.size))
         # program() changed the physical state: both derived caches
-        # (effective matrix, stacked conductance tensor) are stale.
-        self._effective = None
+        # (signed level sum, stacked conductance tensor) are stale.
+        self._signed_levels = None
         self._vector = None
 
     @property
@@ -488,24 +515,30 @@ class CrossbarEngine(MatmulEngine):
     def effective_weights(self) -> np.ndarray:
         """The matrix the arrays physically hold (scaled, with noise).
 
-        Assembles the per-slice effective levels from every programmed
-        array — the matrix an ideal read path would apply.  Equals
+        Built from every programmed array's effective levels — the
+        matrix an ideal read path would apply.  Equals
         :meth:`quantized_weights` for an ideal device; differs under
         programming noise or stuck faults.
         """
         if self._sliced is None:
             raise RuntimeError("prepare() must be called first")
-        if self._effective is None:
-            radix = float(2**self._sliced.mapping.cell_bits)
-            effective = np.zeros(self._cached_weights.shape)
-            for (plane_name, slice_index), tile in self._tiles.items():
-                sign = -1.0 if plane_name == "neg" else 1.0
-                effective += (
-                    sign * radix**slice_index * tile.effective_logical()
-                )
-            effective -= self._sliced.offset_int
-            self._effective = effective
-        return self._effective * self._sliced.scale
+        effective = self._signed_level_sum() - self._sliced.offset_int
+        return effective * self._sliced.scale
+
+    def _signed_level_sum(self) -> np.ndarray:
+        """Shift-and-add sum of every tile's effective levels (cached).
+
+        ``sum_tile ±radix**slice * levels``: the integer-unit matrix an
+        exact read path applies (before the offset), shared by
+        :meth:`effective_weights` and the collapsed full path.
+        Invalidated whenever ``prepare()`` reprograms the arrays.
+        """
+        if self._signed_levels is None:
+            total = np.zeros(self._cached_weights.shape)
+            for key, tile in self._tiles.items():
+                total += self._tile_weights[key] * tile.effective_logical()
+            self._signed_levels = total
+        return self._signed_levels
 
     # -- evaluation ------------------------------------------------------------
     def matmul(self, activations: np.ndarray) -> np.ndarray:
@@ -537,11 +570,9 @@ class CrossbarEngine(MatmulEngine):
         max_abs = self.config.activation_range
         if max_abs is None:
             observed = float(np.max(np.abs(activations))) if activations.size else 0.0
-            if observed == 0.0:
-                return np.zeros(
-                    (activations.shape[0], self._cached_weights.shape[1])
-                )
-            max_abs = observed
+            # An all-zero batch quantizes to zero drive under any range;
+            # it still takes the path (and books the events) below.
+            max_abs = observed or 1.0
         pos_int, neg_int, a_scale = quantize_activations(
             activations, self.config.encoding, max_abs
         )
@@ -577,84 +608,70 @@ class CrossbarEngine(MatmulEngine):
         as the module docstring narrates the hardware.
         """
         sliced = self._sliced
-        radix = float(2**sliced.mapping.cell_bits)
         batch = pos_int.shape[0]
-        cols = self._cached_weights.shape[1]
-        accumulator = np.zeros((batch, cols))
+        accumulator = np.zeros((batch, self._cached_weights.shape[1]))
         call_subcycles = 0
-        tel = self.telemetry
-
+        coder = self._coder
         for input_sign, integers in ((1.0, pos_int), (-1.0, neg_int)):
             if not np.any(integers):
                 continue
-            if self.config.input_mode == "spike":
-                planes = self._coder.decompose(integers)
-                weights_per_plane = [2.0**j for j in range(len(planes))]
-            elif self.config.input_mode == "rate":
-                planes = self._rate_coder.decompose(integers)
-                weights_per_plane = [1.0] * len(planes)
-            else:
-                planes = [self._dac.drive(integers)]
-                weights_per_plane = [1.0]
-            for plane, plane_weight in zip(planes, weights_per_plane):
-                call_subcycles += 1
-                for (plane_name, slice_index), tile in self._tiles.items():
-                    partial = tile.mvm(plane)
-                    weight_sign = -1.0 if plane_name == "neg" else 1.0
+            planes = coder.decompose(integers)
+            for plane, plane_weight in zip(planes, coder.plane_weights):
+                for key, tile in self._tiles.items():
                     accumulator += (
                         input_sign
-                        * weight_sign
                         * plane_weight
-                        * radix**slice_index
-                        * partial
+                        * self._tile_weights[key]
+                        * tile.mvm(plane)
                     )
-                    tile_path = self._tile_paths[(plane_name, slice_index)]
-                    tel.count("array_reads", tile.array_count * batch)
-                    tel.count(
-                        tile_path + "/reads", tile.array_count * batch
-                    )
-                    tel.count(
-                        "adc_conversions", batch * tile.logical_cols
-                    )
-                    tel.count(
-                        tile_path + "/adc.conversions",
-                        batch * tile.logical_cols,
-                    )
+            call_subcycles += coder.subcycles
             if sliced.mapping.scheme == "offset":
                 # Remove the stored offset: offset * sum_i(x_i), digital.
                 row_sums = integers.sum(axis=1, keepdims=True).astype(np.float64)
                 accumulator -= input_sign * sliced.offset_int * row_sums
 
         self._record_call_events(call_subcycles, batch)
-        self.telemetry.count("subcycles", call_subcycles)
         return accumulator * (a_scale * sliced.scale)
 
     def _record_call_events(self, call_subcycles: int, batch: int) -> None:
-        """Physical event counters of one full-path matmul call.
+        """Operation and physical event counters of one full-path call.
 
         Both backends call this with the same ``call_subcycles`` and
         ``batch``, and every term below is a pure function of those
-        plus the prepared geometry — so the event counters (and the
-        energy attributed from them) are bit-identical across backends
-        by construction.  Per array read: every word line fires
-        (spike-driver/DAC lines), every bit line converts (I&F ADC)
-        and merges (shift-add), matching
-        :func:`repro.arch.components.array_subcycle_energy` exactly
-        when priced through ``event_costs``.  Buffer traffic per call:
-        the drive planes read the activations once per image
+        plus the prepared geometry — so the counters (and the energy
+        attributed from them) are bit-identical across backends by
+        construction.  Every array of every tile is read once per
+        sub-cycle and image, and converts its tile's logical columns.
+        Per array read: every word line fires (spike-driver/DAC lines),
+        every bit line converts (I&F ADC) and merges (shift-add),
+        matching :func:`repro.arch.components.array_subcycle_energy`
+        exactly when priced through ``event_costs``.  Buffer traffic
+        per call: the drive planes read the activations once per image
         (``rows x encoding bits``) and the results write back at
         accumulator width.  Static occupancy counts array- and
         controller-sub-cycles, the time base average power divides by.
         """
         tel = self.telemetry
-        arrays_total = sum(
-            tile.array_count for tile in self._tiles.values()
+        logical_rows, logical_cols = self._cached_weights.shape
+        reads = call_subcycles * self.array_count * batch
+        tel.count("array_reads", reads)
+        tel.count(
+            "adc_conversions",
+            call_subcycles * len(self._tiles) * batch * logical_cols,
         )
-        reads = call_subcycles * arrays_total * batch
+        for key, tile in self._tiles.items():
+            tile_path = self._tile_paths[key]
+            tel.count(
+                tile_path + "/reads",
+                call_subcycles * tile.array_count * batch,
+            )
+            tel.count(
+                tile_path + "/adc.conversions",
+                call_subcycles * batch * tile.logical_cols,
+            )
         tel.count("dac.line_fires", reads * self.config.array_rows)
         tel.count("adc.samples", reads * self.config.array_cols)
         tel.count("shift_adds", reads * self.config.array_cols)
-        logical_rows, logical_cols = self._cached_weights.shape
         tel.count(
             "buffer.bits",
             batch * logical_rows * self.config.encoding.bits
@@ -662,58 +679,9 @@ class CrossbarEngine(MatmulEngine):
         )
         tel.count("static.array_subcycles", reads)
         tel.count("static.controller_subcycles", call_subcycles * batch)
+        tel.count("subcycles", call_subcycles)
 
     # -- vectorized backend -------------------------------------------------
-    def _decompose_drive(
-        self, integers: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One input sign's sub-cycle stack and per-plane weights.
-
-        Returns ``(planes, weights)``: ``planes`` is ``(subcycles,
-        batch, rows)`` word-line drive — the same planes, in the same
-        order, the loop backend feeds to the arrays one at a time —
-        and ``weights`` the shift-and-add factor of each sub-cycle.
-        """
-        if self.config.input_mode == "spike":
-            planes = self._coder.decompose(integers)
-            weights = [2.0**j for j in range(len(planes))]
-        elif self.config.input_mode == "rate":
-            planes = self._rate_coder.decompose(integers)
-            weights = [1.0] * len(planes)
-        else:
-            planes = [self._dac.drive(integers)]
-            weights = [1.0]
-        return np.stack(planes), np.asarray(weights)
-
-    def _adc_transparent(self, adc: ADCConfig) -> bool:
-        """True when every per-array conversion is provably the identity.
-
-        Requires integer effective level matrices (no programming
-        noise, no IR drop — stuck faults are fine, a stuck cell is
-        still an integer level), a noiseless read path, and a
-        unit-grid ADC whose range covers the worst-case column sum of
-        this drive mode.  Under those conditions every pre-ADC partial
-        sum is an integer already on the count grid and inside range,
-        so clip+round returns it unchanged — which licenses the
-        sub-cycle collapse in :meth:`_full_path_vectorized`.
-        """
-        device = self.config.device
-        if (
-            device.program_noise != 0.0
-            or device.read_noise != 0.0
-            or device.has_transient_faults
-            or device.wire_resistance != 0.0
-        ):
-            return False
-        needed = self.config.array_rows * (device.levels - 1)
-        if self.config.input_mode == "analog":
-            needed *= self.config.encoding.max_int
-        return (
-            adc.levels_per_count == 1.0
-            and adc.max_count >= needed
-            and adc.full_scale_levels >= needed
-        )
-
     def _vector_state(self) -> _VectorizedState:
         """Build (or reuse) the stacked-conductance cache."""
         if self._vector is not None:
@@ -722,31 +690,11 @@ class CrossbarEngine(MatmulEngine):
         first = next(iter(tiles.values()))
         grid_rows, grid_cols = first.grid_rows, first.grid_cols
         rows, cols = self.config.array_rows, self.config.array_cols
-        radix = float(2**self._sliced.mapping.cell_bits)
         n_planes = len(tiles)
-        arrays = []
-        plane_weights = np.empty(n_planes)
-        for index, ((plane_name, slice_index), tile) in enumerate(
-            tiles.items()
-        ):
-            arrays.append(tile.arrays)
-            sign = -1.0 if plane_name == "neg" else 1.0
-            plane_weights[index] = sign * radix**slice_index
-        adc = first.arrays[0][0].adc.config
         collapsed: Optional[np.ndarray] = None
         gmat: Optional[np.ndarray] = None
-        if self._adc_transparent(adc):
-            # Effective-weights cache: with a transparent ADC the whole
-            # bit-serial evaluation equals one matmul against the
-            # combined signed effective level matrix (see
-            # _full_path_vectorized).  The stacked tensor is skipped
-            # entirely — it would never be read.
-            collapsed = np.zeros(self._cached_weights.shape)
-            for (plane_name, slice_index), tile in tiles.items():
-                sign = -1.0 if plane_name == "neg" else 1.0
-                collapsed += (
-                    sign * radix**slice_index * tile.effective_logical()
-                )
+        if self.config.is_collapsible:
+            collapsed = self._signed_level_sum()
         else:
             # Block column j's live columns are the logical columns it
             # holds, so the blocks laid side by side and cut at
@@ -754,21 +702,17 @@ class CrossbarEngine(MatmulEngine):
             logical_cols = self._cached_weights.shape[1]
             stacked = np.empty((grid_rows, rows, n_planes, logical_cols))
             for index, tile in enumerate(tiles.values()):
-                # (g, h, R, C) -> (g, R, h*C) -> (g, R, L).
-                stacked[:, :, index, :] = (
-                    tile.level_blocks()
-                    .transpose(0, 2, 1, 3)
-                    .reshape(grid_rows, rows, grid_cols * cols)[
-                        :, :, :logical_cols
-                    ]
-                )
+                # (g*R, h*C) -> (g, R, h*C) -> (g, R, L).
+                stacked[:, :, index, :] = tile.level_blocks().reshape(
+                    grid_rows, rows, grid_cols * cols
+                )[:, :, :logical_cols]
             # (g, R, P*L): one batched matmul per MVM.
             gmat = stacked.reshape(grid_rows, rows, n_planes * logical_cols)
         self._vector = _VectorizedState(
             gmat=gmat,
-            plane_weights=plane_weights,
-            arrays=arrays,
-            adc=adc,
+            plane_weights=np.array([self._tile_weights[key] for key in tiles]),
+            arrays=[tile.arrays for tile in tiles.values()],
+            adc=self.config.adc_config(),
             grid_rows=grid_rows,
             grid_cols=grid_cols,
             n_planes=n_planes,
@@ -780,7 +724,6 @@ class CrossbarEngine(MatmulEngine):
         self,
         state: _VectorizedState,
         planes: np.ndarray,
-        plane_weights: np.ndarray,
         input_sign: float,
         accumulator: np.ndarray,
         logical_cols: int,
@@ -862,7 +805,7 @@ class CrossbarEngine(MatmulEngine):
             folded = quantized[0].copy()
             for block_row in range(1, grid_rows):
                 folded += quantized[block_row]
-            weights = plane_weights[start : start + span]
+            weights = self._coder.plane_weights[start : start + span]
             if exact_grid:
                 accumulator += input_sign * np.einsum(
                     "kbpn,k,p->bn", folded, weights, state.plane_weights
@@ -888,17 +831,18 @@ class CrossbarEngine(MatmulEngine):
         loop backend exactly.
 
         When every per-array ADC conversion is provably the identity
-        (:meth:`_adc_transparent`), the sub-cycle loop collapses
-        algebraically: the drive planes of one input sign recombine to
-        the integer activations (``sum_k w_k * plane_k = integers`` in
-        all three modes), so the whole evaluation is one matmul with
-        the cached combined effective level matrix.  Every quantity
-        involved is an exact float64 integer, so the single matmul is
-        bit-identical to the loop's K*P*grid small ones regardless of
-        BLAS summation order — this is where the >=10x throughput over
-        the loop backend comes from.  Stats still account the full
-        bit-serial schedule: the simulated hardware runs every
-        sub-cycle; only the simulation skips redundant arithmetic.
+        (:attr:`CrossbarEngineConfig.is_collapsible`), the sub-cycle
+        loop collapses algebraically: the drive planes of one input
+        sign recombine to the integer activations (``sum_k w_k *
+        plane_k = integers`` in all three modes), so the whole
+        evaluation is one matmul with the cached signed level sum.
+        Every quantity involved is an exact float64 integer, so the
+        single matmul is bit-identical to the loop's K*P*grid small
+        ones regardless of BLAS summation order — this is where the
+        >=10x throughput over the loop backend comes from.  Stats still
+        account the full bit-serial schedule: the simulated hardware
+        runs every sub-cycle; only the simulation skips redundant
+        arithmetic.
         """
         sliced = self._sliced
         state = self._vector_state()
@@ -906,13 +850,6 @@ class CrossbarEngine(MatmulEngine):
         logical_cols = self._cached_weights.shape[1]
         accumulator = np.zeros((batch, logical_cols))
         call_subcycles = 0
-        if self.config.input_mode == "spike":
-            subcycles_per_sign = self._coder.subcycles
-        elif self.config.input_mode == "rate":
-            subcycles_per_sign = self._rate_coder.subcycles
-        else:
-            subcycles_per_sign = self._dac.subcycles
-
         for input_sign, integers in ((1.0, pos_int), (-1.0, neg_int)):
             if not np.any(integers):
                 continue
@@ -920,44 +857,22 @@ class CrossbarEngine(MatmulEngine):
                 accumulator += input_sign * (
                     integers.astype(np.float64) @ state.collapsed
                 )
-                call_subcycles += subcycles_per_sign
             else:
-                planes, plane_weights = self._decompose_drive(integers)
                 self._accumulate_vectorized(
                     state,
-                    planes,
-                    plane_weights,
+                    self._coder.decompose(integers),
                     input_sign,
                     accumulator,
                     logical_cols,
                 )
-                call_subcycles += planes.shape[0]
+            call_subcycles += self._coder.subcycles
             if sliced.mapping.scheme == "offset":
                 row_sums = integers.sum(axis=1, keepdims=True).astype(
                     np.float64
                 )
                 accumulator -= input_sign * sliced.offset_int * row_sums
 
-        # Mirror the loop backend's operation accounting exactly —
-        # engine totals, per-tile telemetry paths, and per-array
-        # read/conversion counters all match the bit-serial schedule.
-        tel = self.telemetry
-        arrays_total = state.n_planes * state.grid_rows * state.grid_cols
-        tel.count("array_reads", call_subcycles * arrays_total * batch)
-        tel.count(
-            "adc_conversions",
-            call_subcycles * state.n_planes * batch * logical_cols,
-        )
-        for key, tile in self._tiles.items():
-            tile_path = self._tile_paths[key]
-            tel.count(
-                tile_path + "/reads",
-                call_subcycles * tile.array_count * batch,
-            )
-            tel.count(
-                tile_path + "/adc.conversions",
-                call_subcycles * batch * tile.logical_cols,
-            )
+        # The loop backend's arrays count their own reads in mvm().
         reads = call_subcycles * batch
         conversions = call_subcycles * batch * self.config.array_cols
         for tile_arrays in state.arrays:
@@ -966,8 +881,8 @@ class CrossbarEngine(MatmulEngine):
                     array.reads += reads
                     array.adc.conversions += conversions
         self._record_call_events(call_subcycles, batch)
-        self.telemetry.count("subcycles", call_subcycles)
         return accumulator * (a_scale * sliced.scale)
+
 
 def validate_fault_report(document: Dict[str, object]) -> None:
     """Raise ``ValueError`` unless ``document`` is a fault census.

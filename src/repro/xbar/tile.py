@@ -72,8 +72,6 @@ class TiledCrossbar:
             ]
             for _ in range(grid_rows)
         ]
-        self._effective_cache: Optional[np.ndarray] = None
-        self._level_block_cache: Optional[np.ndarray] = None
 
     @property
     def array_count(self) -> int:
@@ -97,11 +95,6 @@ class TiledCrossbar:
                 self.arrays[block_row][block_col].program(
                     levels[row_start:row_end, col_start:col_end]
                 )
-        # Programming changes the physical state; both derived caches
-        # (effective logical matrix, stacked level tensor) are stale
-        # from here on.
-        self._effective_cache = None
-        self._level_block_cache = None
 
     def mvm(self, drive: np.ndarray) -> np.ndarray:
         """Tiled MVM: per-array digitised partial sums, added vertically.
@@ -134,56 +127,33 @@ class TiledCrossbar:
         return output
 
     def level_blocks(self) -> np.ndarray:
-        """Stacked effective level matrices of every physical array.
+        """Every physical array's effective levels as one block matrix.
 
-        Returns a read-only ``(grid_rows, grid_cols, array_rows,
-        array_cols)`` tensor — the exact per-array state a read
-        multiplies by, which the vectorized backend contracts against
-        in one batched matmul instead of looping arrays.  Cached;
-        invalidated by :meth:`program`.
+        Returns the padded ``(grid_rows * array_rows, grid_cols *
+        array_cols)`` matrix whose block ``(i, j)`` is array ``(i,
+        j)``'s effective level matrix — the exact per-array state a
+        read multiplies by.  The vectorized backend contracts its row
+        blocks in one batched matmul; :meth:`effective_logical` cuts
+        the logical matrix from it.  Built on each call; the engine
+        caches what it derives from it until the next :meth:`program`.
         """
-        if self._level_block_cache is None:
-            stack = np.empty(
-                (
-                    self.grid_rows,
-                    self.grid_cols,
-                    self.array_rows,
-                    self.array_cols,
-                )
-            )
-            for block_row in range(self.grid_rows):
-                for block_col in range(self.grid_cols):
-                    stack[block_row, block_col] = self.arrays[block_row][
-                        block_col
-                    ].effective_levels()
-            stack.flags.writeable = False
-            self._level_block_cache = stack
-        return self._level_block_cache
+        return np.block(
+            [
+                [array.effective_levels() for array in row]
+                for row in self.arrays
+            ]
+        )
 
     def effective_logical(self) -> np.ndarray:
         """The logical matrix the arrays actually hold, in level units.
 
         Includes programming error and stuck faults (whatever got
-        written), assembled from each array's effective levels.  This
+        written): :meth:`level_blocks` cut to the logical shape.  This
         is what an ideal read path would multiply by — the basis of the
-        engine's linear fast path.  Cached; invalidated by
-        :meth:`program`.
+        engine's signed level sum (its collapsed full path and
+        ``fast_linear``).
         """
-        if self._effective_cache is not None:
-            return self._effective_cache
-        out = np.zeros((self.logical_rows, self.logical_cols))
-        for block_row in range(self.grid_rows):
-            row_start = block_row * self.array_rows
-            row_end = min(row_start + self.array_rows, self.logical_rows)
-            for block_col in range(self.grid_cols):
-                col_start = block_col * self.array_cols
-                col_end = min(col_start + self.array_cols, self.logical_cols)
-                levels = self.arrays[block_row][block_col].effective_levels()
-                out[row_start:row_end, col_start:col_end] = levels[
-                    : row_end - row_start, : col_end - col_start
-                ]
-        self._effective_cache = out
-        return out
+        return self.level_blocks()[: self.logical_rows, : self.logical_cols]
 
     def fault_census(self) -> dict:
         """Stuck-cell totals across this tile's physical arrays.

@@ -281,11 +281,6 @@ class TestADC:
         adc.convert(np.zeros((4, 5)))
         assert adc.conversions == 20
 
-    def test_is_lossless_for(self):
-        adc = IntegrateFireADC(ADCConfig.lossless_for(64, 16))
-        assert adc.is_lossless_for(64, 16)
-        assert not adc.is_lossless_for(128, 16)
-
 
 class TestSpikeCoder:
     def test_decompose_recompose_identity(self, rng):
@@ -329,13 +324,13 @@ class TestAnalogDAC:
     def test_drive_passes_values(self):
         dac = AnalogDAC(InputEncoding(bits=4))
         np.testing.assert_array_equal(
-            dac.drive(np.array([0, 7, 15])), [0.0, 7.0, 15.0]
+            dac.decompose(np.array([0, 7, 15])), [[0.0, 7.0, 15.0]]
         )
 
     def test_rejects_out_of_range(self):
         dac = AnalogDAC(InputEncoding(bits=4))
         with pytest.raises(ValueError):
-            dac.drive(np.array([16]))
+            dac.decompose(np.array([16]))
 
 
 class TestQuantizeActivations:

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.telemetry import Collector
+from repro.utils.rng import new_rng
 from repro.xbar import (
     CrossbarEngine,
     CrossbarEngineConfig,
@@ -59,6 +61,35 @@ class TestDegenerateValues:
         engine.prepare(np.zeros((8, 4)))
         out = engine.matmul(rng.normal(size=(2, 8)))
         np.testing.assert_allclose(out, 0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("backend", ["loop", "vectorized"])
+    def test_all_zero_batch_books_the_full_path_tally(self, backend):
+        """With or without a fixed range, a zero batch books one tally."""
+
+        def counters(activation_range, fast_ideal=False):
+            collector = Collector(record_spans=False)
+            engine = CrossbarEngine(
+                CrossbarEngineConfig(
+                    array_rows=16,
+                    array_cols=16,
+                    backend=backend,
+                    fast_ideal=fast_ideal,
+                    activation_range=activation_range,
+                ),
+                rng=0,
+                collector=collector,
+            )
+            engine.prepare(new_rng(7).normal(size=(40, 24)))
+            out = engine.matmul(np.zeros((5, 40)))
+            np.testing.assert_array_equal(out, np.zeros((5, 24)))
+            return collector.counters()
+
+        auto = counters(None)
+        # Drive reads 40 rows x 8 bits, results write 24 x 16 bits.
+        assert auto["buffer.bits"] == 5 * (40 * 8 + 24 * 16) == 3520
+        assert auto["array_reads"] == auto["subcycles"] == 0
+        assert auto == counters(1.0)
+        assert "buffer.bits" not in counters(None, fast_ideal=True)
 
     def test_all_negative_weights(self, rng):
         weights = -np.abs(rng.normal(size=(10, 6))) - 0.1
