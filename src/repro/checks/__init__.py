@@ -4,18 +4,20 @@ An AST-based static-analysis subsystem that machine-checks the
 repo-specific invariants every reproducibility claim rests on:
 randomness routes through :mod:`repro.utils.rng` (RNG001), wall-clock
 never touches a simulation path (DET001), emitted JSON documents are
-stamped with ``schema_version`` (SCHEMA001), telemetry paths follow
-the counter grammar (TEL001) and metric names carry a unit (TEL002),
-plus generic hygiene (PY001 mutable defaults, PY002 float equality,
-PY003 builtin-shadowing parameters).
+stamped with ``schema_version`` and have a tested validator
+(SCHEMA001), telemetry paths follow the counter grammar and observed
+metrics carry a unit (TEL001), plus generic hygiene (PY001 mutable
+defaults, PY002 float equality, PY003 builtin-shadowing parameters).
+Each file is walked once, every node going to the rules that inspect
+its type.
 
-On top of the per-file rules sits a whole-program pass
-(:mod:`repro.checks.project`) over an import graph and symbol index
-of the package (:mod:`repro.checks.graph`): layer-DAG enforcement
-(ARCH001), event-loop blocking calls (CONC001), unlocked
-thread-shared state (CONC002), non-fork-safe process-pool captures
-(CONC003), emitters without tested validators (SCHEMA002), and stale
-suppressions (NOQA001).
+:mod:`repro.checks.project` adds the layering and concurrency rules:
+event-loop blocking calls (CONC001) and non-fork-safe process-pool
+captures (CONC003) per file, then a whole-program pass over an import
+graph and symbol index of the package (:mod:`repro.checks.graph`) for
+layer-DAG enforcement (ARCH001), unlocked thread-shared state
+(CONC002) and SCHEMA001's validator half.  NOQA001 flags stale
+suppressions.
 
 Run it as ``repro check [--format json|sarif] [--select RULES]
 [PATH ...]`` or from Python::

@@ -14,16 +14,19 @@ Architecture
 * :class:`Rule` — one named contract (``RNG001``, ``DET001``, ...)
   with default *allowed paths* (files where the pattern is the
   implementation of the contract itself, e.g. ``repro/utils/rng.py``
-  for the RNG rule).
+  for the RNG rule) and the AST node types it inspects.
 * :class:`FileContext` — one parsed file (canonical path, AST,
-  source, module name) with a :meth:`FileContext.finding` factory;
-  the per-file rules and the whole-program index share it.
-* :class:`CheckConfig` — per-run rule selection and per-rule extra
-  allowed paths.
+  source, module name, import-alias table) with a
+  :meth:`FileContext.finding` factory; the per-file rules and the
+  whole-program index share it.
+* :class:`CheckConfig` — per-run rule selection.
 * :func:`check_source` / :func:`check_paths` — run the selected rules
   over a source string or a file tree; findings suppressed by an
   inline ``# repro: noqa[RULE]`` comment on the flagged line are
   dropped (bare ``# repro: noqa`` suppresses every rule on the line).
+
+Each file is walked once: every node goes to the rules that name its
+type, so adding a rule adds no pass over the tree.
 
 Paths are canonicalised to a posix path rooted at the package
 directory (``repro/core/training_sim.py``) for both allow-list
@@ -37,7 +40,8 @@ import fnmatch
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import (
     Any,
@@ -49,6 +53,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Type,
     Union,
@@ -100,6 +105,31 @@ class FileContext:
     #: scan; empty for a file checked on its own
     name: str = ""
 
+    @cached_property
+    def aliases(self) -> Dict[str, str]:
+        """Local name -> canonical dotted import target, built once.
+
+        ``import numpy as np`` maps ``np -> numpy``; ``from numpy import
+        random as nr`` maps ``nr -> numpy.random``; ``import
+        numpy.random`` binds only ``numpy``.
+        """
+        table: Dict[str, str] = {}
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname:
+                        table[alias.asname] = alias.name
+                    else:
+                        root = alias.name.split(".")[0]
+                        table[root] = root
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                if node.level:
+                    continue
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    table[local] = f"{node.module}.{alias.name}"
+        return table
+
     def finding(self, rule: "Rule", node: ast.AST, message: str) -> Finding:
         """A :class:`Finding` anchored at ``node``."""
         return Finding(
@@ -115,42 +145,39 @@ class Rule:
     """Base class: one named, individually-suppressible contract.
 
     Subclasses set :attr:`id` (``ABC123``), :attr:`summary` (one line,
-    shown in docs and ``--list-rules``) and :attr:`allow` (path globs,
-    rooted at the package directory, where the rule never applies),
-    then implement :meth:`check`.
+    shown in docs and ``--list-rules``), :attr:`allow` (path globs,
+    rooted at the package directory, where the rule never applies) and
+    :attr:`nodes`, then implement :meth:`visit`.
     """
 
     id: str = ""
     summary: str = ""
     #: Default allowed-path globs (posix, rooted at ``repro/``).
     allow: Tuple[str, ...] = ()
+    #: AST node types handed to :meth:`visit` during the file's walk.
+    nodes: Tuple[Type[ast.AST], ...] = ()
 
-    def check(self, context: FileContext) -> Iterator[Finding]:
+    def visit(self, context: FileContext, node: ast.AST) -> Iterator[Finding]:
+        """Findings at one node of a type named in :attr:`nodes`."""
         raise NotImplementedError
 
-    def applies_to(
-        self, path: str, extra_allow: Sequence[str] = ()
-    ) -> bool:
+    def applies_to(self, path: str) -> bool:
         """Whether ``path`` is subject to this rule."""
-        for pattern in tuple(self.allow) + tuple(extra_allow):
-            if fnmatch.fnmatch(path, pattern):
-                return False
-        return True
+        return not any(
+            fnmatch.fnmatch(path, pattern) for pattern in self.allow
+        )
 
 
 class ProjectRule(Rule):
     """A rule that analyses the whole project, not one file.
 
     Subclasses implement :meth:`check_project` against a
-    :class:`repro.checks.project.ProjectIndex`; the per-file
-    :meth:`check` hook is a no-op so project rules are inert under
-    :func:`check_source`.  Findings are still routed through the
-    per-file suppression and allowed-path machinery by
+    :class:`repro.checks.project.ProjectIndex`; a project rule names
+    no :attr:`nodes` unless it also has a per-file half, so it is
+    inert under :func:`check_source`.  Findings are still routed
+    through the per-file suppression and allowed-path machinery by
     :func:`check_paths`.
     """
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        return iter(())
 
     def check_project(self, project: Any) -> Iterator[Finding]:
         raise NotImplementedError
@@ -175,12 +202,10 @@ class CheckConfig:
     """Per-run configuration.
 
     ``select`` limits the run to the named rules (default: all
-    registered).  ``allow`` maps a rule id to *extra* allowed-path
-    globs merged with the rule's own defaults.
+    registered).
     """
 
     select: Optional[Sequence[str]] = None
-    allow: Mapping[str, Sequence[str]] = field(default_factory=dict)
 
     def rules(self) -> List[Rule]:
         """Instantiate the selected rules, preserving registry order."""
@@ -283,12 +308,74 @@ def parse_file(
 
 
 def _check_file(
-    context: FileContext, rules: Sequence[Rule], config: CheckConfig
+    context: FileContext, rules: Sequence[Rule]
 ) -> Iterator[Finding]:
-    """Findings of the per-file rules on one record, before noqa."""
+    """Findings of the per-file rules on one record, before noqa.
+
+    One :func:`ast.walk` hands every node to the rules naming its type.
+    """
+    dispatch: Dict[Type[ast.AST], List[Rule]] = {}
     for rule in rules:
-        if rule.applies_to(context.path, config.allow.get(rule.id, ())):
-            yield from rule.check(context)
+        if rule.nodes and rule.applies_to(context.path):
+            for node_type in rule.nodes:
+                dispatch.setdefault(node_type, []).append(rule)
+    if not dispatch:
+        return
+    for node in ast.walk(context.tree):
+        for rule in dispatch.get(type(node), ()):
+            yield from rule.visit(context, node)
+
+
+#: The stale-suppression audit's rule id (registered in
+#: :mod:`repro.checks.project`); :func:`check_paths` runs the audit.
+AUDIT_RULE = "NOQA001"
+
+
+def _stale_suppressions(
+    path: str,
+    table: Mapping[int, Optional[FrozenSet[str]]],
+    used: Mapping[Tuple[str, int], Set[str]],
+    active: Set[str],
+    full_run: bool,
+) -> Iterator[Finding]:
+    """``NOQA001`` findings for the pins in ``table`` that never fired.
+
+    ``used`` maps ``(path, line)`` to the rules a suppression actually
+    muted this run.  Named pins are only judged when their rule was
+    active; bare pins only on full (unselected) runs — a partial
+    ``--select`` cannot prove a pin stale.
+    """
+
+    def stale(line: int, message: str) -> Finding:
+        return Finding(AUDIT_RULE, path, line, 1, message)
+
+    for line in sorted(table):
+        rules = table[line]
+        fired = used.get((path, line), set())
+        if rules is None:
+            if full_run and not fired:
+                yield stale(
+                    line,
+                    "bare '# repro: noqa' suppresses nothing on this "
+                    "line; remove it",
+                )
+            continue
+        for rule_id in sorted(rules):
+            if rule_id == AUDIT_RULE:
+                continue
+            if rule_id not in RULES:
+                yield stale(
+                    line,
+                    f"'# repro: noqa[{rule_id}]' names unknown rule "
+                    f"{rule_id!r}; fix or remove the pin",
+                )
+            elif rule_id in active and rule_id not in fired:
+                yield stale(
+                    line,
+                    f"unused suppression '# repro: noqa[{rule_id}]' -- "
+                    f"no {rule_id} finding on this line; remove the "
+                    "stale pin",
+                )
 
 
 def _location(finding: Finding) -> Tuple[str, int, int, str]:
@@ -313,7 +400,7 @@ def check_source(
     table = suppressions(source)
     findings = [
         finding
-        for finding in _check_file(context, config.rules(), config)
+        for finding in _check_file(context, config.rules())
         if not _suppressed(finding, table)
     ]
     return sorted(findings, key=_location)
@@ -346,9 +433,8 @@ def check_paths(
     over one index of the enclosing package of every directory target
     (the innermost ``repro`` directory, else the directory itself),
     and report only findings in files under a directory target.
-    Suppressions are applied to both, and every suppression that never
-    fired is handed to the ``NOQA001`` audit so stale pins surface as
-    findings.
+    Suppressions are applied to both, and when ``NOQA001`` is selected
+    every suppression that never fired surfaces as a stale-pin finding.
 
     Returns every unsuppressed finding, sorted by location.  Raises
     :class:`FileNotFoundError` for a missing target and
@@ -394,7 +480,7 @@ def check_paths(
         if isinstance(context, Finding):
             findings.append(context)
         else:
-            raw.extend(_check_file(context, rules, config))
+            raw.extend(_check_file(context, rules))
     project_rules = [rule for rule in rules if isinstance(rule, ProjectRule)]
     if scopes and project_rules:
         project = ProjectIndex.build(
@@ -408,12 +494,12 @@ def check_paths(
         for rule in project_rules:
             for finding in rule.check_project(project):
                 if targeted.get(finding.path) and rule.applies_to(
-                    finding.path, config.allow.get(rule.id, ())
+                    finding.path
                 ):
                     raw.append(finding)
     # Apply suppressions, remembering which pins actually fired so the
     # NOQA001 audit can flag the rest as stale.
-    used: Dict[Tuple[str, int], set] = {}
+    used: Dict[Tuple[str, int], Set[str]] = {}
     for finding in raw:
         if _suppressed(finding, tables[finding.path]):
             used.setdefault(
@@ -422,21 +508,11 @@ def check_paths(
         else:
             findings.append(finding)
     active = {rule.id for rule in rules}
-    for rule in rules:
-        audit = getattr(rule, "audit", None)
-        if audit is None:
-            continue
+    if AUDIT_RULE in active:
         for path in sorted(tables):
-            if not rule.applies_to(path, config.allow.get(rule.id, ())):
-                continue
             findings.extend(
-                audit(
-                    path,
-                    tables[path],
-                    used,
-                    active,
-                    set(RULES),
-                    config.select is None,
+                _stale_suppressions(
+                    path, tables[path], used, active, config.select is None
                 )
             )
     return sorted(findings, key=_location)

@@ -3,10 +3,11 @@
 The per-file rules in :mod:`repro.checks.rules` cannot see across
 modules, so the contracts that live *between* files — the layer DAG,
 blocking calls inside the serve event loop, state shared with worker
-threads, objects smuggled into process pools, report emitters without
-validators — went unchecked.  This module adds a
-:class:`ProjectIndex` (import graph + symbol index + test-reference
-index over one package root) and the rule family on top of it:
+threads, objects smuggled into process pools — went unchecked.  This
+module adds a :class:`ProjectIndex` (import graph + symbol index +
+test-reference index over one package root) and the rule family on
+top of it (SCHEMA001's validator half, in :mod:`repro.checks.rules`,
+uses the same index):
 
 ========  ==========================================================
 ARCH001   eager imports must respect the committed layer DAG
@@ -27,10 +28,6 @@ CONC003   non-fork-safe objects (live ``Collector`` s / scopes, open
           file handles, RNG ``Generator`` s) captured into
           ``ProcessPoolExecutor.submit`` calls in ``repro/sweep/`` —
           workers must receive plain data and rebuild.
-SCHEMA002 every public ``*_report`` / ``*_document`` emitter needs a
-          registered ``validate_<name>`` and at least one test that
-          references the validator (emitters that only delegate to
-          another validated emitter are exempt).
 NOQA001   suppressions that suppress nothing: a
           ``# repro: noqa[RULE]`` pin whose rule never fires on that
           line, a pin naming an unknown rule, or a bare noqa on a
@@ -49,8 +46,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 from typing import (
+    Any,
     Dict,
-    FrozenSet,
     Iterator,
     List,
     Mapping,
@@ -61,24 +58,15 @@ from typing import (
 )
 
 from repro.checks.engine import (
+    AUDIT_RULE,
     FileContext,
     Finding,
     ProjectRule,
     Rule,
     register,
 )
-from repro.checks.graph import (
-    LAYER_LABELS,
-    LAYER_TABLE,
-    ImportGraph,
-    layer_of,
-)
-from repro.checks.rules import (
-    canonical_dotted,
-    dotted_name,
-    function_returns,
-    import_aliases,
-)
+from repro.checks.graph import LAYER_LABELS, ImportGraph, layer_of
+from repro.checks.rules import canonical_dotted
 
 
 class ProjectIndex:
@@ -87,7 +75,7 @@ class ProjectIndex:
     Holds the import graph over the engine's parsed records, the set
     of top-level symbol names per module, and — when a ``tests/``
     tree sits beside a package root — every name referenced anywhere
-    in the tests (used by SCHEMA002 to require test coverage of
+    in the tests (used by SCHEMA001 to require test coverage of
     validators).
     """
 
@@ -189,19 +177,6 @@ class LayerDagRule(ProjectRule):
         "make it lazy, type-only, or move the code"
     )
 
-    def __init__(
-        self,
-        table: Optional[Sequence[Tuple[str, int]]] = None,
-    ) -> None:
-        self._table = (
-            tuple(table) if table is not None else LAYER_TABLE
-        )
-
-    def _label(self, layer: int) -> str:
-        if self._table == LAYER_TABLE:
-            return LAYER_LABELS.get(layer, str(layer))
-        return str(layer)
-
     def check_project(
         self, project: ProjectIndex
     ) -> Iterator[Finding]:
@@ -213,8 +188,8 @@ class LayerDagRule(ProjectRule):
             target = graph.modules.get(edge.target)
             if source is None or target is None:
                 continue
-            src_layer = layer_of(source.path, self._table)
-            tgt_layer = layer_of(target.path, self._table)
+            src_layer = layer_of(source.path)
+            tgt_layer = layer_of(target.path)
             if src_layer is None or tgt_layer is None:
                 continue
             if tgt_layer > src_layer:
@@ -226,8 +201,9 @@ class LayerDagRule(ProjectRule):
                     message=(
                         f"layer violation: eager import of "
                         f"'{edge.target}' (layer {tgt_layer}, "
-                        f"{self._label(tgt_layer)}) from layer "
-                        f"{src_layer} ({self._label(src_layer)}); "
+                        f"{LAYER_LABELS.get(tgt_layer, tgt_layer)}) from "
+                        f"layer {src_layer} "
+                        f"({LAYER_LABELS.get(src_layer, src_layer)}); "
                         "imports must point at the same or a lower "
                         "layer -- make it lazy (inside the using "
                         "function), type-only (TYPE_CHECKING), or "
@@ -291,20 +267,17 @@ class AsyncBlockingRule(Rule):
         ".result()) inside an async def in repro/serve"
     )
 
+    nodes = (ast.AsyncFunctionDef,)
+
     _scope = "repro/serve/"
 
-    def check(self, context: FileContext) -> Iterator[Finding]:
+    def visit(self, context: FileContext, node: Any) -> Iterator[Finding]:
         if not context.path.startswith(self._scope):
             return
-        tree = context.tree
-        aliases = import_aliases(tree)
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.AsyncFunctionDef):
-                continue
-            for call in _direct_calls(node):
-                message = self._blocking(call, aliases)
-                if message is not None:
-                    yield context.finding(self, call, message)
+        for call in _direct_calls(node):
+            message = self._blocking(call, context.aliases)
+            if message is not None:
+                yield context.finding(self, call, message)
 
     def _blocking(
         self, call: ast.Call, aliases: Dict[str, str]
@@ -561,10 +534,7 @@ class ThreadSharedStateRule(ProjectRule):
             info.name: info
             for info in project.modules_under(self._scopes)
         }
-        aliases = {
-            name: import_aliases(info.tree)
-            for name, info in modules.items()
-        }
+        aliases = {name: info.aliases for name, info in modules.items()}
         classes: Dict[Tuple[str, str], _ClassInfo] = {}
         module_functions: Dict[str, Dict[str, ast.AST]] = {}
         module_globals: Dict[str, Set[str]] = {}
@@ -890,19 +860,21 @@ class ForkSafetyRule(Rule):
         "repro/sweep"
     )
 
+    #: The whole module: each function is judged with its owning class.
+    nodes = (ast.Module,)
+
     _scope = "repro/sweep/"
 
-    def check(self, context: FileContext) -> Iterator[Finding]:
+    def visit(self, context: FileContext, node: Any) -> Iterator[Finding]:
         if not context.path.startswith(self._scope):
             return
-        tree = context.tree
-        aliases = import_aliases(tree)
+        aliases = context.aliases
         classes = {
-            node.name: _ClassInfo("", node)
-            for node in tree.body
-            if isinstance(node, ast.ClassDef)
+            child.name: _ClassInfo("", child)
+            for child in node.body
+            if isinstance(child, ast.ClassDef)
         }
-        for owner, function in _iter_scoped_functions(tree):
+        for owner, function in _iter_scoped_functions(node):
             owner_info = classes.get(owner.name) if owner else None
             for call in ast.walk(function):
                 if not (
@@ -937,184 +909,23 @@ class ForkSafetyRule(Rule):
                         )
 
 
-# -- SCHEMA002: emitter/validator exhaustiveness ----------------------------
-
-
-def _returns_dictish(fn: ast.AST) -> bool:
-    returns = getattr(fn, "returns", None)
-    if returns is not None:
-        annotation = ast.unparse(returns)
-        if annotation.startswith("typing."):
-            annotation = annotation[len("typing.") :]
-        if annotation.startswith(
-            ("Dict", "dict", "Mapping", "MutableMapping")
-        ):
-            return True
-    return any(
-        isinstance(statement.value, ast.Dict)
-        for statement in function_returns(fn)
-        if statement.value is not None
-    )
-
-
-@register
-class SchemaValidatorRule(ProjectRule):
-    """Every report/document emitter needs a tested validator."""
-
-    id = "SCHEMA002"
-    summary = (
-        "*_report/*_document emitter without a registered "
-        "validate_* (or whose validator no test references)"
-    )
-
-    def check_project(
-        self, project: ProjectIndex
-    ) -> Iterator[Finding]:
-        for name in sorted(project.graph.modules):
-            info = project.graph.modules[name]
-            for node in ast.walk(info.tree):
-                if not isinstance(
-                    node, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ):
-                    continue
-                if not self._is_emitter_name(node.name):
-                    continue
-                if not _returns_dictish(node):
-                    continue
-                returns = [
-                    statement
-                    for statement in function_returns(node)
-                    if statement.value is not None
-                ]
-                if returns and all(
-                    self._delegates(statement.value, project)
-                    for statement in returns
-                ):
-                    continue
-                validator = f"validate_{node.name}"
-                if not project.has_symbol(validator):
-                    yield info.finding(
-                        self,
-                        node,
-                        (
-                            f"emitter '{node.name}' has no "
-                            f"registered '{validator}'; define one "
-                            "next to the emitter so consumers can "
-                            "check the document shape"
-                        ),
-                    )
-                elif (
-                    project.test_names is not None
-                    and validator not in project.test_names
-                ):
-                    yield info.finding(
-                        self,
-                        node,
-                        (
-                            f"validator '{validator}' is never "
-                            "referenced by a test; add one that "
-                            "feeds it a real document"
-                        ),
-                    )
-
-    @staticmethod
-    def _is_emitter_name(name: str) -> bool:
-        if name.startswith(("_", "validate_", "render_")):
-            return False
-        return name.endswith(("_report", "_document"))
-
-    @staticmethod
-    def _delegates(
-        value: ast.AST, project: ProjectIndex
-    ) -> bool:
-        """Whether a return value is a call to a validated emitter."""
-        if not isinstance(value, ast.Call):
-            return False
-        callee = _last_segment(dotted_name(value.func))
-        if not callee:
-            return False
-        return project.has_symbol(f"validate_{callee}")
-
-
 # -- NOQA001: stale suppressions --------------------------------------------
 
 
 @register
 class SuppressionAuditRule(Rule):
-    """A noqa pin that suppresses nothing is itself a finding."""
+    """A noqa pin that suppresses nothing is itself a finding.
 
-    id = "NOQA001"
+    It names no AST nodes: when it is selected,
+    :func:`repro.checks.engine.check_paths` audits every pin that
+    muted no finding of the run.
+    """
+
+    id = AUDIT_RULE
     summary = (
         "stale '# repro: noqa' suppression -- pins nothing on its "
         "line (or names an unknown rule)"
     )
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        return iter(())
-
-    def audit(
-        self,
-        path: str,
-        table: Mapping[int, Optional[FrozenSet[str]]],
-        used: Mapping[Tuple[str, int], Set[str]],
-        active: Set[str],
-        registered: Set[str],
-        full_run: bool,
-    ) -> Iterator[Finding]:
-        """Findings for the pins in ``table`` that never fired.
-
-        ``used`` maps ``(path, line)`` to the rules a suppression
-        actually muted this run.  Named pins are only judged when
-        their rule was active; bare pins only on full (unselected)
-        runs — a partial ``--select`` cannot prove a pin stale.
-        """
-        for line in sorted(table):
-            rules = table[line]
-            fired = used.get((path, line), set())
-            if rules is None:
-                if full_run and not fired:
-                    yield Finding(
-                        rule=self.id,
-                        path=path,
-                        line=line,
-                        col=1,
-                        message=(
-                            "bare '# repro: noqa' suppresses "
-                            "nothing on this line; remove it"
-                        ),
-                    )
-                continue
-            for rule_id in sorted(rules):
-                if rule_id == self.id:
-                    continue
-                if rule_id not in registered:
-                    yield Finding(
-                        rule=self.id,
-                        path=path,
-                        line=line,
-                        col=1,
-                        message=(
-                            f"'# repro: noqa[{rule_id}]' names "
-                            f"unknown rule {rule_id!r}; fix or "
-                            "remove the pin"
-                        ),
-                    )
-                    continue
-                if rule_id not in active:
-                    continue
-                if rule_id not in fired:
-                    yield Finding(
-                        rule=self.id,
-                        path=path,
-                        line=line,
-                        col=1,
-                        message=(
-                            f"unused suppression '# repro: "
-                            f"noqa[{rule_id}]' -- no {rule_id} "
-                            "finding on this line; remove the "
-                            "stale pin"
-                        ),
-                    )
 
 
 __all__ = [
@@ -1122,7 +933,6 @@ __all__ = [
     "ForkSafetyRule",
     "LayerDagRule",
     "ProjectIndex",
-    "SchemaValidatorRule",
     "SuppressionAuditRule",
     "ThreadSharedStateRule",
 ]

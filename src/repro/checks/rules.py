@@ -1,9 +1,12 @@
-"""The named contracts enforced by ``repro check``.
+"""The named per-file contracts enforced by ``repro check``.
 
 Each rule encodes one repo-specific invariant the reproducibility
 story depends on.  Rules are registered with
 :func:`repro.checks.engine.register` and individually suppressible
-with ``# repro: noqa[RULE]`` on the flagged line.
+with ``# repro: noqa[RULE]`` on the flagged line.  Each names the AST
+node types it inspects; the engine walks a file once and hands every
+node to the rules that asked for its type.  SCHEMA001 also judges the
+emitters its walk finds against the whole-program index.
 
 ========  ==========================================================
 RNG001    randomness outside :mod:`repro.utils.rng` (``np.random``
@@ -16,13 +19,15 @@ DET001    wall-clock (``time.time`` / ``perf_counter`` /
           depend on the host clock.
 SCHEMA001 a public ``*_report`` / ``*_document`` / ``report``
           function returning a JSON dict literal without a
-          ``schema_version`` key.
-TEL001    telemetry counter/span path literals that break the
-          ``/``-separated lowercase ``segment[idx].metric`` grammar.
-TEL002    histogram/metric observation paths (``observe`` /
-          ``timed`` call sites) whose leaf lacks a unit suffix
-          (``_seconds``, ``_bytes``, ``_jobs``, ...); unit-suffixed
-          names are what keep the Prometheus exposition legible.
+          ``schema_version`` key; across the project, an emitter
+          without a registered ``validate_*`` that a test references
+          (emitters that only delegate to another validated emitter
+          are exempt).
+TEL001    telemetry path literals that break the ``/``-separated
+          lowercase ``segment[idx].metric`` grammar, and observation
+          paths (``observe`` / ``timed``) whose leaf lacks a unit
+          suffix (``_seconds``, ``_bytes``, ``_jobs``, ...);
+          unit-suffixed names keep the Prometheus exposition legible.
 PY001     mutable default argument values.
 PY002     ``==`` / ``!=`` against non-sentinel float literals
           (exact sentinels ``0.0`` / ``1.0`` used for mode detection
@@ -38,11 +43,12 @@ from __future__ import annotations
 import ast
 import builtins
 import re
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.checks.engine import (
     FileContext,
     Finding,
+    ProjectRule,
     Rule,
     register,
 )
@@ -60,31 +66,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def import_aliases(tree: ast.AST) -> Dict[str, str]:
-    """Local name -> canonical dotted import target for one module.
-
-    ``import numpy as np`` maps ``np -> numpy``; ``from numpy import
-    random as nr`` maps ``nr -> numpy.random``; ``import numpy.random``
-    binds only ``numpy``.
-    """
-    table: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    table[alias.asname] = alias.name
-                else:
-                    root = alias.name.split(".")[0]
-                    table[root] = root
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            if node.level:
-                continue
-            for alias in node.names:
-                local = alias.asname or alias.name
-                table[local] = f"{node.module}.{alias.name}"
-    return table
 
 
 def canonical_dotted(
@@ -130,58 +111,48 @@ class RngRule(Rule):
         "(np.random/default_rng/stdlib random)"
     )
     allow = ("repro/utils/rng.py",)
+    nodes = (ast.Import, ast.ImportFrom, ast.Attribute)
 
     _MESSAGE = (
         "randomness must route through repro.utils.rng "
         "(new_rng/spawn_rngs/derive_seed), not {what}"
     )
 
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        aliases = import_aliases(context.tree)
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    top = alias.name.split(".")[0]
-                    if top == "random":
-                        yield context.finding(
-                            self,
-                            node,
-                            self._MESSAGE.format(
-                                what=f"'import {alias.name}'"
-                            ),
-                        )
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                module = node.module
-                if module == "random" or module.startswith("random."):
+    def visit(self, context: FileContext, node: Any) -> Iterator[Finding]:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "random":
                     yield context.finding(
                         self,
                         node,
-                        self._MESSAGE.format(what=f"'from {module} import'"),
+                        self._MESSAGE.format(what=f"'import {alias.name}'"),
                     )
-                elif module == "numpy.random":
-                    for alias in node.names:
-                        if alias.name[:1].islower():
-                            yield context.finding(
-                                self,
-                                node,
-                                self._MESSAGE.format(
-                                    what=(
-                                        f"'from numpy.random import "
-                                        f"{alias.name}'"
-                                    )
-                                ),
-                            )
-            elif isinstance(node, ast.Attribute):
-                name = canonical_dotted(node, aliases)
-                if (
-                    name is not None
-                    and name.startswith("numpy.random.")
-                    and name.count(".") == 2
-                    and node.attr[:1].islower()
-                ):
-                    yield context.finding(
-                        self, node, self._MESSAGE.format(what=f"'{name}'")
-                    )
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module == "random" or module.startswith("random."):
+                yield context.finding(
+                    self,
+                    node,
+                    self._MESSAGE.format(what=f"'from {module} import'"),
+                )
+            elif module == "numpy.random":
+                for alias in node.names:
+                    if alias.name[:1].islower():
+                        what = f"'from numpy.random import {alias.name}'"
+                        yield context.finding(
+                            self, node, self._MESSAGE.format(what=what)
+                        )
+        else:
+            name = canonical_dotted(node, context.aliases)
+            if (
+                name is not None
+                and name.startswith("numpy.random.")
+                and name.count(".") == 2
+                and node.attr[:1].islower()
+            ):
+                yield context.finding(
+                    self, node, self._MESSAGE.format(what=f"'{name}'")
+                )
 
 
 # -- DET001 -----------------------------------------------------------------
@@ -197,6 +168,7 @@ class WallClockRule(Rule):
         "repro/telemetry/ and repro/cli.py"
     )
     allow = ("repro/telemetry/*", "repro/cli.py")
+    nodes = (ast.ImportFrom, ast.Attribute)
 
     _BANNED = frozenset(
         {
@@ -226,79 +198,143 @@ class WallClockRule(Rule):
         "outputs must be clock-independent)"
     )
 
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        aliases = import_aliases(context.tree)
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "time":
-                for alias in node.names:
-                    if alias.name in self._BANNED_TIME_LEAVES:
-                        yield context.finding(
-                            self,
-                            node,
-                            self._MESSAGE.format(
-                                what=f"'from time import {alias.name}'"
-                            ),
-                        )
-            elif isinstance(node, ast.Attribute):
-                name = canonical_dotted(node, aliases)
-                if name in self._BANNED:
+    def visit(self, context: FileContext, node: Any) -> Iterator[Finding]:
+        if isinstance(node, ast.ImportFrom):
+            if node.module != "time":
+                return
+            for alias in node.names:
+                if alias.name in self._BANNED_TIME_LEAVES:
+                    what = f"'from time import {alias.name}'"
                     yield context.finding(
-                        self, node, self._MESSAGE.format(what=f"'{name}'")
+                        self, node, self._MESSAGE.format(what=what)
                     )
+        else:
+            name = canonical_dotted(node, context.aliases)
+            if name in self._BANNED:
+                yield context.finding(
+                    self, node, self._MESSAGE.format(what=f"'{name}'")
+                )
 
 
 # -- SCHEMA001 --------------------------------------------------------------
 
 
-@register
-class SchemaStampRule(Rule):
-    """Emitted JSON documents must carry ``schema_version``.
+def _is_emitter(name: str) -> bool:
+    """Whether ``name`` is a public ``*_report`` / ``*_document`` emitter."""
+    if name.startswith(("_", "validate_", "render_")):
+        return False
+    return name.endswith(("_report", "_document"))
 
-    Applies to public functions and methods named ``report`` or ending
-    in ``_report`` / ``_document`` that return a dict literal: every
-    such literal must contain an explicit ``"schema_version"`` key
-    (a ``**spread`` does not count — the stamp must be visible at the
-    emit site).  Documents routed through ``repro.cli._emit`` are
-    stamped there and need no per-command handling.
+
+def _returns_dictish(fn: ast.AST) -> bool:
+    returns = getattr(fn, "returns", None)
+    if returns is not None:
+        annotation = ast.unparse(returns)
+        if annotation.startswith("typing."):
+            annotation = annotation[len("typing.") :]
+        if annotation.startswith(
+            ("Dict", "dict", "Mapping", "MutableMapping")
+        ):
+            return True
+    return any(
+        isinstance(statement.value, ast.Dict)
+        for statement in function_returns(fn)
+        if statement.value is not None
+    )
+
+
+@register
+class SchemaRule(ProjectRule):
+    """Emitted JSON documents are stamped and have a tested validator.
+
+    Per file: a public ``*_report`` / ``*_document`` emitter, or a method
+    named ``report``, that returns a dict literal must give it an
+    explicit ``"schema_version"`` key (a ``**spread`` does not count —
+    the stamp must be visible at the emit site).  Documents routed
+    through ``repro.cli._emit`` are stamped there and need no
+    per-command handling.
+
+    Across the project: every emitter returning a dict needs a
+    registered ``validate_<name>`` that at least one test references,
+    unless each of its returns only calls another validated emitter.
+    The file walk collects the emitters; :meth:`check_project` judges
+    them against the index.
     """
 
     id = "SCHEMA001"
     summary = (
-        "public *_report/*_document function returns a dict literal "
-        "without a schema_version key"
+        "*_report/*_document emitter returns a dict literal without "
+        "schema_version, or has no tested validate_*"
     )
+    nodes = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-    _NAMES = ("_report", "_document")
+    def __init__(self) -> None:
+        #: dict-returning emitters the file walk found, in walk order
+        self._emitters: List[Tuple[FileContext, Any]] = []
 
-    def _matches(self, name: str) -> bool:
-        if name.startswith("_"):
-            return False
-        return name == "report" or name.endswith(self._NAMES)
+    def visit(self, context: FileContext, node: Any) -> Iterator[Finding]:
+        emitter = _is_emitter(node.name)
+        if emitter and _returns_dictish(node):
+            self._emitters.append((context, node))
+        if node.name != "report" and not emitter:
+            return
+        for statement in function_returns(node):
+            value = statement.value
+            if not isinstance(value, ast.Dict):
+                continue
+            keys = {
+                key.value
+                for key in value.keys
+                if isinstance(key, ast.Constant)
+            }
+            if "schema_version" not in keys:
+                yield context.finding(
+                    self,
+                    statement,
+                    f"{node.name}() returns a document without a "
+                    "'schema_version' key",
+                )
 
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef)
+    def check_project(self, project: Any) -> Iterator[Finding]:
+        for context, node in self._emitters:
+            returns = [
+                statement.value
+                for statement in function_returns(node)
+                if statement.value is not None
+            ]
+            if returns and all(
+                self._delegates(value, project) for value in returns
             ):
                 continue
-            if not self._matches(node.name):
-                continue
-            for statement in function_returns(node):
-                value = statement.value
-                if not isinstance(value, ast.Dict):
-                    continue
-                keys = {
-                    key.value
-                    for key in value.keys
-                    if isinstance(key, ast.Constant)
-                }
-                if "schema_version" not in keys:
-                    yield context.finding(
-                        self,
-                        statement,
-                        f"{node.name}() returns a document without a "
-                        "'schema_version' key",
-                    )
+            validator = f"validate_{node.name}"
+            if not project.has_symbol(validator):
+                yield context.finding(
+                    self,
+                    node,
+                    f"emitter '{node.name}' has no registered "
+                    f"'{validator}'; define one next to the emitter "
+                    "so consumers can check the document shape",
+                )
+            elif (
+                project.test_names is not None
+                and validator not in project.test_names
+            ):
+                yield context.finding(
+                    self,
+                    node,
+                    f"validator '{validator}' is never referenced by a "
+                    "test; add one that feeds it a real document",
+                )
+
+    @staticmethod
+    def _delegates(value: ast.AST, project: Any) -> bool:
+        """Whether a return value is a call to a validated emitter."""
+        if not isinstance(value, ast.Call):
+            return False
+        callee = dotted_name(value.func)
+        if not callee:
+            return False
+        return project.has_symbol(f"validate_{callee.rsplit('.', 1)[-1]}")
 
 
 # -- TEL001 -----------------------------------------------------------------
@@ -310,9 +346,20 @@ _TEL_LEAF = rf"{_TEL_ATOM}(?:\.{_TEL_ATOM})*"
 #: A full counter/span path: ``/``-separated segments.
 _TEL_PATH = re.compile(rf"{_TEL_LEAF}(?:/{_TEL_LEAF})*\Z")
 
-#: Receiver names (after stripping leading underscores) that look
-#: like collectors at telemetry call sites.
-_TEL_RECEIVERS = frozenset({"tel", "telemetry", "collector"})
+#: Unit suffixes an observation path's leaf may end with — what makes
+#: a histogram name self-describing in the Prometheus exposition.
+_TEL_UNITS = (
+    "seconds", "bytes", "jobs", "inputs", "cells", "entries",
+    "calls", "ratio", "total", "joules", "watts",
+)
+
+
+def _is_collector_name(receiver: str) -> bool:
+    """Whether a receiver name looks like a collector or scoped view."""
+    stripped = receiver.lstrip("_")
+    return stripped in {"tel", "telemetry", "collector"} or stripped.endswith(
+        ("scope", "collector")
+    )
 
 
 def _telemetry_receiver(func: ast.Attribute) -> Optional[str]:
@@ -342,126 +389,68 @@ def _path_template(node: ast.AST) -> Optional[str]:
 
 @register
 class TelemetryPathRule(Rule):
-    """Counter/span paths follow the ``/``-separated lowercase grammar.
+    """Telemetry paths follow the grammar; observed metrics carry a unit.
 
-    Checked at ``count`` / ``set`` / ``span`` / ``scope`` call sites on
-    receivers that look like collectors (``tel``, ``collector``,
-    ``telemetry``).  For f-strings only the constant fragments are
-    validated; each placeholder is treated as a valid atom.
+    Checked on receivers that look like collectors or scoped views
+    (``tel`` / ``collector`` / ``telemetry`` plus any name ending in
+    ``scope`` or ``collector``, e.g. ``_serve_scope``).  At ``count``
+    / ``set`` / ``span`` / ``scope`` / ``observe`` / ``timed`` calls
+    the path must be ``/``-separated lowercase segments with optional
+    ``[idx]`` and ``.metric`` suffixes; for f-strings only the
+    constant fragments are validated, each placeholder standing for a
+    valid atom.  At ``observe`` / ``timed`` — the histogram half of
+    the collector API — the leaf's final dotted atom must also end in
+    a unit suffix (``_seconds``, ``_bytes``, ``_jobs``, ...), so every
+    exposed metric says what it measures
+    (``latency/queue_wait_seconds``, never ``latency/queue_wait``).
     """
 
     id = "TEL001"
     summary = (
-        "telemetry path literal breaks the lowercase "
-        "'seg[idx]/seg.metric' grammar"
-    )
-
-    _METHODS = frozenset({"count", "set", "span", "scope"})
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in self._METHODS
-                and node.args
-            ):
-                continue
-            receiver = _telemetry_receiver(node.func)
-            if (
-                receiver is None
-                or receiver.lstrip("_") not in _TEL_RECEIVERS
-            ):
-                continue
-            template = _path_template(node.args[0])
-            if template is None:
-                continue
-            if not _TEL_PATH.match(template):
-                yield context.finding(
-                    self,
-                    node.args[0],
-                    f"telemetry path {template!r} must be /-separated "
-                    "lowercase segments with optional [idx] and "
-                    ".metric suffixes",
-                )
-
-
-# -- TEL002 -----------------------------------------------------------------
-
-#: Unit suffixes an observation path's leaf may end with — what makes
-#: a histogram name self-describing in the Prometheus exposition.
-_TEL_UNITS = (
-    "seconds", "bytes", "jobs", "inputs", "cells", "entries",
-    "calls", "ratio", "total", "joules", "watts",
-)
-
-
-@register
-class MetricNameRule(Rule):
-    """Observation paths are lowercase and carry a unit suffix.
-
-    Checked at ``observe`` / ``timed`` call sites — the histogram half
-    of the collector API — on receivers that look like collectors or
-    scoped views (``tel`` / ``collector`` / ``telemetry`` plus any
-    name ending in ``scope`` or ``collector``, e.g. ``_serve_scope``).
-    Beyond the TEL001 path grammar, the leaf's final dotted atom must
-    end in one of the unit suffixes (``_seconds``, ``_bytes``,
-    ``_jobs``, ...), so every exposed metric name says what it
-    measures (``latency/queue_wait_seconds``, never
-    ``latency/queue_wait``).
-    """
-
-    id = "TEL002"
-    summary = (
-        "observed metric path must be lowercase and unit-suffixed "
+        "telemetry path breaks the lowercase 'seg[idx]/seg.metric' "
+        "grammar, or an observed metric lacks a unit suffix "
         "(_seconds, _bytes, _jobs, ...)"
     )
+    nodes = (ast.Call,)
 
-    _METHODS = frozenset({"observe", "timed"})
+    _OBSERVERS = frozenset({"observe", "timed"})
+    _METHODS = frozenset({"count", "set", "span", "scope"}) | _OBSERVERS
 
-    @staticmethod
-    def _is_collector_name(receiver: str) -> bool:
-        stripped = receiver.lstrip("_")
-        return (
-            stripped in _TEL_RECEIVERS
-            or stripped.endswith("scope")
-            or stripped.endswith("collector")
-        )
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in self._METHODS
-                and node.args
-            ):
-                continue
-            receiver = _telemetry_receiver(node.func)
-            if receiver is None or not self._is_collector_name(receiver):
-                continue
-            template = _path_template(node.args[0])
-            if template is None:
-                continue
-            if not _TEL_PATH.match(template):
-                yield context.finding(
-                    self,
-                    node.args[0],
-                    f"metric path {template!r} must be /-separated "
-                    "lowercase segments with optional [idx] and "
-                    ".metric suffixes",
-                )
-                continue
-            leaf = template.rsplit("/", 1)[-1].rsplit(".", 1)[-1]
-            base = leaf.partition("[")[0]
-            if not base.endswith(tuple(f"_{u}" for u in _TEL_UNITS)):
-                yield context.finding(
-                    self,
-                    node.args[0],
-                    f"metric path {template!r} leaf {base!r} lacks a "
-                    "unit suffix; end it in one of "
-                    f"{', '.join('_' + u for u in _TEL_UNITS)}",
-                )
+    def visit(self, context: FileContext, node: Any) -> Iterator[Finding]:
+        func = node.func
+        if not (
+            isinstance(func, ast.Attribute)
+            and func.attr in self._METHODS
+            and node.args
+        ):
+            return
+        receiver = _telemetry_receiver(func)
+        if receiver is None or not _is_collector_name(receiver):
+            return
+        template = _path_template(node.args[0])
+        if template is None:
+            return
+        if not _TEL_PATH.match(template):
+            yield context.finding(
+                self,
+                node.args[0],
+                f"telemetry path {template!r} must be /-separated "
+                "lowercase segments with optional [idx] and "
+                ".metric suffixes",
+            )
+            return
+        if func.attr not in self._OBSERVERS:
+            return
+        leaf = template.rsplit("/", 1)[-1].rsplit(".", 1)[-1]
+        base = leaf.partition("[")[0]
+        if not base.endswith(tuple(f"_{u}" for u in _TEL_UNITS)):
+            yield context.finding(
+                self,
+                node.args[0],
+                f"metric path {template!r} leaf {base!r} lacks a "
+                "unit suffix; end it in one of "
+                f"{', '.join('_' + u for u in _TEL_UNITS)}",
+            )
 
 
 # -- PY001 ------------------------------------------------------------------
@@ -473,6 +462,7 @@ class MutableDefaultRule(Rule):
 
     id = "PY001"
     summary = "mutable default argument value"
+    nodes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
     _CALLS = frozenset({"list", "dict", "set"})
 
@@ -489,26 +479,21 @@ class MutableDefaultRule(Rule):
             and node.func.id in self._CALLS
         )
 
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                continue
-            defaults = list(node.args.defaults) + [
-                default
-                for default in node.args.kw_defaults
-                if default is not None
-            ]
-            for default in defaults:
-                if self._is_mutable(default):
-                    name = getattr(node, "name", "<lambda>")
-                    yield context.finding(
-                        self,
-                        default,
-                        f"mutable default in {name}(); use None and "
-                        "create inside the function",
-                    )
+    def visit(self, context: FileContext, node: Any) -> Iterator[Finding]:
+        defaults = list(node.args.defaults) + [
+            default
+            for default in node.args.kw_defaults
+            if default is not None
+        ]
+        for default in defaults:
+            if self._is_mutable(default):
+                name = getattr(node, "name", "<lambda>")
+                yield context.finding(
+                    self,
+                    default,
+                    f"mutable default in {name}(); use None and "
+                    "create inside the function",
+                )
 
 
 # -- PY002 ------------------------------------------------------------------
@@ -527,6 +512,7 @@ class FloatEqualityRule(Rule):
 
     id = "PY002"
     summary = "==/!= against a non-sentinel float literal"
+    nodes = (ast.Compare,)
 
     _SENTINELS = (0.0, 1.0)
 
@@ -541,23 +527,18 @@ class FloatEqualityRule(Rule):
             return node.value
         return None
 
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if not isinstance(node, ast.Compare):
-                continue
-            if not any(
-                isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops
-            ):
-                continue
-            for side in [node.left, *node.comparators]:
-                value = self._float_literal(side)
-                if value is not None and value not in self._SENTINELS:
-                    yield context.finding(
-                        self,
-                        side,
-                        f"exact float comparison against {value!r}; "
-                        "use math.isclose or an explicit tolerance",
-                    )
+    def visit(self, context: FileContext, node: Any) -> Iterator[Finding]:
+        if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+            return
+        for side in [node.left, *node.comparators]:
+            value = self._float_literal(side)
+            if value is not None and value not in self._SENTINELS:
+                yield context.finding(
+                    self,
+                    side,
+                    f"exact float comparison against {value!r}; "
+                    "use math.isclose or an explicit tolerance",
+                )
 
 
 # -- PY003 ------------------------------------------------------------------
@@ -579,6 +560,7 @@ class BuiltinShadowParamRule(Rule):
 
     id = "PY003"
     summary = "parameter name shadows a builtin"
+    nodes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
     _SITE_INJECTED = frozenset(
         {"copyright", "credits", "exit", "help", "license", "quit"}
@@ -592,32 +574,27 @@ class BuiltinShadowParamRule(Rule):
         - _SITE_INJECTED
     )
 
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                continue
-            arguments = node.args
-            params = [
-                *arguments.posonlyargs,
-                *arguments.args,
-                *arguments.kwonlyargs,
-            ]
-            if arguments.vararg is not None:
-                params.append(arguments.vararg)
-            if arguments.kwarg is not None:
-                params.append(arguments.kwarg)
-            for param in params:
-                if param.arg in self._BUILTINS:
-                    name = getattr(node, "name", "<lambda>")
-                    yield context.finding(
-                        self,
-                        param,
-                        f"parameter {param.arg!r} of {name}() shadows "
-                        "the builtin; rename it (a trailing underscore "
-                        "or a qualified name both work)",
-                    )
+    def visit(self, context: FileContext, node: Any) -> Iterator[Finding]:
+        arguments = node.args
+        params = [
+            *arguments.posonlyargs,
+            *arguments.args,
+            *arguments.kwonlyargs,
+        ]
+        if arguments.vararg is not None:
+            params.append(arguments.vararg)
+        if arguments.kwarg is not None:
+            params.append(arguments.kwarg)
+        for param in params:
+            if param.arg in self._BUILTINS:
+                name = getattr(node, "name", "<lambda>")
+                yield context.finding(
+                    self,
+                    param,
+                    f"parameter {param.arg!r} of {name}() shadows "
+                    "the builtin; rename it (a trailing underscore "
+                    "or a qualified name both work)",
+                )
 
 
 #: Rule metadata for docs and ``--list-rules``: id -> (summary, allow).

@@ -1131,13 +1131,8 @@ def build_parser() -> argparse.ArgumentParser:
         "check",
         _cmd_check,
         help="AST-based determinism & contract linter over the package",
-        description="Run the repro.checks rules (RNG001 randomness "
-        "routing, DET001 wall-clock isolation, SCHEMA001 schema_version "
-        "stamping, TEL001/TEL002 telemetry path and unit grammar, "
-        "PY001-003 hygiene) plus the whole-program "
-        "pass (ARCH001 layer DAG, CONC001-003 concurrency contracts, "
-        "SCHEMA002 validator exhaustiveness, NOQA001 stale "
-        "suppressions) over the installed package or the given paths.  "
+        description="Run the repro.checks rules (see --list-rules) "
+        "over the installed package or the given paths.  "
         "Exits 1 on findings, 0 when clean.  Suppress one line "
         "with '# repro: noqa[RULE]'.",
     )

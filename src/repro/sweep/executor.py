@@ -17,10 +17,11 @@ ingredients:
   before anything (report, telemetry) observes them.
 
 With a :class:`~repro.sweep.cache.SweepCache`, cells found on disk are
-replayed without recomputation — an interrupted sweep resumes from
-its completed cells — and freshly computed payloads are written back
-atomically.  Worker-count, cache state, and submission order are
-*execution* facts: they live in :attr:`SweepRun.stats`, never in the
+replayed without recomputation, and each freshly computed payload is
+written back atomically as soon as the executor takes it — so a sweep
+interrupted by a failing cell or a dead worker resumes from every
+cell that finished.  Worker-count, cache state, and submission order
+are *execution* facts: they live in :attr:`SweepRun.stats`, never in the
 deterministic payloads.
 
 Telemetry: each cell's deterministic counters come back in its
@@ -94,7 +95,10 @@ def run_sweep(
         a configuration of the distributed one, not separate code.
     cache:
         Optional on-disk cell cache: hits replay stored payloads with
-        zero recomputation, misses are computed and written back.
+        zero recomputation, misses are computed and written back one
+        by one.  When a cell raises, the inline path stops there; the
+        pool path still takes (and stores) every other submitted cell,
+        then re-raises the first failure in submission order.
     collector:
         Optional telemetry sink; per-cell counters merge under
         ``scope_for(index, cell)`` and executor totals are recorded as
@@ -153,12 +157,17 @@ def run_sweep(
             scope_name = scope_for(index, cell)
             carriers[index] = trace.fork(scope_name, proc=scope_name)
 
+    def keep(index: int, payload: Dict[str, Any]) -> None:
+        payloads[index] = payload
+        if cache is not None:
+            cache.store(cells[index], payload)
+
+    failure: Optional[BaseException] = None
     if workers == 1:
         for index in pending:
             with tel.span(scope_for(index, cells[index])):
-                payloads[index] = run_cell(
-                    cells[index], carriers[index]
-                )
+                computed = run_cell(cells[index], carriers[index])
+            keep(index, computed)
     elif pending:
         import multiprocessing
 
@@ -178,11 +187,15 @@ def run_sweep(
                 for index in pending
             }
             for index, future in futures.items():
-                payloads[index] = future.result()
-
-    if cache is not None:
-        for index in pending:
-            cache.store(cells[index], payloads[index])  # type: ignore[arg-type]
+                try:
+                    keep(index, future.result())
+                except Exception as error:
+                    _log.exception(
+                        "sweep: cell %s failed", cells[index].label
+                    )
+                    failure = failure or error
+    if failure is not None:
+        raise failure
 
     # Canonical merge: telemetry lands in input order, independent of
     # completion or submission order.

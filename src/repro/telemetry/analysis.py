@@ -606,7 +606,7 @@ def latency_summary(
     """Percentile rows for every latency histogram in a report map.
 
     Selects ``*_seconds`` paths (the unit-suffix grammar enforced by
-    ``repro check`` rule TEL002), sorted by path; each row carries the
+    ``repro check`` rule TEL001), sorted by path; each row carries the
     observation count, mean, and the :data:`SUMMARY_QUANTILES`.
     """
     rows: List[Dict[str, Any]] = []

@@ -5,7 +5,9 @@ Prometheus naming model:
 
 * each ``seg[idx]`` path segment becomes a **label** ``seg="idx"``
   (``serve/tenant[alice]/jobs[inference]`` ->
-  ``repro_serve_tenant_jobs{jobs="inference",tenant="alice"}``);
+  ``repro_serve_tenant_jobs{jobs="inference",tenant="alice"}``), also
+  when ``.metric`` suffixes follow it (``stage[2].busy_cycles`` ->
+  ``..._stage_busy_cycles{stage="2"}``);
 * the remaining segment names (dots flattened to underscores) join
   into the metric name under the ``repro_`` namespace;
 * plain counters/gauges expose as ``gauge`` samples; histograms
@@ -30,7 +32,7 @@ _Number = Union[int, float]
 #: Prefix of every exposed metric name (one namespace per exporter).
 METRIC_NAMESPACE = "repro"
 
-_INDEXED_SEGMENT = re.compile(r"^([a-z0-9_.]+)\[(.*)\]$")
+_INDEXED_SEGMENT = re.compile(r"^([a-z0-9_.]+)\[(.*)\]((?:\.[a-z0-9_]+)*)$")
 _NAME_SANITIZE = re.compile(r"[^a-zA-Z0-9_]")
 _SAMPLE_LINE = re.compile(
     r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(.*)\})?\s+(\S+)$"
@@ -44,23 +46,27 @@ SampleKey = Tuple[str, Tuple[Tuple[str, str], ...]]
 def metric_name(path: str) -> Tuple[str, Dict[str, str]]:
     """Prometheus ``(name, labels)`` for one collector path.
 
-    Indexed segments turn into labels keyed by their base name; a
-    repeated base name gets a positional suffix so nothing collides.
+    Indexed segments turn into labels keyed by their base name (with a
+    leading ``_`` when it starts with a digit); a repeated base name
+    gets a positional suffix so nothing collides.
     """
     parts: List[str] = [METRIC_NAMESPACE]
     labels: Dict[str, str] = {}
     for segment in path.split("/"):
         match = _INDEXED_SEGMENT.match(segment)
         if match:
-            base, index = match.group(1), match.group(2)
+            base, index, metric = match.groups()
             name_part = _NAME_SANITIZE.sub("_", base)
-            key = name_part
+            # A label name may not start with a digit.
+            label = f"_{name_part}" if name_part[0].isdigit() else name_part
+            key = label
             suffix = 2
             while key in labels:
-                key = f"{name_part}_{suffix}"
+                key = f"{label}_{suffix}"
                 suffix += 1
             labels[key] = index
             parts.append(name_part)
+            parts.append(_NAME_SANITIZE.sub("_", metric[1:]))
         else:
             parts.append(_NAME_SANITIZE.sub("_", segment))
     return "_".join(part for part in parts if part), labels

@@ -101,9 +101,9 @@ def test_clean_json_on_committed_tree(capsys):
     assert document["finding_count"] == 0
     assert document["findings"] == []
     assert set(document["rules"]) == {
-        "RNG001", "DET001", "SCHEMA001", "TEL001", "TEL002",
+        "RNG001", "DET001", "SCHEMA001", "TEL001",
         "PY001", "PY002", "PY003",
-        "ARCH001", "CONC001", "CONC002", "CONC003", "SCHEMA002",
+        "ARCH001", "CONC001", "CONC002", "CONC003",
         "NOQA001",
     }
 

@@ -395,7 +395,7 @@ def test_conc003_accepts_plain_data_and_thread_pools():
     )
 
 
-# -- SCHEMA002 --------------------------------------------------------------
+# -- SCHEMA001 validators ---------------------------------------------------
 
 
 def test_schema002_flags_emitter_without_validator(tmp_path):
@@ -408,8 +408,8 @@ def test_schema002_flags_emitter_without_validator(tmp_path):
                 """,
         },
     )
-    findings = run_rules(root, ["SCHEMA002"])
-    assert [f.rule for f in findings] == ["SCHEMA002"]
+    findings = run_rules(root, ["SCHEMA001"])
+    assert [f.rule for f in findings] == ["SCHEMA001"]
     assert "validate_thing_report" in findings[0].message
 
 
@@ -430,7 +430,7 @@ def test_schema002_requires_a_test_reference(tmp_path):
                 """,
         },
     )
-    findings = run_rules(root, ["SCHEMA002"])
+    findings = run_rules(root, ["SCHEMA001"])
     assert len(findings) == 1
     assert "never referenced by a test" in findings[0].message
     # Referencing the validator from any test clears the finding.
@@ -447,7 +447,7 @@ def test_schema002_requires_a_test_reference(tmp_path):
                 """,
         },
     )
-    assert run_rules(root, ["SCHEMA002"]) == []
+    assert run_rules(root, ["SCHEMA001"]) == []
 
 
 def test_schema002_accepts_delegating_emitters(tmp_path):
@@ -476,7 +476,7 @@ def test_schema002_accepts_delegating_emitters(tmp_path):
     )
     # wrapped_report only re-emits base_document, which is validated:
     # no finding for the missing validate_wrapped_report.
-    assert run_rules(root, ["SCHEMA002"]) == []
+    assert run_rules(root, ["SCHEMA001"]) == []
 
 
 def test_schema002_ignores_private_and_non_dict_functions(tmp_path):
@@ -495,7 +495,7 @@ def test_schema002_ignores_private_and_non_dict_functions(tmp_path):
                 """,
         },
     )
-    assert run_rules(root, ["SCHEMA002"]) == []
+    assert run_rules(root, ["SCHEMA001"]) == []
 
 
 # -- NOQA001 ----------------------------------------------------------------
@@ -566,11 +566,11 @@ def test_noqa001_does_not_judge_pins_of_unselected_rules(tmp_path):
 # -- target handling --------------------------------------------------------
 
 #: A thread target mutating ``self.items`` unlocked (CONC002, line 12)
-#: beside an emitter whose SCHEMA002 finding is pinned on line 3.
+#: beside an emitter whose SCHEMA001 finding is pinned on line 3.
 THREADED_MODULE = """\
 import threading
 
-def thing_report():  # repro: noqa[SCHEMA002]
+def thing_report():  # repro: noqa[SCHEMA001]
     return {"schema_version": 1}
 
 
@@ -600,7 +600,7 @@ def test_subpackage_target_sees_the_whole_package(tmp_path):
     )
     # The serve/ target is indexed as part of its enclosing package:
     # paths stay package-rooted, the repro/serve/ scope of CONC002
-    # applies, the pin mutes SCHEMA002 without a NOQA001, and the
+    # applies, the pin mutes SCHEMA001 without a NOQA001, and the
     # validator outside serve/ still counts.
     expected = [("CONC002", "repro/serve/y.py", 12)]
     for target in (root, root / "serve"):
@@ -620,7 +620,7 @@ def test_overlapping_targets_check_each_file_once(tmp_path):
         },
     )
     whole = check_paths([root])
-    assert [f.rule for f in whole] == ["SCHEMA002", "CONC002"]
+    assert [f.rule for f in whole] == ["SCHEMA001", "CONC002"]
     assert check_paths([root, root / "serve"]) == whole
     assert check_paths([root / "serve", root]) == whole
     # A subpackage target reports only its own files, and a file
@@ -649,7 +649,7 @@ def test_registry_contains_the_project_family():
         "CONC001",
         "CONC002",
         "CONC003",
-        "SCHEMA002",
+        "SCHEMA001",
         "NOQA001",
     ):
         assert rule_id in checks.RULES

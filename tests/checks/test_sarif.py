@@ -173,7 +173,7 @@ def test_cli_sarif_clean_tree_advertises_rules(clean_tree_sarif_runs):
     (run,) = document["runs"]
     assert run["results"] == []
     rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-    assert {"ARCH001", "CONC002", "SCHEMA002", "NOQA001"} <= rule_ids
+    assert {"ARCH001", "CONC002", "SCHEMA001", "NOQA001"} <= rule_ids
 
 
 def test_cli_sarif_runs_are_byte_identical(clean_tree_sarif_runs):

@@ -133,3 +133,42 @@ class TestTelemetry:
         counters = collector.counters()
         assert counters["cells.cached"] == 5
         assert counters["cell[c1]/work"] == 1
+
+
+def flaky_cell(spec, collector):
+    if spec["x"] == 3:
+        raise RuntimeError("cell 3 fails")
+    return toy_cell(spec, collector)
+
+
+class TestFailedSweepKeepsFinishedCells:
+    CELLS = [
+        SweepCell("toy_flaky", {"name": f"f{x}", "x": x, "seed": x})
+        for x in range(6)
+    ]
+
+    def setup_method(self):
+        # Each test ends by re-registering the kind as a working cell.
+        register_cell_kind("toy_flaky", flaky_cell)
+
+    def _resume(self, cache, cached):
+        register_cell_kind("toy_flaky", toy_cell)
+        resumed = run_sweep(self.CELLS, workers=1, cache=cache)
+        assert resumed.stats["cache_hits"] == cached
+        assert resumed.stats["recomputed"] == 6 - cached
+        assert _bytes(resumed) == _bytes(run_sweep(self.CELLS, workers=1))
+
+    def test_inline_failure_keeps_cells_before_it(self, tmp_path):
+        cache = SweepCache(tmp_path)
+        with pytest.raises(RuntimeError, match="cell 3 fails"):
+            run_sweep(self.CELLS, workers=1, cache=cache)
+        # Cells 0-2 finished before the 4th raised; 4 and 5 never ran.
+        assert len(cache) == 3
+        self._resume(cache, cached=3)
+
+    def test_pool_failure_keeps_every_other_cell(self, tmp_path):
+        cache = SweepCache(tmp_path)
+        with pytest.raises(RuntimeError, match="cell 3 fails"):
+            run_sweep(self.CELLS, workers=2, cache=cache, mp_context="fork")
+        assert len(cache) == 5
+        self._resume(cache, cached=5)

@@ -12,9 +12,12 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.telemetry import (
     Collector,
+    Histogram,
     metric_name,
     parse_prometheus,
     render_prometheus,
@@ -40,6 +43,11 @@ class TestMetricName:
     def test_repeated_base_names_get_positional_suffix(self):
         _, labels = metric_name("tile[a]/tile[b]/reads")
         assert labels == {"tile": "a", "tile_2": "b"}
+
+    def test_indexed_segment_with_metric_suffix(self):
+        name, labels = metric_name("pipeline/stage[2].busy_cycles")
+        assert name == "repro_pipeline_stage_busy_cycles"
+        assert labels == {"stage": "2"}
 
 
 class TestRender:
@@ -126,3 +134,74 @@ class TestParseRoundTrip:
 
     def test_sample_value_default(self):
         assert sample_value({}, "missing", default=-1.0) == -1.0
+
+
+#: Collector paths in the ``repro check`` TEL001 grammar: ``/``-joined
+#: segments of ``.``-joined atoms, each with an optional ``[idx]``.
+_ATOM = st.builds(
+    lambda name, index: name if index is None else f"{name}[{index}]",
+    st.from_regex(r"[a-z0-9_]{1,6}", fullmatch=True),
+    st.none() | st.from_regex(r"[a-z0-9_.,=+-]{0,5}", fullmatch=True),
+)
+_PATH = st.lists(
+    st.lists(_ATOM, min_size=1, max_size=2).map(".".join),
+    min_size=1,
+    max_size=4,
+).map("/".join)
+_VALUE = st.integers(-(10**12), 10**12) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+def _key(name, labels):
+    return (name, tuple(sorted(labels.items())))
+
+
+def _histogram(bounds, samples):
+    histogram = Histogram(sorted(set(bounds)))
+    for sample in samples:
+        histogram.observe(sample)
+    return histogram.to_dict()
+
+
+_HISTOGRAM = st.builds(
+    _histogram,
+    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4),
+    st.lists(st.floats(-1e6, 1e6), max_size=6),
+)
+
+
+class TestRoundTripProperty:
+    @given(
+        st.dictionaries(_PATH, _VALUE, max_size=6),
+        st.dictionaries(_PATH, _HISTOGRAM, max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_value_parses_back_at_its_key(self, counters, histograms):
+        expected = {}
+        for path, value in counters.items():
+            expected[_key(*metric_name(path))] = float(value)
+        for path, view in histograms.items():
+            name, labels = metric_name(path)
+            assume("le" not in labels)
+            cumulative = 0
+            for bound, count in zip(view["bounds"], view["counts"]):
+                cumulative += count
+                le = {**labels, "le": repr(float(bound))}
+                expected[_key(f"{name}_bucket", le)] = cumulative
+            le = {**labels, "le": "+Inf"}
+            expected[_key(f"{name}_bucket", le)] = view["count"]
+            expected[_key(f"{name}_sum", labels)] = view["sum"]
+            expected[_key(f"{name}_count", labels)] = view["count"]
+        samples_per_histogram = {
+            path: len(view["bounds"]) + 3
+            for path, view in histograms.items()
+        }
+        # Distinct paths may flatten onto one key (``a/b`` and
+        # ``a_b``); the property covers the paths that do not.
+        assume(
+            len(expected)
+            == len(counters) + sum(samples_per_histogram.values())
+        )
+        parsed = parse_prometheus(render_prometheus(counters, histograms))
+        assert parsed == expected

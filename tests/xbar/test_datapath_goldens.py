@@ -1,4 +1,5 @@
-"""Exhaustive goldens for the drive coders, the ADC and the exactness rule.
+"""Exhaustive goldens for the drive coders, the ADC, the exactness rule
+and the bit-slice weight mapping.
 
 Testbench style: drive every code through the unit under test and
 compare each sample with a closed form written independently of the
@@ -16,6 +17,7 @@ from repro.xbar.adc import ADCConfig, quantize_levels
 from repro.xbar.dac import AnalogDAC, InputEncoding, RateCoder, SpikeCoder
 from repro.xbar.device import PIPELAYER_DEVICE
 from repro.xbar.engine import CrossbarEngineConfig
+from repro.xbar.mapping import WeightMapping, map_weights
 
 
 @pytest.mark.parametrize("bits", range(1, 9))
@@ -163,3 +165,42 @@ class TestExactness:
                         quantize_levels(sums, config.adc_config()), sums
                     )
                     assert config.adc_is_exact == exact, (mode, name)
+
+
+@pytest.mark.parametrize("scheme", ["differential", "offset"])
+@pytest.mark.parametrize("cell_bits", range(1, 5))
+@pytest.mark.parametrize("weight_bits", range(2, 10))
+def test_bit_slices_reconstruct_every_integer(weight_bits, cell_bits, scheme):
+    mapping = WeightMapping(
+        weight_bits=weight_bits, cell_bits=cell_bits, scheme=scheme
+    )
+    top = 2 ** (weight_bits - 1) - 1
+    integers = np.arange(-top, top + 1)
+    sliced = map_weights(integers[None, :].astype(np.float64), mapping)
+    assert sliced.scale == 1.0
+    radix = 2**cell_bits
+    # Closed form: the unsigned value each sign plane stores, and its
+    # base-2**cell_bits digits, LSB first.
+    if scheme == "differential":
+        stored = {
+            "pos": np.maximum(integers, 0),
+            "neg": np.maximum(-integers, 0),
+        }
+    else:
+        stored = {"pos": integers + top, "neg": np.zeros_like(integers)}
+    planes = {"pos": sliced.pos_slices, "neg": sliced.neg_slices}
+    for sign, slices in planes.items():
+        for index, plane in enumerate(slices):
+            assert plane.shape == (1, integers.size)
+            assert np.all((plane >= 0) & (plane < radix)), (sign, index)
+            digit = (stored[sign] // radix**index) % radix
+            np.testing.assert_array_equal(plane[0], digit)
+        # Every stored bit lands in some slice.
+        assert np.all(stored[sign] < radix ** len(slices))
+    positive = sum(plane[0] for plane in sliced.pos_slices)
+    negative = sum(plane[0] for plane in sliced.neg_slices)
+    if scheme == "differential":
+        assert not np.any((positive > 0) & (negative > 0))
+    else:
+        assert not np.any(negative)
+    np.testing.assert_array_equal(sliced.reconstruct()[0], integers)
