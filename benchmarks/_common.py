@@ -1,12 +1,12 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates one of the paper's tables or figures and
-records the series it produced under ``benchmarks/results/`` so the
-numbers survive pytest's output capturing (EXPERIMENTS.md is written
-from these files).  Benchmarks that track performance additionally
-record machine-readable ``BENCH_<name>.json`` documents (schema:
-:func:`repro.telemetry.bench_document`) next to the text tables, so
-the perf trajectory can be charted without parsing tables.
+records the series it produced under ``benchmarks/results/``
+(EXPERIMENTS.md is written from these files).  Each bench also records
+machine-readable ``BENCH_<name>.json`` documents (schema:
+:func:`repro.telemetry.bench_document`) next to the text tables and
+returns them to ``repro bench``, which gates their deterministic
+``metrics`` maps against ``benchmarks/baselines/``.
 """
 
 from __future__ import annotations
@@ -19,34 +19,25 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 
 def record(name: str, lines: Iterable[str]) -> str:
-    """Write a result table to ``benchmarks/results/<name>.txt``.
-
-    Also prints it (visible with ``pytest -s``) and returns the text.
-    """
+    """Write a result table to ``benchmarks/results/<name>.txt``; return it."""
     RESULTS_DIR.mkdir(exist_ok=True)
     text = "\n".join(lines) + "\n"
     (RESULTS_DIR / f"{name}.txt").write_text(text)
-    print(f"\n=== {name} ===\n{text}")
     return text
 
 
 def record_json(
     name: str, documents: Union[Dict, List[Dict]]
-) -> Path:
+) -> List[Dict]:
     """Write validated bench records to ``results/BENCH_<name>.json``.
 
     ``documents`` is one :func:`repro.telemetry.bench_document` (or a
     list of them — one per measured configuration); each is validated
     against the pinned schema before writing, so a drifting document
     shape fails the benchmark rather than silently corrupting the
-    perf-trajectory record.
-
-    Under the unified runner (``repro bench``) the documents are also
-    handed to :func:`repro.bench.runner.record_documents`, which
-    collects them into the executing bench's outcome; outside a runner
-    execution that hook is a no-op.
+    perf-trajectory record.  Returns the validated list, which the
+    bench's entry point hands back to ``repro bench``.
     """
-    from repro.bench.runner import record_documents
     from repro.telemetry import validate_bench_document
 
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -56,8 +47,7 @@ def record_json(
         validate_bench_document(document)
     path = RESULTS_DIR / f"BENCH_{name}.json"
     path.write_text(json.dumps(documents, indent=2, sort_keys=True) + "\n")
-    record_documents(name, documents)
-    return path
+    return documents
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> list:

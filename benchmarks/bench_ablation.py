@@ -102,11 +102,11 @@ def sweep_batch():
 
 
 @register(suite="quick")
-def bench_ablation(benchmark):
+def bench_ablation():
     start = time.perf_counter()
     array_rows = sweep_array_size()
     bits_rows = sweep_activation_bits()
-    budget_rows = benchmark(sweep_budget)
+    budget_rows = sweep_budget()
     batch_rows = sweep_batch()
     wall_time_s = time.perf_counter() - start
 
@@ -131,7 +131,7 @@ def bench_ablation(benchmark):
         coding_rows,
     )
     record("ablation", lines)
-    record_json(
+    documents = record_json(
         "ablation",
         _bench_document(
             bench="ablation",
@@ -170,3 +170,5 @@ def bench_ablation(benchmark):
     # Batch: speedup improves with B (update bubble amortised).
     batch_speedups = [row[1] for row in batch_rows]
     assert batch_speedups == sorted(batch_speedups)
+
+    return documents

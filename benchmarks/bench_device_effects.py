@@ -14,10 +14,10 @@ Three sweeps:
   endurance ratings.
 """
 
+import math
 import time
 
 import numpy as np
-import pytest
 
 from benchmarks._common import format_table, record, record_json
 from repro.arch import training_lifetime
@@ -115,9 +115,9 @@ def endurance_rows():
 
 
 @register(suite="quick")
-def bench_device_effects(benchmark):
+def bench_device_effects():
     start = time.perf_counter()
-    ir_rows = benchmark(ir_drop_rows)
+    ir_rows = ir_drop_rows()
     na_rows = noise_aware_rows()
     end_rows = endurance_rows()
     wall_time_s = time.perf_counter() - start
@@ -138,7 +138,7 @@ def bench_device_effects(benchmark):
         for size, wire_resistance, error in ir_rows
         if wire_resistance == 5.0
     }
-    record_json(
+    documents = record_json(
         "device_effects",
         _bench_document(
             bench="device_effects",
@@ -175,5 +175,6 @@ def bench_device_effects(benchmark):
     }
     assert err_at_5[32] < err_at_5[128]
     # Endurance: lifetime scales linearly with the rating.
-    assert end_rows[1][2] == pytest.approx(end_rows[0][2] * 1000)
+    assert math.isclose(end_rows[1][2], end_rows[0][2] * 1000, rel_tol=1e-6)
 
+    return documents

@@ -161,3 +161,5 @@ def bench_engine_throughput():
     record_json("engine_throughput", documents)
     # The acceptance bar for the vectorized backend.
     assert speedups["ideal"] >= 10.0, speedups
+
+    return documents

@@ -47,9 +47,9 @@ def sweep():
 
 
 @register(suite="quick")
-def bench_fig5_pipeline(benchmark):
+def bench_fig5_pipeline():
     start = time.perf_counter()
-    rows = benchmark(sweep)
+    rows = sweep()
     wall_time_s = time.perf_counter() - start
     lines = format_table(
         ("B", "seq_cycles", "pipe_cycles", "sim_cycles", "speedup"), rows
@@ -60,7 +60,7 @@ def bench_fig5_pipeline(benchmark):
     )
     record("fig5_pipeline", lines)
     by_batch = {row[0]: row for row in rows}
-    record_json(
+    documents = record_json(
         "fig5_pipeline",
         _bench_document(
             bench="fig5_pipeline",
@@ -87,3 +87,5 @@ def bench_fig5_pipeline(benchmark):
     assert speedups == sorted(speedups)        # monotone in B
     assert speedups[0] < 1.5                   # B=1: pipeline useless
     assert speedups[-1] > 0.75 * (2 * LAYERS + 1)  # near the 2L+1 limit
+
+    return documents

@@ -42,7 +42,7 @@ def forward_all(layers, inputs_list):
 
 
 @register(suite="quick")
-def bench_fig7_fcnn(benchmark):
+def bench_fig7_fcnn():
     rng = np.random.default_rng(0)
     layers, inputs_list, rows = [], [], []
     for cin, cout, size in STAGES:
@@ -76,14 +76,14 @@ def bench_fig7_fcnn(benchmark):
         )
 
     start = time.perf_counter()
-    benchmark(forward_all, layers, inputs_list)
+    forward_all(layers, inputs_list)
     wall_time_s = time.perf_counter() - start
 
     lines = format_table(
         ("stage", "fwd_max_err", "bwd_max_err", "zero_frac"), rows
     )
     record("fig7_fcnn", lines)
-    record_json(
+    documents = record_json(
         "fig7_fcnn",
         _bench_document(
             bench="fig7_fcnn",
@@ -107,3 +107,5 @@ def bench_fig7_fcnn(benchmark):
     assert all(row[1] < 1e-9 and row[2] < 1e-9 for row in rows)
     # Stride-2 zero insertion wastes the expected ~70-80% of drive.
     assert all(0.6 < row[3] < 0.9 for row in rows)
+
+    return documents

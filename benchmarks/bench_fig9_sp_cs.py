@@ -41,9 +41,9 @@ def sweep():
 
 
 @register(suite="quick")
-def bench_fig9_sp_cs(benchmark):
+def bench_fig9_sp_cs():
     start = time.perf_counter()
-    rows = benchmark(sweep)
+    rows = sweep()
     wall_time_s = time.perf_counter() - start
     lines = format_table(
         ("dataset", "scheme", "cycles", "speedup", "D_copies", "storage_x"),
@@ -51,7 +51,7 @@ def bench_fig9_sp_cs(benchmark):
     )
     record("fig9_sp_cs", lines)
     by_key = {(row[0], row[1]): row for row in rows}
-    record_json(
+    documents = record_json(
         "fig9_sp_cs",
         _bench_document(
             bench="fig9_sp_cs",
@@ -82,3 +82,5 @@ def bench_fig9_sp_cs(benchmark):
         # The hardware price is visible: SP needs 2x D, CS 2x storage.
         assert by_key[(dataset, "sp")][4] == 2
         assert by_key[(dataset, "cs")][5] == 2.0
+
+    return documents

@@ -70,12 +70,10 @@ def _run_axis_timed(axis, rates):
 
 
 @register(suite="quick")
-def bench_reliability(benchmark):
+def bench_reliability():
     stuck, stuck_doc = _run_axis_timed("stuck", STUCK_RATES)
     upset, upset_doc = _run_axis_timed("upset", UPSET_RATES)
-    record_json("reliability", [stuck_doc, upset_doc])
-
-    benchmark(run_axis, "stuck", (0.0, 0.05))
+    documents = record_json("reliability", [stuck_doc, upset_doc])
 
     rows = []
     for report in (stuck, upset):
@@ -118,3 +116,5 @@ def bench_reliability(benchmark):
     assert by_name["stuck=0.2"]["accuracy"] <= by_name["stuck=0"]["accuracy"]
     assert by_name["stuck=0.2"]["mismatch_rate"] > 0.0
     assert by_name["upset=0.2"]["mismatch_rate"] > 0.0
+
+    return documents

@@ -35,9 +35,9 @@ def sweep():
 
 
 @register(suite="quick")
-def bench_sensitivity(benchmark):
+def bench_sensitivity():
     start = time.perf_counter()
-    sweeps = benchmark(sweep)
+    sweeps = sweep()
     wall_time_s = time.perf_counter() - start
 
     lines = []
@@ -89,7 +89,7 @@ def bench_sensitivity(benchmark):
         lines.append(f"  {name}: {'HELD' if ok else 'VIOLATED'}")
     record("sensitivity", lines)
     speedup_rows = {row.field: row for row in sweeps["speedup"]}
-    record_json(
+    documents = record_json(
         "sensitivity",
         _bench_document(
             bench="sensitivity",
@@ -132,3 +132,4 @@ def bench_sensitivity(benchmark):
     assert held["energy_saving_below_speedup"]
     assert held["regan_faster_than_pipelayer"]
 
+    return documents

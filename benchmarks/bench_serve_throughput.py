@@ -153,7 +153,7 @@ def bench_serve_throughput():
         ],
     )
     record("serve_throughput", lines)
-    record_json(
+    return record_json(
         "serve_throughput",
         _bench_document(
             bench="serve_throughput",

@@ -91,7 +91,7 @@ def bench_telemetry_overhead():
         f"(digest {live_digest[:12]}...)",
     ]
     record("telemetry_overhead", lines)
-    record_json(
+    return record_json(
         "telemetry_overhead",
         _bench_document(
             bench="telemetry_overhead",

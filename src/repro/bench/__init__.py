@@ -1,14 +1,15 @@
 """Unified benchmark runner, registry, and regression gating.
 
-The 16 ``benchmarks/bench_*.py`` modules regenerate the paper's
-figures and tables; this package runs them as one suite:
+The 17 ``benchmarks/bench_*.py`` modules regenerate the paper's
+figures and tables; this package runs them as one suite, and
+``repro bench`` is the only way to run them:
 
 * :func:`register` / :func:`discover` — the registry every bench
   module joins (``@register(suite="quick")`` above its entry point);
-* :func:`run_suite` — execute a suite tier, capture each bench's
-  validated documents and deterministic metrics, append the run to
-  ``BENCH_trajectory.json``, and compare against the committed
-  baselines in ``benchmarks/baselines/``;
+* :func:`run_suite` — execute a suite tier, check the bench
+  documents each entry point returns, collect their deterministic
+  metrics, append the run to ``BENCH_trajectory.json``, and compare
+  against the committed baselines in ``benchmarks/baselines/``;
 * :mod:`repro.bench.baseline` — tolerance-band comparison and
   baseline (re)generation.
 
@@ -42,19 +43,16 @@ from repro.bench.registry import (
     registered,
 )
 from repro.bench.runner import (
-    BenchmarkShim,
     BenchOutcome,
     SuiteRun,
     append_trajectory,
     load_trajectory,
-    record_documents,
     run_suite,
 )
 
 __all__ = [
     "BenchOutcome",
     "BenchSpec",
-    "BenchmarkShim",
     "DEFAULT_REL_TOL",
     "Deviation",
     "SUITES",
@@ -66,7 +64,6 @@ __all__ = [
     "discover",
     "load_baseline",
     "load_trajectory",
-    "record_documents",
     "register",
     "registered",
     "run_suite",

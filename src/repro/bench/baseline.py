@@ -138,9 +138,13 @@ def write_baseline(
     baseline_dir: Path,
     bench: str,
     metrics: Dict[str, float],
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> Path:
-    """Write (or rewrite) one bench's baseline from measured metrics."""
+    """Write (or rewrite) one bench's baseline from measured metrics.
+
+    Every metric gets the :data:`DEFAULT_REL_TOL` band; a band edited
+    into the file by hand (``rel_tol``/``abs_tol``) is still honoured
+    by :func:`compare_metrics` until the next rewrite.
+    """
     baseline_dir = Path(baseline_dir)
     baseline_dir.mkdir(parents=True, exist_ok=True)
     document = {
@@ -148,7 +152,7 @@ def write_baseline(
         "kind": "bench_baseline",
         "bench": bench,
         "metrics": {
-            name: {"value": value, "rel_tol": rel_tol}
+            name: {"value": value, "rel_tol": DEFAULT_REL_TOL}
             for name, value in sorted(metrics.items())
         },
     }

@@ -1,13 +1,12 @@
 """Benchmark registry: one catalogue for every ``bench_*`` module.
 
-The repository's benchmarks live in ``benchmarks/bench_<name>.py`` as
-pytest-collectable functions (``pytest benchmarks/`` still works, with
-the pytest-benchmark fixture).  This module adds the registry the
-unified runner (:mod:`repro.bench.runner`, CLI ``repro bench``) drives
-them through: each bench module decorates its entry point with
-:func:`register`, declaring a name and a suite tier, and
-:func:`discover` imports every ``bench_*`` module under a directory so
-the registrations execute.
+The repository's benchmarks live in ``benchmarks/bench_<name>.py``.
+Each module decorates its entry point with :func:`register`, declaring
+a name and a suite tier; the entry point takes no arguments and
+returns the bench documents it recorded.  :func:`discover` imports
+every ``bench_*`` module under a directory so the registrations
+execute, and the unified runner (:mod:`repro.bench.runner`, CLI
+``repro bench``) — the one way to run a bench — calls them.
 
 Suite tiers
 -----------
@@ -23,7 +22,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
@@ -37,11 +36,7 @@ class BenchSpec:
     name: str
     func: Callable
     suite: str
-    module: str
     source: str
-    #: Whether the entry point takes the (pytest-)benchmark fixture as
-    #: its first argument; the runner passes a shim when it does.
-    wants_fixture: bool = field(default=False)
 
     def selected_by(self, suite: str) -> bool:
         """Whether a run of ``suite`` includes this bench."""
@@ -61,9 +56,8 @@ def register(
 ):
     """Register a benchmark entry point (decorator).
 
-    Returns the function unchanged, so pytest collection of the same
-    function keeps working.  ``name`` defaults to the function name
-    with a leading ``bench_`` stripped; ``suite`` is the smallest
+    Returns the function unchanged.  ``name`` defaults to the function
+    name with a leading ``bench_`` stripped; ``suite`` is the smallest
     suite tier that includes the bench.
     """
     if suite not in SUITES:
@@ -73,14 +67,11 @@ def register(
         bench_name = name or target.__name__
         if bench_name.startswith("bench_"):
             bench_name = bench_name[len("bench_"):]
-        parameters = inspect.signature(target).parameters
         _REGISTRY[bench_name] = BenchSpec(
             name=bench_name,
             func=target,
             suite=suite,
-            module=target.__module__,
             source=inspect.getsourcefile(target) or "",
-            wants_fixture=len(parameters) > 0,
         )
         return target
 

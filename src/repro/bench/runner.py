@@ -1,14 +1,12 @@
 """Unified benchmark runner behind ``repro bench``.
 
-Executes the registered benchmarks (:mod:`repro.bench.registry`) in
-one process, without pytest:
+Executes the registered benchmarks (:mod:`repro.bench.registry`), the
+only way to run them:
 
-* a :class:`BenchmarkShim` stands in for the pytest-benchmark fixture
-  (calls the measured function once and times it);
-* every validated bench document a bench records through
-  ``benchmarks._common.record_json`` is captured for the run (see
-  :func:`record_documents`), and the documents' deterministic
-  ``metrics`` maps become the run's comparable numbers;
+* every entry point takes no arguments and returns the validated
+  bench documents it recorded (``benchmarks._common.record_json``
+  writes and returns them); the documents' deterministic ``metrics``
+  maps become the run's comparable numbers;
 * each run appends a record to the top-level ``BENCH_trajectory.json``
   history, so the perf trajectory of the repository is machine
   readable across commits;
@@ -26,10 +24,10 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.bench import baseline as baseline_mod
-from repro.bench.registry import BenchSpec, discover
+from repro.bench.registry import default_bench_dir, discover
 from repro.sweep import SweepCell, run_sweep
 from repro.telemetry import SCHEMA_VERSION, validate_bench_document
 from repro.utils.io import exclusive_lock, write_json_atomic
@@ -39,51 +37,6 @@ _log = logging.getLogger("repro.bench")
 #: Default location of the run-history file, relative to the
 #: benchmark directory's parent (the repository root in a checkout).
 TRAJECTORY_NAME = "BENCH_trajectory.json"
-
-
-class BenchmarkShim:
-    """Minimal stand-in for the pytest-benchmark fixture.
-
-    Benches call ``benchmark(fn, *args)`` (or ``benchmark.pedantic``)
-    and use the return value; under the unified runner the function
-    runs exactly once and its wall time is kept on the shim.
-    """
-
-    def __init__(self) -> None:
-        self.timings: List[float] = []
-
-    def __call__(self, fn: Callable, *args: Any, **kwargs: Any) -> Any:
-        # Bench timing is wall-clock by design; it is reported as
-        # wall_time_s fields only and never enters the deterministic
-        # metrics maps gated against baselines (see _document_metrics).
-        start = time.perf_counter()  # repro: noqa[DET001]
-        result = fn(*args, **kwargs)
-        self.timings.append(time.perf_counter() - start)  # repro: noqa[DET001]
-        return result
-
-    def pedantic(
-        self,
-        fn: Callable,
-        args: Sequence[Any] = (),
-        kwargs: Optional[Dict[str, Any]] = None,
-        **_: Any,
-    ) -> Any:
-        return self(fn, *args, **(kwargs or {}))
-
-
-# -- document capture -------------------------------------------------------
-_ACTIVE_DOCUMENTS: Optional[List[Dict[str, Any]]] = None
-
-
-def record_documents(name: str, documents: List[Dict[str, Any]]) -> None:
-    """Capture hook called by ``benchmarks._common.record_json``.
-
-    Outside a runner execution this is a no-op (pytest runs of the
-    bench modules are unaffected); inside, every recorded bench
-    document joins the currently executing bench's outcome.
-    """
-    if _ACTIVE_DOCUMENTS is not None:
-        _ACTIVE_DOCUMENTS.extend(documents)
 
 
 #: Metric-name fragments that mark a *wall-clock* measurement.  Wall
@@ -211,42 +164,21 @@ class SuiteRun:
         return "\n".join(lines)
 
 
-def _run_one(spec: BenchSpec) -> BenchOutcome:
-    """Execute one registered bench, capturing documents and errors."""
-    global _ACTIVE_DOCUMENTS
-    documents: List[Dict[str, Any]] = []
-    _ACTIVE_DOCUMENTS = documents
-    _log.info("bench %s: starting (suite=%s)", spec.name, spec.suite)
-    start = time.perf_counter()  # repro: noqa[DET001] -- wall_time_s only
-    status, error = "ok", None
-    try:
-        if spec.wants_fixture:
-            spec.func(BenchmarkShim())
-        else:
-            spec.func()
-        for document in documents:
-            validate_bench_document(document)
-    except Exception:
-        status = "failed"
-        error = traceback.format_exc()
-        _log.warning("bench %s failed:\n%s", spec.name, error)
-    finally:
-        _ACTIVE_DOCUMENTS = None
-    wall_time_s = time.perf_counter() - start  # repro: noqa[DET001]
-    outcome = BenchOutcome(
-        name=spec.name,
-        suite=spec.suite,
-        status=status,
-        wall_time_s=wall_time_s,
-        error=error,
-        documents=documents,
-        metrics=_document_metrics(documents) if status == "ok" else {},
-    )
-    _log.info(
-        "bench %s: %s in %.3f s (%d metrics)",
-        spec.name, status, wall_time_s, len(outcome.metrics),
-    )
-    return outcome
+def _checked_documents(name: str, returned: Any) -> List[Dict[str, Any]]:
+    """``returned`` if it is a list of valid bench documents."""
+    if not isinstance(returned, list):
+        raise TypeError(
+            f"bench {name!r} returned {type(returned).__name__}, "
+            "not a list of bench documents"
+        )
+    for index, document in enumerate(returned):
+        if not isinstance(document, dict):
+            raise TypeError(
+                f"bench {name!r} document {index} is a "
+                f"{type(document).__name__}, not a bench document"
+            )
+        validate_bench_document(document)
+    return returned
 
 
 def run_bench_cell(spec: Dict[str, Any], collector: Any) -> Dict[str, Any]:
@@ -254,10 +186,11 @@ def run_bench_cell(spec: Dict[str, Any], collector: Any) -> Dict[str, Any]:
 
     The spec names the bench and its benchmark directory; the worker
     re-discovers the registry (bench functions are code, not data — a
-    name travels across the process boundary, a closure does not) and
-    executes the one matching bench.  The returned record is the
-    JSON-able core of a :class:`BenchOutcome`; baseline gating happens
-    in the submitting process, which holds the baseline directory.
+    name travels across the process boundary, a closure does not),
+    calls the one matching entry point, and checks that it returned a
+    list of valid bench documents.  The returned record holds the
+    fields of a :class:`BenchOutcome`; baseline gating happens in the
+    submitting process, which holds the baseline directory.
 
     Bench results include wall-clock timings, so bench cells are
     **never cached** — they are sharded for throughput only.
@@ -272,17 +205,33 @@ def run_bench_cell(spec: Dict[str, Any], collector: Any) -> Dict[str, Any]:
         raise ValueError(
             f"bench {spec['name']!r} not found in {bench_dir}"
         )
-    outcome = _run_one(matches[0])
+    bench = matches[0]
+    _log.info("bench %s: starting (suite=%s)", bench.name, bench.suite)
+    start = time.perf_counter()  # repro: noqa[DET001] -- wall_time_s only
+    documents: List[Dict[str, Any]] = []
+    error = None
+    try:
+        documents = _checked_documents(bench.name, bench.func())
+    except Exception:
+        error = traceback.format_exc()
+        _log.warning("bench %s failed:\n%s", bench.name, error)
+    wall_time_s = time.perf_counter() - start  # repro: noqa[DET001]
+    metrics = _document_metrics(documents)
+    status = "failed" if error else "ok"
+    _log.info(
+        "bench %s: %s in %.3f s (%d metrics)",
+        bench.name, status, wall_time_s, len(metrics),
+    )
     collector.count("benches", 1)
-    collector.count("documents", len(outcome.documents))
+    collector.count("documents", len(documents))
     return {
-        "name": outcome.name,
-        "suite": outcome.suite,
-        "status": outcome.status,
-        "wall_time_s": outcome.wall_time_s,
-        "error": outcome.error,
-        "documents": outcome.documents,
-        "metrics": outcome.metrics,
+        "name": bench.name,
+        "suite": bench.suite,
+        "status": status,
+        "wall_time_s": wall_time_s,
+        "error": error,
+        "documents": documents,
+        "metrics": metrics,
     }
 
 
@@ -293,7 +242,6 @@ def run_suite(
     baseline_dir: Optional[Path] = None,
     trajectory_path: Optional[Path] = None,
     update_baselines: bool = False,
-    rel_tol: float = baseline_mod.DEFAULT_REL_TOL,
     workers: int = 1,
 ) -> SuiteRun:
     """Discover, execute, gate, and record one benchmark suite run.
@@ -307,12 +255,8 @@ def run_suite(
     process pool (deterministic metrics are unaffected; wall times
     then measure contended hosts).
     """
-    bench_dir = Path(bench_dir) if bench_dir else None
+    bench_dir = Path(bench_dir) if bench_dir else default_bench_dir()
     specs = discover(bench_dir)
-    if bench_dir is None:
-        from repro.bench.registry import default_bench_dir
-
-        bench_dir = default_bench_dir()
     if baseline_dir is None:
         baseline_dir = bench_dir / "baselines"
     if trajectory_path is None:
@@ -328,12 +272,7 @@ def run_suite(
     start = time.perf_counter()  # repro: noqa[DET001] -- wall_time_s only
     cells = [
         SweepCell(
-            "bench",
-            {
-                "name": spec.name,
-                "suite": spec.suite,
-                "bench_dir": str(bench_dir),
-            },
+            "bench", {"name": spec.name, "bench_dir": str(bench_dir)}
         )
         for spec in selected
     ]
@@ -342,28 +281,14 @@ def run_suite(
         workers=workers,
         scope_for=lambda index, cell: f"bench[{cell.spec['name']}]",
     )
-    benches = [
-        BenchOutcome(
-            name=record["name"],
-            suite=record["suite"],
-            status=record["status"],
-            wall_time_s=float(record["wall_time_s"]),
-            error=record["error"],
-            documents=list(record["documents"]),
-            metrics={
-                key: float(value)
-                for key, value in record["metrics"].items()
-            },
-        )
-        for record in sweep.results()
-    ]
+    benches = [BenchOutcome(**record) for record in sweep.results()]
     for outcome in benches:
         if outcome.status != "ok":
             continue
         if update_baselines:
             if outcome.metrics:
                 baseline_mod.write_baseline(
-                    baseline_dir, outcome.name, outcome.metrics, rel_tol
+                    baseline_dir, outcome.name, outcome.metrics
                 )
                 outcome.baseline_status = "updated"
             continue

@@ -661,23 +661,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"{spec.name:<{width}s}  suite={spec.suite}")
         return 0
     try:
-        # Benches print their result tables as they run; capture them
-        # so the runner's summary (or JSON document) is the only output.
-        with redirect_stdout(io.StringIO()):
-            run = bench_mod.run_suite(
-                suite=args.suite,
-                name_filter=args.filter,
-                workers=args.workers,
-                bench_dir=args.bench_dir,
-                baseline_dir=args.baseline_dir,
-                trajectory_path=args.trajectory,
-                update_baselines=args.update_baselines,
-                rel_tol=(
-                    args.rel_tol
-                    if args.rel_tol is not None
-                    else bench_mod.DEFAULT_REL_TOL
-                ),
-            )
+        run = bench_mod.run_suite(
+            suite=args.suite,
+            name_filter=args.filter,
+            workers=args.workers,
+            bench_dir=args.bench_dir,
+            baseline_dir=args.baseline_dir,
+            trajectory_path=args.trajectory,
+            update_baselines=args.update_baselines,
+        )
     except FileNotFoundError as error:
         return _fail(f"bench: {error}")
     _emit(args, run.to_dict(), run.summary())
@@ -1114,11 +1106,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--update-baselines",
         action="store_true",
         help="rewrite the baselines from this run instead of comparing",
-    )
-    p_bench.add_argument(
-        "--rel-tol",
-        type=float,
-        help="relative tolerance for --update-baselines bands",
     )
     p_bench.add_argument(
         "--list",

@@ -54,9 +54,13 @@ def _check_counts(spec: "JobSpec", *names: str) -> None:
 
 
 def _check_real(name: str, value: Any) -> None:
-    """Reject non-real numbers (and ``bool``)."""
+    """Reject non-real numbers (and ``bool``) and ints no float holds."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must fit a float") from None
 
 
 def check_tenant(tenant: str) -> None:

@@ -16,36 +16,33 @@ from repro.bench import clear_registry
 
 _PACKAGE_IDS = itertools.count()
 
-#: A well-behaved bench module: records one document with one
-#: deterministic metric through the runner's capture hook.
+#: A well-behaved bench module: returns one document with two
+#: deterministic metrics.
 GOOD_BENCH = """
     from repro.bench import register
-    from repro.bench.runner import record_documents
     from repro.telemetry import bench_document
 
 
     @register(suite="quick")
-    def bench_alpha(benchmark):
-        benchmark(lambda: None)
-        record_documents("alpha", [bench_document(
+    def bench_alpha():
+        return [bench_document(
             bench="alpha", workload="w", backend="b", wall_time_s=0.0,
             counters={"calls": 1},
             extra={"metrics": {"answer": 42.0, "cycles": 7}},
-        )])
+        )]
 """
 
 FULL_ONLY_BENCH = """
     from repro.bench import register
-    from repro.bench.runner import record_documents
     from repro.telemetry import bench_document
 
 
     @register(suite="full")
     def bench_slow():
-        record_documents("slow", [bench_document(
+        return [bench_document(
             bench="slow", workload="w", backend="b", wall_time_s=0.0,
             counters={}, extra={"metrics": {"depth": 3.0}},
-        )])
+        )]
 """
 
 FAILING_BENCH = """

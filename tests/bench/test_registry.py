@@ -1,5 +1,7 @@
 """Registry semantics: registration, discovery, suite selection."""
 
+import inspect
+
 import pytest
 
 from repro.bench import (
@@ -14,14 +16,14 @@ from tests.bench.conftest import FULL_ONLY_BENCH, GOOD_BENCH
 
 class TestRegister:
     def test_decorator_returns_function_unchanged(self):
-        def bench_sample(benchmark):
+        def bench_sample():
             return "payload"
 
         assert register(bench_sample) is bench_sample
         spec = registered()["sample"]
         assert spec.name == "sample"          # bench_ prefix stripped
         assert spec.suite == "quick"
-        assert spec.wants_fixture is True
+        assert spec.func is bench_sample
 
     def test_fixtureless_and_named(self):
         @register(name="custom", suite="full")
@@ -30,15 +32,15 @@ class TestRegister:
 
         spec = registered()["custom"]
         assert spec.suite == "full"
-        assert spec.wants_fixture is False
+        assert spec.func is bench_other
 
     def test_rejects_unknown_suite(self):
         with pytest.raises(ValueError, match="suite"):
             register(suite="nightly")(lambda: None)
 
     def test_suite_selection(self):
-        quick = BenchSpec("a", lambda: None, "quick", "m", "s")
-        full = BenchSpec("b", lambda: None, "full", "m", "s")
+        quick = BenchSpec("a", lambda: None, "quick", "s")
+        full = BenchSpec("b", lambda: None, "full", "s")
         assert quick.selected_by("quick") and quick.selected_by("full")
         assert not full.selected_by("quick")
         assert full.selected_by("full")
@@ -65,7 +67,9 @@ class TestDiscover:
 
     def test_repo_benchmarks_all_registered(self):
         """Every ``benchmarks/bench_*.py`` module in the repository
-        has joined the registry — no orphan benchmarks."""
+        has joined the registry — no orphan benchmarks — and every
+        entry point takes no arguments (``repro bench`` calls it
+        bare)."""
         from repro.bench.registry import default_bench_dir
 
         bench_dir = default_bench_dir()
@@ -75,3 +79,9 @@ class TestDiscover:
         )
         assert len(specs) == len(modules) == 17
         assert {spec.suite for spec in specs} == {"quick", "full"}
+        takes_arguments = [
+            spec.name
+            for spec in specs
+            if inspect.signature(spec.func).parameters
+        ]
+        assert takes_arguments == []

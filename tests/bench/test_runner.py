@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.bench import (
-    BenchmarkShim,
+    DEFAULT_REL_TOL,
     compare_metrics,
     load_baseline,
     load_trajectory,
@@ -21,15 +21,6 @@ def _run(bench_dir, tmp_path, **kwargs):
     kwargs.setdefault("baseline_dir", bench_dir / "baselines")
     kwargs.setdefault("trajectory_path", tmp_path / "traj.json")
     return run_suite(bench_dir=bench_dir, **kwargs)
-
-
-class TestBenchmarkShim:
-    def test_times_one_call_and_returns_result(self):
-        shim = BenchmarkShim()
-        assert shim(lambda x: x + 1, 41) == 42
-        assert shim.pedantic(lambda x: x * 2, args=(21,)) == 42
-        assert len(shim.timings) == 2
-        assert all(t >= 0 for t in shim.timings)
 
 
 class TestRunSuite:
@@ -56,6 +47,48 @@ class TestRunSuite:
         assert run.failure_count == 1
         assert run.exit_code == 1
         assert "failed" in run.summary()
+
+    @pytest.mark.parametrize(
+        "returned, message",
+        [
+            ("None", "returned NoneType, not a list of bench documents"),
+            ("DOC", "returned dict, not a list of bench documents"),
+            ("[DOC, 'x']", "document 1 is a str, not a bench document"),
+            ("[{'kind': 'bench'}]", "bench document missing field"),
+            ("[dict(DOC, kind='profile')]", "bench kind 'profile'"),
+        ],
+    )
+    def test_bad_return_fails_that_bench_only(
+        self, make_bench_dir, tmp_path, returned, message
+    ):
+        """The runner boundary: a bench that returns anything but a
+        list of valid bench documents fails with an error naming the
+        problem, and the other benches still run."""
+        bad = f"""
+            from repro.bench import register
+            from repro.telemetry import bench_document
+
+            DOC = bench_document(
+                bench="bad", workload="w", backend="b", wall_time_s=0.0,
+                counters={{}}, extra={{"metrics": {{"x": 1.0}}}},
+            )
+
+
+            @register(suite="quick")
+            def bench_bad():
+                return {returned}
+        """
+        bench_dir = make_bench_dir(bench_good=GOOD_BENCH, bench_bad=bad)
+        run = _run(bench_dir, tmp_path)
+        outcomes = {b.name: b for b in run.benches}
+        assert outcomes["alpha"].status == "ok"
+        assert outcomes["alpha"].metrics == {
+            "w/b/answer": 42.0, "w/b/cycles": 7.0
+        }
+        assert outcomes["bad"].status == "failed"
+        assert message in outcomes["bad"].error
+        assert outcomes["bad"].metrics == {}
+        assert run.exit_code == 1
 
     def test_suite_and_filter_selection(self, make_bench_dir, tmp_path):
         bench_dir = make_bench_dir(
@@ -216,11 +249,11 @@ class TestTrajectory:
 
 class TestBaselineValidation:
     def test_write_baseline_roundtrip(self, tmp_path):
-        path = write_baseline(tmp_path, "demo", {"m": 3.5}, rel_tol=1e-3)
+        path = write_baseline(tmp_path, "demo", {"m": 3.5})
         document = json.loads(path.read_text())
         validate_baseline(document)
         assert document["metrics"]["m"] == {
-            "value": 3.5, "rel_tol": 1e-3
+            "value": 3.5, "rel_tol": DEFAULT_REL_TOL
         }
 
     @pytest.mark.parametrize(

@@ -84,20 +84,18 @@ def test_bench_run_document_keeps_wall_time_outside_metrics(tmp_path):
         tmp_path,
         bench_wall="""
             from repro.bench import register
-            from repro.bench.runner import record_documents
             from repro.telemetry import bench_document
 
 
             @register(suite="quick")
-            def bench_sneaky(benchmark):
-                benchmark(lambda: None)
-                record_documents("sneaky", [bench_document(
+            def bench_sneaky():
+                return [bench_document(
                     bench="sneaky", workload="w", backend="b",
                     wall_time_s=0.5, counters={},
                     extra={"metrics": {
                         "cycles": 7.0, "wall_time_s": 0.5,
                     }},
-                )])
+                )]
         """,
     )
     run = run_suite(

@@ -1,6 +1,9 @@
 """Executor determinism: worker count, shard order, cache resume."""
 
 import json
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -172,3 +175,52 @@ class TestFailedSweepKeepsFinishedCells:
             run_sweep(self.CELLS, workers=2, cache=cache, mp_context="fork")
         assert len(cache) == 5
         self._resume(cache, cached=5)
+
+
+def dying_cell(spec, collector):
+    """Cell 3 kills its worker process while the marker file exists."""
+    if spec["x"] == 3 and os.path.exists(spec["marker"]):
+        os._exit(1)
+    return toy_cell(spec, collector)
+
+
+register_cell_kind("toy_dying", dying_cell)
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("sweep hung after a worker process died")
+
+
+class TestWorkerDeath:
+    def test_dead_worker_raises_and_resume_recomputes_the_rest(
+        self, tmp_path
+    ):
+        marker = tmp_path / "die"
+        marker.write_text("")
+        cells = [
+            SweepCell(
+                "toy_dying",
+                {"name": f"d{x}", "x": x, "seed": x, "marker": str(marker)},
+            )
+            for x in range(6)
+        ]
+        cache = SweepCache(tmp_path / "cache")
+        previous = signal.signal(signal.SIGALRM, _alarm)
+        signal.alarm(60)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                run_sweep(cells, workers=2, cache=cache, mp_context="fork")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        # Which other cells finished before the pool broke is a race;
+        # the dead cell never did, and every finished one is stored.
+        cached = len(cache)
+        assert cached < len(cells)
+        assert not cache.path_for(cells[3]).exists()
+
+        marker.unlink()
+        resumed = run_sweep(cells, workers=2, cache=cache, mp_context="fork")
+        assert resumed.stats["cache_hits"] == cached
+        assert resumed.stats["recomputed"] == len(cells) - cached
+        assert _bytes(resumed) == _bytes(run_sweep(cells, workers=1))
