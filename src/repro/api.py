@@ -78,6 +78,13 @@ from repro.serve.jobs import (
 from repro.telemetry import NULL_COLLECTOR, SCHEMA_VERSION, TelemetryLike
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_seed, new_rng
+from repro.utils.validation import (
+    POSITIVE,
+    POSITIVE_INT,
+    Number,
+    check_document,
+    non_empty,
+)
 from repro.workloads import FIG4_EXAMPLE, RUNNABLE_WORKLOADS, regan_suite
 from repro.workloads.suite import NetworkSpec
 from repro.xbar.engine import (
@@ -524,45 +531,21 @@ def table1_report(batch: int = 32) -> Dict[str, Any]:
     }
 
 
+_TABLE1_SHAPE = {
+    "schema_version": SCHEMA_VERSION,
+    str: {
+        "speedup": POSITIVE, "energy_saving": POSITIVE,
+        "paper_speedup": POSITIVE, "paper_energy_saving": POSITIVE,
+        "per_workload": non_empty([{"network": str}]),
+    },
+}
+
+
 def validate_table1_report(document: Dict[str, Any]) -> Dict[str, Any]:
     """Raise ``ValueError`` unless ``document`` is a Table I report."""
-    if document.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            "unsupported table1_report schema_version "
-            f"{document.get('schema_version')!r}"
-        )
-    rows = {
-        name: row
-        for name, row in document.items()
-        if name != "schema_version"
-    }
-    if not rows:
+    check_document(document, _TABLE1_SHAPE, "table1_report")
+    if len(document) == 1:
         raise ValueError("table1_report carries no accelerator rows")
-    for name, row in rows.items():
-        if not isinstance(row, dict):
-            raise ValueError(f"table1_report row {name!r} not a dict")
-        for key in (
-            "speedup",
-            "energy_saving",
-            "paper_speedup",
-            "paper_energy_saving",
-        ):
-            value = row.get(key)
-            if not isinstance(value, (int, float)) or value <= 0:
-                raise ValueError(
-                    f"table1_report row {name!r} needs positive "
-                    f"{key}, got {value!r}"
-                )
-        per_workload = row.get("per_workload")
-        if not isinstance(per_workload, list) or not per_workload:
-            raise ValueError(
-                f"table1_report row {name!r} needs per_workload rows"
-            )
-        for entry in per_workload:
-            if not isinstance(entry.get("network"), str):
-                raise ValueError(
-                    "per_workload entries must name their network"
-                )
     return document
 
 
@@ -653,43 +636,23 @@ def reliability_report(
     )
 
 
+_RELIABILITY_SHAPE = {
+    "schema_version": SCHEMA_VERSION,
+    "workload": str, "axis": str, "backend": str,
+    "seed": int, "count": int, "batch": int, "train_epochs": int,
+    "train_count": int, "baseline_accuracy": Number,
+    "scenarios": non_empty([{
+        "name": str, "rate": Number, "accuracy": Number,
+        "accuracy_drop": Number,
+    }]),
+}
+
+
 def validate_reliability_report(
     document: Dict[str, Any],
 ) -> Dict[str, Any]:
     """Raise ``ValueError`` unless ``document`` is a campaign report."""
-    if document.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            "unsupported reliability_report schema_version "
-            f"{document.get('schema_version')!r}"
-        )
-    for key in ("workload", "axis", "backend"):
-        if not isinstance(document.get(key), str):
-            raise ValueError(
-                f"reliability_report {key} must be a string"
-            )
-    for key in ("seed", "count", "batch", "train_epochs",
-                "train_count"):
-        if not isinstance(document.get(key), int):
-            raise ValueError(
-                f"reliability_report {key} must be an int"
-            )
-    baseline = document.get("baseline_accuracy")
-    if not isinstance(baseline, (int, float)):
-        raise ValueError(
-            "reliability_report baseline_accuracy must be a number"
-        )
-    scenarios = document.get("scenarios")
-    if not isinstance(scenarios, list) or not scenarios:
-        raise ValueError(
-            "reliability_report must carry at least one scenario"
-        )
-    for scenario in scenarios:
-        if not isinstance(scenario, dict):
-            raise ValueError("scenario entries must be dicts")
-        for key in ("name", "rate", "accuracy", "accuracy_drop"):
-            if key not in scenario:
-                raise ValueError(f"scenario missing {key!r}")
-    return document
+    return check_document(document, _RELIABILITY_SHAPE, "reliability_report")
 
 
 def gan_scheme_report(batch: int = 32) -> Dict[str, Any]:
@@ -706,37 +669,21 @@ def gan_scheme_report(batch: int = 32) -> Dict[str, Any]:
     }
 
 
+_GAN_SCHEME_SHAPE = {
+    "schema_version": SCHEMA_VERSION,
+    "batch": POSITIVE_INT,
+    "datasets": non_empty({str: non_empty([{
+        "scheme": str, "cycles": Number, "speedup": Number,
+        "d_copies": Number,
+    }])}),
+}
+
+
 def validate_gan_scheme_report(
     document: Dict[str, Any],
 ) -> Dict[str, Any]:
     """Raise ``ValueError`` unless ``document`` is a scheme report."""
-    if document.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            "unsupported gan_scheme_report schema_version "
-            f"{document.get('schema_version')!r}"
-        )
-    batch = document.get("batch")
-    if not isinstance(batch, int) or batch <= 0:
-        raise ValueError(
-            f"gan_scheme_report batch must be positive, got {batch!r}"
-        )
-    datasets = document.get("datasets")
-    if not isinstance(datasets, dict) or not datasets:
-        raise ValueError(
-            "gan_scheme_report must carry at least one dataset"
-        )
-    for name, rows in datasets.items():
-        if not isinstance(rows, list) or not rows:
-            raise ValueError(
-                f"gan_scheme_report dataset {name!r} has no rows"
-            )
-        for row in rows:
-            for key in ("scheme", "cycles", "speedup", "d_copies"):
-                if key not in row:
-                    raise ValueError(
-                        f"scheme row missing {key!r} in {name!r}"
-                    )
-    return document
+    return check_document(document, _GAN_SCHEME_SHAPE, "gan_scheme_report")
 
 
 def schedule_trace(

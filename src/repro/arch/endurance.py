@@ -26,7 +26,6 @@ if TYPE_CHECKING:  # annotation-only: core sits above arch (ARCH001)
     from repro.core.pipelayer import PipeLayerModel
 
 SECONDS_PER_DAY = 86_400.0
-SECONDS_PER_YEAR = 365.25 * SECONDS_PER_DAY
 
 
 @dataclass(frozen=True)
@@ -60,10 +59,6 @@ class LifetimeReport:
     @property
     def lifetime_days(self) -> float:
         return self.lifetime_seconds / SECONDS_PER_DAY
-
-    @property
-    def lifetime_years(self) -> float:
-        return self.lifetime_seconds / SECONDS_PER_YEAR
 
     @property
     def lifetime_examples(self) -> float:

@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.telemetry import SCHEMA_VERSION
+from repro.utils.validation import Number, check_document
 
 #: Default relative tolerance stamped on generated baselines: metrics
 #: are deterministic, so the band only absorbs float-accumulation
@@ -77,25 +78,17 @@ def load_baseline(baseline_dir: Path, bench: str) -> Optional[Dict[str, Any]]:
     return document
 
 
+_BASELINE_SHAPE = {
+    "schema_version": SCHEMA_VERSION, "kind": "bench_baseline", "bench": str,
+    "metrics": {
+        str: {"value": Number, "rel_tol?": Number, "abs_tol?": Number},
+    },
+}
+
+
 def validate_baseline(document: Dict[str, Any]) -> None:
     """Raise ``ValueError`` unless ``document`` is a valid baseline."""
-    for field in ("schema_version", "kind", "bench", "metrics"):
-        if field not in document:
-            raise ValueError(f"baseline missing field {field!r}")
-    if document["kind"] != "bench_baseline":
-        raise ValueError(
-            f"baseline kind {document['kind']!r} != 'bench_baseline'"
-        )
-    if document["schema_version"] != SCHEMA_VERSION:
-        raise ValueError(
-            f"baseline schema_version {document['schema_version']!r} != "
-            f"{SCHEMA_VERSION}"
-        )
-    for name, band in document["metrics"].items():
-        if not isinstance(band, dict) or "value" not in band:
-            raise ValueError(
-                f"baseline metric {name!r} must be a dict with 'value'"
-            )
+    check_document(document, _BASELINE_SHAPE, "bench_baseline")
 
 
 def compare_metrics(

@@ -31,6 +31,7 @@ from repro.bench.registry import default_bench_dir, discover
 from repro.sweep import SweepCell, run_sweep
 from repro.telemetry import SCHEMA_VERSION, validate_bench_document
 from repro.utils.io import exclusive_lock, write_json_atomic
+from repro.utils.validation import check_document
 
 _log = logging.getLogger("repro.bench")
 
@@ -318,11 +319,10 @@ def load_trajectory(path: Path) -> Dict[str, Any]:
     path = Path(path)
     if path.is_file():
         document = json.loads(path.read_text())
-        if document.get("kind") != "bench_trajectory":
-            raise ValueError(
-                f"{path} is not a bench trajectory document"
-            )
-        return document
+        return check_document(
+            document, {"kind": "bench_trajectory", "runs": list},
+            "bench_trajectory",
+        )
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "bench_trajectory",

@@ -40,6 +40,7 @@ import fnmatch
 import io
 import re
 import tokenize
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -58,6 +59,8 @@ from typing import (
     Type,
     Union,
 )
+
+from repro.utils.validation import check_document
 
 #: Version stamp on the ``repro check --format json`` document.
 SCHEMA_VERSION = 1
@@ -538,36 +541,23 @@ def check_report(
     }
 
 
+_CHECK_REPORT_SHAPE = {
+    "kind": "check_report", "schema_version": SCHEMA_VERSION,
+    "findings": [
+        {"rule": str, "path": str, "message": str, "line": int, "col": int}
+    ],
+    "finding_count": int, "counts": {str: int},
+}
+
+
 def validate_check_report(document: Mapping[str, Any]) -> None:
     """Raise ``ValueError`` unless ``document`` is a check report."""
-    if document.get("kind") != "check_report":
-        raise ValueError(
-            f"not a check_report: kind={document.get('kind')!r}"
-        )
-    if document.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            "unsupported check_report schema_version "
-            f"{document.get('schema_version')!r}"
-        )
-    findings = document.get("findings")
-    if not isinstance(findings, list):
-        raise ValueError("check_report findings must be a list")
-    for entry in findings:
-        for key in ("rule", "path", "message"):
-            if not isinstance(entry.get(key), str):
-                raise ValueError(f"finding {key} must be a string")
-        for key in ("line", "col"):
-            if not isinstance(entry.get(key), int):
-                raise ValueError(f"finding {key} must be an int")
-    if document.get("finding_count") != len(findings):
+    check_document(document, _CHECK_REPORT_SHAPE, "check_report")
+    findings = document["findings"]
+    if document["finding_count"] != len(findings):
         raise ValueError("finding_count disagrees with findings")
-    counts = document.get("counts")
-    if not isinstance(counts, dict):
-        raise ValueError("check_report counts must be a dict")
-    tally: Dict[str, int] = {}
-    for entry in findings:
-        tally[entry["rule"]] = tally.get(entry["rule"], 0) + 1
-    if counts != tally:
+    tally = Counter(entry["rule"] for entry in findings)
+    if document["counts"] != dict(tally):
         raise ValueError("counts disagrees with findings")
 
 

@@ -17,6 +17,12 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Mapping, Sequence
 
 from repro.checks.engine import RULES, Finding
+from repro.utils.validation import (
+    POSITIVE_INT,
+    Where,
+    check_document,
+    non_empty,
+)
 
 #: The SARIF spec version this exporter targets (the document's own
 #: schema stamp — SARIF defines the envelope, so there is no separate
@@ -114,65 +120,42 @@ def sarif_document(
     }
 
 
+_SARIF_SHAPE = {
+    "version": SARIF_VERSION,
+    "$schema": str,
+    "runs": Where([{
+        "tool": {"driver": {
+            "name": str,
+            "rules": [{"id": str, "shortDescription": {"text": str}}],
+        }},
+        "results": [{
+            "ruleId": str,
+            "message": {"text": str},
+            "locations": Where([{"physicalLocation": {
+                "artifactLocation": {"uri": non_empty(str)},
+                "region": {"startLine": POSITIVE_INT},
+            }}], len, "anchored locations"),
+        }],
+    }], len, "at least one run"),
+}
+
+
 def validate_sarif_document(document: Mapping[str, Any]) -> None:
     """Raise ``ValueError`` unless ``document`` is a SARIF log we emit.
 
     Structural validation of the subset :func:`sarif_document`
-    produces — version, tool driver, rule metadata, and one anchored
-    location per result — plus the cross-reference that every
+    produces — version, tool driver, rule metadata, and anchored
+    locations per result — plus the cross-reference that every
     result's ``ruleId`` appears in the driver's rule table.
     """
-    if document.get("version") != SARIF_VERSION:
-        raise ValueError(
-            f"unsupported SARIF version {document.get('version')!r}"
-        )
-    if not isinstance(document.get("$schema"), str):
-        raise ValueError("SARIF document must carry a $schema URI")
-    runs = document.get("runs")
-    if not isinstance(runs, list) or not runs:
-        raise ValueError("SARIF document must have at least one run")
-    for run in runs:
-        driver = run.get("tool", {}).get("driver", {})
-        if not isinstance(driver.get("name"), str):
-            raise ValueError("SARIF run must name its tool driver")
-        rules = driver.get("rules")
-        if not isinstance(rules, list):
-            raise ValueError("SARIF driver must list its rules")
-        known = set()
-        for rule in rules:
-            if not isinstance(rule.get("id"), str):
-                raise ValueError("SARIF rule metadata must carry id")
-            text = rule.get("shortDescription", {}).get("text")
-            if not isinstance(text, str):
+    check_document(document, _SARIF_SHAPE, "sarif")
+    for run in document["runs"]:
+        known = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
+        for result in run["results"]:
+            if result["ruleId"] not in known:
                 raise ValueError(
-                    "SARIF rule metadata must carry a description"
-                )
-            known.add(rule["id"])
-        results = run.get("results")
-        if not isinstance(results, list):
-            raise ValueError("SARIF run must list its results")
-        for result in results:
-            rule_id = result.get("ruleId")
-            if rule_id not in known:
-                raise ValueError(
-                    f"SARIF result rule {rule_id!r} missing from "
+                    f"SARIF result rule {result['ruleId']!r} missing from "
                     "driver rule metadata"
-                )
-            if not isinstance(
-                result.get("message", {}).get("text"), str
-            ):
-                raise ValueError("SARIF result must carry a message")
-            locations = result.get("locations")
-            if not isinstance(locations, list) or not locations:
-                raise ValueError("SARIF result must be anchored")
-            physical = locations[0].get("physicalLocation", {})
-            uri = physical.get("artifactLocation", {}).get("uri")
-            if not isinstance(uri, str) or not uri:
-                raise ValueError("SARIF location must carry a uri")
-            start = physical.get("region", {}).get("startLine")
-            if not isinstance(start, int) or start < 1:
-                raise ValueError(
-                    "SARIF location must carry a 1-based startLine"
                 )
 
 

@@ -58,7 +58,6 @@ from repro.telemetry import (
     TraceContext,
     TraceLog,
     analyze_counters,
-    counters_from,
     profile_report,
     render_analysis_report,
     trace_chrome_document,
@@ -556,22 +555,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 document = json.load(handle)
         except (OSError, json.JSONDecodeError) as error:
             return _fail(f"report: cannot read profile: {error}")
-        version = (
-            document.get("schema_version")
-            if isinstance(document, dict)
-            else None
-        )
-        if version != SCHEMA_VERSION:
-            return _fail(
-                f"report: profile {args.profile_path} has "
-                f"schema_version {version!r}; this build reads version "
-                f"{SCHEMA_VERSION} — regenerate it with 'repro profile "
-                f"... --json'"
-            )
         try:
-            counters = counters_from(document)
-        except TypeError as error:
-            return _fail(f"report: {error}")
+            validate_profile_report(document)
+        except ValueError as error:
+            return _fail(
+                f"report: {error} — regenerate {args.profile_path} with "
+                "'repro profile ... --json'"
+            )
+        counters = document["counters"]
         source = args.profile_path
         exit_code = 0
     else:
@@ -1044,8 +1035,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         dest="profile_path",
         metavar="FILE",
-        help="analyse a saved profile/analysis JSON instead of running "
-        "a subcommand",
+        help="analyse a saved 'repro profile --json' document instead "
+        "of running a subcommand",
     )
     p_report.add_argument(
         "--energy",

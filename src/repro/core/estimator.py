@@ -55,16 +55,6 @@ class TableOneRow:
     paper_energy_saving: float
     per_workload: tuple
 
-    @property
-    def speedup_ratio_to_paper(self) -> float:
-        """measured / paper speedup (1.0 = exact match)."""
-        return self.speedup / self.paper_speedup
-
-    @property
-    def energy_ratio_to_paper(self) -> float:
-        """measured / paper energy saving."""
-        return self.energy_saving / self.paper_energy_saving
-
     def to_dict(self) -> Dict[str, Any]:
         """The row as plain JSON data (one ``table1_report`` entry)."""
         return {

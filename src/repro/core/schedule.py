@@ -55,10 +55,6 @@ class ScheduleResult:
             return 0
         return max(event.cycle for event in self.events) + 1
 
-    def events_at(self, cycle: int) -> List[ScheduleEvent]:
-        """All events in one cycle."""
-        return [event for event in self.events if event.cycle == cycle]
-
     def occupancy(self) -> float:
         """Mean fraction of stages busy per cycle."""
         if not self.events:

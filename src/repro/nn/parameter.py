@@ -48,13 +48,6 @@ class Parameter:
         return f"Parameter(name={self.name!r}, shape={self.value.shape})"
 
 
-def as_parameter(value: np.ndarray, name: str) -> Parameter:
-    """Wrap ``value`` in a :class:`Parameter` unless it already is one."""
-    if isinstance(value, Parameter):
-        return value
-    return Parameter(value, name=name)
-
-
 def total_parameter_count(parameters) -> int:
     """Sum of ``size`` over an iterable of parameters."""
     return sum(p.size for p in parameters)

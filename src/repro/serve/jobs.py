@@ -28,7 +28,11 @@ from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Dict, Optional, Tuple, Type
 
 from repro.telemetry import SCHEMA_VERSION
-from repro.utils.validation import check_choice, check_positive
+from repro.utils.validation import (
+    check_choice,
+    check_document,
+    check_positive,
+)
 from repro.workloads import RUNNABLE_WORKLOADS
 
 #: Engine backends a job may pin (``None`` = the config's default).
@@ -128,22 +132,13 @@ class JobSpec:
         rejects unknown fields, so schema drift fails loudly at the
         boundary instead of silently dropping request parameters.
         """
-        if not isinstance(document, dict):
-            raise ValueError(
-                f"job document must be a dict, got {type(document).__name__}"
-            )
+        check_document(
+            document, {"schema_version?": SCHEMA_VERSION, "kind?": cls.kind},
+            f"{cls.kind}_job",
+        )
         payload = dict(document)
-        version = payload.pop("schema_version", SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
-            raise ValueError(
-                f"job document schema_version {version!r} != "
-                f"supported {SCHEMA_VERSION}"
-            )
-        kind = payload.pop("kind", cls.kind)
-        if kind != cls.kind:
-            raise ValueError(
-                f"job document kind {kind!r} != {cls.kind!r}"
-            )
+        payload.pop("schema_version", None)
+        payload.pop("kind", None)
         known = {spec_field.name for spec_field in fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
@@ -250,17 +245,8 @@ JOB_KINDS: Dict[str, Type[JobSpec]] = {
 
 def job_from_dict(document: Dict[str, Any]) -> JobSpec:
     """Rebuild any job spec from its wire form (dispatch on ``kind``)."""
-    if not isinstance(document, dict):
-        raise ValueError(
-            f"job document must be a dict, got {type(document).__name__}"
-        )
-    kind = document.get("kind")
-    spec_class = JOB_KINDS.get(kind)
-    if spec_class is None:
-        raise ValueError(
-            f"unknown job kind {kind!r}; pick from {sorted(JOB_KINDS)}"
-        )
-    return spec_class.from_dict(document)
+    check_document(document, {"kind": frozenset(JOB_KINDS)}, "job")
+    return JOB_KINDS[document["kind"]].from_dict(document)
 
 
 __all__ = [

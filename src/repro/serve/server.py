@@ -111,8 +111,10 @@ from repro.telemetry import (
     trace_id_for,
     wall_clock,
 )
+from repro.telemetry.collector import HISTOGRAM_SHAPE
 from repro.xbar.engine import CrossbarEngineConfig, weights_hash
 from repro.utils.logging import get_logger
+from repro.utils.validation import COUNT, Number, check_document, non_empty
 
 _log = get_logger("serve")
 
@@ -251,95 +253,58 @@ def job_report(
     return document
 
 
-#: Per-kind keys every ``done`` result payload must carry.
-_RESULT_KEYS = {
-    "inference": ("accuracy", "count", "outputs_sha256"),
-    "training": ("final_accuracy", "epochs", "final_loss"),
-    "reliability": ("schema_version", "workload", "axis"),
+_JOB_REPORT_SHAPE = {
+    "schema_version": SCHEMA_VERSION, "kind": frozenset(JOB_KINDS),
+    "job_id": str, "tenant": str, "status": frozenset(JOB_STATUSES),
+    "coalesced": bool, "spec": dict, "trace_id": non_empty(str),
+    "error?": str,
+}
+
+#: Shape of the ``result`` every ``done`` report carries, per job kind.
+_RESULT_SHAPES = {
+    "inference": {"accuracy": Number, "count": int, "outputs_sha256": str},
+    "training": {
+        "final_accuracy": Number, "epochs": int,
+        "final_loss": (Number, type(None)),
+    },
+    "reliability": {
+        "schema_version": SCHEMA_VERSION, "workload": str, "axis": str,
+    },
 }
 
 
 def validate_job_report(document: Dict[str, Any]) -> Dict[str, Any]:
     """Validate a :func:`job_report` document; returns it on success."""
-    if not isinstance(document, dict):
-        raise ValueError(
-            f"job report must be a dict, got {type(document).__name__}"
-        )
-    version = document.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"job report schema_version {version!r} != "
-            f"supported {SCHEMA_VERSION}"
-        )
-    kind = document.get("kind")
-    if kind not in JOB_KINDS:
-        raise ValueError(f"job report kind {kind!r} unknown")
-    for key in ("job_id", "tenant", "status", "coalesced", "spec",
-                "trace_id"):
-        if key not in document:
-            raise ValueError(f"job report missing key {key!r}")
-    if not isinstance(document["trace_id"], str) or \
-            not document["trace_id"]:
-        raise ValueError("job report trace_id must be a non-empty str")
-    status = document["status"]
-    if status not in JOB_STATUSES:
-        raise ValueError(f"job report status {status!r} unknown")
-    spec = job_from_dict(document["spec"])
+    check_document(document, _JOB_REPORT_SHAPE, "job_report")
+    kind = document["kind"]
+    try:
+        spec = job_from_dict(document["spec"])
+    except TypeError as error:
+        raise ValueError(f"job_report.spec: {error}") from error
     if spec.kind != kind:
         raise ValueError(
             f"job report kind {kind!r} != spec kind {spec.kind!r}"
         )
-    if status == "done":
-        result = document.get("result")
-        if not isinstance(result, dict):
-            raise ValueError("done job report must carry a result dict")
-        missing = [k for k in _RESULT_KEYS[kind] if k not in result]
-        if missing:
-            raise ValueError(
-                f"{kind} result missing key(s): {', '.join(missing)}"
-            )
-    elif status == "error" and "error" not in document:
+    if document["status"] == "done":
+        check_document(
+            document.get("result"), _RESULT_SHAPES[kind], "job_report.result"
+        )
+    elif document["status"] == "error" and "error" not in document:
         raise ValueError("error job report must carry an 'error' message")
     return document
 
 
+_STATS_SHAPE = {
+    "schema_version": SCHEMA_VERSION,
+    "jobs": {status: COUNT for status in JOB_STATUSES},
+    "cache": dict, "counters": {str: Number},
+    "histograms": {str: HISTOGRAM_SHAPE}, "queue_depth": COUNT,
+}
+
+
 def validate_stats_report(document: Dict[str, Any]) -> Dict[str, Any]:
     """Validate a :meth:`JobServer.stats_report` document."""
-    if not isinstance(document, dict):
-        raise ValueError(
-            f"stats report must be a dict, got {type(document).__name__}"
-        )
-    if document.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            f"stats schema_version {document.get('schema_version')!r} "
-            f"!= supported {SCHEMA_VERSION}"
-        )
-    for key, key_type in (
-        ("jobs", dict),
-        ("cache", dict),
-        ("counters", dict),
-        ("histograms", dict),
-        ("queue_depth", int),
-    ):
-        if key not in document:
-            raise ValueError(f"stats report missing key {key!r}")
-        if not isinstance(document[key], key_type):
-            raise ValueError(
-                f"stats key {key!r} must be {key_type.__name__}, got "
-                f"{type(document[key]).__name__}"
-            )
-    if document["queue_depth"] < 0:
-        raise ValueError("stats queue_depth must be >= 0")
-    for status in JOB_STATUSES:
-        if status not in document["jobs"]:
-            raise ValueError(f"stats jobs missing status {status!r}")
-    for path, view in document["histograms"].items():
-        for key in ("bounds", "counts", "count", "sum"):
-            if key not in view:
-                raise ValueError(
-                    f"stats histogram {path!r} missing key {key!r}"
-                )
-    return document
+    return check_document(document, _STATS_SHAPE, "stats_report")
 
 
 def _result_payload(job: JobSpec, result: Any) -> Dict[str, Any]:
@@ -931,7 +896,7 @@ class JobServer:
             try:
                 document = json.loads(body.decode() or "null")
                 spec = job_from_dict(document)
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, RecursionError) as exc:
                 return 400, {"error": str(exc)}
             job_id = await self.submit(spec)
             return 202, {

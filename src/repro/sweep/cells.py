@@ -35,6 +35,8 @@ from repro.telemetry import (
     TraceContext,
     TraceLog,
 )
+from repro.telemetry.trace import SPAN_SHAPE
+from repro.utils.validation import Number, check_document
 
 CellFunction = Callable[[Dict[str, Any], TelemetryLike], Dict[str, Any]]
 
@@ -228,6 +230,13 @@ def run_cell(
     return json.loads(canonical_json(payload))
 
 
+_PAYLOAD_SHAPE = {
+    "schema_version": SCHEMA_VERSION, "kind": str, "config_hash": str,
+    "seed": int, "spec": dict, "result": dict, "counters": {str: Number},
+    "energy?": dict, "trace?": [SPAN_SHAPE],
+}
+
+
 def validate_cell_payload(
     payload: Mapping[str, Any], cell: Optional[SweepCell] = None
 ) -> Mapping[str, Any]:
@@ -237,25 +246,17 @@ def validate_cell_payload(
     *that* cell (kind, spec, and hash all match) — the cache uses this
     so a stale or colliding file can never masquerade as a result.
     """
-    for key in ("schema_version", "kind", "config_hash", "seed", "spec",
-                "result", "counters"):
-        if key not in payload:
-            raise ValueError(f"cell payload missing key {key!r}")
-    if not isinstance(payload["result"], dict):
-        raise ValueError("cell payload result must be a dict")
-    if not isinstance(payload["counters"], dict):
-        raise ValueError("cell payload counters must be a dict")
-    if cell is not None:
-        if (
-            payload["kind"] != cell.kind
-            or payload["spec"] != cell.spec
-            or payload["config_hash"] != cell.config_hash()
-            or int(payload["seed"]) != cell.seed
-        ):
-            raise ValueError(
-                f"cell payload does not describe cell {cell.label!r} "
-                "(kind/spec/hash mismatch)"
-            )
+    check_document(payload, _PAYLOAD_SHAPE, "cell_payload")
+    if cell is not None and (
+        payload["kind"] != cell.kind
+        or payload["spec"] != cell.spec
+        or payload["config_hash"] != cell.config_hash()
+        or payload["seed"] != cell.seed
+    ):
+        raise ValueError(
+            f"cell payload does not describe cell {cell.label!r} "
+            "(kind/spec/hash mismatch)"
+        )
     return payload
 
 

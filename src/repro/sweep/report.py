@@ -16,6 +16,7 @@ from typing import Any, Dict, Mapping, Optional
 from repro.sweep.cells import validate_cell_payload
 from repro.sweep.executor import SweepRun
 from repro.telemetry import SCHEMA_VERSION
+from repro.utils.validation import check_document
 
 
 def sweep_report(
@@ -53,24 +54,21 @@ def sweep_report(
     }
 
 
+_SWEEP_REPORT_SHAPE = {
+    "schema_version": SCHEMA_VERSION, "kind": "sweep_report",
+    "sweep": dict, "cell_count": int,
+    "cells": [{
+        "kind": str, "config_hash": str, "seed": int, "spec": dict,
+        "result": dict, "energy?": dict,
+    }],
+}
+
+
 def validate_sweep_report(report: Mapping[str, Any]) -> Mapping[str, Any]:
     """Structural check of a ``sweep_report`` document; returns it."""
-    for key in ("schema_version", "kind", "sweep", "cell_count", "cells"):
-        if key not in report:
-            raise ValueError(f"sweep report missing key {key!r}")
-    if report["kind"] != "sweep_report":
-        raise ValueError(
-            f"not a sweep report: kind={report['kind']!r}"
-        )
-    cells = report["cells"]
-    if not isinstance(cells, list) or report["cell_count"] != len(cells):
+    check_document(report, _SWEEP_REPORT_SHAPE, "sweep_report")
+    if report["cell_count"] != len(report["cells"]):
         raise ValueError("sweep report cell_count does not match cells")
-    for index, cell in enumerate(cells):
-        for key in ("kind", "config_hash", "seed", "spec", "result"):
-            if key not in cell:
-                raise ValueError(
-                    f"sweep report cell #{index} missing key {key!r}"
-                )
     return report
 
 

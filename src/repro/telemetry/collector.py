@@ -76,8 +76,15 @@ from repro.telemetry.trace import (
     TraceSpan,
     trace_id_for,
 )
+from repro.utils import validation
 
 Number = Union[int, float]
+
+#: Shape of one :meth:`Histogram.to_dict` view.
+HISTOGRAM_SHAPE = {
+    "bounds": [validation.Number], "counts": [int],
+    "count": int, "sum": validation.Number,
+}
 
 #: Trace id shared by every span a collector records; top-level spans
 #: are its roots ``"0"``, ``"1"``, ... so span ids stay unique.

@@ -40,6 +40,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.telemetry.collector import Number, SCHEMA_VERSION, TelemetryLike
+from repro.utils.validation import NON_NEGATIVE, check_document
 
 #: Keys a cost table must carry (values: joules per event, watts for
 #: static power, seconds per sub-cycle).
@@ -92,21 +93,25 @@ _EVENT_PRICE = {
 }
 
 
+_COST_SHAPE = {key: NON_NEGATIVE for key in COST_KEYS}
+
+_ENERGY_RECORD_SHAPE = {
+    "components": {name: NON_NEGATIVE for name in ENERGY_COMPONENTS},
+    "dynamic_joules": NON_NEGATIVE, "total_joules": NON_NEGATIVE,
+    "simulated_seconds": NON_NEGATIVE, "average_watts": NON_NEGATIVE,
+}
+
+_ENERGY_SHAPE = {
+    "schema_version": SCHEMA_VERSION, "kind": "energy", "source": str,
+    "costs": _COST_SHAPE, "groups": [_ENERGY_RECORD_SHAPE],
+    "totals": _ENERGY_RECORD_SHAPE,
+}
+
+
 def validate_cost_table(costs: Mapping[str, float]) -> Dict[str, float]:
     """Check a cost table's keys/values; returns a plain float dict."""
-    table: Dict[str, float] = {}
-    for key in COST_KEYS:
-        if key not in costs:
-            raise ValueError(f"cost table missing key {key!r}")
-        value = costs[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(
-                f"cost table {key!r} must be a number, got {value!r}"
-            )
-        if value < 0:
-            raise ValueError(f"cost table {key!r} must be >= 0")
-        table[key] = float(value)
-    return table
+    check_document(costs, _COST_SHAPE, "cost_table")
+    return {key: float(costs[key]) for key in COST_KEYS}
 
 
 def _split_leaf(path: str) -> Tuple[str, str]:
@@ -259,53 +264,12 @@ def attribute_energy(
 
 def validate_energy_report(document: Dict[str, Any]) -> Dict[str, Any]:
     """Raise ``ValueError`` unless ``document`` is a valid energy report."""
-    if not isinstance(document, dict):
-        raise ValueError(
-            f"energy report must be a dict, got {type(document).__name__}"
-        )
-    if document.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            f"energy schema_version {document.get('schema_version')!r} "
-            f"!= supported {SCHEMA_VERSION}"
-        )
-    if document.get("kind") != "energy":
-        raise ValueError(
-            f"energy kind {document.get('kind')!r} != 'energy'"
-        )
-    for key, key_type in (
-        ("source", str), ("costs", dict), ("groups", list),
-        ("totals", dict),
-    ):
-        if key not in document:
-            raise ValueError(f"energy report missing key {key!r}")
-        if not isinstance(document[key], key_type):
-            raise ValueError(
-                f"energy key {key!r} must be {key_type.__name__}, got "
-                f"{type(document[key]).__name__}"
-            )
-    validate_cost_table(document["costs"])
-    records = list(document["groups"]) + [document["totals"]]
-    for record in records:
-        for key in ("components", "dynamic_joules", "total_joules",
-                    "simulated_seconds", "average_watts"):
-            if key not in record:
-                raise ValueError(
-                    f"energy record missing key {key!r}: {record!r}"
-                )
+    check_document(document, _ENERGY_SHAPE, "energy_report")
+    for record in document["groups"] + [document["totals"]]:
         components = record["components"]
-        for name in ENERGY_COMPONENTS:
-            if name not in components:
-                raise ValueError(
-                    f"energy components missing {name!r}: {components!r}"
-                )
-            if components[name] < 0:
-                raise ValueError(
-                    f"energy component {name!r} must be >= 0"
-                )
+        total = record["total_joules"]
         reconstructed = sum(components[name] for name in ENERGY_COMPONENTS)
-        if abs(reconstructed - record["total_joules"]) > max(
-            1e-9 * abs(record["total_joules"]), 1e-18
-        ):
+        if abs(reconstructed - total) > max(1e-9 * abs(total), 1e-18):
             raise ValueError(
                 f"energy components do not sum to total_joules: {record!r}"
             )

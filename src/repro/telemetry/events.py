@@ -22,12 +22,16 @@ from types import TracebackType
 from typing import Any, Dict, Mapping, Optional, TextIO, Type, Union
 
 from repro.telemetry.collector import SCHEMA_VERSION
+from repro.utils.validation import COUNT, check_document
 
 #: Lifecycle transitions a job record can journal, in order.
 EVENT_NAMES = ("submitted", "dispatched", "done", "error")
 
-_REQUIRED = ("schema_version", "kind", "seq", "event", "job_id",
-             "tenant", "job_kind", "trace_id")
+_EVENT_SHAPE = {
+    "schema_version": SCHEMA_VERSION, "kind": "event", "seq": COUNT,
+    "event": frozenset(EVENT_NAMES), "job_id": str, "tenant": str,
+    "job_kind": str, "trace_id": str,
+}
 
 
 def event_record(
@@ -60,25 +64,7 @@ def event_record(
 
 def validate_event_record(record: Mapping[str, Any]) -> None:
     """Raise ``ValueError`` unless ``record`` is a valid event line."""
-    for key in _REQUIRED:
-        if key not in record:
-            raise ValueError(f"event record missing key {key!r}")
-    if record["schema_version"] != SCHEMA_VERSION:
-        raise ValueError(
-            f"event schema_version {record['schema_version']!r} != "
-            f"{SCHEMA_VERSION}"
-        )
-    if record["kind"] != "event":
-        raise ValueError(f"event kind {record['kind']!r} != 'event'")
-    if record["event"] not in EVENT_NAMES:
-        raise ValueError(
-            f"event name {record['event']!r} not in {EVENT_NAMES}"
-        )
-    if not isinstance(record["seq"], int) or record["seq"] < 0:
-        raise ValueError(
-            f"event seq must be a non-negative int, got "
-            f"{record['seq']!r}"
-        )
+    check_document(record, _EVENT_SHAPE, "event_record")
 
 
 class EventLogWriter:

@@ -25,35 +25,15 @@ CI can assert the schema without external dependencies.
 
 from __future__ import annotations
 
-from numbers import Number as _NumberABC
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
-from repro.telemetry.collector import SCHEMA_VERSION, Collector
-from repro.telemetry.trace import TraceSpan, span_sort_key
-
-_PROFILE_REQUIRED = {
-    "schema_version": int,
-    "kind": str,
-    "command": list,
-    "exit_code": int,
-    "wall_time_s": _NumberABC,
-    "counters": dict,
-    "counter_tree": dict,
-    "histograms": dict,
-    "spans": list,
-    "spans_dropped": int,
-}
-
-_BENCH_REQUIRED = {
-    "schema_version": int,
-    "kind": str,
-    "bench": str,
-    "workload": str,
-    "backend": str,
-    "wall_time_s": _NumberABC,
-    "counters": dict,
-}
-
+from repro.telemetry.collector import (
+    HISTOGRAM_SHAPE,
+    SCHEMA_VERSION,
+    Collector,
+)
+from repro.telemetry.trace import SPAN_SHAPE, TraceSpan, span_sort_key
+from repro.utils.validation import NON_NEGATIVE, Number, Where, check_document
 
 def profile_report(
     collector: Collector,
@@ -98,67 +78,30 @@ def bench_document(
     return document
 
 
-def _check_fields(document: Dict[str, Any], required: Dict[str, type],
-                  kind: str) -> None:
-    if not isinstance(document, dict):
-        raise ValueError(f"{kind} document must be a dict, got "
-                         f"{type(document).__name__}")
-    for field, field_type in required.items():
-        if field not in document:
-            raise ValueError(f"{kind} document missing field {field!r}")
-        if field_type is int and isinstance(document[field], bool):
-            raise ValueError(f"{kind} field {field!r} must be an int")
-        if not isinstance(document[field], field_type):
-            raise ValueError(
-                f"{kind} field {field!r} must be "
-                f"{getattr(field_type, '__name__', field_type)}, got "
-                f"{type(document[field]).__name__}"
-            )
-    if document["schema_version"] != SCHEMA_VERSION:
-        raise ValueError(
-            f"{kind} schema_version {document['schema_version']!r} != "
-            f"{SCHEMA_VERSION}"
-        )
+_PROFILE_SHAPE = {
+    "schema_version": SCHEMA_VERSION, "kind": "profile",
+    "command": list, "exit_code": int, "wall_time_s": Number,
+    "counters": {str: Number}, "counter_tree": dict,
+    "histograms": {str: HISTOGRAM_SHAPE},
+    "spans": [SPAN_SHAPE], "spans_dropped": int,
+}
+
+_BENCH_SHAPE = {
+    "schema_version": SCHEMA_VERSION, "kind": "bench",
+    "bench": str, "workload": str, "backend": str,
+    "wall_time_s": NON_NEGATIVE, "counters": dict,
+    "metrics?": {str: Number},
+}
 
 
 def validate_profile_report(document: Dict[str, Any]) -> None:
     """Raise ``ValueError`` unless ``document`` is a valid profile report."""
-    _check_fields(document, _PROFILE_REQUIRED, "profile")
-    if document["kind"] != "profile":
-        raise ValueError(f"profile kind {document['kind']!r} != 'profile'")
-    for path, value in document["counters"].items():
-        if not isinstance(path, str) or isinstance(value, bool) or \
-                not isinstance(value, _NumberABC):
-            raise ValueError(f"counter {path!r} -> {value!r} is not a "
-                             "string path with a numeric value")
-    for span in document["spans"]:
-        for field in ("trace_id", "span_id", "parent_id", "name", "proc",
-                      "start", "end"):
-            if field not in span:
-                raise ValueError(f"span record missing field {field!r}")
-        if span["end"] < span["start"] or \
-                span.get("wall_duration_s", 0.0) < 0:
-            raise ValueError(f"span record out of range: {span!r}")
+    check_document(document, _PROFILE_SHAPE, "profile_report")
 
 
 def validate_bench_document(document: Dict[str, Any]) -> None:
     """Raise ``ValueError`` unless ``document`` is a valid bench record."""
-    _check_fields(document, _BENCH_REQUIRED, "bench")
-    if document["kind"] != "bench":
-        raise ValueError(f"bench kind {document['kind']!r} != 'bench'")
-    if document["wall_time_s"] < 0:
-        raise ValueError("bench wall_time_s must be >= 0")
-    metrics = document.get("metrics")
-    if metrics is not None:
-        if not isinstance(metrics, dict):
-            raise ValueError("bench metrics must be a dict")
-        for name, value in metrics.items():
-            if not isinstance(name, str) or isinstance(value, bool) or \
-                    not isinstance(value, _NumberABC):
-                raise ValueError(
-                    f"bench metric {name!r} -> {value!r} is not a string "
-                    "name with a numeric value"
-                )
+    check_document(document, _BENCH_SHAPE, "bench_document")
 
 
 def trace_chrome_document(
@@ -238,6 +181,13 @@ def trace_chrome_document(
     }
 
 
+_CHROME_SHAPE = {
+    "traceEvents": [{"name": str, "ph": str, "pid": int, "tid": int}],
+}
+
+_CHROME_SPAN_SHAPE = {"ts": Number, "dur": NON_NEGATIVE, "args": dict}
+
+
 def validate_trace_chrome_document(document: Dict[str, Any]) -> None:
     """Raise ``ValueError`` unless ``document`` is a Chrome trace.
 
@@ -246,40 +196,43 @@ def validate_trace_chrome_document(document: Dict[str, Any]) -> None:
     (``ph == "X"``) events, where every span lane (``pid``) is
     labelled by a ``process_name`` metadata event.
     """
-    events = document.get("traceEvents")
-    if not isinstance(events, list):
-        raise ValueError("chrome trace must carry a traceEvents list")
-    labelled = set()
-    for event in events:
-        if not isinstance(event, dict):
-            raise ValueError("trace events must be dicts")
-        for key in ("name", "ph", "pid", "tid"):
-            if key not in event:
-                raise ValueError(f"trace event missing {key!r}")
-        if event["ph"] == "M" and event["name"] == "process_name":
-            labelled.add(event["pid"])
-    for event in events:
+    check_document(document, _CHROME_SHAPE, "chrome_trace")
+    events = document["traceEvents"]
+    labelled = {
+        event["pid"] for event in events
+        if event["ph"] == "M" and event["name"] == "process_name"
+    }
+    for index, event in enumerate(events):
         if event["ph"] != "X":
             continue
-        for key in ("ts", "dur", "args"):
-            if key not in event:
-                raise ValueError(f"span event missing {key!r}")
-        if event["dur"] < 0:
-            raise ValueError("span event dur must be >= 0")
+        path = f"chrome_trace.traceEvents[{index}]"
+        check_document(event, _CHROME_SPAN_SHAPE, path)
         if event["pid"] not in labelled:
             raise ValueError(
-                f"span lane pid={event['pid']} has no process_name "
-                "metadata event"
+                f"{path}: span lane pid={event['pid']} has no "
+                "process_name metadata event"
             )
 
 
-_ANALYSIS_REQUIRED = {
-    "schema_version": int,
-    "kind": str,
-    "source": str,
-    "pipelines": list,
-    "gan_pipelines": list,
-    "engines": list,
+_ANALYSIS_SHAPE = {
+    "schema_version": SCHEMA_VERSION, "kind": "analysis", "source": str,
+    "pipelines": [{
+        "prefix": str, "makespan_cycles": Number, "stage_count": int,
+        "stages": [{
+            "busy_cycles": Number, "bubble_cycles": Number,
+            "utilization": Where(Number, lambda u: 0 <= u <= 1, "[0, 1]"),
+        }],
+        "total_busy_cycles": Number, "total_bubble_cycles": Number,
+        "parallelism": Number, "mean_utilization": Number,
+    }],
+    "gan_pipelines": [{
+        "prefix": str, "makespan_cycles": Number, "resources": list,
+        "parallelism": Number,
+    }],
+    "engines": [{
+        "prefix": str, "layers": [{"layer": str, "mvm_calls": Number}],
+        "totals": dict,
+    }],
     "totals": dict,
 }
 
@@ -291,42 +244,12 @@ def validate_analysis_report(document: Dict[str, Any]) -> None:
     builds and ``repro report --json`` prints: derived metrics
     (utilization, bubbles, ADC-per-MAC) over a counter map.
     """
-    _check_fields(document, _ANALYSIS_REQUIRED, "analysis")
-    if document["kind"] != "analysis":
-        raise ValueError(
-            f"analysis kind {document['kind']!r} != 'analysis'"
-        )
-    for pipeline in document["pipelines"]:
-        for field in ("prefix", "makespan_cycles", "stage_count",
-                      "stages", "total_busy_cycles", "total_bubble_cycles",
-                      "parallelism", "mean_utilization"):
-            if field not in pipeline:
-                raise ValueError(
-                    f"analysis pipeline missing field {field!r}"
-                )
+    check_document(document, _ANALYSIS_SHAPE, "analysis_report")
+    for index, pipeline in enumerate(document["pipelines"]):
         makespan = pipeline["makespan_cycles"]
         for stage in pipeline["stages"]:
-            if not 0.0 <= stage["utilization"] <= 1.0:
-                raise ValueError(
-                    f"stage utilization out of [0, 1]: {stage!r}"
-                )
             if stage["busy_cycles"] + stage["bubble_cycles"] != makespan:
                 raise ValueError(
-                    f"stage busy+bubble != makespan {makespan}: {stage!r}"
-                )
-    for gan in document["gan_pipelines"]:
-        for field in ("prefix", "makespan_cycles", "resources",
-                      "parallelism"):
-            if field not in gan:
-                raise ValueError(f"analysis GAN missing field {field!r}")
-    for engine in document["engines"]:
-        for field in ("prefix", "layers", "totals"):
-            if field not in engine:
-                raise ValueError(
-                    f"analysis engine missing field {field!r}"
-                )
-        for layer in engine["layers"]:
-            if "layer" not in layer or "mvm_calls" not in layer:
-                raise ValueError(
-                    f"analysis engine layer record incomplete: {layer!r}"
+                    f"analysis_report.pipelines[{index}]: stage "
+                    f"busy+bubble != makespan {makespan}: {stage!r}"
                 )

@@ -51,6 +51,8 @@ from typing import (
     Tuple,
 )
 
+from repro.utils.validation import NON_NEGATIVE, Number, Where, check_document
+
 #: Version stamp of every JSON document the telemetry layer emits.
 SCHEMA_VERSION = 1
 
@@ -375,6 +377,19 @@ def trace_document(
     }
 
 
+#: Shape of one :meth:`TraceSpan.to_dict` record.
+SPAN_SHAPE = Where({
+    "trace_id": str, "span_id": str, "parent_id": (str, type(None)),
+    "name": str, "proc": str, "start": Number, "end": Number,
+    "wall_duration_s?": NON_NEGATIVE,
+}, lambda span: span["end"] >= span["start"], "a span with end >= start")
+
+_TRACE_SHAPE = {
+    "schema_version": SCHEMA_VERSION, "kind": "trace", "trace_id": str,
+    "span_count": int, "procs": [str], "spans": [SPAN_SHAPE],
+}
+
+
 def validate_trace_document(document: Mapping[str, Any]) -> None:
     """Raise ``ValueError`` unless ``document`` is a valid trace doc.
 
@@ -382,40 +397,20 @@ def validate_trace_document(document: Mapping[str, Any]) -> None:
     must be present, so a validated trace is one connected tree (the
     cross-process stitching contract).
     """
-    for key in ("schema_version", "kind", "trace_id", "span_count",
-                "procs", "spans"):
-        if key not in document:
-            raise ValueError(f"trace document missing key {key!r}")
-    if document["schema_version"] != SCHEMA_VERSION:
-        raise ValueError(
-            f"trace schema_version {document['schema_version']!r} != "
-            f"{SCHEMA_VERSION}"
-        )
-    if document["kind"] != "trace":
-        raise ValueError(f"trace kind {document['kind']!r} != 'trace'")
+    check_document(document, _TRACE_SHAPE, "trace_document")
     spans = document["spans"]
     if document["span_count"] != len(spans):
         raise ValueError(
             f"trace span_count {document['span_count']} != "
             f"{len(spans)} spans"
         )
-    ids = set()
+    ids = {record["span_id"] for record in spans}
     for record in spans:
-        for key in ("trace_id", "span_id", "parent_id", "name", "proc",
-                    "start", "end"):
-            if key not in record:
-                raise ValueError(f"trace span missing key {key!r}")
         if record["trace_id"] != document["trace_id"]:
             raise ValueError(
                 f"span {record['span_id']!r} belongs to trace "
                 f"{record['trace_id']!r}, not {document['trace_id']!r}"
             )
-        if record["end"] < record["start"]:
-            raise ValueError(
-                f"span {record['span_id']!r} ends before it starts"
-            )
-        ids.add(record["span_id"])
-    for record in spans:
         parent = record["parent_id"]
         if parent is not None and parent not in ids:
             raise ValueError(
@@ -427,6 +422,7 @@ def validate_trace_document(document: Mapping[str, Any]) -> None:
 __all__ = [
     "DEFAULT_MAX_SPANS",
     "SCHEMA_VERSION",
+    "SPAN_SHAPE",
     "TraceContext",
     "TraceLog",
     "TraceSpan",

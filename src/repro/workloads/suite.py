@@ -49,11 +49,6 @@ class NetworkSpec:
         return sum(l.macs for l in self.layers)
 
     @property
-    def total_flops(self) -> int:
-        """Forward FLOPs per image."""
-        return sum(l.flops for l in self.layers)
-
-    @property
     def total_weights(self) -> int:
         """Trainable weights across all layers."""
         return sum(l.weight_count for l in self.layers)

@@ -82,7 +82,12 @@ from repro.nn.engine import MatmulEngine
 from repro.telemetry import SCHEMA_VERSION, Collector, TelemetryLike
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngLike, derive_seed, new_rng
-from repro.utils.validation import check_choice, check_positive
+from repro.utils.validation import (
+    COUNT,
+    check_choice,
+    check_document,
+    check_positive,
+)
 from repro.xbar.adc import ADCConfig, quantize_levels
 from repro.xbar.dac import (
     AnalogDAC,
@@ -884,6 +889,18 @@ class CrossbarEngine(MatmulEngine):
         return accumulator * (a_scale * sliced.scale)
 
 
+_FAULT_COUNTS = ("cells", "stuck_off", "stuck_on")
+
+_FAULT_SHAPE = {
+    "schema_version": SCHEMA_VERSION,
+    **{key: int for key in _FAULT_COUNTS},
+    "tiles": [{
+        "plane": str, "slice": int, "grid": list,
+        **{key: COUNT for key in _FAULT_COUNTS},
+    }],
+}
+
+
 def validate_fault_report(document: Dict[str, object]) -> None:
     """Raise ``ValueError`` unless ``document`` is a fault census.
 
@@ -891,32 +908,11 @@ def validate_fault_report(document: Dict[str, object]) -> None:
     engine-level stuck-cell totals plus per-tile entries, with the
     totals equal to the sum over tiles.
     """
-    if document.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            "unsupported fault_report schema_version "
-            f"{document.get('schema_version')!r}"
-        )
-    tiles = document.get("tiles")
-    if not isinstance(tiles, list):
-        raise ValueError("fault_report must carry a tiles list")
-    sums = {"cells": 0, "stuck_off": 0, "stuck_on": 0}
-    for tile in tiles:
-        if not isinstance(tile, dict):
-            raise ValueError("fault_report tiles must be dicts")
-        for key in ("plane", "slice", "grid"):
-            if key not in tile:
-                raise ValueError(f"fault_report tile missing {key!r}")
-        for key in sums:
-            value = tile.get(key)
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(
-                    f"fault_report tile {key} must be a "
-                    f"non-negative int, got {value!r}"
-                )
-            sums[key] += value
-    for key, expected in sums.items():
-        if document.get(key) != expected:
+    check_document(document, _FAULT_SHAPE, "fault_report")
+    for key in _FAULT_COUNTS:
+        expected = sum(tile[key] for tile in document["tiles"])
+        if document[key] != expected:
             raise ValueError(
-                f"fault_report total {key}={document.get(key)!r} "
+                f"fault_report total {key}={document[key]!r} "
                 f"disagrees with tile sum {expected}"
             )

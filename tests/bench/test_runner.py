@@ -54,8 +54,11 @@ class TestRunSuite:
             ("None", "returned NoneType, not a list of bench documents"),
             ("DOC", "returned dict, not a list of bench documents"),
             ("[DOC, 'x']", "document 1 is a str, not a bench document"),
-            ("[{'kind': 'bench'}]", "bench document missing field"),
-            ("[dict(DOC, kind='profile')]", "bench kind 'profile'"),
+            ("[{'kind': 'bench'}]", "bench_document: missing key"),
+            (
+                "[dict(DOC, kind='profile')]",
+                "bench_document.kind: expected 'bench', got 'profile'",
+            ),
         ],
     )
     def test_bad_return_fails_that_bench_only(
@@ -215,7 +218,7 @@ class TestTrajectory:
     def test_rejects_foreign_document(self, tmp_path):
         path = tmp_path / "traj.json"
         path.write_text(json.dumps({"kind": "something_else"}))
-        with pytest.raises(ValueError, match="not a bench trajectory"):
+        with pytest.raises(ValueError, match="trajectory.kind: expected"):
             load_trajectory(path)
 
     def test_concurrent_appends_keep_every_record(self, tmp_path):
@@ -261,7 +264,7 @@ class TestBaselineValidation:
         [
             ({"kind": "bench"}, "kind"),
             ({"schema_version": 99}, "schema_version"),
-            ({"metrics": {"m": 3.5}}, "dict with 'value'"),
+            ({"metrics": {"m": 3.5}}, "m: expected dict"),
         ],
     )
     def test_rejects_malformed(self, tmp_path, mutation, message):

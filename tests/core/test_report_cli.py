@@ -119,7 +119,7 @@ class TestReportFromProfile:
             capsys, ["--profile", str(profile_path)]
         )
         assert code == 2
-        assert "schema_version 999" in captured.err
+        assert "schema_version: expected 1, got 999" in captured.err
         assert "regenerate" in captured.err
 
     def test_missing_schema_version_rejected(self, capsys, profile_path):
@@ -130,7 +130,7 @@ class TestReportFromProfile:
             capsys, ["--profile", str(profile_path)]
         )
         assert code == 2
-        assert "schema_version None" in captured.err
+        assert "missing key 'schema_version'" in captured.err
 
 
 class TestReportEnergy:

@@ -48,7 +48,7 @@ class TestGanSchemeReport:
             **document,
             "datasets": {"mnist": [{"scheme": "sp_cs"}]},
         }
-        with pytest.raises(ValueError, match="missing 'cycles'"):
+        with pytest.raises(ValueError, match="missing key 'cycles'"):
             validate_gan_scheme_report(broken)
 
 
@@ -64,7 +64,7 @@ class TestReliabilityReport:
             validate_reliability_report(
                 {**document, "scenarios": []}
             )
-        with pytest.raises(ValueError, match="must be an int"):
+        with pytest.raises(ValueError, match="count: expected int"):
             validate_reliability_report(
                 {**document, "count": "eight"}
             )
@@ -100,7 +100,7 @@ class TestTable1Report:
             "schema_version": SCHEMA_VERSION,
             "pipelayer": {**self._row(), "speedup": -1.0},
         }
-        with pytest.raises(ValueError, match="positive speedup"):
+        with pytest.raises(ValueError, match="speedup: expected number > 0"):
             validate_table1_report(bad)
         nameless = {
             "schema_version": SCHEMA_VERSION,
@@ -109,7 +109,7 @@ class TestTable1Report:
                 "per_workload": [{"speedup": 1.0}],
             },
         }
-        with pytest.raises(ValueError, match="name their network"):
+        with pytest.raises(ValueError, match="missing key 'network'"):
             validate_table1_report(nameless)
 
     @pytest.mark.slow

@@ -189,3 +189,9 @@ class TestEventLog:
         records = read_event_log(event_log)
         for record in records:
             assert record["trace_id"] == trace_id_for(record["job_id"])
+
+    def test_line_that_is_not_an_object_is_refused(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text("5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="expected dict, got int"):
+            read_event_log(path)

@@ -5,12 +5,14 @@ round-trips through ``to_dict`` or is refused with ``ValueError`` /
 ``TypeError`` (the two errors ``POST /v1/jobs`` answers with 400).
 Any byte string fed to the hand-written HTTP request reader either
 parses or is refused with one of the errors the connection handler
-answers with 400/413.
+answers with 400/413.  Any body POSTed to ``/v1/jobs`` is answered
+with 202 or 400.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 from dataclasses import fields
 
 import pytest
@@ -139,3 +141,46 @@ def test_read_request_parses_or_refuses(data):
     assert isinstance(method, str) and method == method.upper()
     assert isinstance(target, str) and target
     assert isinstance(body, bytes) and len(body) <= MAX_BODY_BYTES
+
+
+#: Bodies nested far deeper than the interpreter's recursion limit,
+#: yet well under ``MAX_BODY_BYTES``: ``json.loads`` raises
+#: ``RecursionError`` on them.
+NESTED_BODIES = st.builds(
+    lambda depth, pair: pair[0] * depth + pair[1] * depth,
+    st.integers(1, 100_000),
+    st.sampled_from([(b"[", b"]"), (b'{"a":', b"}"), (b"[", b"")]),
+)
+
+
+def _post_jobs(body: bytes):
+    return asyncio.run(JobServer()._route("POST", "/v1/jobs", body))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    body=st.binary(max_size=64)
+    | (JSON_VALUES | job_documents()).map(lambda v: json.dumps(v).encode())
+    | NESTED_BODIES
+)
+def test_post_jobs_answers_every_body(body):
+    status, document = _post_jobs(body)
+    assert status in (202, 400)
+    assert isinstance(document, dict)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        # json.loads raised RecursionError, which _route did not
+        # catch, so the client got no response at all.
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"a":' * 100_000 + b"0" + b"}" * 100_000,
+    ],
+    ids=["arrays", "objects"],
+)
+def test_deeply_nested_body_is_a_400(body):
+    assert len(body) < MAX_BODY_BYTES
+    status, document = _post_jobs(body)
+    assert status == 400
+    assert "recursion" in document["error"]

@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from repro.sweep import SweepCache, SweepCell, register_cell_kind, run_cell
+from repro.sweep import (
+    SweepCache,
+    SweepCell,
+    register_cell_kind,
+    run_cell,
+    run_sweep,
+)
 
 
 def toy_cell(spec, collector):
@@ -64,3 +70,20 @@ class TestSweepCache:
         other = SweepCell("toy_cache", {"x": 5, "seed": 2})
         with pytest.raises(ValueError):
             cache.store(cell, run_cell(other))
+
+    @pytest.mark.parametrize("body", ["null", "5", {"seed": None}])
+    def test_wrongly_typed_file_is_a_miss_and_recomputed(
+        self, tmp_path, body
+    ):
+        cache = SweepCache(tmp_path)
+        cell = SweepCell("toy_cache", {"x": 4, "seed": 2})
+        payload = run_cell(cell)
+        if isinstance(body, dict):
+            body = json.dumps({**payload, **body})
+        cache.path_for(cell).parent.mkdir(parents=True, exist_ok=True)
+        cache.path_for(cell).write_text(body, encoding="utf-8")
+        assert cache.load(cell) is None
+        run = run_sweep([cell], workers=1, cache=cache)
+        assert run.stats["recomputed"] == 1
+        assert run.payloads == [payload]
+        assert cache.load(cell) == payload

@@ -300,7 +300,9 @@ class TestExport:
             validate_profile_report(document)
         document = profile_report(self._collector(), ["x"], 0, 0.1)
         document["spans"][0]["wall_duration_s"] = -1.0
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(
+            ValueError, match="wall_duration_s: expected number >= 0"
+        ):
             validate_profile_report(document)
 
     def test_profile_validator_rejects_missing_field(self):

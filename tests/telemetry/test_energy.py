@@ -127,7 +127,7 @@ class TestValidation:
     def test_cost_table_rejects_negative_and_bool(self):
         with pytest.raises(ValueError, match=">= 0"):
             validate_cost_table({**COSTS, "array_read_joules": -1.0})
-        with pytest.raises(ValueError, match="must be a number"):
+        with pytest.raises(ValueError, match="expected number, got bool"):
             validate_cost_table({**COSTS, "subcycle_seconds": True})
 
     def test_all_cost_keys_are_checked(self):

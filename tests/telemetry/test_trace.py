@@ -169,7 +169,7 @@ class TestValidation:
             parent_id=None, name="r", proc="p", start=5, end=2,
         )
         document = trace_document(trace_id_for("job"), [bad])
-        with pytest.raises(ValueError, match="ends before"):
+        with pytest.raises(ValueError, match="end >= start"):
             validate_trace_document(document)
 
     def test_document_filters_foreign_trace_ids(self):
