@@ -4,8 +4,9 @@ ReGAN's two pipeline optimizations: SP duplicates D so training phases
 (1) and (2) run concurrently; CS co-trains D and G by sharing the
 forward path T0-T6 (doubling intermediate storage), with D updated at
 T11 and G at T14.  The benchmark compares full-iteration cycle counts
-across all five schemes for the four ReGAN datasets and records the
-cycles, speedup, and hardware price of each scheme.
+across all five schemes for the four ReGAN datasets, checks each
+closed form against the executed schedule, and records the cycles,
+speedup, and hardware price of each scheme.
 """
 
 import time
@@ -13,6 +14,7 @@ import time
 from benchmarks._common import format_table, record, record_json
 from repro.bench import register
 from repro.core.gan_pipeline import SCHEME_COSTS, SCHEMES, iteration_cycles
+from repro.core.schedule import verify_scheme
 from repro.telemetry import bench_document as _bench_document
 from repro.workloads import regan_suite
 
@@ -68,7 +70,14 @@ def bench_fig9_sp_cs():
         ),
     )
 
-    by_key = {(row[0], row[1]): row for row in rows}
+    # Formula == execution, for every row the bench prices.
+    for dataset, (generator, discriminator) in regan_suite().items():
+        for scheme in SCHEMES:
+            check = verify_scheme(
+                discriminator.depth, generator.depth, BATCH, scheme
+            )
+            assert check["match"], (dataset, check)
+            assert check["simulated"] == by_key[(dataset, scheme)][2]
     for dataset in ("mnist", "cifar10", "celeba", "lsun"):
         cycles = {
             scheme: by_key[(dataset, scheme)][2] for scheme in SCHEMES

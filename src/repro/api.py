@@ -49,13 +49,15 @@ import numpy as np
 from repro.core.compiler import Deployment, deploy_network, spec_from_network
 from repro.core.estimator import TableOneRow, pipelayer_table1, regan_table1
 from repro.core.gan_pipeline import scheme_table
-from repro.core.gan_schedule import simulate_gan_iteration
 from repro.core.mapping import balanced_mapping
 from repro.core.pipeline import (
     training_cycles_pipelined,
     training_cycles_sequential,
 )
-from repro.core.schedule import simulate_training_pipeline
+from repro.core.schedule import (
+    simulate_gan_iteration,
+    simulate_training_pipeline,
+)
 from repro.core.trace import render_gan_schedule, render_training_schedule
 from repro.datasets.synthetic import (
     CIFAR10_SHAPE,

@@ -51,6 +51,7 @@ from pathlib import Path
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro import api
+from repro.core.gan_pipeline import SCHEMES
 from repro.reliability import AXES, campaign_summary
 from repro.telemetry import (
     SCHEMA_VERSION,
@@ -378,8 +379,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.smoke is not None:
         from repro.serve.smoke import run_smoke
 
-        if args.smoke < 1:
-            return _fail("serve: --smoke needs at least 1 job")
         try:
             document, text = run_smoke(config, args.smoke, args.seed)
         except ConnectionError as error:
@@ -572,6 +571,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         collector, exit_code, _, _ = _run_wrapped(command, inner)
         counters = collector.counters()
         source = "repro " + " ".join(command)
+        args.json = args.json or getattr(inner, "json", False)
     if args.energy:
         from repro.arch.components import event_costs
         from repro.arch.params import DEFAULT_TECH
@@ -708,6 +708,19 @@ def _comma_list(kind: Callable[[str], Any], noun: str) -> Callable:
     return parse
 
 
+def _positive_int(text: str) -> int:
+    """An argparse ``type=`` for a count, size or depth (``> 0``)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer, got {text!r}"
+        ) from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
     shared = argparse.ArgumentParser(add_help=False)
@@ -715,7 +728,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="master RNG seed (default 0)"
     )
     shared.add_argument(
-        "--batch", type=int, default=32, help="batch size (default 32)"
+        "--batch",
+        type=_positive_int,
+        default=32,
+        help="batch size (default 32)",
     )
     shared.add_argument(
         "--json",
@@ -741,7 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_comma_list(float, "numbers"),
         help="comma-separated sweep points (default: per-axis preset)",
     )
-    campaign.add_argument("--count", type=int, default=32)
+    campaign.add_argument("--count", type=_positive_int, default=32)
     campaign.add_argument("--train-epochs", type=int, default=5)
     campaign.add_argument(
         "--no-tiles",
@@ -783,7 +799,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("fig9", _cmd_fig9, "Fig. 9 GAN pipeline schemes"),
     ):
         command(name, func, shared, help=summary)
-    sub.choices["fig5"].add_argument("--layers", type=int, default=8)
+    sub.choices["fig5"].add_argument(
+        "--layers", type=_positive_int, default=8
+    )
 
     p_summary = command(
         "summary", _cmd_summary, shared, help="workload inventory"
@@ -801,7 +819,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sens.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="shard the tornado fields over N processes",
     )
@@ -810,14 +828,14 @@ def build_parser() -> argparse.ArgumentParser:
         "area", _cmd_area, shared, help="area/power budget of a workload"
     )
     p_area.add_argument("workload")
-    p_area.add_argument("--budget", type=int, default=262144)
+    p_area.add_argument("--budget", type=_positive_int, default=262144)
 
     p_trace = command(
         "trace", _cmd_trace, shared, help="ASCII Gantt of a schedule"
     )
-    p_trace.add_argument("--layers", type=int, default=3)
+    p_trace.add_argument("--layers", type=_positive_int, default=3)
     p_trace.add_argument("--gan", action="store_true")
-    p_trace.add_argument("--scheme", default="sp_cs")
+    p_trace.add_argument("--scheme", choices=SCHEMES, default="sp_cs")
     p_trace.set_defaults(batch=4)
 
     p_infer = command(
@@ -830,7 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_infer.add_argument(
         "--backend", choices=("loop", "vectorized")
     )
-    p_infer.add_argument("--count", type=int, default=64)
+    p_infer.add_argument("--count", type=_positive_int, default=64)
 
     p_reliability = command(
         "reliability",
@@ -848,7 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_reliability.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="shard scenarios over N processes (byte-identical report "
         "for any N)",
@@ -881,7 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="process count for the cell pool (default 1: inline)",
     )
@@ -914,9 +932,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument(
         "--backend", choices=("loop", "vectorized")
     )
-    p_train.add_argument("--epochs", type=int, default=1)
-    p_train.add_argument("--train-count", type=int, default=256)
-    p_train.add_argument("--test-count", type=int, default=64)
+    p_train.add_argument("--epochs", type=_positive_int, default=1)
+    p_train.add_argument("--train-count", type=_positive_int, default=256)
+    p_train.add_argument("--test-count", type=_positive_int, default=64)
 
     p_serve = command(
         "serve",
@@ -946,19 +964,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=4,
         help="worker threads executing jobs (default 4)",
     )
     p_serve.add_argument(
         "--max-coalesce",
-        type=int,
+        type=_positive_int,
         default=8,
         help="max inference jobs per coalesced batch (default 8)",
     )
     p_serve.add_argument(
         "--smoke",
-        type=int,
+        type=_positive_int,
         metavar="N",
         help="run the N-job self-check instead of serving forever",
     )
@@ -1071,7 +1089,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="shard benches over N processes (deterministic metrics "
         "are unaffected; wall times then share the host)",

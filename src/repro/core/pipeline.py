@@ -25,8 +25,6 @@ These formulas are cross-checked against the event-driven simulator in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.utils.validation import check_positive
 
 
@@ -93,38 +91,3 @@ def asymptotic_training_speedup(layers: int, batch: int) -> float:
     check_positive("batch", batch)
     return ((2 * layers + 1) * batch + 1) / (2 * layers + batch + 1)
 
-
-@dataclass(frozen=True)
-class PipelineSummary:
-    """Cycle accounting for one (L, N, B) training configuration."""
-
-    layers: int
-    n_inputs: int
-    batch: int
-
-    @property
-    def sequential_cycles(self) -> int:
-        return training_cycles_sequential(self.layers, self.n_inputs, self.batch)
-
-    @property
-    def pipelined_cycles(self) -> int:
-        return training_cycles_pipelined(self.layers, self.n_inputs, self.batch)
-
-    @property
-    def speedup(self) -> float:
-        return self.sequential_cycles / self.pipelined_cycles
-
-    @property
-    def pipeline_occupancy(self) -> float:
-        """Fraction of pipeline slots doing useful work.
-
-        Useful work per batch is the sequential per-batch cycle count
-        ``(2L + 1)B + 1`` spread over ``(2L + B + 1)`` pipeline cycles
-        with up to ``min(B, ...)`` concurrent inputs; expressed as the
-        ratio of work cycles to (cycles x depth) with depth ``2L + 1``.
-        """
-        work = (2 * self.layers + 1) * self.batch + 1
-        slots = training_cycles_per_batch_pipelined(self.layers, self.batch) * (
-            2 * self.layers + 1
-        )
-        return work / slots

@@ -1,52 +1,87 @@
-"""Event-driven pipeline schedule simulator (validates Fig. 5 / Fig. 8).
+"""Event-driven schedule simulator (validates Figs. 5, 8 and 9).
 
 The closed-form cycle counts in :mod:`repro.core.pipeline` and
 :mod:`repro.core.gan_pipeline` are easy to get subtly wrong (fill,
 drain, batch barriers, update cycles), so this module *executes* the
-schedule: inputs advance through a linear chain of stages one cycle at
-a time, a new input may enter every cycle within a batch, the weight
-update fires one cycle after the last input drains, and the next batch
-waits for it.  The simulator returns the full event table, which tests
-check for structural hazards and dependency violations before comparing
-its makespan with the formulas.
+schedules and returns the full event table, which tests check for
+structural hazards and dependency violations before comparing its
+makespan with the formulas.
 
-This is the executable form of Fig. 5: the rectangles (per-layer
-compute) are stages, the red dashed lines are our cycle boundaries.
+Both papers' pipelines are one machine: a batch streams through a
+chain of stages on explicit hardware resources, one element entering
+per cycle, and a weight update follows the drain.  :func:`run_phase`
+is that primitive and every simulator here is a sequence of phases.
+Stage ``s`` of a resource holds one element per cycle (the
+structural-hazard rule).
+
+* Fig. 5 — :func:`simulate_training_pipeline` streams each batch
+  through the ``2L + 1`` stages of one chain (L forward, one
+  loss/error stage, L backward); the weight update takes the cycle
+  after the last input drains, and the next batch waits for it.  The
+  rectangles of Fig. 5 (per-layer compute) are stages, the red dashed
+  lines are our cycle boundaries.
+* Figs. 8-9 — :func:`simulate_gan_iteration` streams the three GAN
+  dataflows over G's stage chain and one or two copies of D's.  The
+  schemes differ in how the dataflows share those resources:
+
+  * ``pipelined`` — dataflows run back-to-back on a single D copy.
+  * ``sp`` — dataflow (1) uses D copy B while dataflow (2) uses copy
+    A, concurrently.
+  * ``cs`` — dataflows (2) and (3) merge: one forward pass through
+    G+D, then two backward branches; the D branch ends (and D updates)
+    while the G branch continues.
+  * ``sp_cs`` — both.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core.gan_pipeline import SCHEMES, iteration_cycles
 from repro.telemetry import NULL_COLLECTOR, TelemetryLike
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_choice, check_positive
+
+#: The one resource a Fig. 5 chain runs on.
+PIPE = "pipe"
+
+#: Pipeline position -> (resource, stage-in-resource).
+Chain = List[Tuple[str, int]]
 
 
 @dataclass(frozen=True)
 class ScheduleEvent:
-    """One (cycle, stage, input) occupancy record.
+    """One occupancy record: (cycle, resource, stage, element, dataflow).
 
-    ``stage`` is 0-based along the pipeline; ``input_id`` is global
-    across batches.  Update events use ``stage = -1`` and
-    ``input_id = batch index``.
+    ``resource`` names the hardware chain (:data:`PIPE` for Fig. 5;
+    ``"G"``, ``"D0"``, ``"D1"``, ``"Dbwd2"`` for the GAN schemes).
+    Weight updates use resource ``"ctrl"`` and stage ``-1``; a Fig. 5
+    update's ``element`` is its batch index.
     """
 
     cycle: int
+    resource: str
     stage: int
-    input_id: int
-    kind: str = "compute"
+    element: int
+    dataflow: str
 
 
 @dataclass
 class ScheduleResult:
-    """Full event table plus derived metrics."""
+    """Event table of one executed schedule, plus the shape it ran.
+
+    A Fig. 5 chain sets ``stages`` (its depth) and ``n_inputs``
+    (``batch`` inputs per update; an inference pipeline expects no
+    updates).  A GAN iteration sets ``scheme``.
+    """
 
     events: List[ScheduleEvent]
-    stages: int
-    n_inputs: int
     batch: int
+    stages: int = 0
+    n_inputs: int = 0
     updates_expected: bool = True
+    scheme: Optional[str] = None
 
     @property
     def makespan(self) -> int:
@@ -55,34 +90,42 @@ class ScheduleResult:
             return 0
         return max(event.cycle for event in self.events) + 1
 
-    def occupancy(self) -> float:
-        """Mean fraction of stages busy per cycle."""
-        if not self.events:
-            return 0.0
-        compute = [e for e in self.events if e.kind == "compute"]
-        return len(compute) / (self.makespan * self.stages)
+    def compute_events(self) -> List[ScheduleEvent]:
+        """The stage-occupancy events (everything but updates)."""
+        return [e for e in self.events if e.stage >= 0]
 
-    # -- validation ------------------------------------------------------------
+    def updates(self) -> List[ScheduleEvent]:
+        """The weight-update events, in cycle order."""
+        return sorted(
+            (e for e in self.events if e.stage < 0), key=lambda e: e.cycle
+        )
+
+    def occupancy(self) -> float:
+        """Mean fraction of (resource, stage) lanes busy per cycle."""
+        compute = self.compute_events()
+        if not compute:
+            return 0.0
+        lanes = {(e.resource, e.stage) for e in compute}
+        return len(compute) / (self.makespan * len(lanes))
+
+    # -- validation -----------------------------------------------------------
     def check_structural_hazards(self) -> None:
-        """Raise if two inputs ever occupy the same stage in a cycle."""
-        seen: Set[Tuple[int, int]] = set()
-        for event in self.events:
-            if event.kind != "compute":
-                continue
-            key = (event.cycle, event.stage)
+        """No (resource, stage) may hold two elements in one cycle."""
+        seen = set()
+        for event in self.compute_events():
+            key = (event.cycle, event.resource, event.stage)
             if key in seen:
                 raise AssertionError(
-                    f"structural hazard: stage {event.stage} double-booked "
-                    f"at cycle {event.cycle}"
+                    f"structural hazard: {event.resource} stage "
+                    f"{event.stage} double-booked at cycle {event.cycle}"
                 )
             seen.add(key)
 
     def check_stage_progression(self) -> None:
-        """Raise unless each input advances one stage per cycle."""
+        """Fig. 5: raise unless each input advances one stage per cycle."""
         per_input: Dict[int, List[ScheduleEvent]] = {}
-        for event in self.events:
-            if event.kind == "compute":
-                per_input.setdefault(event.input_id, []).append(event)
+        for event in self.compute_events():
+            per_input.setdefault(event.element, []).append(event)
         for input_id, events in per_input.items():
             events.sort(key=lambda e: e.stage)
             if [e.stage for e in events] != list(range(self.stages)):
@@ -98,79 +141,171 @@ class ScheduleResult:
                     )
 
     def check_batch_barrier(self) -> None:
-        """Raise unless updates separate batches correctly."""
+        """Fig. 5: raise unless updates separate batches correctly."""
         if not self.updates_expected:
             return
-        updates = sorted(
-            (e for e in self.events if e.kind == "update"),
-            key=lambda e: e.cycle,
-        )
+        updates = self.updates()
+        compute = self.compute_events()
         expected_batches = self.n_inputs // self.batch
         if len(updates) != expected_batches:
             raise AssertionError(
                 f"{len(updates)} updates for {expected_batches} batches"
             )
         for batch_index, update in enumerate(updates):
-            members = [
-                e
-                for e in self.events
-                if e.kind == "compute"
-                and batch_index * self.batch
-                <= e.input_id
-                < (batch_index + 1) * self.batch
-            ]
-            last_compute = max(e.cycle for e in members)
+            end = (batch_index + 1) * self.batch
+            last_compute = max(
+                e.cycle for e in compute
+                if batch_index * self.batch <= e.element < end
+            )
             if update.cycle != last_compute + 1:
                 raise AssertionError(
                     f"batch {batch_index} update at {update.cycle}, last "
                     f"compute at {last_compute}"
                 )
-            next_members = [
-                e
-                for e in self.events
-                if e.kind == "compute"
-                and e.input_id >= (batch_index + 1) * self.batch
-            ]
-            if next_members:
-                first_next = min(e.cycle for e in next_members)
-                if first_next <= update.cycle:
-                    raise AssertionError(
-                        f"batch {batch_index + 1} started at {first_next} "
-                        f"before update at {update.cycle}"
-                    )
+            next_members = [e.cycle for e in compute if e.element >= end]
+            if next_members and min(next_members) <= update.cycle:
+                raise AssertionError(
+                    f"batch {batch_index + 1} started at "
+                    f"{min(next_members)} before update at {update.cycle}"
+                )
+
+    def check_update_ordering(self) -> None:
+        """GAN: D updates after dataflows (1)+(2) drain; G after (3).
+
+        In CS schemes the D update (T11) must precede the G update
+        (T14), both inside the merged pass.
+        """
+        updates = {e.dataflow: e.cycle for e in self.updates()}
+        if "D update" not in updates or "G update" not in updates:
+            raise AssertionError(f"missing updates: {sorted(updates)}")
+        d_inputs = [
+            e.cycle
+            for e in self.compute_events()
+            if e.dataflow in ("d_real", "d_fake", "merged_d_branch")
+        ]
+        if updates["D update"] <= max(d_inputs):
+            raise AssertionError("D updated before its derivatives drained")
+        g_inputs = [
+            e.cycle
+            for e in self.compute_events()
+            if e.dataflow in ("g_train", "merged_g_branch")
+        ]
+        if updates["G update"] <= max(g_inputs):
+            raise AssertionError("G updated before its derivatives drained")
+        if self.scheme in ("cs", "sp_cs"):
+            if not updates["D update"] < updates["G update"]:
+                raise AssertionError(
+                    "computation sharing must update D (T11) before G (T14)"
+                )
 
     def validate(self) -> None:
-        """Run all structural checks."""
+        """The hazard check plus the schedule's dependency checks."""
         self.check_structural_hazards()
-        self.check_stage_progression()
-        self.check_batch_barrier()
+        if self.scheme is None:
+            self.check_stage_progression()
+            self.check_batch_barrier()
+        else:
+            self.check_update_ordering()
 
 
-def _record_schedule_telemetry(
-    tel: TelemetryLike, result: ScheduleResult
-) -> None:
+def run_phase(
+    events: List[ScheduleEvent],
+    start: int,
+    batch: int,
+    chain: Chain,
+    dataflow: str,
+    first: int = 0,
+) -> int:
+    """Pipeline a batch through a stage chain; returns drain cycle + 1.
+
+    Element ``first + b`` enters at ``start + b`` and advances one
+    chain position per cycle; the return value is the first cycle
+    after the last element leaves the last stage.
+    """
+    for offset in range(batch):
+        entry = start + offset
+        for position, (resource, stage) in enumerate(chain):
+            events.append(
+                ScheduleEvent(
+                    entry + position, resource, stage, first + offset,
+                    dataflow,
+                )
+            )
+    return start + batch - 1 + len(chain)
+
+
+def _update(cycle: int, dataflow: str, element: int = 0) -> ScheduleEvent:
+    return ScheduleEvent(cycle, "ctrl", -1, element, dataflow)
+
+
+def _record_occupancy(tel: TelemetryLike, result: ScheduleResult) -> None:
     """Publish one executed schedule's occupancy counters.
 
     Counter paths follow the component-path convention of
-    :mod:`repro.telemetry`: per-stage busy cycles
-    (``stage[<s>].busy_cycles``), event/update totals, and the
-    makespan gauge.  Everything here is derived from the deterministic
-    event table, so the counters inherit the simulator's determinism.
+    :mod:`repro.telemetry`: busy cycles per stage of a one-chain
+    pipeline (``stage[<s>].busy_cycles``) or per resource when several
+    chains share the schedule (``resource[<r>].busy_cycles``),
+    event/update totals, and the makespan gauge.  Everything here is
+    derived from the deterministic event table, so the counters
+    inherit the simulator's determinism.
     """
     if not tel:
         return
-    busy: Dict[int, int] = {}
-    updates = 0
-    for event in result.events:
-        if event.kind == "compute":
-            busy[event.stage] = busy.get(event.stage, 0) + 1
-        elif event.kind == "update":
-            updates += 1
-    for stage in sorted(busy):
-        tel.count(f"stage[{stage}].busy_cycles", busy[stage])
+    compute = result.compute_events()
+    one_chain = len({e.resource for e in compute}) == 1
+    label = "stage" if one_chain else "resource"
+    busy = Counter(e.stage if one_chain else e.resource for e in compute)
+    for key in sorted(busy):
+        tel.count(f"{label}[{key}].busy_cycles", busy[key])
     tel.count("events", len(result.events))
-    tel.count("updates", updates)
+    tel.count("updates", len(result.updates()))
     tel.set("makespan_cycles", result.makespan)
+
+
+def _execute(
+    span: str,
+    collector: Optional[TelemetryLike],
+    build: Callable[[], ScheduleResult],
+) -> ScheduleResult:
+    """Run ``build`` inside a timing span and record its occupancy."""
+    tel = collector if collector is not None else NULL_COLLECTOR
+    with tel.span(span):
+        result = build()
+    _record_occupancy(tel, result)
+    return result
+
+
+def _training_schedule(
+    span: str,
+    layers: int,
+    n_inputs: int,
+    batch: int,
+    in_flight: int,
+    collector: Optional[TelemetryLike],
+) -> ScheduleResult:
+    """Batches of ``in_flight``-input phases on the ``2L + 1`` chain."""
+    check_positive("layers", layers)
+    check_positive("n_inputs", n_inputs)
+    check_positive("batch", batch)
+    if n_inputs % batch:
+        raise ValueError("n_inputs must be a multiple of batch")
+    chain = [(PIPE, stage) for stage in range(2 * layers + 1)]
+
+    def build() -> ScheduleResult:
+        events: List[ScheduleEvent] = []
+        cycle = 0
+        for batch_index in range(n_inputs // batch):
+            for first in range(
+                batch_index * batch, (batch_index + 1) * batch, in_flight
+            ):
+                cycle = run_phase(
+                    events, cycle, in_flight, chain, "train", first
+                )
+            events.append(_update(cycle, "update", batch_index))
+            cycle += 1
+        return ScheduleResult(events, batch, len(chain), n_inputs)
+
+    return _execute(span, collector, build)
 
 
 def simulate_training_pipeline(
@@ -188,40 +323,10 @@ def simulate_training_pipeline(
     ``collector`` receives the per-stage occupancy counters and a
     timing span (see :mod:`repro.telemetry`).
     """
-    check_positive("layers", layers)
-    check_positive("n_inputs", n_inputs)
-    check_positive("batch", batch)
-    if n_inputs % batch:
-        raise ValueError("n_inputs must be a multiple of batch")
-    tel = collector if collector is not None else NULL_COLLECTOR
-    stages = 2 * layers + 1
-    events: List[ScheduleEvent] = []
-    with tel.span("simulate_training_pipeline"):
-        batch_start = 0
-        for batch_index in range(n_inputs // batch):
-            last_drain = 0
-            for position in range(batch):
-                input_id = batch_index * batch + position
-                entry = batch_start + position
-                for stage in range(stages):
-                    events.append(
-                        ScheduleEvent(
-                            cycle=entry + stage, stage=stage, input_id=input_id
-                        )
-                    )
-                last_drain = entry + stages - 1
-            update_cycle = last_drain + 1
-            events.append(
-                ScheduleEvent(
-                    cycle=update_cycle, stage=-1, input_id=batch_index, kind="update"
-                )
-            )
-            batch_start = update_cycle + 1
-    result = ScheduleResult(
-        events=events, stages=stages, n_inputs=n_inputs, batch=batch
+    return _training_schedule(
+        "simulate_training_pipeline", layers, n_inputs, batch, batch,
+        collector,
     )
-    _record_schedule_telemetry(tel, result)
-    return result
 
 
 def simulate_training_sequential(
@@ -231,35 +336,10 @@ def simulate_training_sequential(
     collector: Optional[TelemetryLike] = None,
 ) -> ScheduleResult:
     """Execute the unpipelined schedule: one input at a time."""
-    check_positive("layers", layers)
-    check_positive("n_inputs", n_inputs)
-    check_positive("batch", batch)
-    if n_inputs % batch:
-        raise ValueError("n_inputs must be a multiple of batch")
-    tel = collector if collector is not None else NULL_COLLECTOR
-    stages = 2 * layers + 1
-    events: List[ScheduleEvent] = []
-    with tel.span("simulate_training_sequential"):
-        cycle = 0
-        for batch_index in range(n_inputs // batch):
-            for position in range(batch):
-                input_id = batch_index * batch + position
-                for stage in range(stages):
-                    events.append(
-                        ScheduleEvent(cycle=cycle, stage=stage, input_id=input_id)
-                    )
-                    cycle += 1
-            events.append(
-                ScheduleEvent(
-                    cycle=cycle, stage=-1, input_id=batch_index, kind="update"
-                )
-            )
-            cycle += 1
-    result = ScheduleResult(
-        events=events, stages=stages, n_inputs=n_inputs, batch=batch
+    return _training_schedule(
+        "simulate_training_sequential", layers, n_inputs, batch, 1,
+        collector,
     )
-    _record_schedule_telemetry(tel, result)
-    return result
 
 
 def simulate_inference_pipeline(
@@ -270,19 +350,124 @@ def simulate_inference_pipeline(
     """Execute the testing pipeline: L stages, no updates."""
     check_positive("layers", layers)
     check_positive("n_inputs", n_inputs)
-    tel = collector if collector is not None else NULL_COLLECTOR
-    with tel.span("simulate_inference_pipeline"):
-        events = [
-            ScheduleEvent(cycle=input_id + stage, stage=stage, input_id=input_id)
-            for input_id in range(n_inputs)
-            for stage in range(layers)
-        ]
-    result = ScheduleResult(
-        events=events,
-        stages=layers,
-        n_inputs=n_inputs,
-        batch=n_inputs,
-        updates_expected=False,
+
+    def build() -> ScheduleResult:
+        events: List[ScheduleEvent] = []
+        chain = [(PIPE, stage) for stage in range(layers)]
+        run_phase(events, 0, n_inputs, chain, "infer")
+        return ScheduleResult(
+            events, n_inputs, layers, n_inputs, updates_expected=False
+        )
+
+    return _execute("simulate_inference_pipeline", collector, build)
+
+
+def simulate_gan_iteration(
+    l_d: int,
+    l_g: int,
+    batch: int,
+    scheme: str,
+    collector: Optional[TelemetryLike] = None,
+) -> ScheduleResult:
+    """Execute one GAN training iteration under ``scheme``.
+
+    Returns the full event table; ``makespan`` equals
+    :func:`repro.core.gan_pipeline.iteration_cycles` for every scheme
+    (asserted by the test suite).  ``collector`` receives per-resource
+    occupancy counters and a ``simulate[<scheme>]`` timing span.
+    """
+    check_positive("l_d", l_d)
+    check_positive("l_g", l_g)
+    check_positive("batch", batch)
+    check_choice("scheme", scheme, SCHEMES)
+    return _execute(
+        f"simulate[{scheme}]",
+        collector,
+        lambda: _gan_iteration(l_d, l_g, batch, scheme),
     )
-    _record_schedule_telemetry(tel, result)
-    return result
+
+
+def _gan_iteration(
+    l_d: int, l_g: int, batch: int, scheme: str
+) -> ScheduleResult:
+    """The GAN schedule proper (validated args, no telemetry)."""
+
+    def d_forward(copy: str) -> Chain:
+        return [(copy, s) for s in range(l_d)]
+
+    def d_backward(copy: str) -> Chain:
+        return [(copy, l_d + 1 + s) for s in range(l_d)]
+
+    # SP runs phase (1) on its own D copy, concurrently with phase (2).
+    spatial = scheme in ("sp", "sp_cs")
+    d_copy = "D1" if spatial else "D0"
+    d_real = d_forward(d_copy) + [(d_copy, l_d)] + d_backward(d_copy)
+    # G forward, then D forward and its loss stage: the forward pass
+    # that CS shares between the D and G branches.
+    shared = [("G", s) for s in range(l_g)] + d_forward("D0") + [("D0", l_d)]
+    d_fake = shared + d_backward("D0")
+    g_backward = [("G", l_g + s) for s in range(l_g)]
+    g_train = d_fake + g_backward
+    events: List[ScheduleEvent] = []
+
+    if scheme == "unpipelined":
+        cycle = 0
+        for element in range(batch):
+            cycle = run_phase(events, cycle, 1, d_real, "d_real", element)
+            cycle = run_phase(events, cycle, 1, d_fake, "d_fake", element)
+        events.append(_update(cycle, "D update"))
+        cycle += 1
+        for element in range(batch):
+            cycle = run_phase(events, cycle, 1, g_train, "g_train", element)
+        events.append(_update(cycle, "G update"))
+        return ScheduleResult(events, batch, scheme=scheme)
+
+    d_real_end = run_phase(events, 0, batch, d_real, "d_real")
+    start = 0 if spatial else d_real_end
+    if scheme in ("cs", "sp_cs"):
+        # Merged pass: one shared forward feeds two backward branches.
+        # The D branch drains sweep_d_fake stages after entry, the G
+        # branch sweep_g stages.  The branch stages after the shared
+        # prefix occupy different hardware (stored derivatives vs G's
+        # backward chain), so the G branch emits only its tail and the
+        # shared prefix is booked once.
+        d_end = run_phase(events, start, batch, d_fake, "merged_d_branch")
+        g_tail = [("Dbwd2", s) for s in range(l_d)] + g_backward
+        g_end = run_phase(
+            events, start + len(shared), batch, g_tail, "merged_g_branch"
+        )
+        # T11: D updates right after its branch and phase (1); T14: G
+        # updates after its branch drains.
+        events.append(_update(max(d_real_end, d_end), "D update"))
+    else:
+        d_end = run_phase(events, start, batch, d_fake, "d_fake")
+        d_update = max(d_real_end, d_end)
+        events.append(_update(d_update, "D update"))
+        g_end = run_phase(events, d_update + 1, batch, g_train, "g_train")
+    events.append(_update(g_end, "G update"))
+    return ScheduleResult(events, batch, scheme=scheme)
+
+
+def verify_scheme(
+    l_d: int,
+    l_g: int,
+    batch: int,
+    scheme: str,
+    collector: Optional[TelemetryLike] = None,
+) -> Dict:
+    """Run one scheme and compare against the closed form.
+
+    Returns a record with both cycle counts; raises on any structural
+    violation.  Used by tests and the Fig. 9 benchmark.
+    """
+    result = simulate_gan_iteration(
+        l_d, l_g, batch, scheme, collector=collector
+    )
+    result.validate()
+    formula = iteration_cycles(l_d, l_g, batch, scheme)
+    return {
+        "scheme": scheme,
+        "simulated": result.makespan,
+        "formula": formula,
+        "match": result.makespan == formula,
+    }

@@ -2,29 +2,67 @@
 
 The paper's pipeline figures are occupancy charts: stages on one axis,
 cycles on the other, batch elements filling the diagonal.  This module
-renders the executed schedules from :mod:`repro.core.schedule` and
-:mod:`repro.core.gan_schedule` in the same visual language, so the
-examples (and curious users) can *see* the fill/drain/barrier structure
-instead of trusting a formula.
+renders the executed schedules from :mod:`repro.core.schedule` in the
+same visual language, so the examples (and curious users) can *see*
+the fill/drain/barrier structure instead of trusting a formula.
 
-Cells show the element id (mod 62, as 0-9a-zA-Z); ``*`` marks a weight
-update; ``.`` an idle slot.
+Cells show the element id (mod 62, as 0-9a-zA-Z); ``*`` (or ``D`` /
+``G`` for a GAN iteration) marks a weight update; ``.`` an idle slot.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from repro.core.gan_schedule import GanScheduleResult
-from repro.core.schedule import ScheduleResult
+from repro.core.schedule import PIPE, ScheduleEvent, ScheduleResult
 
 _SYMBOLS = (
     "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 )
 
+#: A Gantt row: its label and the (resource, stage) lane it shows.
+Row = Tuple[str, Tuple[str, int]]
+
+#: The lane every weight update is drawn on.
+_UPDATES = ("update", -1)
+
 
 def _element_symbol(element: int) -> str:
     return _SYMBOLS[element % len(_SYMBOLS)]
+
+
+def _gantt(
+    result: ScheduleResult,
+    rows: List[Row],
+    width: int,
+    max_cycles: int,
+    mark: Callable[[ScheduleEvent], str],
+) -> str:
+    """The cycle header, one line per row, and the ``update`` row.
+
+    Only the first ``max_cycles`` cycles are drawn; ``mark`` gives an
+    update event's symbol.
+    """
+    cycles = min(result.makespan, max_cycles)
+    grid: Dict[Tuple[Tuple[str, int], int], str] = {}
+    for event in result.events:
+        if event.cycle >= cycles:
+            continue
+        if event.stage < 0:
+            grid[(_UPDATES, event.cycle)] = mark(event)
+        else:
+            grid[((event.resource, event.stage), event.cycle)] = (
+                _element_symbol(event.element)
+            )
+    lines = [
+        " " * width
+        + "".join(str(c % 10) for c in range(cycles))
+        + ("  (truncated)" if result.makespan > cycles else "")
+    ]
+    for label, lane in rows + [("update", _UPDATES)]:
+        row = "".join(grid.get((lane, cycle), ".") for cycle in range(cycles))
+        lines.append(label.ljust(width) + row)
+    return "\n".join(lines)
 
 
 def render_training_schedule(
@@ -35,18 +73,6 @@ def render_training_schedule(
     One row per pipeline stage (forward stages, the loss stage, then
     backward stages), one column per cycle, plus an ``update`` row.
     """
-    cycles = min(result.makespan, max_cycles)
-    grid: Dict[Tuple[int, int], str] = {}
-    for event in result.events:
-        if event.cycle >= cycles:
-            continue
-        if event.kind == "update":
-            grid[(-1, event.cycle)] = "*"
-        else:
-            grid[(event.stage, event.cycle)] = _element_symbol(
-                event.input_id
-            )
-
     layers = (result.stages - 1) // 2
     labels: List[str] = []
     for stage in range(result.stages):
@@ -57,26 +83,12 @@ def render_training_schedule(
         else:
             labels.append(f"bwd L{result.stages - stage}")
     width = max(len(label) for label in labels + ["update"]) + 1
-
-    lines = [
-        " " * width
-        + "".join(str(c % 10) for c in range(cycles))
-        + ("  (truncated)" if result.makespan > cycles else "")
-    ]
-    for stage, label in enumerate(labels):
-        row = "".join(
-            grid.get((stage, cycle), ".") for cycle in range(cycles)
-        )
-        lines.append(f"{label:<{width}s}{row}")
-    update_row = "".join(
-        grid.get((-1, cycle), ".") for cycle in range(cycles)
-    )
-    lines.append(f"{'update':<{width}s}{update_row}")
-    return "\n".join(lines)
+    rows = [(label, (PIPE, stage)) for stage, label in enumerate(labels)]
+    return _gantt(result, rows, width, max_cycles, lambda event: "*")
 
 
 def render_gan_schedule(
-    result: GanScheduleResult, max_cycles: int = 140
+    result: ScheduleResult, max_cycles: int = 140
 ) -> str:
     """Gantt chart of a Fig. 8/9 GAN iteration.
 
@@ -84,53 +96,29 @@ def render_gan_schedule(
     copy's chain, the CS second backward branch, and the control row
     with the D (``D``) and G (``G``) update marks.
     """
-    cycles = min(result.makespan, max_cycles)
-    resources: Dict[str, int] = {}
-    for event in result.events:
-        if event.stage >= 0:
-            resources[event.resource] = max(
-                resources.get(event.resource, 0), event.stage + 1
-            )
-    order = [name for name in ("G", "D0", "D1", "Dbwd2") if name in resources]
-
-    grid: Dict[Tuple[str, int, int], str] = {}
-    updates: Dict[int, str] = {}
-    for event in result.events:
-        if event.cycle >= cycles:
-            continue
-        if event.stage < 0:
-            updates[event.cycle] = (
-                "D" if event.dataflow.startswith("D") else "G"
-            )
-        else:
-            grid[(event.resource, event.stage, event.cycle)] = (
-                _element_symbol(event.element)
-            )
-
-    width = 12
-    lines = [
-        " " * width
-        + "".join(str(c % 10) for c in range(cycles))
-        + ("  (truncated)" if result.makespan > cycles else "")
+    depth: Dict[str, int] = {}
+    for event in result.compute_events():
+        depth[event.resource] = max(
+            depth.get(event.resource, 0), event.stage + 1
+        )
+    rows = [
+        (f"{resource}[{stage}]", (resource, stage))
+        for resource in ("G", "D0", "D1", "Dbwd2")
+        if resource in depth
+        for stage in range(depth[resource])
     ]
-    for resource in order:
-        for stage in range(resources[resource]):
-            row = "".join(
-                grid.get((resource, stage, cycle), ".")
-                for cycle in range(cycles)
-            )
-            lines.append(f"{resource}[{stage}]".ljust(width) + row)
-    update_row = "".join(
-        updates.get(cycle, ".") for cycle in range(cycles)
+    return _gantt(
+        result,
+        rows,
+        12,
+        max_cycles,
+        lambda event: "D" if event.dataflow.startswith("D") else "G",
     )
-    lines.append("update".ljust(width) + update_row)
-    return "\n".join(lines)
 
 
 def occupancy_profile(result: ScheduleResult) -> List[int]:
     """Busy-stage count per cycle (the fill/drain envelope)."""
     counts = [0] * result.makespan
-    for event in result.events:
-        if event.kind == "compute":
-            counts[event.cycle] += 1
+    for event in result.compute_events():
+        counts[event.cycle] += 1
     return counts

@@ -23,7 +23,7 @@ Counter-path patterns recognised
   any scope depth (``pipeline/...`` under ``repro trace``, nested
   scopes under campaigns).
 * ``<prefix>/resource[<r>].busy_cycles`` — a GAN schedule recorded by
-  :func:`repro.core.gan_schedule.simulate_gan_iteration` (Fig. 8).
+  :func:`repro.core.schedule.simulate_gan_iteration` (Fig. 8).
 * ``<group>/<layer>/mvm_calls`` (+ ``macs``, ``adc_conversions``,
   ``array_reads``, ``subcycles``, ``tile[<t>]/...``) — a deployed
   crossbar engine layer (any group prefix, usually ``engine``).
@@ -76,31 +76,33 @@ def counters_from(source: CounterSource) -> Dict[str, Number]:
     )
 
 
-def _prefix_of(path: str, leaf_match: "re.Match[str]") -> str:
-    prefix = path[: leaf_match.start()].rstrip("/")
-    return prefix
-
-
 def _scoped(counters: Mapping[str, Number], prefix: str, leaf: str,
             default: Number = 0) -> Number:
     path = f"{prefix}/{leaf}" if prefix else leaf
     return counters.get(path, default)
 
 
+def _lanes(
+    counters: Mapping[str, Number], leaf: "re.Pattern[str]"
+) -> Dict[str, Dict[str, Number]]:
+    """Busy-cycle counters whose leaf segment matches ``leaf``.
+
+    Returns ``prefix -> {lane: busy_cycles}``, where the lane is the
+    bracketed stage or resource name.
+    """
+    lanes: Dict[str, Dict[str, Number]] = {}
+    for path, value in counters.items():
+        match = leaf.search(path)
+        if match and match.start() == path.rfind("/") + 1:
+            prefix = path[: match.start()].rstrip("/")
+            lanes.setdefault(prefix, {})[match.group(1)] = value
+    return lanes
+
+
 # -- linear pipelines (Fig. 5) ----------------------------------------------
 def schedule_prefixes(counters: Mapping[str, Number]) -> List[str]:
     """Every prefix owning ``stage[<s>].busy_cycles`` counters."""
-    prefixes = set()
-    for path in counters:
-        match = _STAGE_RE.search(path)
-        if match and match.start() == _stage_leaf_start(path):
-            prefixes.add(_prefix_of(path, match))
-    return sorted(prefixes)
-
-
-def _stage_leaf_start(path: str) -> int:
-    """Offset where the leaf segment of ``path`` begins."""
-    return path.rfind("/") + 1
+    return sorted(_lanes(counters, _STAGE_RE))
 
 
 def stage_utilization(
@@ -117,14 +119,10 @@ def stage_utilization(
     ``mean_utilization`` (= parallelism / stage count) is the pipeline
     efficiency.
     """
-    stages: Dict[int, Number] = {}
-    for path, value in counters.items():
-        match = _STAGE_RE.search(path)
-        if not match or match.start() != _stage_leaf_start(path):
-            continue
-        if _prefix_of(path, match) != prefix:
-            continue
-        stages[int(match.group(1))] = value
+    stages = {
+        int(stage): value
+        for stage, value in _lanes(counters, _STAGE_RE).get(prefix, {}).items()
+    }
     if not stages:
         raise ValueError(
             f"no stage[<s>].busy_cycles counters under prefix {prefix!r}"
@@ -161,12 +159,7 @@ def stage_utilization(
 # -- GAN schedules (Fig. 8) -------------------------------------------------
 def gan_prefixes(counters: Mapping[str, Number]) -> List[str]:
     """Every prefix owning ``resource[<r>].busy_cycles`` counters."""
-    prefixes = set()
-    for path in counters:
-        match = _RESOURCE_RE.search(path)
-        if match and match.start() == _stage_leaf_start(path):
-            prefixes.add(_prefix_of(path, match))
-    return sorted(prefixes)
+    return sorted(_lanes(counters, _RESOURCE_RE))
 
 
 def resource_utilization(
@@ -175,21 +168,14 @@ def resource_utilization(
     """Per-resource utilization of one executed GAN schedule.
 
     Resources are the hardware chains of
-    :mod:`repro.core.gan_schedule` (``G``, ``D0``, ``D1``); their busy
+    :mod:`repro.core.schedule` (``G``, ``D0``, ``D1``); their busy
     cycles count stage-occupancy events on each chain.  The chain
     depth is not part of the counter record, so the per-resource
     metric is ``mean_busy_stages = busy_cycles / makespan`` — the mean
     number of simultaneously busy stages on that chain per cycle
     (may exceed 1 for a deep, well-filled chain).
     """
-    resources: Dict[str, Number] = {}
-    for path, value in counters.items():
-        match = _RESOURCE_RE.search(path)
-        if not match or match.start() != _stage_leaf_start(path):
-            continue
-        if _prefix_of(path, match) != prefix:
-            continue
-        resources[match.group(1)] = value
+    resources = _lanes(counters, _RESOURCE_RE).get(prefix, {})
     if not resources:
         raise ValueError(
             f"no resource[<r>].busy_cycles counters under prefix {prefix!r}"

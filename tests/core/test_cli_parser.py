@@ -146,3 +146,37 @@ def test_malformed_or_empty_list_exits_two(capsys, argv):
         build_parser().parse_args(argv)
     assert exit_info.value.code == 2
     assert f"argument {argv[1]}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--layers", "0"],
+        ["trace", "--batch", "0"],
+        ["trace", "--gan", "--scheme", "bogus"],
+        ["trace", "--scheme", "bogus"],
+        ["fig5", "--layers", "0"],
+        ["fig9", "--batch", "0"],
+        ["table1", "--batch", "0"],
+        ["area", "mnist", "--budget", "0"],
+        ["infer", "mlp", "--count", "0"],
+        ["train", "mlp", "--epochs", "0"],
+        ["sensitivity", "--workers", "0"],
+        ["reliability", "mlp", "--count", "0"],
+        ["sweep", "mlp", "--workers", "0"],
+        ["serve", "--smoke", "0"],
+        ["bench", "--workers", "-1"],
+        ["report", "trace", "--layers", "0"],
+        ["profile", "trace", "--gan", "--scheme", "bogus"],
+    ],
+    ids=" ".join,
+)
+def test_usage_error_exits_two_without_traceback(capsys, argv):
+    """A value the callee would reject is a usage error, not a crash."""
+    try:
+        code = repro.cli.main(argv)
+    except SystemExit as exit_info:
+        code = exit_info.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err

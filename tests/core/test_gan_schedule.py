@@ -1,13 +1,11 @@
 """Tests for the executed GAN schedules vs the Fig. 8/9 formulas."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.gan_pipeline import SCHEMES, iteration_cycles
-from repro.core.gan_schedule import (
-    GanScheduleResult,
-    simulate_gan_iteration,
-    verify_scheme,
-)
+from repro.core.schedule import simulate_gan_iteration, verify_scheme
 
 CONFIGS = [(4, 5, 16), (5, 5, 32), (3, 6, 8), (1, 1, 1), (2, 7, 4), (8, 2, 64)]
 
@@ -77,6 +75,32 @@ class TestScheduleStructure:
             e for e in result.events if e.dataflow != "G update"
         ]
         with pytest.raises(AssertionError):
+            result.check_update_ordering()
+
+    def test_update_checker_catches_early_d_update(self):
+        result = simulate_gan_iteration(2, 2, 2, "pipelined")
+        last_d = max(
+            e.cycle for e in result.events
+            if e.dataflow in ("d_real", "d_fake")
+        )
+        result.events = [
+            replace(e, cycle=last_d) if e.dataflow == "D update" else e
+            for e in result.events
+        ]
+        with pytest.raises(AssertionError, match="D updated before"):
+            result.check_update_ordering()
+
+    def test_update_checker_catches_cs_g_before_d(self):
+        result = simulate_gan_iteration(2, 2, 2, "cs")
+        g_update = next(
+            e.cycle for e in result.events if e.dataflow == "G update"
+        )
+        result.events = [
+            replace(e, cycle=g_update + 1)
+            if e.dataflow == "D update" else e
+            for e in result.events
+        ]
+        with pytest.raises(AssertionError, match="computation sharing"):
             result.check_update_ordering()
 
     def test_rejects_unknown_scheme(self):

@@ -1,9 +1,10 @@
 """Tests for Fig. 5: closed-form cycle counts vs the executed schedule."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.pipeline import (
-    PipelineSummary,
     asymptotic_training_speedup,
     inference_cycles_pipelined,
     inference_cycles_sequential,
@@ -66,13 +67,6 @@ class TestFormulas:
         with pytest.raises(ValueError):
             training_cycles_pipelined(3, 10, 4)
 
-    def test_summary_dataclass(self):
-        summary = PipelineSummary(layers=3, n_inputs=24, batch=8)
-        assert summary.speedup == pytest.approx(
-            summary.sequential_cycles / summary.pipelined_cycles
-        )
-        assert 0 < summary.pipeline_occupancy <= 1
-
 
 class TestScheduleAgreement:
     """The event-driven simulator must reproduce every formula."""
@@ -123,8 +117,8 @@ class TestScheduleAgreement:
         result = simulate_training_pipeline(3, 8, 8)
         entries = {}
         for event in result.events:
-            if event.kind == "compute" and event.stage == 0:
-                entries[event.input_id] = event.cycle
+            if event.stage == 0:
+                entries[event.element] = event.cycle
         cycles = [entries[i] for i in range(8)]
         assert cycles == list(range(8))
 
@@ -132,11 +126,11 @@ class TestScheduleAgreement:
         """An input of batch k+1 must not start before batch k's
         update."""
         result = simulate_training_pipeline(2, 8, 4)
-        updates = [e.cycle for e in result.events if e.kind == "update"]
+        updates = [e.cycle for e in result.events if e.stage < 0]
         second_batch_start = min(
             e.cycle
             for e in result.events
-            if e.kind == "compute" and e.input_id >= 4
+            if e.stage >= 0 and e.element >= 4
         )
         assert second_batch_start == updates[0] + 1
 
@@ -147,3 +141,60 @@ class TestScheduleAgreement:
         result.events.append(duplicate)
         with pytest.raises(AssertionError):
             result.check_structural_hazards()
+
+
+class TestCheckersCatchCorruption:
+    """Each dependency check rejects its own hand-corrupted table."""
+
+    @pytest.fixture()
+    def result(self):
+        result = simulate_training_pipeline(2, 8, 4)
+        result.validate()
+        return result
+
+    def _shift(self, result, select, by):
+        result.events = [
+            replace(e, cycle=e.cycle + by) if select(e) else e
+            for e in result.events
+        ]
+
+    def test_stalled_input(self, result):
+        self._shift(
+            result,
+            lambda e: e.element == 3 and e.stage >= 2,
+            1,
+        )
+        with pytest.raises(AssertionError, match="input 3 stalled"):
+            result.check_stage_progression()
+
+    def test_skipped_stage(self, result):
+        result.events = [
+            e for e in result.events
+            if not (e.element == 2 and e.stage == 3)
+        ]
+        with pytest.raises(AssertionError, match="input 2 skipped"):
+            result.check_stage_progression()
+
+    def test_missing_update(self, result):
+        first = next(e for e in result.events if e.stage < 0)
+        result.events.remove(first)
+        with pytest.raises(AssertionError, match="1 updates for 2"):
+            result.check_batch_barrier()
+
+    def test_late_update(self, result):
+        self._shift(
+            result,
+            lambda e: e.stage < 0 and e.element == 0,
+            1,
+        )
+        with pytest.raises(AssertionError, match="batch 0 update at"):
+            result.check_batch_barrier()
+
+    def test_next_batch_starts_before_update(self, result):
+        self._shift(
+            result,
+            lambda e: e.stage >= 0 and e.element >= 4,
+            -1,
+        )
+        with pytest.raises(AssertionError, match="batch 1 started at"):
+            result.check_batch_barrier()

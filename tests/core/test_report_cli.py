@@ -63,6 +63,16 @@ class TestReportWrappedRun:
             for layer in engine["layers"]
         )
 
+    @pytest.mark.parametrize(
+        "wrapped", [["trace"], ["infer", "mlp", "--count", "4"]]
+    )
+    def test_inner_json_flag_selects_json(self, capsys, wrapped):
+        """``report <cmd> --json`` prints the analysis document, as
+        ``report --json <cmd>`` does."""
+        code, captured = _report(capsys, wrapped + ["--json"])
+        assert code == 0
+        validate_analysis_report(json.loads(captured.out))
+
     def test_rejects_wrapping_wrappers(self, capsys):
         for wrapped in ("profile", "report", "bench"):
             code, captured = _report(capsys, [wrapped])

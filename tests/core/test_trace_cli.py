@@ -3,8 +3,10 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core.gan_schedule import simulate_gan_iteration
-from repro.core.schedule import simulate_training_pipeline
+from repro.core.schedule import (
+    simulate_gan_iteration,
+    simulate_training_pipeline,
+)
 from repro.core.trace import (
     occupancy_profile,
     render_gan_schedule,

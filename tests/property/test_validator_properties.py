@@ -39,8 +39,10 @@ from repro.checks import (
     validate_check_report,
     validate_sarif_document,
 )
-from repro.core.gan_schedule import simulate_gan_iteration
-from repro.core.schedule import simulate_training_pipeline
+from repro.core.schedule import (
+    simulate_gan_iteration,
+    simulate_training_pipeline,
+)
 from repro.serve import InferenceJob
 from repro.serve.server import (
     JobServer,

@@ -9,8 +9,10 @@ schedule simulator / engine that produced the counters.
 import numpy as np
 import pytest
 
-from repro.core.schedule import simulate_training_pipeline
-from repro.core.gan_schedule import simulate_gan_iteration
+from repro.core.schedule import (
+    simulate_gan_iteration,
+    simulate_training_pipeline,
+)
 from repro.telemetry import (
     Collector,
     analyze_counters,
@@ -52,7 +54,7 @@ class TestStageUtilization:
         busy_from_events = {}
         compute_events = 0
         for event in result.events:
-            if event.kind != "compute":
+            if event.stage < 0:
                 continue
             compute_events += 1
             busy_from_events[event.stage] = (
