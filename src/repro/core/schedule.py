@@ -153,10 +153,15 @@ class ScheduleResult:
             )
         for batch_index, update in enumerate(updates):
             end = (batch_index + 1) * self.batch
-            last_compute = max(
+            members = [
                 e.cycle for e in compute
                 if batch_index * self.batch <= e.element < end
-            )
+            ]
+            if not members:
+                raise AssertionError(
+                    f"batch {batch_index} has no compute events"
+                )
+            last_compute = max(members)
             if update.cycle != last_compute + 1:
                 raise AssertionError(
                     f"batch {batch_index} update at {update.cycle}, last "

@@ -41,7 +41,8 @@ def _gantt(
     """The cycle header, one line per row, and the ``update`` row.
 
     Only the first ``max_cycles`` cycles are drawn; ``mark`` gives an
-    update event's symbol.
+    update event's symbol.  A schedule that expects no updates (an
+    inference sweep) draws no ``update`` row.
     """
     cycles = min(result.makespan, max_cycles)
     grid: Dict[Tuple[Tuple[str, int], int], str] = {}
@@ -59,7 +60,9 @@ def _gantt(
         + "".join(str(c % 10) for c in range(cycles))
         + ("  (truncated)" if result.makespan > cycles else "")
     ]
-    for label, lane in rows + [("update", _UPDATES)]:
+    if result.updates_expected:
+        rows = rows + [("update", _UPDATES)]
+    for label, lane in rows:
         row = "".join(grid.get((lane, cycle), ".") for cycle in range(cycles))
         lines.append(label.ljust(width) + row)
     return "\n".join(lines)
@@ -68,12 +71,16 @@ def _gantt(
 def render_training_schedule(
     result: ScheduleResult, max_cycles: int = 120
 ) -> str:
-    """Gantt chart of a Fig. 5 training schedule.
+    """Gantt chart of a Fig. 5 training or inference schedule.
 
     One row per pipeline stage (forward stages, the loss stage, then
-    backward stages), one column per cycle, plus an ``update`` row.
+    backward stages), one column per cycle, plus an ``update`` row.  An
+    inference schedule (no updates expected) has forward stages only
+    and no ``update`` row.
     """
-    layers = (result.stages - 1) // 2
+    layers = (
+        (result.stages - 1) // 2 if result.updates_expected else result.stages
+    )
     labels: List[str] = []
     for stage in range(result.stages):
         if stage < layers:

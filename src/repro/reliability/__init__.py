@@ -21,6 +21,7 @@ from repro.reliability.campaign import (
 from repro.reliability.metrics import (
     lockstep_trace,
     output_metrics,
+    record_reference,
     relative_rms,
     weight_error,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "scenarios_for",
     "lockstep_trace",
     "output_metrics",
+    "record_reference",
     "relative_rms",
     "weight_error",
 ]

@@ -42,8 +42,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.reliability.metrics import (
+    ReferenceTrace,
     lockstep_trace,
     output_metrics,
+    record_reference,
     weight_error,
 )
 from repro.sweep import SweepCache, SweepCell, run_sweep
@@ -118,17 +120,24 @@ def scenarios_for(
     ]
 
 
+@dataclass
+class ReferenceContext:
+    """The golden float model, its recorded forward pass over the
+    evaluation inputs, their labels and the baseline accuracy."""
+
+    reference: Any
+    labels: np.ndarray
+    baseline_accuracy: float
+    trace: ReferenceTrace
+
+
 def _scenario_result(
     scenario: FaultScenario,
     workload: str,
     seed: int,
     base_config: CrossbarEngineConfig,
     backend: str,
-    reference,
-    inputs: np.ndarray,
-    labels: np.ndarray,
-    baseline_accuracy: float,
-    batch: int,
+    context: ReferenceContext,
     include_tiles: bool,
     collector: Optional[TelemetryLike] = None,
 ) -> Dict[str, Any]:
@@ -147,13 +156,13 @@ def _scenario_result(
     # The scenario network inherits the golden network's (trained)
     # weights, so every divergence below is injected-fault damage.
     for source, target in zip(
-        reference.network.parameters(), sim.network.parameters()
+        context.reference.network.parameters(), sim.network.parameters()
     ):
         target.copy_from(source)
-    ref_logits, faulty_logits, layer_records = lockstep_trace(
-        reference.network, sim.network, inputs, batch=batch
+    faulty_logits, layer_records = lockstep_trace(context.trace, sim.network)
+    metrics = output_metrics(
+        context.trace.logits, faulty_logits, context.labels
     )
-    metrics = output_metrics(ref_logits, faulty_logits, labels)
     layers = []
     engines = sim.deployment.engines if sim.deployment else {}
     for record in layer_records:
@@ -177,7 +186,7 @@ def _scenario_result(
         "rate": scenario.rate,
         "device": AXES[scenario.axis](scenario.rate),
         "accuracy": metrics["accuracy"],
-        "accuracy_drop": baseline_accuracy - metrics["accuracy"],
+        "accuracy_drop": context.baseline_accuracy - metrics["accuracy"],
         "mismatch_rate": metrics["mismatch_rate"],
         "logit_rms_error": metrics["logit_rms_error"],
         "layers": layers,
@@ -185,21 +194,13 @@ def _scenario_result(
     }
 
 
-@dataclass
-class ReferenceContext:
-    """The golden float model plus its evaluation set and baseline."""
-
-    reference: Any
-    inputs: np.ndarray
-    labels: np.ndarray
-    baseline_accuracy: float
-
-
 #: Per-process memo of reference contexts keyed by their defining
 #: arguments.  A worker process runs many cells of the same campaign;
 #: the (trained) golden reference is identical for all of them, so it
-#: is built once per process and reused.  Bounded small: a process
-#: rarely serves more than one campaign configuration at a time.
+#: is built and forwarded once per process and reused.  Bounded small:
+#: a process rarely serves more than one campaign configuration at a
+#: time, and each context keeps its recorded activations (about 5 MB
+#: for 64 ``mnist_cnn`` inputs).
 _REFERENCE_MEMO: Dict[str, ReferenceContext] = {}
 _REFERENCE_MEMO_MAX = 2
 
@@ -230,19 +231,11 @@ def _build_reference(
             )
         )
     inputs, labels = reference.make_inputs(count)
-    baseline_logits = np.concatenate(
-        [
-            reference.network.forward(
-                inputs[start : start + batch], training=False
-            )
-            for start in range(0, count, batch)
-        ],
-        axis=0,
-    )
+    trace = record_reference(reference.network, inputs, batch)
     baseline_accuracy = float(
-        np.mean(np.argmax(baseline_logits, axis=1) == labels)
+        np.mean(np.argmax(trace.logits, axis=1) == labels)
     )
-    return ReferenceContext(reference, inputs, labels, baseline_accuracy)
+    return ReferenceContext(reference, labels, baseline_accuracy, trace)
 
 
 def reference_context(
@@ -319,11 +312,7 @@ def run_campaign_cell(
         int(spec["seed"]),
         base_config,
         str(spec["backend"]),
-        context.reference,
-        context.inputs,
-        context.labels,
-        context.baseline_accuracy,
-        int(spec["batch"]),
+        context,
         bool(spec["include_tiles"]),
         collector=collector,
     )

@@ -2,11 +2,13 @@
 
 A reliability campaign wants more than a final accuracy number — it
 wants to see *where* injected faults enter the computation and how far
-they travel.  :func:`lockstep_trace` runs a golden (exact float)
-network and its fault-injected crossbar twin over the same inputs,
-layer pair by layer pair, and accumulates the divergence after every
-weighted layer; :func:`weight_error` measures the damage already done
-in the weight domain (what the arrays hold vs what was asked for).
+they travel.  :func:`record_reference` runs the golden (exact float)
+network over the evaluation inputs once, keeping the activations after
+every weighted layer; :func:`lockstep_trace` then runs each
+fault-injected crossbar twin over the same inputs, in the same batch
+slices, and accumulates its divergence from those records layer by
+layer; :func:`weight_error` measures the damage already done in the
+weight domain (what the arrays hold vs what was asked for).
 
 Both networks must be architecturally identical with identical
 parameters — the campaign builds them from the same workload seed and
@@ -16,6 +18,7 @@ attributable to the injected device faults alone.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -38,66 +41,105 @@ def relative_rms(error_sse: float, reference_energy: float) -> float:
     return float(np.sqrt(error_sse / reference_energy))
 
 
-def lockstep_trace(
-    reference: Sequential,
-    faulty: Sequential,
-    inputs: np.ndarray,
-    batch: int = 32,
-) -> Tuple[np.ndarray, np.ndarray, List[Dict[str, float]]]:
-    """Forward both networks in lockstep, tracking per-layer divergence.
+def relative_error(actual: np.ndarray, expected: np.ndarray) -> float:
+    """:func:`relative_rms` of ``actual`` against ``expected``."""
+    difference = actual - expected
+    return relative_rms(
+        float(np.sum(difference * difference)),
+        float(np.sum(expected * expected)),
+    )
 
-    Returns ``(reference_logits, faulty_logits, layer_records)`` where
+
+@dataclass(frozen=True)
+class ReferenceTrace:
+    """A golden network's forward pass over ``inputs``, recorded.
+
+    The pass runs in ``batch`` slices; ``outputs[index]`` holds, slice
+    by slice, the activations right after the weighted layer at
+    ``index``, ``energy[index]`` their summed squares (accumulated
+    slice by slice) and ``logits`` the network output over every input.
+    """
+
+    inputs: np.ndarray
+    batch: int
+    depth: int
+    outputs: Dict[int, List[np.ndarray]]
+    energy: Dict[int, float]
+    logits: np.ndarray
+
+
+def record_reference(
+    network: Sequential, inputs: np.ndarray, batch: int = 32
+) -> ReferenceTrace:
+    """Forward the golden ``network`` over ``inputs`` once, recording it."""
+    outputs: Dict[int, List[np.ndarray]] = {
+        index: []
+        for index, layer in enumerate(network.layers)
+        if isinstance(layer, WEIGHT_LAYERS)
+    }
+    energy = dict.fromkeys(outputs, 0.0)
+    logits = []
+    for start in range(0, inputs.shape[0], batch):
+        x = inputs[start : start + batch]
+        for index, layer in enumerate(network.layers):
+            x = layer.forward(x, training=False)
+            if index in outputs:
+                outputs[index].append(x)
+                energy[index] += float(np.sum(x * x))
+        logits.append(x)
+    return ReferenceTrace(
+        inputs,
+        batch,
+        len(network.layers),
+        outputs,
+        energy,
+        np.concatenate(logits, axis=0),
+    )
+
+
+def lockstep_trace(
+    reference: ReferenceTrace, faulty: Sequential
+) -> Tuple[np.ndarray, List[Dict[str, float]]]:
+    """Forward the faulty twin, tracking its divergence from a reference.
+
+    The faulty network runs over the reference's inputs in the same
+    batch slices.  Returns ``(faulty_logits, layer_records)`` where
     ``layer_records`` holds, for each weighted layer in network order,
     the relative RMS error and worst absolute error of the faulty
     network's activations immediately after that layer — the
     error-propagation profile of the injected faults.
     """
-    if len(reference.layers) != len(faulty.layers):
+    if reference.depth != len(faulty.layers):
         raise ValueError(
-            f"networks differ in depth: {len(reference.layers)} vs "
+            f"networks differ in depth: {reference.depth} vs "
             f"{len(faulty.layers)}"
         )
-    tracked = [
-        (index, layer.name)
-        for index, layer in enumerate(faulty.layers)
-        if isinstance(layer, WEIGHT_LAYERS)
-    ]
-    sse = {index: 0.0 for index, _ in tracked}
-    energy = {index: 0.0 for index, _ in tracked}
-    max_abs = {index: 0.0 for index, _ in tracked}
-    ref_logits = []
+    sse = dict.fromkeys(reference.outputs, 0.0)
+    max_abs = dict.fromkeys(reference.outputs, 0.0)
     faulty_logits = []
-    count = inputs.shape[0]
-    for start in range(0, count, batch):
-        x_ref = inputs[start : start + batch]
-        x_faulty = x_ref
-        for index, (ref_layer, faulty_layer) in enumerate(
-            zip(reference.layers, faulty.layers)
-        ):
-            x_ref = ref_layer.forward(x_ref, training=False)
-            x_faulty = faulty_layer.forward(x_faulty, training=False)
+    starts = range(0, reference.inputs.shape[0], reference.batch)
+    for position, start in enumerate(starts):
+        x = reference.inputs[start : start + reference.batch]
+        for index, layer in enumerate(faulty.layers):
+            x = layer.forward(x, training=False)
             if index in sse:
-                difference = x_faulty - x_ref
+                difference = x - reference.outputs[index][position]
                 sse[index] += float(np.sum(difference * difference))
-                energy[index] += float(np.sum(x_ref * x_ref))
                 max_abs[index] = max(
                     max_abs[index], float(np.max(np.abs(difference)))
                 )
-        ref_logits.append(x_ref)
-        faulty_logits.append(x_faulty)
+        faulty_logits.append(x)
     records = [
         {
-            "layer": name,
-            "output_rms_error": relative_rms(sse[index], energy[index]),
+            "layer": faulty.layers[index].name,
+            "output_rms_error": relative_rms(
+                sse[index], reference.energy[index]
+            ),
             "output_max_abs_error": max_abs[index],
         }
-        for index, name in tracked
+        for index in sse
     ]
-    return (
-        np.concatenate(ref_logits, axis=0),
-        np.concatenate(faulty_logits, axis=0),
-        records,
-    )
+    return np.concatenate(faulty_logits, axis=0), records
 
 
 def weight_error(engine) -> float:
@@ -107,12 +149,8 @@ def weight_error(engine) -> float:
     noise and stuck faults baked in) against the quantized matrix the
     compiler asked for; 0 for an ideal device.
     """
-    requested = engine.quantized_weights()
-    effective = engine.effective_weights()
-    difference = effective - requested
-    return relative_rms(
-        float(np.sum(difference * difference)),
-        float(np.sum(requested * requested)),
+    return relative_error(
+        engine.effective_weights(), engine.quantized_weights()
     )
 
 
@@ -130,12 +168,8 @@ def output_metrics(
     """
     ref_predictions = np.argmax(ref_logits, axis=1)
     faulty_predictions = np.argmax(faulty_logits, axis=1)
-    difference = faulty_logits - ref_logits
     return {
         "accuracy": float(np.mean(faulty_predictions == labels)),
         "mismatch_rate": float(np.mean(faulty_predictions != ref_predictions)),
-        "logit_rms_error": relative_rms(
-            float(np.sum(difference * difference)),
-            float(np.sum(ref_logits * ref_logits)),
-        ),
+        "logit_rms_error": relative_error(faulty_logits, ref_logits),
     }

@@ -7,7 +7,10 @@ DNN substrate (:mod:`repro.nn`) and the crossbar mapping
 (:mod:`repro.core.mapping`) both build on these functions, so the
 "kernel cuboid -> bit-line column" picture in Fig. 4 is literal code.
 
-All image tensors are NCHW: ``(batch, channels, height, width)``.
+All image tensors are NCHW: ``(batch, channels, height, width)``,
+with any strides (a ``Conv2D`` output is an NHWC-strided view).  Both
+transforms are exact: ``im2col`` only moves data, and ``col2im`` adds
+each pixel's contributions in ``(ky, kx)`` order on every call.
 """
 
 from __future__ import annotations
@@ -43,6 +46,16 @@ def pad_nchw(images: np.ndarray, pad: int) -> np.ndarray:
     )
 
 
+def windows(
+    images: np.ndarray, kernel_h: int, kernel_w: int, stride: int
+) -> np.ndarray:
+    """Read-only ``(N, C, out_h, out_w, kh, kw)`` view of the windows
+    of an NCHW tensor (no padding), taken at ``stride``."""
+    return np.lib.stride_tricks.sliding_window_view(
+        images, (kernel_h, kernel_w), axis=(2, 3)
+    )[:, :, ::stride, ::stride]
+
+
 def im2col(
     images: np.ndarray,
     kernel_h: int,
@@ -56,6 +69,8 @@ def im2col(
     kernel_w)``: one row per output pixel, one column per weight of one
     kernel.  Multiplying by a ``(C*kh*kw, out_channels)`` weight matrix
     yields the convolution — this is the yellow input bar of Fig. 4.
+    The rows are gathered from the :func:`windows` view of the (padded)
+    input in one copy, so the result is always a fresh C-order array.
     """
     if images.ndim != 4:
         raise ValueError(f"images must be NCHW, got shape {images.shape}")
@@ -63,20 +78,10 @@ def im2col(
     out_h = conv_output_size(height, kernel_h, stride, pad)
     out_w = conv_output_size(width, kernel_w, stride, pad)
 
-    padded = pad_nchw(images, pad)
-    cols = np.empty(
-        (batch, channels, kernel_h, kernel_w, out_h, out_w),
-        dtype=images.dtype,
-    )
-    for ky in range(kernel_h):
-        y_end = ky + stride * out_h
-        for kx in range(kernel_w):
-            x_end = kx + stride * out_w
-            cols[:, :, ky, kx, :, :] = padded[
-                :, :, ky:y_end:stride, kx:x_end:stride
-            ]
-    # (N, out_h, out_w, C, kh, kw) -> rows of receptive fields.
-    cols = cols.transpose(0, 4, 5, 1, 2, 3)
+    fields = windows(pad_nchw(images, pad), kernel_h, kernel_w, stride)
+    # (N, out_h, out_w, C, kh, kw) -> rows of receptive fields; the
+    # one copy is this C-order gather.
+    cols = fields.transpose(0, 2, 3, 1, 4, 5).copy()
     return cols.reshape(batch * out_h * out_w, channels * kernel_h * kernel_w)
 
 
@@ -92,6 +97,8 @@ def col2im(
 
     Overlapping windows accumulate, which makes this exactly the
     gradient of ``im2col`` — used by the convolution backward pass.
+    One strided ``+=`` per kernel offset: a pixel's contributions add
+    in ``(ky, kx)`` order.
     """
     batch, channels, height, width = image_shape
     out_h = conv_output_size(height, kernel_h, stride, pad)

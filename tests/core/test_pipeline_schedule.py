@@ -198,3 +198,13 @@ class TestCheckersCatchCorruption:
         )
         with pytest.raises(AssertionError, match="batch 1 started at"):
             result.check_batch_barrier()
+
+    def test_batch_without_compute_events(self, result):
+        result.events = [
+            e for e in result.events
+            if not (e.stage >= 0 and e.element >= 4)
+        ]
+        with pytest.raises(
+            AssertionError, match="batch 1 has no compute events"
+        ):
+            result.check_batch_barrier()

@@ -5,6 +5,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.core.schedule import (
     simulate_gan_iteration,
+    simulate_inference_pipeline,
     simulate_training_pipeline,
 )
 from repro.core.trace import (
@@ -43,6 +44,13 @@ class TestTrainingTrace:
         result = simulate_training_pipeline(3, 64, 64)
         chart = render_training_schedule(result, max_cycles=20)
         assert "(truncated)" in chart
+
+    def test_inference_schedule_has_forward_rows_only(self):
+        chart = render_training_schedule(simulate_inference_pipeline(4, 3))
+        rows = chart.splitlines()[1:]
+        assert [row[:6] for row in rows] == [
+            "fwd L1", "fwd L2", "fwd L3", "fwd L4"
+        ]
 
     def test_occupancy_profile_fills_and_drains(self):
         result = simulate_training_pipeline(3, 8, 8)

@@ -6,6 +6,7 @@ vectorized engines report identical fault outcomes), and their damage
 metrics move the right way as fault rates climb.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -20,10 +21,12 @@ from repro.reliability import (
     campaign_summary,
     lockstep_trace,
     output_metrics,
+    record_reference,
     relative_rms,
     run_campaign,
     scenarios_for,
 )
+from repro.reliability.campaign import _build_reference
 from repro.xbar.device import PIPELAYER_DEVICE
 
 FAST = dict(workload="mlp", count=16, batch=8, train_epochs=1)
@@ -164,17 +167,29 @@ class TestMetricsHelpers:
         a = Simulator.from_workload("mlp", seed=0, deploy=False).network
         b = Simulator.from_workload("mlp", seed=0, deploy=False).network
         b.layers.pop()
+        inputs = np.zeros((2, 64))
         with pytest.raises(ValueError):
-            lockstep_trace(a, b, np.zeros((2, 64)))
+            lockstep_trace(record_reference(a, inputs), b)
 
     def test_lockstep_trace_identical_networks(self):
         sim = Simulator.from_workload("mlp", seed=1, deploy=False)
         inputs, _ = sim.make_inputs(8)
-        ref, faulty, records = lockstep_trace(
-            sim.network, sim.network, inputs, batch=4
-        )
-        np.testing.assert_array_equal(ref, faulty)
+        reference = record_reference(sim.network, inputs, batch=4)
+        faulty, records = lockstep_trace(reference, sim.network)
+        np.testing.assert_array_equal(reference.logits, faulty)
         assert all(r["output_rms_error"] == 0.0 for r in records)
+
+    def test_reference_forward_is_pinned(self):
+        """Trained weights and baseline logits of a small ``mnist_cnn``
+        reference: any change to the float path's arithmetic moves it."""
+        context = _build_reference("mnist_cnn", 3, 16, 8, 1, 64, None)
+        digest = hashlib.sha256()
+        for parameter in context.reference.network.parameters():
+            digest.update(parameter.value.tobytes())
+        digest.update(context.trace.logits.tobytes())
+        assert digest.hexdigest() == (
+            "d1899ce4da28059bf1fe1f487ccb0ef3b7e01db6ceab918618fd9f4d31204d96"
+        )
 
 
 class TestBackendMismatchError:
