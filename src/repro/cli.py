@@ -721,6 +721,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_float(text: str) -> float:
+    """An argparse ``type=`` for a duration in seconds (``>= 0``)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a number, got {text!r}"
+        ) from None
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
     shared = argparse.ArgumentParser(add_help=False)
@@ -1007,13 +1020,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_top.add_argument(
         "--interval",
-        type=float,
+        type=_non_negative_float,
         default=2.0,
         help="seconds between polls (default 2)",
     )
     p_top.add_argument(
         "--count",
-        type=int,
+        type=_positive_int,
         default=1,
         help="how many frames to render before exiting (default 1)",
     )

@@ -1,54 +1,37 @@
 """Functional execution of ReGAN's GAN training pipeline (Fig. 8).
 
 The GAN analogue of :mod:`repro.core.pipelined_trainer`: each of the
-three dataflows is compiled to a *stage program* — forward stages
-through G and/or D, a loss stage, backward stages — and a batch is
-pushed through it as a pipeline wavefront, a new sample entering every
-cycle, with per-(sample, stage) cache stashing and frozen weights.
-The D update fires one cycle after dataflow (2) drains (the paper's
+three dataflows is a *stage program* from
+:func:`repro.core.schedule.gan_programs` — forward stages through G
+and/or D, a loss stage, backward stages — and
+:func:`~repro.core.pipelined_trainer.run_wavefront` pushes a batch
+through it as a pipeline wavefront, a new sample entering every cycle,
+with per-(sample, stage) cache stashing and frozen weights.  The D
+update fires one cycle after dataflow (2) drains (the paper's
 T11-equivalent), the G update after dataflow (3) (T14).
 
 The point, as with the DNN pipeline, is a proof by execution: the
-pipelined iteration produces *bit-identical* weights to the sequential
-:class:`~repro.nn.gan.GANTrainer` step given the same noise — the
-correctness property behind ReGAN's cycle counts.
+pipelined iteration trains the same weights as the sequential
+:class:`~repro.nn.gan.GANTrainer` step given the same noise, to within
+float rounding (per-sample gradients are summed one at a time) — the
+correctness property behind ReGAN's cycle counts.  Its ``schedule`` is
+the event table :func:`repro.core.schedule.simulate_gan_iteration`
+builds for the ``pipelined`` scheme.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.gan_pipeline import sweep_d_fake, sweep_d_real, sweep_g
-from repro.core.pipelined_trainer import group_into_stages
+from repro.core.gan_pipeline import iteration_cycles
+from repro.core.pipelined_trainer import group_into_stages, run_wavefront
+from repro.core.schedule import ScheduleResult, gan_programs, update_event
 from repro.nn.losses import BinaryCrossEntropyWithLogits
 from repro.nn.network import Sequential
 from repro.nn.optim import Optimizer
 from repro.utils.validation import check_positive
-
-
-@dataclass(frozen=True)
-class _StageOp:
-    """One pipeline-stage operation of a dataflow's stage program.
-
-    ``kind`` is ``"forward"``, ``"loss"`` or ``"backward"``;
-    ``stage_index`` selects the layer group (forward/backward);
-    ``forward_op`` links a backward op to the op whose caches it needs;
-    ``propagate`` controls whether a backward op passes its input
-    gradient on (False at the boundary where D's error does not enter
-    G, dataflow 2).
-    """
-
-    kind: str
-    network: Optional[str] = None
-    stage_index: int = -1
-    label: float = 0.0
-    forward_op: int = -1
-    propagate: bool = True
-    training: bool = True
-    keep_cache: bool = True
 
 
 def fix_vbn_references(
@@ -69,7 +52,10 @@ def fix_vbn_references(
 
 
 class PipelinedGANTrainer:
-    """Executes one GAN training iteration as Fig. 8's pipelines."""
+    """Executes one GAN training iteration as Fig. 8's pipelines.
+
+    ``schedule`` holds the event table of the latest iteration.
+    """
 
     def __init__(
         self,
@@ -82,151 +68,21 @@ class PipelinedGANTrainer:
         self.discriminator = discriminator
         self.g_optimizer = g_optimizer
         self.d_optimizer = d_optimizer
-        self.g_stages = group_into_stages(generator)
-        self.d_stages = group_into_stages(discriminator)
-        self.cycles = 0
+        self.stages = {
+            "G": group_into_stages(generator),
+            "D": group_into_stages(discriminator),
+        }
+        self.programs = gan_programs(self.l_d, self.l_g)
+        self.schedule = ScheduleResult([], 0, scheme="pipelined")
 
-    # -- stage programs ------------------------------------------------------
     @property
     def l_g(self) -> int:
-        return len(self.g_stages)
+        return len(self.stages["G"])
 
     @property
     def l_d(self) -> int:
-        return len(self.d_stages)
+        return len(self.stages["D"])
 
-    def _stages(self, network: str) -> List:
-        return self.g_stages if network == "G" else self.d_stages
-
-    def _program_d_real(self) -> List[_StageOp]:
-        """Dataflow (1): real sample through D, label '1', D backward."""
-        ops = [
-            _StageOp("forward", "D", index) for index in range(self.l_d)
-        ]
-        ops.append(_StageOp("loss", label=1.0))
-        for index in reversed(range(self.l_d)):
-            ops.append(
-                _StageOp(
-                    "backward", "D", index,
-                    forward_op=index, propagate=index > 0,
-                )
-            )
-        return ops
-
-    def _program_d_fake(self) -> List[_StageOp]:
-        """Dataflow (2): G forward (not updated), D trained at label '0'.
-
-        "G is used but not updated": G runs in inference mode and the
-        error stops at D's first layer.
-        """
-        # G's caches are never consumed (no backward into G here).
-        ops = [
-            _StageOp(
-                "forward", "G", index, training=False, keep_cache=False
-            )
-            for index in range(self.l_g)
-        ]
-        d_forward_base = len(ops)
-        ops.extend(
-            _StageOp("forward", "D", index) for index in range(self.l_d)
-        )
-        ops.append(_StageOp("loss", label=0.0))
-        for index in reversed(range(self.l_d)):
-            ops.append(
-                _StageOp(
-                    "backward", "D", index,
-                    forward_op=d_forward_base + index, propagate=index > 0,
-                )
-            )
-        return ops
-
-    def _program_g_train(self) -> List[_StageOp]:
-        """Dataflow (3): label '1', error returns through D into G."""
-        ops = [
-            _StageOp("forward", "G", index) for index in range(self.l_g)
-        ]
-        d_forward_base = len(ops)
-        ops.extend(
-            _StageOp("forward", "D", index) for index in range(self.l_d)
-        )
-        ops.append(_StageOp("loss", label=1.0))
-        for index in reversed(range(self.l_d)):
-            ops.append(
-                _StageOp(
-                    "backward", "D", index,
-                    forward_op=d_forward_base + index,
-                )
-            )
-        for index in reversed(range(self.l_g)):
-            ops.append(
-                _StageOp(
-                    "backward", "G", index,
-                    forward_op=index, propagate=index > 0,
-                )
-            )
-        return ops
-
-    # -- wavefront executor --------------------------------------------------
-    def _run_program(
-        self, program: List[_StageOp], batch_inputs: np.ndarray, batch: int
-    ) -> Tuple[List[float], int]:
-        """Pipeline ``batch`` samples through a stage program.
-
-        Returns (per-sample losses, cycles consumed by the phase:
-        ``len(program) + batch - 1``).
-        """
-        caches: Dict[Tuple[int, int], List[dict]] = {}
-        values: Dict[int, np.ndarray] = {}
-        losses: List[float] = [0.0] * batch
-        loss_fns = [BinaryCrossEntropyWithLogits() for _ in range(batch)]
-        span = len(program) + batch - 1
-        for cycle in range(span):
-            for sample in range(batch):
-                position = cycle - sample
-                if position < 0 or position >= len(program):
-                    continue
-                op = program[position]
-                if op.kind == "forward":
-                    stage = self._stages(op.network)[op.stage_index]
-                    value = (
-                        batch_inputs[sample : sample + 1]
-                        if position == 0
-                        else values[sample]
-                    )
-                    for layer in stage:
-                        value = layer.forward(value, training=op.training)
-                    if op.keep_cache:
-                        caches[(sample, position)] = [
-                            layer.save_cache() for layer in stage
-                        ]
-                    values[sample] = value
-                elif op.kind == "loss":
-                    loss_fn = loss_fns[sample]
-                    logits = values[sample]
-                    losses[sample] = loss_fn.forward(
-                        logits, np.full(logits.shape, op.label)
-                    )
-                    values[sample] = loss_fn.backward() / batch
-                else:  # backward
-                    stage = self._stages(op.network)[op.stage_index]
-                    stashed = caches.pop((sample, op.forward_op))
-                    for layer, cache in zip(stage, stashed):
-                        layer.load_cache(cache)
-                    grad = values[sample]
-                    for layer in reversed(stage):
-                        grad = layer.backward(grad)
-                    if op.propagate:
-                        values[sample] = grad
-                    else:
-                        values.pop(sample)
-        if caches:
-            raise AssertionError(
-                f"{len(caches)} caches left in flight after the phase"
-            )
-        self.cycles += span
-        return losses, span
-
-    # -- the iteration ------------------------------------------------------------
     def train_iteration(
         self,
         real_samples: np.ndarray,
@@ -245,48 +101,45 @@ class PipelinedGANTrainer:
         check_positive("batch", batch)
         if fake_noise.shape[0] != batch or g_noise.shape[0] != batch:
             raise ValueError("noise batches must match the real batch")
-        start_cycles = self.cycles
+        schedule = ScheduleResult([], batch, scheme="pipelined")
+        loss = BinaryCrossEntropyWithLogits()
+
+        def phase(
+            dataflow: str, inputs: np.ndarray, label: float, start: int
+        ) -> Tuple[List[float], int]:
+            return run_wavefront(
+                self.programs[dataflow], self.stages, inputs, loss, label,
+                schedule.events, start, dataflow,
+            )
 
         # Dataflow (1): real samples, derivatives accumulate in D.
         self.discriminator.zero_grad()
-        real_losses, _ = self._run_program(
-            self._program_d_real(), real_samples, batch
-        )
+        real_losses, cycle = phase("d_real", real_samples, 1.0, 0)
         # Dataflow (2): generated samples; G accumulates nothing (its
         # backward is never invoked).
-        fake_losses, _ = self._run_program(
-            self._program_d_fake(), fake_noise, batch
-        )
+        fake_losses, cycle = phase("d_fake", fake_noise, 0.0, cycle)
         # T11: one cycle to update D from the summed derivatives.
         self.d_optimizer.step()
-        self.cycles += 1
+        schedule.events.append(update_event(cycle, "D update"))
 
         # Dataflow (3): G trained through a fixed D.
         self.generator.zero_grad()
         self.discriminator.zero_grad()
-        g_losses, _ = self._run_program(
-            self._program_g_train(), g_noise, batch
-        )
+        g_losses, cycle = phase("g_train", g_noise, 1.0, cycle + 1)
         self.discriminator.zero_grad()  # D stays fixed
         self.g_optimizer.step()
-        self.cycles += 1
+        schedule.events.append(update_event(cycle, "G update"))
 
-        expected = (
-            (sweep_d_real(self.l_d) + batch - 1)
-            + (sweep_d_fake(self.l_d, self.l_g) + batch - 1)
-            + 1
-            + (sweep_g(self.l_d, self.l_g) + batch - 1)
-            + 1
-        )
-        consumed = self.cycles - start_cycles
-        if consumed != expected:
+        self.schedule = schedule
+        expected = iteration_cycles(self.l_d, self.l_g, batch, "pipelined")
+        if schedule.makespan != expected:
             raise AssertionError(
-                f"iteration consumed {consumed} cycles, formula says "
-                f"{expected}"
+                f"iteration consumed {schedule.makespan} cycles, formula "
+                f"says {expected}"
             )
         return {
             "d_loss_real": float(np.mean(real_losses)),
             "d_loss_fake": float(np.mean(fake_losses)),
             "g_loss": float(np.mean(g_losses)),
-            "cycles": consumed,
+            "cycles": schedule.makespan,
         }

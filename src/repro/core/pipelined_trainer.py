@@ -19,19 +19,31 @@ pipeline stage per cycle, exactly as the architecture would run it —
   single cycle after the last input drains.
 
 Because no dependency exists among inputs of a batch, this pipelined
-execution must produce *bit-identical* weights to conventional batched
-training — the correctness property behind the paper's entire speedup,
-and the property the test suite asserts.
+execution trains the same weights as conventional batched training —
+the correctness property behind the paper's entire speedup, and the
+property the test suite asserts.  They agree to within float rounding,
+not bit for bit: the pipeline adds the per-input gradients one at a
+time, where the batched pass sums them inside one matrix product.
+
+:func:`run_wavefront` is the one executor of a stage program; it books
+every op it runs on the lane :mod:`repro.core.schedule` gives it, so a
+trainer's ``schedule`` is the structural simulator's event table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
-from repro.core.pipeline import training_cycles_per_batch_pipelined
+from repro.core.schedule import (
+    PIPE,
+    Program,
+    ScheduleEvent,
+    ScheduleResult,
+    training_program,
+    update_event,
+)
 from repro.nn.layers import Conv2D, Dense, FractionalStridedConv2D
 from repro.nn.layers.base import Layer
 from repro.nn.losses import Loss
@@ -68,15 +80,88 @@ def group_into_stages(network: Sequential) -> List[List[Layer]]:
     return stages
 
 
-@dataclass
-class PipelineTickLog:
-    """What happened in one cycle (for inspection and tests)."""
+def run_wavefront(
+    program: Program,
+    stages: Dict[str, List[List[Layer]]],
+    inputs: np.ndarray,
+    loss: Loss,
+    target: Union[np.ndarray, float],
+    events: List[ScheduleEvent],
+    start: int,
+    dataflow: str,
+    first: int = 0,
+) -> Tuple[List[float], int]:
+    """Pipeline a batch through a stage program on real data.
 
-    cycle: int
-    forward: List[Tuple[int, int]] = field(default_factory=list)
-    loss: List[int] = field(default_factory=list)
-    backward: List[Tuple[int, int]] = field(default_factory=list)
-    update: bool = False
+    Sample ``b`` enters at ``start + b`` and advances one op per cycle;
+    each op it runs is booked on the op's lane as element ``first + b``
+    (exactly the events :func:`repro.core.schedule.run_phase` books).
+    ``stages`` maps each network to its layer groups.  A forward op
+    stashes its layers' caches per sample and the backward op of the
+    same group restores them; a forward op that no backward op
+    differentiates runs in inference mode and stashes nothing.  The
+    loss op scores sample ``b`` against ``target[b]`` (or the scalar
+    label ``target``) and scales its gradient by ``1 / B``, so the
+    accumulated gradients equal one batched backward pass.
+
+    Returns the per-sample losses and the first cycle after the drain.
+    Raises if a weight moves during the phase (weights stay frozen
+    within a batch) or a stashed cache is never consumed.
+    """
+    batch, length = inputs.shape[0], len(program)
+    trained = {
+        (op.network, op.group) for op in program if op.kind == "backward"
+    }
+    frozen = ParameterSnapshot(
+        parameter
+        for groups in stages.values()
+        for group in groups
+        for layer in group
+        for parameter in layer.parameters()
+    )
+    caches: Dict[Tuple[int, str, int], List[dict]] = {}
+    values = [inputs[sample : sample + 1] for sample in range(batch)]
+    losses = [0.0] * batch
+    for cycle in range(start, start + batch + length - 1):
+        for sample in range(batch):
+            position = cycle - start - sample
+            if not 0 <= position < length:
+                continue
+            op = program[position]
+            events.append(
+                ScheduleEvent(cycle, *op.lane, first + sample, dataflow)
+            )
+            value = values[sample]
+            if op.kind == "loss":
+                wanted = (
+                    target[sample : sample + 1]
+                    if np.ndim(target)
+                    else np.full(value.shape, target)
+                )
+                losses[sample] = loss.forward(value, wanted)
+                value = loss.backward() / batch
+            else:
+                group = stages[op.network][op.group]
+                key = (sample, op.network, op.group)
+                if op.kind == "forward":
+                    training = (op.network, op.group) in trained
+                    for layer in group:
+                        value = layer.forward(value, training=training)
+                    if training:
+                        caches[key] = [layer.save_cache() for layer in group]
+                else:
+                    for layer, cache in zip(group, caches.pop(key)):
+                        layer.load_cache(cache)
+                    for layer in reversed(group):
+                        value = layer.backward(value)
+            values[sample] = value
+    if frozen.max_abs_delta() != 0.0:
+        raise AssertionError(f"weights changed during {dataflow}")
+    if caches:
+        raise AssertionError(
+            f"{len(caches)} stage caches left in flight after {dataflow}"
+        )
+    return losses, start + batch + length - 1
 
 
 class PipelinedTrainer:
@@ -86,6 +171,10 @@ class PipelinedTrainer:
     ----------
     network, optimizer, loss:
         The model, its optimizer, and the training loss.
+
+    ``schedule`` is the event table of every batch trained so far: the
+    table :func:`repro.core.schedule.simulate_training_pipeline` builds
+    for the same inputs, given batches of one size.
     """
 
     def __init__(
@@ -95,48 +184,14 @@ class PipelinedTrainer:
         self.optimizer = optimizer
         self.loss = loss
         self.stages = group_into_stages(network)
-        self.ticks: List[PipelineTickLog] = []
-        self.total_cycles = 0
+        self.program = training_program(self.depth)
+        self.schedule = ScheduleResult([], 0, len(self.program))
 
     @property
     def depth(self) -> int:
         """Pipeline depth L (weighted layers)."""
         return len(self.stages)
 
-    # -- per-stage operations -----------------------------------------------
-    def _stage_forward(
-        self,
-        stage_index: int,
-        value: np.ndarray,
-        caches: Dict[Tuple[int, int], List[dict]],
-        input_id: int,
-    ) -> np.ndarray:
-        """Run one input through one stage; stash the layer caches."""
-        stage = self.stages[stage_index]
-        for layer in stage:
-            value = layer.forward(value, training=True)
-        caches[(input_id, stage_index)] = [
-            layer.save_cache() for layer in stage
-        ]
-        return value
-
-    def _stage_backward(
-        self,
-        stage_index: int,
-        grad: np.ndarray,
-        caches: Dict[Tuple[int, int], List[dict]],
-        input_id: int,
-    ) -> np.ndarray:
-        """Back-propagate one input through one stage from its caches."""
-        stage = self.stages[stage_index]
-        stashed = caches.pop((input_id, stage_index))
-        for layer, cache in zip(stage, stashed):
-            layer.load_cache(cache)
-        for layer in reversed(stage):
-            grad = layer.backward(grad)
-        return grad
-
-    # -- the batch schedule ------------------------------------------------------
     def train_batch(
         self, inputs: np.ndarray, targets: np.ndarray
     ) -> Tuple[float, int]:
@@ -152,64 +207,24 @@ class PipelinedTrainer:
             raise ValueError(
                 f"targets ({targets.shape[0]}) do not match batch ({batch})"
             )
-        depth = self.depth
-        caches: Dict[Tuple[int, int], List[dict]] = {}
-        values: Dict[int, np.ndarray] = {}
-        grads: Dict[int, np.ndarray] = {}
-        losses: List[Optional[float]] = [None] * batch
-        frozen = ParameterSnapshot(self.network.parameters())
+        schedule = self.schedule
+        # The batch starts the cycle after the previous batch's update,
+        # the last event booked (scanning for the makespan grows with
+        # every batch trained).
+        start = schedule.events[-1].cycle + 1 if schedule.events else 0
         self.network.zero_grad()
-
-        total_cycles = training_cycles_per_batch_pipelined(depth, batch)
-        for relative in range(total_cycles):
-            tick = PipelineTickLog(cycle=self.total_cycles + relative)
-            for input_id in range(batch):
-                position = relative - input_id
-                if position < 0 or position > 2 * depth:
-                    continue
-                if position < depth:
-                    source = (
-                        inputs[input_id : input_id + 1]
-                        if position == 0
-                        else values[input_id]
-                    )
-                    values[input_id] = self._stage_forward(
-                        position, source, caches, input_id
-                    )
-                    tick.forward.append((input_id, position))
-                elif position == depth:
-                    losses[input_id] = self.loss.forward(
-                        values.pop(input_id),
-                        targets[input_id : input_id + 1],
-                    )
-                    # Mean-over-batch semantics: scale each per-input
-                    # gradient so the accumulated total equals one
-                    # batched backward pass.
-                    grads[input_id] = self.loss.backward() / batch
-                    tick.loss.append(input_id)
-                else:
-                    stage_index = 2 * depth - position
-                    grads[input_id] = self._stage_backward(
-                        stage_index, grads[input_id], caches, input_id
-                    )
-                    if stage_index == 0:
-                        grads.pop(input_id)
-                    tick.backward.append((input_id, position))
-            if relative == total_cycles - 1:
-                # The single update cycle at the end of the batch.
-                if frozen.max_abs_delta() != 0.0:
-                    raise AssertionError(
-                        "weights changed before the batch update cycle"
-                    )
-                self.optimizer.step()
-                tick.update = True
-            self.ticks.append(tick)
-        self.total_cycles += total_cycles
-        if caches:
-            raise AssertionError(
-                f"{len(caches)} stage caches left in flight after the batch"
-            )
-        return float(np.mean([value for value in losses])), total_cycles
+        losses, end = run_wavefront(
+            self.program, {PIPE: self.stages}, inputs, self.loss, targets,
+            schedule.events, start, "train", schedule.n_inputs,
+        )
+        # The single update cycle at the end of the batch.
+        self.optimizer.step()
+        schedule.events.append(
+            update_event(end, "update", schedule.n_inputs // batch)
+        )
+        schedule.batch = batch
+        schedule.n_inputs += batch
+        return float(np.mean(losses)), end + 1 - start
 
     def train(
         self,
@@ -239,14 +254,3 @@ class PipelinedTrainer:
                 self.network.zero_grad()
                 losses.append(value)
         return losses
-
-    # -- inspection ----------------------------------------------------------------
-    def max_inputs_in_flight(self) -> int:
-        """Peak number of concurrent inputs across recorded cycles."""
-        peak = 0
-        for tick in self.ticks:
-            active = {i for i, _ in tick.forward}
-            active |= set(tick.loss)
-            active |= {i for i, _ in tick.backward}
-            peak = max(peak, len(active))
-        return peak

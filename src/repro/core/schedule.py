@@ -12,7 +12,9 @@ chain of stages on explicit hardware resources, one element entering
 per cycle, and a weight update follows the drain.  :func:`run_phase`
 is that primitive and every simulator here is a sequence of phases.
 Stage ``s`` of a resource holds one element per cycle (the
-structural-hazard rule).
+structural-hazard rule).  A phase runs a dataflow's stage program
+(:func:`training_program`, :func:`gan_programs`); the numerical
+trainers run the same programs on real data.
 
 * Fig. 5 — :func:`simulate_training_pipeline` streams each batch
   through the ``2L + 1`` stages of one chain (L forward, one
@@ -46,8 +48,64 @@ from repro.utils.validation import check_choice, check_positive
 #: The one resource a Fig. 5 chain runs on.
 PIPE = "pipe"
 
-#: Pipeline position -> (resource, stage-in-resource).
-Chain = List[Tuple[str, int]]
+
+@dataclass(frozen=True)
+class StageOp:
+    """One position of a dataflow's stage program.
+
+    ``kind`` is ``"forward"``, ``"loss"`` or ``"backward"``; a forward
+    or backward op runs layer group ``group`` of ``network``.  ``lane``
+    is the (resource, stage) it occupies, in :func:`run_phase` and in
+    the numerical :func:`repro.core.pipelined_trainer.run_wavefront`.
+    """
+
+    kind: str
+    lane: Tuple[str, int]
+    network: str = PIPE
+    group: int = -1
+
+
+#: A dataflow's ops in pipeline order.
+Program = List[StageOp]
+
+
+def training_program(
+    layers: int, resource: str = PIPE, network: str = PIPE
+) -> Program:
+    """The ``2L + 1`` chain: L forward stages, loss, L backward.
+
+    Fig. 5's pipeline, and each GAN dataflow's pass through a copy of D.
+    """
+    return (
+        [StageOp("forward", (resource, g), network, g) for g in range(layers)]
+        + [StageOp("loss", (resource, layers))]
+        + [
+            StageOp("backward", (resource, 2 * layers - g), network, g)
+            for g in reversed(range(layers))
+        ]
+    )
+
+
+def gan_programs(
+    l_d: int, l_g: int, d_real_copy: str = "D0"
+) -> Dict[str, Program]:
+    """Fig. 8's three dataflows over G's chain and D's copies.
+
+    (1) ``d_real``: a real sample through D (on ``d_real_copy``).
+    (2) ``d_fake``: G forward, then D trained; no error enters G.
+    (3) ``g_train``: dataflow (2)'s chain, then back through G.
+    """
+    g_forward = [StageOp("forward", ("G", g), "G", g) for g in range(l_g)]
+    g_backward = [
+        StageOp("backward", ("G", 2 * l_g - 1 - g), "G", g)
+        for g in reversed(range(l_g))
+    ]
+    d_fake = g_forward + training_program(l_d, "D0", "D")
+    return {
+        "d_real": training_program(l_d, d_real_copy, "D"),
+        "d_fake": d_fake,
+        "g_train": d_fake + g_backward,
+    }
 
 
 @dataclass(frozen=True)
@@ -217,29 +275,31 @@ def run_phase(
     events: List[ScheduleEvent],
     start: int,
     batch: int,
-    chain: Chain,
+    program: Program,
     dataflow: str,
     first: int = 0,
 ) -> int:
-    """Pipeline a batch through a stage chain; returns drain cycle + 1.
+    """Pipeline a batch through a stage program; returns drain cycle + 1.
 
-    Element ``first + b`` enters at ``start + b`` and advances one
-    chain position per cycle; the return value is the first cycle
-    after the last element leaves the last stage.
+    Element ``first + b`` enters at ``start + b`` and advances one op
+    per cycle, occupying the op's lane; the return value is the first
+    cycle after the last element leaves the last stage.
     """
     for offset in range(batch):
         entry = start + offset
-        for position, (resource, stage) in enumerate(chain):
+        for position, op in enumerate(program):
             events.append(
                 ScheduleEvent(
-                    entry + position, resource, stage, first + offset,
-                    dataflow,
+                    entry + position, *op.lane, first + offset, dataflow
                 )
             )
-    return start + batch - 1 + len(chain)
+    return start + batch - 1 + len(program)
 
 
-def _update(cycle: int, dataflow: str, element: int = 0) -> ScheduleEvent:
+def update_event(
+    cycle: int, dataflow: str, element: int = 0
+) -> ScheduleEvent:
+    """A weight update: lane ``("ctrl", -1)``."""
     return ScheduleEvent(cycle, "ctrl", -1, element, dataflow)
 
 
@@ -294,7 +354,7 @@ def _training_schedule(
     check_positive("batch", batch)
     if n_inputs % batch:
         raise ValueError("n_inputs must be a multiple of batch")
-    chain = [(PIPE, stage) for stage in range(2 * layers + 1)]
+    program = training_program(layers)
 
     def build() -> ScheduleResult:
         events: List[ScheduleEvent] = []
@@ -304,11 +364,11 @@ def _training_schedule(
                 batch_index * batch, (batch_index + 1) * batch, in_flight
             ):
                 cycle = run_phase(
-                    events, cycle, in_flight, chain, "train", first
+                    events, cycle, in_flight, program, "train", first
                 )
-            events.append(_update(cycle, "update", batch_index))
+            events.append(update_event(cycle, "update", batch_index))
             cycle += 1
-        return ScheduleResult(events, batch, len(chain), n_inputs)
+        return ScheduleResult(events, batch, len(program), n_inputs)
 
     return _execute(span, collector, build)
 
@@ -358,8 +418,8 @@ def simulate_inference_pipeline(
 
     def build() -> ScheduleResult:
         events: List[ScheduleEvent] = []
-        chain = [(PIPE, stage) for stage in range(layers)]
-        run_phase(events, 0, n_inputs, chain, "infer")
+        forward = training_program(layers)[:layers]
+        run_phase(events, 0, n_inputs, forward, "infer")
         return ScheduleResult(
             events, n_inputs, layers, n_inputs, updates_expected=False
         )
@@ -397,22 +457,15 @@ def _gan_iteration(
 ) -> ScheduleResult:
     """The GAN schedule proper (validated args, no telemetry)."""
 
-    def d_forward(copy: str) -> Chain:
-        return [(copy, s) for s in range(l_d)]
-
-    def d_backward(copy: str) -> Chain:
-        return [(copy, l_d + 1 + s) for s in range(l_d)]
-
     # SP runs phase (1) on its own D copy, concurrently with phase (2).
     spatial = scheme in ("sp", "sp_cs")
-    d_copy = "D1" if spatial else "D0"
-    d_real = d_forward(d_copy) + [(d_copy, l_d)] + d_backward(d_copy)
-    # G forward, then D forward and its loss stage: the forward pass
-    # that CS shares between the D and G branches.
-    shared = [("G", s) for s in range(l_g)] + d_forward("D0") + [("D0", l_d)]
-    d_fake = shared + d_backward("D0")
-    g_backward = [("G", l_g + s) for s in range(l_g)]
-    g_train = d_fake + g_backward
+    programs = gan_programs(l_d, l_g, "D1" if spatial else "D0")
+    d_real, d_fake, g_train = (
+        programs[name] for name in ("d_real", "d_fake", "g_train")
+    )
+    # The forward pass CS shares between the D and G branches: G
+    # forward, then D forward and its loss stage.
+    shared = l_g + l_d + 1
     events: List[ScheduleEvent] = []
 
     if scheme == "unpipelined":
@@ -420,11 +473,11 @@ def _gan_iteration(
         for element in range(batch):
             cycle = run_phase(events, cycle, 1, d_real, "d_real", element)
             cycle = run_phase(events, cycle, 1, d_fake, "d_fake", element)
-        events.append(_update(cycle, "D update"))
+        events.append(update_event(cycle, "D update"))
         cycle += 1
         for element in range(batch):
             cycle = run_phase(events, cycle, 1, g_train, "g_train", element)
-        events.append(_update(cycle, "G update"))
+        events.append(update_event(cycle, "G update"))
         return ScheduleResult(events, batch, scheme=scheme)
 
     d_real_end = run_phase(events, 0, batch, d_real, "d_real")
@@ -437,19 +490,22 @@ def _gan_iteration(
         # backward chain), so the G branch emits only its tail and the
         # shared prefix is booked once.
         d_end = run_phase(events, start, batch, d_fake, "merged_d_branch")
-        g_tail = [("Dbwd2", s) for s in range(l_d)] + g_backward
+        g_tail = [
+            StageOp("backward", ("Dbwd2", s), "D", l_d - 1 - s)
+            for s in range(l_d)
+        ] + g_train[len(d_fake) :]
         g_end = run_phase(
-            events, start + len(shared), batch, g_tail, "merged_g_branch"
+            events, start + shared, batch, g_tail, "merged_g_branch"
         )
         # T11: D updates right after its branch and phase (1); T14: G
         # updates after its branch drains.
-        events.append(_update(max(d_real_end, d_end), "D update"))
+        events.append(update_event(max(d_real_end, d_end), "D update"))
     else:
         d_end = run_phase(events, start, batch, d_fake, "d_fake")
         d_update = max(d_real_end, d_end)
-        events.append(_update(d_update, "D update"))
+        events.append(update_event(d_update, "D update"))
         g_end = run_phase(events, d_update + 1, batch, g_train, "g_train")
-    events.append(_update(g_end, "G update"))
+    events.append(update_event(g_end, "G update"))
     return ScheduleResult(events, batch, scheme=scheme)
 
 

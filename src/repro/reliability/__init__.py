@@ -4,9 +4,9 @@ The robustness/observability layer over the crossbar simulator: sweep
 a fault axis (stuck cells, transient read upsets, conductance drift,
 programming/read noise) across a deployed workload and report
 accuracy degradation and error propagation per scenario, per layer,
-and per tile — reproducibly (one seed, byte-identical JSON) and
-backend-consistently (loop and vectorized engines report identical
-fault outcomes).
+and per tile — reproducibly (one seed, byte-identical JSON at a fixed
+BLAS thread count) and backend-consistently (loop and vectorized
+engines report identical fault outcomes).
 """
 
 from repro.reliability.campaign import (

@@ -13,10 +13,13 @@ Seeding discipline
 Everything derives from the single ``seed`` argument: the network
 weights, the (float) reference training run, the evaluation inputs,
 and every per-array device stream.  Two campaigns with the same
-arguments produce **byte-identical** JSON; and because each device
-effect draws from its own child stream, sweeping one axis moves only
-that effect — stuck-fault *placement*, for example, is nested across
-rates (the cells broken at 0.1% are a subset of those broken at 1%).
+arguments produce **byte-identical** JSON at a fixed BLAS thread
+count (a conv workload's large GEMMs round differently when BLAS
+splits them across threads, so CI pins ``OPENBLAS_NUM_THREADS=1`` for
+the mnist_cnn digest).  Because each device effect draws from its own
+child stream, sweeping one axis moves only that effect — stuck-fault
+*placement*, for example, is nested across rates (the cells broken at
+0.1% are a subset of those broken at 1%).
 The ``"both"`` backend mode runs every scenario through the loop and
 vectorized engines and verifies the reports agree exactly — the
 backend-equivalence contract, enforced at campaign granularity.
@@ -391,7 +394,8 @@ def run_campaign(
         The fault knob to sweep (see :data:`AXES`) and its sweep
         points; ``None`` takes :data:`DEFAULT_RATES`.
     seed:
-        Master seed — same arguments, same seed: byte-identical report.
+        Master seed — same arguments, same seed, same BLAS thread
+        count: byte-identical report.
     count, batch:
         Evaluation inputs and lockstep batch size.
     backend:

@@ -168,6 +168,9 @@ def test_malformed_or_empty_list_exits_two(capsys, argv):
         ["bench", "--workers", "-1"],
         ["report", "trace", "--layers", "0"],
         ["profile", "trace", "--gan", "--scheme", "bogus"],
+        ["top", "--port", "8077", "--count", "0"],
+        ["top", "--port", "8077", "--interval", "-1"],
+        ["top", "--port", "8077", "--interval", "nan"],
     ],
     ids=" ".join,
 )

@@ -1,5 +1,7 @@
 """Tests: the executed GAN pipeline equals sequential GAN training."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.core.gan_pipeline import (
     g_training_cycles_pipelined,
 )
 from repro.core.pipelined_gan import PipelinedGANTrainer, fix_vbn_references
+from repro.core.schedule import simulate_gan_iteration
 from repro.datasets import DatasetShape, make_gan_images
 from repro.nn import (
     Adam,
@@ -140,6 +143,23 @@ class TestCycleAccounting:
             l_d, l_g, batch
         ) + g_training_cycles_pipelined(l_d, l_g, batch)
         assert result["cycles"] == expected
+
+    def test_schedule_is_the_simulators_event_table(self, setting):
+        real, fake_noise, g_noise, _ = setting
+        generator, discriminator = build_pair(3)
+        pipelined = PipelinedGANTrainer(
+            generator,
+            discriminator,
+            Adam(generator.parameters(), lr=2e-4),
+            Adam(discriminator.parameters(), lr=2e-4),
+        )
+        pipelined.train_iteration(real, fake_noise, g_noise)
+        expected = simulate_gan_iteration(3, 3, 4, "pipelined")
+        assert Counter(pipelined.schedule.events) == Counter(
+            expected.events
+        )
+        assert len(expected.events) == 122
+        pipelined.schedule.validate()
 
     def test_stage_counts_match_specs(self):
         generator, discriminator = build_pair(4)

@@ -3,14 +3,23 @@
 The load-bearing property of PipeLayer's Fig. 5 pipeline: because no
 dependency exists among the inputs of a batch, processing them as a
 pipeline wavefront with frozen weights and a single end-of-batch update
-must produce bit-identical results to conventional batched training.
+must train the weights of conventional batched training (to within
+float rounding: the pipeline sums per-input gradients one at a time).
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.core.pipeline import training_cycles_per_batch_pipelined
-from repro.core.pipelined_trainer import PipelinedTrainer, group_into_stages
+from repro.core.pipelined_trainer import (
+    PipelinedTrainer,
+    group_into_stages,
+    run_wavefront,
+)
+from repro.core.schedule import PIPE, simulate_training_pipeline
+from repro.core.trace import occupancy_profile
 from repro.nn import (
     SGD,
     Dense,
@@ -156,7 +165,7 @@ class TestScheduleProperties:
         inputs = rng.normal(size=(6, 6))
         labels = rng.integers(0, 3, size=6)
         trainer.train_batch(inputs, labels)
-        assert trainer.max_inputs_in_flight() >= 3
+        assert max(occupancy_profile(trainer.schedule)) >= 3
 
     def test_update_fires_once_per_batch(self, rng):
         network = build_mlp(6, (8,), 3, rng=1)
@@ -169,12 +178,50 @@ class TestScheduleProperties:
         trainer.train_batch(inputs, labels)
         network.zero_grad()
         trainer.train_batch(inputs, labels)
-        updates = [tick for tick in trainer.ticks if tick.update]
-        assert len(updates) == 2
+        updates = trainer.schedule.updates()
+        assert [update.element for update in updates] == [0, 1]
         # Update is the last cycle of each batch.
-        per_batch = len(trainer.ticks) // 2
+        per_batch = trainer.schedule.makespan // 2
         assert updates[0].cycle == per_batch - 1
         assert updates[1].cycle == 2 * per_batch - 1
+
+    def test_schedule_is_the_simulators_event_table(self, rng):
+        network = build_mlp(6, (8, 8), 3, rng=1)
+        trainer = PipelinedTrainer(
+            network, SGD(network.parameters(), lr=0.1),
+            SoftmaxCrossEntropy(),
+        )
+        trainer.train(
+            rng.normal(size=(12, 6)), rng.integers(0, 3, size=12),
+            batch_size=4,
+        )
+        expected = simulate_training_pipeline(trainer.depth, 12, 4)
+        assert Counter(trainer.schedule.events) == Counter(expected.events)
+        assert len(expected.events) == 87
+        trainer.schedule.validate()
+
+    def test_weights_moving_mid_batch_is_caught(self, rng):
+        """The executor holds the weights frozen for the whole phase."""
+        network = build_mlp(6, (8,), 3, rng=1)
+        stages = group_into_stages(network)
+        trainer = PipelinedTrainer(
+            network, SGD(network.parameters(), lr=0.1),
+            SoftmaxCrossEntropy(),
+        )
+        dense = stages[0][0]
+        backward = dense.backward
+
+        def leaky_backward(grad):
+            dense.parameters()[0].value[0, 0] += 1.0
+            return backward(grad)
+
+        dense.backward = leaky_backward
+        with pytest.raises(AssertionError, match="weights changed"):
+            run_wavefront(
+                trainer.program, {PIPE: stages},
+                rng.normal(size=(2, 6)), SoftmaxCrossEntropy(),
+                rng.integers(0, 3, size=2), [], 0, "train",
+            )
 
     def test_train_loop_learns(self, rng):
         inputs = rng.normal(size=(120, 6))
