@@ -167,17 +167,7 @@ class SuiteRun:
 
 def _checked_documents(name: str, returned: Any) -> List[Dict[str, Any]]:
     """``returned`` if it is a list of valid bench documents."""
-    if not isinstance(returned, list):
-        raise TypeError(
-            f"bench {name!r} returned {type(returned).__name__}, "
-            "not a list of bench documents"
-        )
-    for index, document in enumerate(returned):
-        if not isinstance(document, dict):
-            raise TypeError(
-                f"bench {name!r} document {index} is a "
-                f"{type(document).__name__}, not a bench document"
-            )
+    for document in check_document(returned, [dict], f"bench {name!r}"):
         validate_bench_document(document)
     return returned
 

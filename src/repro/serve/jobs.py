@@ -22,6 +22,7 @@ instead of inside a worker.
 
 from __future__ import annotations
 
+import math
 import numbers
 import re
 from dataclasses import dataclass, fields
@@ -58,13 +59,16 @@ def _check_counts(spec: "JobSpec", *names: str) -> None:
 
 
 def _check_real(name: str, value: Any) -> None:
-    """Reject non-real numbers (and ``bool``) and ints no float holds."""
+    """Reject non-real numbers (and ``bool``), ints no float holds, and
+    the non-finite floats (``NaN``, ``Infinity``) JSON parsing admits."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {value!r}")
     try:
-        float(value)
+        finite = math.isfinite(value)
     except OverflowError:
         raise ValueError(f"{name} must fit a float") from None
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def check_tenant(tenant: str) -> None:

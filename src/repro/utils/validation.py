@@ -23,8 +23,8 @@ def check_positive(name: str, value: float) -> None:
 
 
 def check_non_negative(name: str, value: float) -> None:
-    """Raise ``ValueError`` unless ``value`` is >= 0."""
-    if value < 0:
+    """Raise ``ValueError`` unless ``value`` is >= 0 (NaN is not)."""
+    if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 

@@ -76,12 +76,22 @@ def quantize_levels(level_values: np.ndarray, config: ADCConfig) -> np.ndarray:
     floored at zero (the I&F cannot fire a negative spike), snapped to
     the count grid, then mapped back to level units.  Both the per-array
     loop path and the stacked vectorized backend apply exactly this
-    function, so ADC quantization is bit-identical between them.
+    function, so ADC quantization is bit-identical between them.  The
+    clip writes a new array and every later step works in place on it:
+    the input is never modified, and no other temporary is allocated.
     """
     level_values = np.asarray(level_values, dtype=np.float64)
-    clipped = np.clip(level_values, 0.0, config.full_scale_levels)
-    counts = np.rint(clipped / config.levels_per_count)
-    return counts * config.levels_per_count
+    step = config.levels_per_count
+    out = np.clip(
+        level_values,
+        0.0,
+        config.full_scale_levels,
+        out=np.empty_like(level_values),
+    )
+    out /= step
+    np.rint(out, out=out)
+    out *= step
+    return out
 
 
 class IntegrateFireADC:

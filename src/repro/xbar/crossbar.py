@@ -121,13 +121,17 @@ class CrossbarArray:
         """
         return self._model.read_noise_levels(shape)
 
-    def transient_upset_levels(self, shape) -> np.ndarray:
-        """Per-read soft-error impulses from *this array's* own stream.
+    def transient_upset_levels(self, shape) -> Tuple[np.ndarray, np.ndarray]:
+        """The soft-error upsets of the next ``prod(shape)`` outputs.
 
-        Same stacked-equals-sequential contract as
-        :meth:`read_noise_levels`, over the same ``live_cols`` bit
-        lines; the upsets live on a dedicated child stream so enabling
-        them never shifts the read-noise draws.
+        ``(positions, amplitudes)`` from *this array's* own upset
+        stream: flat C-order indices into ``shape`` and the impulse of
+        each, which both backends scatter-add into the ``live_cols``
+        bit lines they read.  The stream draws only the upsets that
+        fire and carries its position across calls, so one stacked
+        ``(subcycles, batch, live_cols)`` call sees the upsets of that
+        many sequential per-subcycle calls; it is a dedicated child
+        stream, so enabling upsets never shifts the read-noise draws.
         """
         return self._model.transient_upset_levels(shape)
 
@@ -193,9 +197,12 @@ class CrossbarArray:
                 level_values.shape
             )
         if self.device.upset_rate > 0.0:
-            level_values = level_values + self._model.transient_upset_levels(
+            positions, amplitudes = self._model.transient_upset_levels(
                 level_values.shape
             )
+            level_values[
+                np.unravel_index(positions, level_values.shape)
+            ] += amplitudes
         digitised = np.zeros((batch, self.cols))
         digitised[:, :live] = self.adc.convert(level_values)
         self.adc.conversions += batch * (self.cols - live)

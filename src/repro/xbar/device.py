@@ -15,7 +15,7 @@ cites (Wong et al., Proc. IEEE 2012): ``R_on = 10 kΩ``,
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -170,6 +170,13 @@ class DeviceConfig:
         )
 
 
+#: Upset gaps (then amplitudes) drawn per refill of the upset stream.
+_UPSET_BLOCK = 256
+
+#: What the upset stream returns when upsets are disabled.
+_NO_UPSETS = (np.zeros(0, dtype=np.int64), np.zeros(0))
+
+
 def apply_ir_drop(conductance: np.ndarray, wire_resistance: float) -> np.ndarray:
     """First-order static IR-drop degradation of a conductance matrix.
 
@@ -205,7 +212,10 @@ class DeviceModel:
     time — and it is what keeps the loop and vectorized engine
     backends bit-identical, because each backend may interleave the
     effects differently in code as long as it consumes each *stream*
-    in the same per-read order.
+    in the same per-read order.  Read noise draws one normal per
+    output; the upset stream draws only the upsets that fire (see
+    :meth:`transient_upset_levels`), so its consumption is independent
+    of how the reads are split into calls.
     """
 
     def __init__(self, config: DeviceConfig, rng: RngLike = None) -> None:
@@ -219,6 +229,12 @@ class DeviceModel:
         self._fault_draw: Optional[np.ndarray] = None
         #: Read events since the last program — the drift time base.
         self.read_events = 0
+        #: Outputs the upset stream has covered so far.
+        self._upset_cursor = 0
+        #: Absolute output positions and amplitudes of the drawn upsets
+        #: not yet handed out (the tail of the current block).
+        self._upset_at = np.zeros(0, dtype=np.int64)
+        self._upset_amplitude = np.zeros(0)
 
     def apply_stuck_faults(self, levels: np.ndarray) -> np.ndarray:
         """Force stuck-at cells to their defect level.
@@ -325,35 +341,60 @@ class DeviceModel:
         sigma = config.read_noise * np.sqrt(reads)
         return self._read_rng.normal(0.0, sigma, size=shape)
 
-    def transient_upset_levels(self, shape) -> np.ndarray:
+    def transient_upset_levels(self, shape) -> Tuple[np.ndarray, np.ndarray]:
         """Per-read soft-error impulses, in conductance-level units.
 
         Each output element is upset with probability ``upset_rate``;
-        an upset adds a uniform impulse in ``±upset_levels``.  Mask and
-        amplitude come from a *single* uniform draw per element (the
-        sub-threshold coordinate ``u / rate`` is itself uniform), so
-        stream consumption is one element per output regardless of how
-        many upsets fire — the property that lets a stacked draw in
-        the vectorized backend equal the loop backend's sequential
-        per-sub-cycle draws.
+        an upset adds a uniform impulse in ``±upset_levels``.  Returns
+        ``(positions, amplitudes)`` for the next ``prod(shape)`` outputs
+        of this model's read stream: the flat C-order indices into
+        ``shape`` of the upsets that fire (strictly increasing) and
+        their impulses.  Callers scatter-add them into their outputs.
+
+        The stream draws only the upsets that fire: geometric gaps
+        between consecutive upsets, then one uniform per upset for its
+        amplitude ``(2u - 1) * upset_levels``, both in blocks of
+        :data:`_UPSET_BLOCK`.  The unused tail of a block and the
+        absolute output position carry across calls, so the upsets an
+        output sees depend only on its position in the stream, never on
+        how the reads are split into calls or chunks — what lets the
+        vectorized backend's stacked calls equal the loop backend's
+        sequential per-sub-cycle calls.
         """
         config = self.config
         if config.upset_rate == 0.0:
-            return np.zeros(shape)
-        draw = self._transient_rng.random(shape)
-        rate = config.upset_rate
-        amplitude = (2.0 * (draw / rate) - 1.0) * config.upset_levels
-        return np.where(draw < rate, amplitude, 0.0)
+            return _NO_UPSETS
+        start = self._upset_cursor
+        end = start + int(np.prod(shape))
+        self._upset_cursor = end
+        positions, amplitudes = [], []
+        while True:
+            due = int(np.searchsorted(self._upset_at, end))
+            positions.append(self._upset_at[:due] - start)
+            amplitudes.append(self._upset_amplitude[:due])
+            if due < self._upset_at.size:
+                break
+            # Every drawn upset falls before ``end``: draw the next block.
+            last = self._upset_at[-1] if self._upset_at.size else -1
+            rng = self._transient_rng
+            self._upset_at = last + np.cumsum(
+                rng.geometric(config.upset_rate, _UPSET_BLOCK)
+            )
+            self._upset_amplitude = (
+                2.0 * rng.random(_UPSET_BLOCK) - 1.0
+            ) * config.upset_levels
+        self._upset_at = self._upset_at[due:]
+        self._upset_amplitude = self._upset_amplitude[due:]
+        return np.concatenate(positions), np.concatenate(amplitudes)
 
     def drift_factors(self, events: int) -> np.ndarray:
         """Signal decay factors for the next ``events`` read events.
 
         Returns ``(1 + k) ** -drift_nu`` for each upcoming read event
         ``k`` (counted since the last program) and advances the drift
-        clock — deterministic, no stream consumed.  With drift
-        disabled the factors are all 1 but the clock still advances,
-        so enabling drift later in a config sweep never perturbs the
-        other effects' alignment.
+        clock — deterministic, no stream consumed.  With drift disabled
+        the factors are all 1; neither engine backend calls this then,
+        so the clock only counts reads while drift is on.
         """
         if events < 0:
             raise ValueError(f"events must be >= 0, got {events}")

@@ -48,18 +48,22 @@ Two interchangeable backends evaluate the full datapath:
 ``backend="vectorized"`` (default)
     Stacks the programmed bit lines of every slice plane of every tile
     into one conductance tensor, evaluates all sub-cycles of a batch
-    with batched matmuls, and applies the I&F ADC quantization across
-    the whole stack at once.  Bit-for-bit identical to the loop backend
-    under a shared seed: read noise is drawn from each array's own
-    generator in sub-cycle order (a stacked draw consumes a numpy
-    ``Generator`` exactly like sequential per-sub-cycle draws), and
-    both backends share one ADC transfer function
-    (:func:`repro.xbar.adc.quantize_levels`).  When the config
-    ``is_collapsible`` — every per-array conversion is provably the
-    identity — the sub-cycle loop collapses onto the cached signed
-    level sum (the same matrix :meth:`CrossbarEngine.effective_weights`
-    scales), turning the whole evaluation into one exact integer matmul
-    (~100x over the loop backend on a 256x256 layer).
+    with one matmul per block row over its live word lines, and applies
+    the I&F ADC quantization across the whole stack at once.
+    Bit-for-bit identical to the loop backend under a shared seed: read
+    noise is drawn from each array's own generator in sub-cycle order
+    (a stacked draw consumes a numpy ``Generator`` exactly like
+    sequential per-sub-cycle draws); each array's upset stream hands
+    out the upsets of its next outputs by position, drawing only those
+    that fire, so both backends scatter-add the same impulses however
+    the reads are split into calls; and both backends share one ADC
+    transfer function (:func:`repro.xbar.adc.quantize_levels`).  When
+    the config ``is_collapsible`` — every per-array conversion is
+    provably the identity — the sub-cycle loop collapses onto the
+    cached signed level sum (the same matrix
+    :meth:`CrossbarEngine.effective_weights` scales), turning the whole
+    evaluation into one exact integer matmul (~100x over the loop
+    backend on a 256x256 layer).
 
 Neither backend simulates padded bit lines.  An edge array holding
 fewer logical columns than ``array_cols`` evaluates, perturbs, and
@@ -294,12 +298,13 @@ class _VectorizedState:
     """Per-prepare() cache backing the vectorized backend.
 
     ``gmat`` is the stacked conductance tensor of every physical
-    array of every slice plane, pre-transposed into the batched-matmul
-    layout ``(grid_rows, array_rows, n_planes * logical_cols)``: only
+    array of every slice plane, laid out ``(grid_rows, array_rows,
+    n_planes * logical_cols)`` so each block row is one matmul: only
     programmed bit lines are stacked, so block column ``j`` of a plane
     owns columns ``[j * array_cols, min((j + 1) * array_cols,
-    logical_cols))`` of that plane's slab, while padded word lines
-    stay (they carry zero drive).  ``plane_weights`` carries each
+    logical_cols))`` of that plane's slab.  Padded word lines stay in
+    the tensor, but a read multiplies only a block row's live ones
+    (the rest carry zero drive).  ``plane_weights`` carries each
     plane's signed shift-and-add factor (``±radix**slice``).  Built
     lazily on the first vectorized matmul and invalidated whenever
     ``prepare()`` reprograms the arrays.  When the config
@@ -310,7 +315,9 @@ class _VectorizedState:
 
     gmat: Optional[np.ndarray]
     plane_weights: np.ndarray
-    arrays: list  # [plane][grid_row][grid_col] -> CrossbarArray
+    #: ``(array, plane, block_row, c0, c1)`` for every physical array:
+    #: its live columns are ``[c0, c1)`` of its plane's slab.
+    placements: list
     adc: ADCConfig
     grid_rows: int
     grid_cols: int
@@ -696,6 +703,7 @@ class CrossbarEngine(MatmulEngine):
         grid_rows, grid_cols = first.grid_rows, first.grid_cols
         rows, cols = self.config.array_rows, self.config.array_cols
         n_planes = len(tiles)
+        logical_cols = self._cached_weights.shape[1]
         collapsed: Optional[np.ndarray] = None
         gmat: Optional[np.ndarray] = None
         if self.config.is_collapsible:
@@ -704,19 +712,29 @@ class CrossbarEngine(MatmulEngine):
             # Block column j's live columns are the logical columns it
             # holds, so the blocks laid side by side and cut at
             # logical_cols keep exactly the programmed bit lines.
-            logical_cols = self._cached_weights.shape[1]
             stacked = np.empty((grid_rows, rows, n_planes, logical_cols))
             for index, tile in enumerate(tiles.values()):
                 # (g*R, h*C) -> (g, R, h*C) -> (g, R, L).
                 stacked[:, :, index, :] = tile.level_blocks().reshape(
                     grid_rows, rows, grid_cols * cols
                 )[:, :, :logical_cols]
-            # (g, R, P*L): one batched matmul per MVM.
+            # (g, R, P*L): one matmul per block row and chunk.
             gmat = stacked.reshape(grid_rows, rows, n_planes * logical_cols)
         self._vector = _VectorizedState(
             gmat=gmat,
             plane_weights=np.array([self._tile_weights[key] for key in tiles]),
-            arrays=[tile.arrays for tile in tiles.values()],
+            placements=[
+                (
+                    array,
+                    plane,
+                    block_row,
+                    block_col * cols,
+                    min((block_col + 1) * cols, logical_cols),
+                )
+                for plane, tile in enumerate(tiles.values())
+                for block_row, row in enumerate(tile.arrays)
+                for block_col, array in enumerate(row)
+            ],
             adc=self.config.adc_config(),
             grid_rows=grid_rows,
             grid_cols=grid_cols,
@@ -750,15 +768,9 @@ class CrossbarEngine(MatmulEngine):
         accumulation order are exactly the loop backend's.
         """
         device = self.config.device
-        grid_rows, grid_cols = state.grid_rows, state.grid_cols
-        rows, cols = self.config.array_rows, self.config.array_cols
+        grid_rows, rows = state.grid_rows, self.config.array_rows
         n_planes = state.n_planes
         subcycles, batch, logical_rows = planes.shape
-
-        padded = np.zeros((subcycles, batch, grid_rows * rows))
-        padded[:, :, :logical_rows] = planes
-        blocked = padded.reshape(subcycles, batch, grid_rows, rows)
-
         per_subcycle = batch * n_planes * grid_rows * logical_cols
         chunk = max(1, _VECTOR_CHUNK_ELEMENTS // per_subcycle)
         # On a unit count grid every post-ADC value is an integer, so
@@ -767,49 +779,60 @@ class CrossbarEngine(MatmulEngine):
         # the loop backend's accumulation order is replicated term by
         # term to stay bit-identical.
         exact_grid = state.adc.levels_per_count == 1.0
+        drift = device.drift_nu > 0.0
+        noise = device.read_noise > 0.0
+        upsets = device.upset_rate > 0.0
         for start in range(0, subcycles, chunk):
-            part = blocked[start : start + chunk]  # (K, B, g, R)
+            part = planes[start : start + chunk]  # (K, B, logical_rows)
             span = part.shape[0]
-            drive = np.ascontiguousarray(part.transpose(2, 0, 1, 3)).reshape(
-                grid_rows, span * batch, rows
-            )
-            levels = np.matmul(drive, state.gmat).reshape(
+            # Each block row multiplies only its live word lines: the
+            # padded ones carry zero drive, and trailing zero terms
+            # leave every dot product bit-identical.
+            width = n_planes * logical_cols
+            levels = np.empty((grid_rows, span * batch, width))
+            for block_row in range(grid_rows):
+                r0 = block_row * rows
+                live = min(rows, logical_rows - r0)
+                np.matmul(
+                    part[:, :, r0 : r0 + live].reshape(span * batch, live),
+                    state.gmat[block_row, :live],
+                    out=levels[block_row],
+                )
+            levels = levels.reshape(
                 grid_rows, span, batch, n_planes, logical_cols
             )
             # Per-array read-path effects in the loop backend's order:
-            # drift scales the signal, then Gaussian read noise, then
-            # transient upsets.  Each effect draws from its own child
-            # stream per array, so a stacked (span, ...) draw consumes
-            # each stream exactly like the loop's sequential
-            # per-sub-cycle draws; drift is a deterministic per-event
-            # factor from the same read clock the loop advances.
-            drift = device.drift_nu > 0.0
-            noise = device.read_noise > 0.0
-            upsets = device.upset_rate > 0.0
-            if drift or noise or upsets:
-                for plane in range(n_planes):
-                    for block_row in range(grid_rows):
-                        for block_col in range(grid_cols):
-                            array = state.arrays[plane][block_row][block_col]
-                            c0 = block_col * cols
-                            c1 = min(c0 + cols, logical_cols)
-                            view = levels[block_row, :, :, plane, c0:c1]
-                            if drift:
-                                view *= array.drift_factors(span)[
-                                    :, None, None
-                                ]
-                            if noise:
-                                view += array.read_noise_levels(
-                                    (span, batch, c1 - c0)
-                                )
-                            if upsets:
-                                view += array.transient_upset_levels(
-                                    (span, batch, c1 - c0)
-                                )
+            # drift scales the signal (one multiply by every array's
+            # factors for this chunk, from the read clock the loop
+            # advances), then Gaussian read noise, then transient
+            # upsets.  Each effect draws from its own child stream per
+            # array, so a stacked (span, ...) draw consumes each stream
+            # exactly like the loop's sequential per-sub-cycle draws.
+            if drift:
+                factors = np.empty(
+                    (grid_rows, span, 1, n_planes, logical_cols)
+                )
+                for array, plane, block_row, c0, c1 in state.placements:
+                    decay = array.drift_factors(span)
+                    factors[block_row, :, 0, plane, c0:c1] = decay[:, None]
+                levels *= factors
+            if noise or upsets:
+                for array, plane, block_row, c0, c1 in state.placements:
+                    view = levels[block_row, :, :, plane, c0:c1]
+                    if noise:
+                        view += array.read_noise_levels(view.shape)
+                    if upsets:
+                        positions, amplitudes = array.transient_upset_levels(
+                            view.shape
+                        )
+                        view[np.unravel_index(positions, view.shape)] += (
+                            amplitudes
+                        )
             quantized = quantize_levels(levels, state.adc)
-            folded = quantized[0].copy()
+            # The row-block fold, in the loop backend's order.
+            folded = quantized[0]
             for block_row in range(1, grid_rows):
-                folded += quantized[block_row]
+                folded = folded + quantized[block_row]
             weights = self._coder.plane_weights[start : start + span]
             if exact_grid:
                 accumulator += input_sign * np.einsum(
@@ -880,11 +903,9 @@ class CrossbarEngine(MatmulEngine):
         # The loop backend's arrays count their own reads in mvm().
         reads = call_subcycles * batch
         conversions = call_subcycles * batch * self.config.array_cols
-        for tile_arrays in state.arrays:
-            for row in tile_arrays:
-                for array in row:
-                    array.reads += reads
-                    array.adc.conversions += conversions
+        for array, *_ in state.placements:
+            array.reads += reads
+            array.adc.conversions += conversions
         self._record_call_events(call_subcycles, batch)
         return accumulator * (a_scale * sliced.scale)
 

@@ -51,9 +51,9 @@ class TestRunSuite:
     @pytest.mark.parametrize(
         "returned, message",
         [
-            ("None", "returned NoneType, not a list of bench documents"),
-            ("DOC", "returned dict, not a list of bench documents"),
-            ("[DOC, 'x']", "document 1 is a str, not a bench document"),
+            ("None", "bench 'bad': expected list, got NoneType"),
+            ("DOC", "bench 'bad': expected list, got dict"),
+            ("[DOC, 'x']", "bench 'bad'[1]: expected dict, got str"),
             ("[{'kind': 'bench'}]", "bench_document: missing key"),
             (
                 "[dict(DOC, kind='profile')]",

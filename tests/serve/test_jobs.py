@@ -128,6 +128,20 @@ class TestFieldTypes:
         with pytest.raises(TypeError, match=field):
             job_from_dict(document)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "kind, field, wrap",
+        [
+            ("reliability", "rates", lambda value: [0.1, value]),
+            ("training", "learning_rate", lambda value: value),
+        ],
+        ids=["rates", "learning_rate"],
+    )
+    def test_non_finite_real_rejected(self, kind, field, wrap, value):
+        # json.loads parses NaN and Infinity; they stop at the boundary.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            job_from_dict({"kind": kind, field: wrap(value)})
+
     def test_numpy_and_plain_numbers_accepted(self):
         import numpy as np
 

@@ -77,6 +77,20 @@ class TestHttpSurface:
         assert excinfo.value.status == 400
         assert "seed" in str(excinfo.value)
 
+    def test_non_finite_rates_400(self, served):
+        # The client's json.dumps writes NaN and Infinity tokens, which
+        # the server's json.loads parses back into floats.
+        _, (host, port), _ = served
+        client = ServeClient(host, port)
+        with pytest.raises(ServeError) as excinfo:
+            client.submit({
+                "kind": "reliability",
+                "axis": "drift",
+                "rates": [float("nan"), float("inf")],
+            })
+        assert excinfo.value.status == 400
+        assert "rates must be finite" in str(excinfo.value)
+
     def test_oversized_body_413(self, served):
         # The announced length alone is refused; no body is sent.
         _, (host, port), _ = served

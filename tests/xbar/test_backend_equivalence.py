@@ -185,6 +185,41 @@ class TestBitExactEquivalence:
                 engines["vectorized"].matmul(activations),
             )
 
+    @settings(max_examples=15, deadline=None)
+    @given(
+        chunk_elements=st.integers(min_value=1, max_value=3000),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_forced_chunking_stays_identical(self, chunk_elements, seed):
+        """The vectorized backend split into small sub-cycle chunks
+        (one sub-cycle each at the low end) still equals the loop
+        backend over three calls: every read-path stream, the drift
+        clock and the accumulation order are chunking-invariant.  No
+        default-size test shape fills a chunk, so this is the only
+        test that chunks."""
+        import repro.xbar.engine as engine_module
+
+        data = np.random.default_rng(seed)
+        weights = data.normal(size=(20, 17))
+        engines = {}
+        for backend in ("loop", "vectorized"):
+            engine = CrossbarEngine(
+                small_config(backend=backend, device=SOFT_DEVICE, adc_bits=3),
+                rng=seed,
+            )
+            engine.prepare(weights)
+            engines[backend] = engine
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                engine_module, "_VECTOR_CHUNK_ELEMENTS", chunk_elements
+            )
+            for _ in range(3):
+                activations = data.normal(size=(3, 20))
+                assert np.array_equal(
+                    engines["loop"].matmul(activations),
+                    engines["vectorized"].matmul(activations),
+                )
+
     def test_reprogram_invalidates_cache(self, rng):
         """New weights must flow into the vectorized state."""
         first = rng.normal(size=(20, 12))

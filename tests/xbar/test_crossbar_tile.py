@@ -106,7 +106,9 @@ class TestPaddedBitLines:
         for _ in range(3):
             drive = rng.integers(0, 2, size=(batch, rows)).astype(float)
             out = array.mvm(drive)
-            impulses = twin.transient_upset_levels((batch, live))
+            positions, amplitudes = twin.transient_upset_levels((batch, live))
+            impulses = np.zeros((batch, live))
+            impulses.flat[positions] = amplitudes
             assert out.shape == (batch, cols)
             np.testing.assert_array_equal(
                 out[:, :live],
@@ -114,12 +116,13 @@ class TestPaddedBitLines:
             )
             # Padded bit lines read as exact zeros.
             assert np.all(out[:, live:] == 0.0)
-        # The transient stream advanced by exactly batch x live doubles
-        # per mvm: the next draws still agree with the twin.
-        np.testing.assert_array_equal(
-            array.transient_upset_levels((5,)),
-            twin.transient_upset_levels((5,)),
-        )
+        # The transient stream advanced by exactly batch x live outputs
+        # per mvm: the next upsets still agree with the twin.
+        for ours, theirs in zip(
+            array.transient_upset_levels((50,)),
+            twin.transient_upset_levels((50,)),
+        ):
+            np.testing.assert_array_equal(ours, theirs)
         # Counters keep the physical width.
         assert array.reads == 3 * batch
         assert array.adc.conversions == 3 * batch * cols

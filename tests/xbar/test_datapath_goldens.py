@@ -7,6 +7,7 @@ implementation.  These pin the datapath semantics both crossbar
 backends share.
 """
 
+import hashlib
 from dataclasses import replace
 from unittest import mock
 
@@ -15,8 +16,8 @@ import pytest
 
 from repro.xbar.adc import ADCConfig, quantize_levels
 from repro.xbar.dac import AnalogDAC, InputEncoding, RateCoder, SpikeCoder
-from repro.xbar.device import PIPELAYER_DEVICE
-from repro.xbar.engine import CrossbarEngineConfig
+from repro.xbar.device import NOISY_DEVICE, PIPELAYER_DEVICE
+from repro.xbar.engine import CrossbarEngine, CrossbarEngineConfig
 from repro.xbar.mapping import WeightMapping, map_weights
 
 
@@ -204,3 +205,42 @@ def test_bit_slices_reconstruct_every_integer(weight_bits, cell_bits, scheme):
     else:
         assert not np.any(negative)
     np.testing.assert_array_equal(sliced.reconstruct()[0], integers)
+
+
+#: sha256 over both backends' outputs for three calls of one noisy
+#: layer.  Loop == vectorized only shows that the backends agree; this
+#: pins the read-path streams themselves (read noise, drift, upsets),
+#: the ADC and the accumulation order, so a change to any of them that
+#: moves both backends alike still fails here.
+READ_PATH_GOLDEN = (
+    "471a3ee176f972350d806094b4b2a0b161f0b6a9de579f787b250f98f71c7f59"
+)
+
+
+def test_read_path_streams_golden():
+    device = replace(NOISY_DEVICE, drift_nu=0.05, upset_rate=0.02)
+    data = np.random.default_rng(2024)
+    weights = data.normal(size=(40, 24))
+    batches = [data.normal(size=(4, 40)) for _ in range(3)]
+    outputs = {}
+    for backend in ("loop", "vectorized"):
+        engine = CrossbarEngine(
+            CrossbarEngineConfig(
+                device=device,
+                adc_bits=3,
+                array_rows=16,
+                array_cols=16,
+                fast_ideal=False,
+                backend=backend,
+            ),
+            rng=7,
+        )
+        engine.prepare(weights)
+        outputs[backend] = [engine.matmul(batch) for batch in batches]
+    for loop, vectorized in zip(outputs["loop"], outputs["vectorized"]):
+        assert np.array_equal(loop, vectorized)
+    digest = hashlib.sha256()
+    for backend in ("loop", "vectorized"):
+        for output in outputs[backend]:
+            digest.update(output.tobytes())
+    assert digest.hexdigest() == READ_PATH_GOLDEN
