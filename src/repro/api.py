@@ -32,10 +32,11 @@ deployed simulators across server jobs on the same
 ``(weights_hash, device_config_hash)``.
 
 The module-level report functions (:func:`table1_report`,
-:func:`reliability_report`, :func:`mapping_sweep`,
-:func:`pipeline_sweep`, :func:`gan_scheme_report`,
-:func:`schedule_trace`) return plain JSON-able dictionaries; the CLI
-routes every subcommand through them.
+:func:`mapping_sweep`, :func:`pipeline_sweep`,
+:func:`gan_scheme_report`, :func:`schedule_trace`) return plain
+JSON-able dictionaries; the CLI routes those subcommands through them,
+and reliability campaigns come from
+:func:`repro.reliability.run_campaign`.
 """
 
 from __future__ import annotations
@@ -487,11 +488,13 @@ def run_job(
     training jobs deploy a fresh :class:`Simulator` (or run against
     ``simulator`` when given — e.g. one leased from the serve layer's
     programmed-state cache); reliability jobs route to
-    :func:`reliability_report`, which builds its own golden/faulty
-    simulator pairs and returns the campaign document.
+    :func:`repro.reliability.run_campaign`, which builds its own
+    golden/faulty simulator pairs and returns the campaign document.
     """
     if isinstance(job, ReliabilityJob):
-        return reliability_report(
+        from repro.reliability import run_campaign
+
+        return run_campaign(
             workload=job.workload,
             axis=job.axis,
             rates=job.rates,
@@ -593,51 +596,6 @@ def pipeline_sweep(
     }
 
 
-def reliability_report(
-    workload: str = "mlp",
-    axis: str = "stuck",
-    rates: Optional[Sequence[float]] = None,
-    seed: int = 0,
-    count: int = 64,
-    batch: int = 32,
-    backend: str = "vectorized",
-    train_epochs: int = 5,
-    train_count: int = 256,
-    include_tiles: bool = True,
-    collector: Optional[TelemetryLike] = None,
-    workers: int = 1,
-    sweep_cache: Optional[Any] = None,
-) -> Dict[str, Any]:
-    """Fault-injection campaign report (see :mod:`repro.reliability`).
-
-    Sweeps ``axis`` over ``rates`` on ``workload`` and returns the
-    JSON-able campaign document: per-scenario accuracy degradation,
-    per-layer error propagation, per-tile stuck-cell census.
-    Deterministic in ``seed``; ``backend="both"`` additionally verifies
-    the loop and vectorized engines report identical fault outcomes.
-    ``workers=N`` shards the scenario cells over a process pool with a
-    byte-identical report for any ``N``; ``sweep_cache`` (a
-    :class:`repro.sweep.SweepCache`) replays completed cells from disk.
-    """
-    from repro.reliability import run_campaign
-
-    return run_campaign(
-        workload=workload,
-        axis=axis,
-        rates=rates,
-        seed=seed,
-        count=count,
-        batch=batch,
-        backend=backend,
-        train_epochs=train_epochs,
-        train_count=train_count,
-        include_tiles=include_tiles,
-        collector=collector,
-        workers=workers,
-        sweep_cache=sweep_cache,
-    )
-
-
 _RELIABILITY_SHAPE = {
     "schema_version": SCHEMA_VERSION,
     "workload": str, "axis": str, "backend": str,
@@ -737,7 +695,6 @@ __all__ = [
     "weights_hash",
     "device_config_hash",
     "table1_report",
-    "reliability_report",
     "mapping_sweep",
     "pipeline_sweep",
     "gan_scheme_report",

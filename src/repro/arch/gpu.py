@@ -14,7 +14,6 @@ reproduction needs to preserve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 from repro.arch.params import GTX1080, GpuParams
 from repro.utils.validation import check_positive
@@ -94,15 +93,6 @@ class GpuModel:
             self.layer_timing(layer, batch, training).time
             for layer in network.layers
         )
-
-    def layer_breakdown(
-        self, network: NetworkSpec, batch: int, training: bool = False
-    ) -> List[GpuLayerTiming]:
-        """Per-layer roofline records (for reports and tests)."""
-        return [
-            self.layer_timing(layer, batch, training)
-            for layer in network.layers
-        ]
 
     def time_per_image(
         self, network: NetworkSpec, batch: int, training: bool = False

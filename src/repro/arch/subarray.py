@@ -120,11 +120,6 @@ class Bank:
             if s.assigned_to is None
         ]
 
-    @property
-    def compute_capacity_cells(self) -> int:
-        """Cells available for weights if every morphable unit computes."""
-        return sum(s.cells for s in self.of_kind(SubarrayKind.MORPHABLE))
-
     # -- control ---------------------------------------------------------------
     def assign_compute(self, owner: str, count: int) -> List[Subarray]:
         """Switch ``count`` free morphable subarrays to compute for ``owner``."""

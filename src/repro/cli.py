@@ -52,7 +52,12 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from repro import api
 from repro.core.gan_pipeline import SCHEMES
-from repro.reliability import AXES, campaign_summary
+from repro.reliability import (
+    AXES,
+    campaign_summary,
+    run_campaign,
+    scenarios_for,
+)
 from repro.telemetry import (
     SCHEMA_VERSION,
     Collector,
@@ -253,8 +258,19 @@ def _cmd_area(args: argparse.Namespace) -> int:
     return _emit(args, document, report.summary())
 
 
+def _campaign_scenarios(args: argparse.Namespace) -> Any:
+    """The ``--axis``/``--rates`` scenarios, or ``None`` if out of range."""
+    try:
+        return scenarios_for(args.axis, args.rates)
+    except ValueError as error:
+        _fail(f"repro {args.command}: error: {error}")
+        return None
+
+
 def _cmd_reliability(args: argparse.Namespace) -> int:
-    report = api.reliability_report(
+    if _campaign_scenarios(args) is None:
+        return 2
+    report = run_campaign(
         workload=args.workload,
         axis=args.axis,
         rates=args.rates,
@@ -272,14 +288,16 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """Distributed deterministic sweep: (scenario × seed × backend) cells."""
-    from repro.reliability.campaign import campaign_cells, scenarios_for
+    from repro.reliability.campaign import campaign_cells
     from repro.sweep import SweepCache, run_sweep, sweep_report, sweep_summary
 
     seeds = args.seeds or [args.seed]
     backends = (
         ("loop", "vectorized") if args.backend == "both" else (args.backend,)
     )
-    scenarios = scenarios_for(args.axis, args.rates)
+    scenarios = _campaign_scenarios(args)
+    if scenarios is None:
+        return 2
     cells = campaign_cells(
         args.workload,
         scenarios,

@@ -27,7 +27,6 @@ from repro.core.estimator import (
     geometric_mean,
     pipelayer_table1,
     regan_table1,
-    table1,
 )
 from repro.core.pipelayer import PipeLayerModel, PipeLayerReport
 from repro.core.regan import ReGANModel, ReGANReport
@@ -46,7 +45,6 @@ __all__ = [
     "geometric_mean",
     "pipelayer_table1",
     "regan_table1",
-    "table1",
     "PAPER_PIPELAYER_SPEEDUP",
     "PAPER_PIPELAYER_ENERGY",
     "PAPER_REGAN_SPEEDUP",

@@ -39,10 +39,7 @@ from repro.arch.components import (
 from repro.arch.gpu import GpuModel
 from repro.arch.params import DEFAULT_TECH, XbarTechParams
 from repro.core.mapping import LayerMapping, MappingConfig, balance_duplication
-from repro.core.pipeline import (
-    training_cycles_per_batch_pipelined,
-    training_cycles_pipelined,
-)
+from repro.core.pipeline import training_cycles_per_batch_pipelined
 from repro.utils.validation import check_positive
 from repro.workloads.suite import NetworkSpec
 
@@ -148,13 +145,6 @@ class PipeLayerModel:
         return worst * self.tech.subcycle_time
 
     # -- timing ------------------------------------------------------------------
-    def training_time(self, n_inputs: int, batch: int) -> float:
-        """Wall time to train on ``n_inputs`` examples (Fig. 5 cycles)."""
-        cycles = training_cycles_pipelined(
-            self.network.depth, n_inputs, batch
-        )
-        return cycles * self.cycle_time
-
     def training_time_per_image(self, batch: int) -> float:
         """Amortised training time per example."""
         cycles = training_cycles_per_batch_pipelined(

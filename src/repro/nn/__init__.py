@@ -42,7 +42,6 @@ from repro.nn.losses import (
     accuracy,
 )
 from repro.nn.models import (
-    build_alexnet,
     build_cifar_cnn,
     build_dcgan_discriminator,
     build_dcgan_generator,
@@ -99,7 +98,6 @@ __all__ = [
     "build_cifar_cnn",
     "build_dcgan_generator",
     "build_dcgan_discriminator",
-    "build_alexnet",
     "Sequential",
     "save_network",
     "load_network",

@@ -83,12 +83,6 @@ class Conv2D(Layer):
         self._input_shape: Optional[Tuple[int, int, int, int]] = None
 
     # -- helpers ---------------------------------------------------------
-    @property
-    def weight_matrix_shape(self) -> Tuple[int, int]:
-        """Shape of the lowered weight matrix (word lines, bit lines)."""
-        k = self.kernel_size
-        return (self.in_channels * k * k, self.out_channels)
-
     def _weight_matrix(self) -> np.ndarray:
         """Lowered ``(C*kh*kw, out_channels)`` view of the kernel."""
         return self.weight.value.reshape(self.out_channels, -1).T

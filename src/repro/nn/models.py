@@ -1,14 +1,14 @@
 """Model zoo: the network shapes the paper's evaluation uses.
 
 Builders return :class:`~repro.nn.network.Sequential` instances.  The
-large ImageNet-class networks (AlexNet, VGG-style) exist both as
-runnable networks and — more importantly for the cycle/energy models —
-as layer-shape specifications in :mod:`repro.workloads`.
+large ImageNet-class networks (AlexNet, VGG-style) exist only as
+layer-shape specifications in :mod:`repro.workloads`, which is all the
+cycle/energy models read.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.nn.layers import (
     BatchNorm,
@@ -21,7 +21,6 @@ from repro.nn.layers import (
     MaxPool2D,
     ReLU,
     Reshape,
-    Sigmoid,
     Tanh,
     VirtualBatchNorm,
 )
@@ -210,38 +209,3 @@ def build_dcgan_discriminator(
         name=name,
     )
 
-
-def build_alexnet(
-    rng: RngLike = None, classes: int = 1000, name: str = "alexnet"
-) -> Sequential:
-    """AlexNet with the published layer dimensions (227x227x3 input).
-
-    Provided for shape-faithful compilation onto the accelerator; at
-    full scale it is impractical to *train* in pure numpy, but forward
-    passes and resource compilation work.
-    """
-    rngs = iter(spawn_rngs(rng, 8))
-    return Sequential(
-        [
-            Conv2D(3, 96, kernel_size=11, stride=4, rng=next(rngs), name=f"{name}.c1"),
-            ReLU(name=f"{name}.r1"),
-            MaxPool2D(3, stride=2, name=f"{name}.p1"),
-            Conv2D(96, 256, kernel_size=5, pad=2, rng=next(rngs), name=f"{name}.c2"),
-            ReLU(name=f"{name}.r2"),
-            MaxPool2D(3, stride=2, name=f"{name}.p2"),
-            Conv2D(256, 384, kernel_size=3, pad=1, rng=next(rngs), name=f"{name}.c3"),
-            ReLU(name=f"{name}.r3"),
-            Conv2D(384, 384, kernel_size=3, pad=1, rng=next(rngs), name=f"{name}.c4"),
-            ReLU(name=f"{name}.r4"),
-            Conv2D(384, 256, kernel_size=3, pad=1, rng=next(rngs), name=f"{name}.c5"),
-            ReLU(name=f"{name}.r5"),
-            MaxPool2D(3, stride=2, name=f"{name}.p3"),
-            Flatten(name=f"{name}.flat"),
-            Dense(256 * 6 * 6, 4096, rng=next(rngs), name=f"{name}.fc6"),
-            ReLU(name=f"{name}.r6"),
-            Dense(4096, 4096, rng=next(rngs), name=f"{name}.fc7"),
-            ReLU(name=f"{name}.r7"),
-            Dense(4096, classes, rng=next(rngs), name=f"{name}.fc8"),
-        ],
-        name=name,
-    )

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 
@@ -46,36 +44,6 @@ class Parameter:
 
     def __repr__(self) -> str:
         return f"Parameter(name={self.name!r}, shape={self.value.shape})"
-
-
-def total_parameter_count(parameters) -> int:
-    """Sum of ``size`` over an iterable of parameters."""
-    return sum(p.size for p in parameters)
-
-
-def flatten_parameters(parameters) -> np.ndarray:
-    """Concatenate all parameter values into one flat vector."""
-    arrays = [p.value.ravel() for p in parameters]
-    if not arrays:
-        return np.zeros(0)
-    return np.concatenate(arrays)
-
-
-def load_flat_parameters(parameters, flat: np.ndarray) -> None:
-    """Inverse of :func:`flatten_parameters` — load values in place."""
-    flat = np.asarray(flat, dtype=np.float64)
-    offset = 0
-    for parameter in parameters:
-        count = parameter.size
-        chunk = flat[offset : offset + count]
-        if chunk.size != count:
-            raise ValueError("flat vector too short for parameter list")
-        np.copyto(parameter.value, chunk.reshape(parameter.value.shape))
-        offset += count
-    if offset != flat.size:
-        raise ValueError(
-            f"flat vector has {flat.size} entries, parameters need {offset}"
-        )
 
 
 class ParameterSnapshot:

@@ -8,7 +8,7 @@ input are stored and only applied at the end of a batch").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -16,24 +16,19 @@ from repro.nn.losses import Loss, SoftmaxCrossEntropy, accuracy
 from repro.nn.network import Sequential
 from repro.nn.optim import Optimizer
 from repro.telemetry import NULL_COLLECTOR, TelemetryLike
+from repro.utils.validation import check_positive
 
 
 @dataclass
 class TrainHistory:
-    """Per-batch loss trace plus per-epoch evaluation results."""
+    """Per-batch loss trace plus per-epoch training-set accuracy."""
 
     batch_losses: List[float] = field(default_factory=list)
     epoch_train_accuracy: List[float] = field(default_factory=list)
-    epoch_eval_accuracy: List[float] = field(default_factory=list)
-
-    @property
-    def final_loss(self) -> float:
-        if not self.batch_losses:
-            raise ValueError("no batches recorded")
-        return self.batch_losses[-1]
 
     def mean_loss(self, last: int = 10) -> float:
-        """Mean loss over the last ``last`` batches."""
+        """Mean loss over the last ``last`` batches (``last >= 1``)."""
+        check_positive("last", last)
         if not self.batch_losses:
             raise ValueError("no batches recorded")
         return float(np.mean(self.batch_losses[-last:]))
@@ -73,9 +68,7 @@ def train_classifier(
     epochs: int = 1,
     batch_size: int = 32,
     loss: Optional[Loss] = None,
-    eval_data: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     rng: Optional[np.random.Generator] = None,
-    on_batch: Optional[Callable[[int, float], None]] = None,
     collector: Optional[TelemetryLike] = None,
 ) -> TrainHistory:
     """Train a classifier with batch-synchronous updates.
@@ -87,10 +80,6 @@ def train_classifier(
         parameters).
     images, labels:
         Full training set, NCHW (or flat) images with integer labels.
-    eval_data:
-        Optional held-out ``(images, labels)`` evaluated per epoch.
-    on_batch:
-        Optional callback ``(batch_index, loss)`` for progress hooks.
     collector:
         Optional :class:`repro.telemetry.Collector` (or scoped view):
         records ``epochs``/``batches``/``samples`` counters and a
@@ -99,7 +88,6 @@ def train_classifier(
     loss = loss or SoftmaxCrossEntropy()
     tel = collector if collector is not None else NULL_COLLECTOR
     history = TrainHistory()
-    batch_index = 0
     for epoch in range(epochs):
         with tel.span(f"epoch[{epoch}]"):
             for batch_images, batch_labels in iterate_batches(
@@ -111,17 +99,10 @@ def train_classifier(
                 history.batch_losses.append(value)
                 tel.count("batches", 1)
                 tel.count("samples", int(batch_images.shape[0]))
-                if on_batch is not None:
-                    on_batch(batch_index, value)
-                batch_index += 1
             with tel.span(f"epoch[{epoch}]/evaluate"):
                 history.epoch_train_accuracy.append(
                     evaluate_classifier(network, images, labels, batch_size)
                 )
-                if eval_data is not None:
-                    history.epoch_eval_accuracy.append(
-                        evaluate_classifier(network, *eval_data, batch_size)
-                    )
         tel.count("epochs", 1)
     return history
 

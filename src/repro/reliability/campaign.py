@@ -113,14 +113,23 @@ class FaultScenario:
 def scenarios_for(
     axis: str, rates: Optional[Sequence[float]] = None
 ) -> List[FaultScenario]:
-    """Build the scenario list for one axis (default rates if ``None``)."""
+    """Build the scenario list for one axis (default rates if ``None``).
+
+    Each scenario's device is built once here, so a rate outside its
+    axis's range (a stuck rate above 1, a negative drift exponent)
+    raises :class:`DeviceConfig`'s own ``ValueError`` before any work
+    starts.
+    """
     check_choice("axis", axis, tuple(sorted(AXES)))
     if rates is None:
         rates = DEFAULT_RATES[axis]
-    return [
+    scenarios = [
         FaultScenario(name=f"{axis}={float(rate):g}", axis=axis, rate=float(rate))
         for rate in rates
     ]
+    for scenario in scenarios:
+        scenario.device(DeviceConfig())
+    return scenarios
 
 
 @dataclass

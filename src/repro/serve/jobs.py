@@ -237,6 +237,11 @@ class ReliabilityJob(JobSpec):
             )
             if not self.rates:
                 raise ValueError("rates must be None or non-empty")
+        # Lazy: the campaign layer sits above the wire format.  The axis
+        # and every rate are checked where the campaign checks them.
+        from repro.reliability.campaign import scenarios_for
+
+        scenarios_for(self.axis, self.rates)
 
 
 #: Wire discriminator -> spec class.

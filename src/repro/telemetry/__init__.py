@@ -79,7 +79,6 @@ from repro.telemetry.energy import (
     COST_KEYS,
     ENERGY_COMPONENTS,
     attribute_energy,
-    emit_energy_counters,
     energy_counter_map,
     validate_cost_table,
     validate_energy_report,
@@ -154,7 +153,6 @@ __all__ = [
     "COST_KEYS",
     "ENERGY_COMPONENTS",
     "attribute_energy",
-    "emit_energy_counters",
     "energy_counter_map",
     "validate_cost_table",
     "validate_energy_report",

@@ -37,9 +37,9 @@ leaf                     meaning
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
-from repro.telemetry.collector import Number, SCHEMA_VERSION, TelemetryLike
+from repro.telemetry.collector import Number, SCHEMA_VERSION
 from repro.utils.validation import NON_NEGATIVE, check_document
 
 #: Keys a cost table must carry (values: joules per event, watts for
@@ -299,29 +299,10 @@ def energy_counter_map(
     return counters
 
 
-def emit_energy_counters(
-    tel: TelemetryLike,
-    counters: Mapping[str, Number],
-    costs: Mapping[str, float],
-    source_name: str = "counters",
-) -> Dict[str, Any]:
-    """Attribute ``counters`` and publish the totals onto ``tel``.
-
-    Returns the full energy report; the ``energy/*`` counters land via
-    ``count`` so repeated emission (e.g. one per sweep cell into a
-    shared collector) accumulates additively and order-independently.
-    """
-    report = attribute_energy(counters, costs, source_name=source_name)
-    for path, value in energy_counter_map(report).items():
-        tel.count(path, value)
-    return report
-
-
 __all__ = [
     "COST_KEYS",
     "ENERGY_COMPONENTS",
     "attribute_energy",
-    "emit_energy_counters",
     "energy_counter_map",
     "validate_cost_table",
     "validate_energy_report",

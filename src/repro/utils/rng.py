@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import copy
 import zlib
-from typing import List, Optional, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -89,9 +89,3 @@ def derive_seed(seed: RngLike, salt: str) -> int:
     salt_value = zlib.crc32(salt.encode("utf-8"))
     return (int(seed) * 0x9E3779B1 + salt_value) % (2**31 - 1)
 
-
-def optional_rng(seed: RngLike) -> Optional[np.random.Generator]:
-    """Like :func:`new_rng` but maps ``None`` to ``None`` (no noise)."""
-    if seed is None:
-        return None
-    return new_rng(seed)

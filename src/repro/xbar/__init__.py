@@ -5,7 +5,7 @@ integrate-and-fire ADC -> digital recombination, packaged as a drop-in
 matmul engine for the DNN substrate.
 """
 
-from repro.xbar.adc import ADCConfig, IntegrateFireADC
+from repro.xbar.adc import ADCConfig
 from repro.xbar.crossbar import CrossbarArray
 from repro.xbar.dac import (
     AnalogDAC,
@@ -42,7 +42,6 @@ from repro.xbar.tile import TiledCrossbar, tile_grid
 
 __all__ = [
     "ADCConfig",
-    "IntegrateFireADC",
     "CrossbarArray",
     "AnalogDAC",
     "InputEncoding",

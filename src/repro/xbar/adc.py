@@ -5,9 +5,9 @@ circuit feeding a counter: the column current charges a capacitor;
 every time the integrated charge crosses a threshold the circuit fires
 a spike and resets; the spike count is the digital value.  Functionally
 that is a uniform quantizer of charge with a bounded count range, which
-is what :class:`IntegrateFireADC` implements — in *level units* (one
+is what :func:`quantize_levels` implements — in *level units* (one
 unit = the current of one conductance step under unit drive), so the
-same object serves any device configuration.
+same transfer function serves any device configuration.
 """
 
 from __future__ import annotations
@@ -93,26 +93,3 @@ def quantize_levels(level_values: np.ndarray, config: ADCConfig) -> np.ndarray:
     out *= step
     return out
 
-
-class IntegrateFireADC:
-    """Quantize analog column outputs (level units) to spike counts."""
-
-    def __init__(self, config: ADCConfig) -> None:
-        self.config = config
-        self.conversions = 0
-
-    def convert(self, level_values: np.ndarray) -> np.ndarray:
-        """Digitise ``level_values``; returns the same units, quantized.
-
-        Delegates to :func:`quantize_levels` (the shared quantization
-        seam) and counts the conversions for the energy models.
-        """
-        level_values = np.asarray(level_values, dtype=np.float64)
-        self.conversions += int(level_values.size)
-        return quantize_levels(level_values, self.config)
-
-    def counts(self, level_values: np.ndarray) -> np.ndarray:
-        """Raw spike counts (integers) for ``level_values``."""
-        level_values = np.asarray(level_values, dtype=np.float64)
-        clipped = np.clip(level_values, 0.0, self.config.full_scale_levels)
-        return np.rint(clipped / self.config.levels_per_count).astype(np.int64)

@@ -17,7 +17,11 @@ import numpy as np
 
 from repro.utils.rng import RngLike, new_rng
 from repro.utils.validation import check_positive
-from repro.xbar.adc import ADCConfig, IntegrateFireADC
+# Reads call the transfer function through its module, so a wrapper
+# installed on ``repro.xbar.adc.quantize_levels`` (the benchmark's
+# per-layer timer) sees every array's conversions.
+import repro.xbar.adc as adc_transfer
+from repro.xbar.adc import ADCConfig
 from repro.xbar.device import DeviceConfig, DeviceModel
 
 
@@ -33,7 +37,8 @@ class CrossbarArray:
     adc:
         Converter applied to every column read.  ``None`` selects a
         lossless converter for binary drive (sized for
-        ``rows * (levels - 1)``).
+        ``rows * (levels - 1)``).  Reads and conversions are counted by
+        the engine's collector, not here.
     rng:
         Seed or generator for programming and read noise.
     """
@@ -54,13 +59,11 @@ class CrossbarArray:
         self._model = DeviceModel(device, rng=new_rng(rng))
         if adc is None:
             adc = ADCConfig.lossless_for(rows, device.levels)
-        self.adc = IntegrateFireADC(adc)
+        self.adc = adc
         self._levels: Optional[np.ndarray] = None
         self._conductance: Optional[np.ndarray] = None
         #: Bit lines the last :meth:`program` wrote (the rest is padding).
         self.live_cols = 0
-        self.programs = 0
-        self.reads = 0
 
     # -- programming -------------------------------------------------------
     def program(self, levels: np.ndarray) -> None:
@@ -92,7 +95,6 @@ class CrossbarArray:
             self.device.g_min + self._levels * self.device.g_step
         )
         self.live_cols = int(levels.shape[1])
-        self.programs += 1
 
     @property
     def is_programmed(self) -> bool:
@@ -166,10 +168,9 @@ class CrossbarArray:
         ``currents - g_min * sum(drive) == drive @ levels * g_step``),
         read-noise-corrupted, then quantized by the ADC.
 
-        Padded bit lines are counted, not simulated: only the
-        ``live_cols`` programmed ones are multiplied, perturbed and
-        digitised, the rest read as exact zeros, while :attr:`reads`
-        and the ADC's ``conversions`` still cover the physical width.
+        Padded bit lines are not simulated: only the ``live_cols``
+        programmed ones are multiplied, perturbed and digitised, and
+        the rest read as exact zeros.
         """
         if self._levels is None:
             raise RuntimeError("array has not been programmed")
@@ -182,9 +183,6 @@ class CrossbarArray:
             )
         if np.any(drive < 0):
             raise ValueError("word-line drive must be non-negative")
-        batch = int(drive.shape[0])
-        self.reads += batch
-
         live = self.live_cols
         level_values = drive @ self._levels[:, :live]
         # Read-path effect order (shared with the vectorized backend):
@@ -203,9 +201,10 @@ class CrossbarArray:
             level_values[
                 np.unravel_index(positions, level_values.shape)
             ] += amplitudes
-        digitised = np.zeros((batch, self.cols))
-        digitised[:, :live] = self.adc.convert(level_values)
-        self.adc.conversions += batch * (self.cols - live)
+        digitised = np.zeros((drive.shape[0], self.cols))
+        digitised[:, :live] = adc_transfer.quantize_levels(
+            level_values, self.adc
+        )
         return digitised
 
     def exact_mvm(self, drive: np.ndarray) -> np.ndarray:

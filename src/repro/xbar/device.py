@@ -126,11 +126,6 @@ class DeviceConfig:
         return (self.g_max - self.g_min) / (self.levels - 1)
 
     @property
-    def on_off_ratio(self) -> float:
-        """Resistance window ``r_off / r_on``."""
-        return self.r_off / self.r_on
-
-    @property
     def upset_levels(self) -> float:
         """Amplitude bound of one transient upset, in level units."""
         if self.upset_magnitude is not None:
@@ -141,20 +136,6 @@ class DeviceConfig:
     def has_transient_faults(self) -> bool:
         """Whether any per-read (non-static) fault effect is enabled."""
         return self.upset_rate > 0.0 or self.drift_nu > 0.0
-
-    def with_noise(
-        self,
-        program_noise: Optional[float] = None,
-        read_noise: Optional[float] = None,
-    ) -> "DeviceConfig":
-        """Copy of this config with different noise settings."""
-        return replace(
-            self,
-            program_noise=(
-                self.program_noise if program_noise is None else program_noise
-            ),
-            read_noise=self.read_noise if read_noise is None else read_noise,
-        )
 
     def ideal(self) -> "DeviceConfig":
         """Copy with all non-idealities disabled."""

@@ -900,12 +900,6 @@ class CrossbarEngine(MatmulEngine):
                 )
                 accumulator -= input_sign * sliced.offset_int * row_sums
 
-        # The loop backend's arrays count their own reads in mvm().
-        reads = call_subcycles * batch
-        conversions = call_subcycles * batch * self.config.array_cols
-        for array, *_ in state.placements:
-            array.reads += reads
-            array.adc.conversions += conversions
         self._record_call_events(call_subcycles, batch)
         return accumulator * (a_scale * sliced.scale)
 

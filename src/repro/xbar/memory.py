@@ -59,11 +59,6 @@ class ReRAMMemory:
     def cell_bits(self) -> int:
         return self.array.device.cell_bits
 
-    @property
-    def capacity_bits(self) -> int:
-        """Total data capacity of the subarray."""
-        return self.array.rows * self.array.cols * self.cell_bits
-
     def capacity_words(self, width: int) -> int:
         """How many ``width``-bit words fit."""
         check_positive("width", width)

@@ -173,16 +173,6 @@ class TiledCrossbar:
             "arrays": per_array,
         }
 
-    @property
-    def total_programs(self) -> int:
-        """Sum of program operations across all arrays."""
-        return sum(a.programs for row in self.arrays for a in row)
-
-    @property
-    def total_reads(self) -> int:
-        """Sum of read (MVM) operations across all arrays."""
-        return sum(a.reads for row in self.arrays for a in row)
-
     def __repr__(self) -> str:
         return (
             f"TiledCrossbar({self.logical_rows}x{self.logical_cols} over "

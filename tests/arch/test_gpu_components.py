@@ -94,11 +94,6 @@ class TestGpuModel:
             1.0 / model.time_per_image(net, 8)
         )
 
-    def test_layer_breakdown_covers_all_layers(self):
-        model = GpuModel()
-        net = alexnet_spec()
-        assert len(model.layer_breakdown(net, 4)) == len(net.layers)
-
     def test_gan_iteration_longer_than_three_phases_of_d(self):
         model = GpuModel()
         from repro.workloads import dcgan_spec

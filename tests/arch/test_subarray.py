@@ -77,10 +77,6 @@ class TestBank:
         assert utilisation["conv1"] == pytest.approx(0.25)
         assert utilisation["conv2"] == pytest.approx(0.5)
 
-    def test_compute_capacity(self):
-        bank = self.make_bank()
-        assert bank.compute_capacity_cells == 8 * 128 * 128
-
     def test_rejects_empty_regions(self):
         with pytest.raises(ValueError):
             Bank(morphable_count=0, memory_count=1, buffer_count=1)

@@ -183,3 +183,11 @@ def test_usage_error_exits_two_without_traceback(capsys, argv):
     assert code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["reliability", "sweep"])
+def test_out_of_range_rate_exits_two_without_traceback(capsys, command):
+    """A rate outside its axis's device range fails before any work."""
+    assert repro.cli.main([command, "mlp", "--rates", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "stuck_off_rate" in err and "Traceback" not in err

@@ -46,8 +46,8 @@ class TestPipeLayerModel:
         batch, n_inputs = 32, 320
         depth = model.network.depth
         cycles = (n_inputs // batch) * (2 * depth + batch + 1)
-        assert model.training_time(n_inputs, batch) == pytest.approx(
-            cycles * model.cycle_time
+        assert model.training_time_per_image(batch) * n_inputs == (
+            pytest.approx(cycles * model.cycle_time)
         )
 
     def test_speedup_positive_and_large(self):

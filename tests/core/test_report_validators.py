@@ -10,12 +10,12 @@ import pytest
 from repro.api import (
     SCHEMA_VERSION,
     gan_scheme_report,
-    reliability_report,
     table1_report,
     validate_gan_scheme_report,
     validate_reliability_report,
     validate_table1_report,
 )
+from repro.reliability import run_campaign
 
 FAST_CAMPAIGN = dict(
     workload="mlp",
@@ -54,12 +54,12 @@ class TestGanSchemeReport:
 
 class TestReliabilityReport:
     def test_real_document_validates(self):
-        document = reliability_report(axis="stuck", **FAST_CAMPAIGN)
+        document = run_campaign(axis="stuck", **FAST_CAMPAIGN)
         assert validate_reliability_report(document) is document
         assert document["scenarios"][0]["rate"] == 0.0
 
     def test_rejects_damage(self):
-        document = reliability_report(axis="stuck", **FAST_CAMPAIGN)
+        document = run_campaign(axis="stuck", **FAST_CAMPAIGN)
         with pytest.raises(ValueError, match="scenario"):
             validate_reliability_report(
                 {**document, "scenarios": []}

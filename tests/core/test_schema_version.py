@@ -12,6 +12,7 @@ import pytest
 
 from repro import api
 from repro.cli import main
+from repro.reliability import run_campaign
 from repro.telemetry import SCHEMA_VERSION
 
 #: The version this branch of the schema is pinned to.  If this fails,
@@ -66,7 +67,7 @@ class TestApiReportsCarryVersion:
         assert document["schema_version"] == PINNED_VERSION
 
     def test_reliability_report(self):
-        report = api.reliability_report(
+        report = run_campaign(
             workload="mlp",
             rates=(0.0,),
             count=8,

@@ -77,7 +77,7 @@ class TestConv2D:
     def test_fig4_geometry(self):
         """Fig. 4's worked example: 1152 word lines x 256 bit lines."""
         layer = Conv2D(128, 256, kernel_size=3)
-        assert layer.weight_matrix_shape == (1152, 256)
+        assert layer._weight_matrix().shape == (1152, 256)
 
     def test_gradients(self, rng):
         assert_layer_gradients(

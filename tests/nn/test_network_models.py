@@ -16,11 +16,6 @@ from repro.nn import (
     build_mlp,
     build_mnist_cnn,
 )
-from repro.nn.parameter import (
-    flatten_parameters,
-    load_flat_parameters,
-    total_parameter_count,
-)
 from tests.conftest import numerical_gradient
 
 
@@ -40,21 +35,6 @@ class TestParameter:
     def test_copy_from_shape_mismatch(self):
         with pytest.raises(ValueError):
             Parameter(np.ones(3)).copy_from(Parameter(np.ones(4)))
-
-    def test_flatten_and_load_round_trip(self, rng):
-        params = [Parameter(rng.normal(size=(2, 3))), Parameter(rng.normal(size=4))]
-        flat = flatten_parameters(params)
-        assert flat.shape == (10,)
-        load_flat_parameters(params, flat * 2)
-        np.testing.assert_allclose(flatten_parameters(params), flat * 2)
-
-    def test_load_wrong_size(self):
-        with pytest.raises(ValueError):
-            load_flat_parameters([Parameter(np.zeros(3))], np.zeros(4))
-
-    def test_total_count(self):
-        params = [Parameter(np.zeros((2, 3))), Parameter(np.zeros(5))]
-        assert total_parameter_count(params) == 11
 
     def test_snapshot_restore(self, rng):
         parameter = Parameter(rng.normal(size=(3, 3)))

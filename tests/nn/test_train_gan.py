@@ -7,6 +7,7 @@ from repro.nn import (
     Adam,
     GANTrainer,
     SGD,
+    TrainHistory,
     build_dcgan_discriminator,
     build_dcgan_generator,
     build_mlp,
@@ -98,32 +99,23 @@ class TestTrainClassifier:
         )
         assert history.mean_loss(5) < history.batch_losses[0]
 
-    def test_eval_data_tracked(self, rng):
-        inputs = rng.normal(size=(60, 2))
-        labels = (inputs[:, 0] > 0).astype(int)
-        net = build_mlp(2, (4,), 2, rng=3)
-        history = train_classifier(
-            net, SGD(net.parameters(), lr=0.05), inputs, labels,
-            epochs=2, batch_size=20, eval_data=(inputs, labels),
-        )
-        assert len(history.epoch_eval_accuracy) == 2
-
-    def test_on_batch_callback(self, rng):
-        inputs = rng.normal(size=(40, 2))
-        labels = np.zeros(40, dtype=int)
-        calls = []
-        net = build_mlp(2, (4,), 2, rng=4)
-        train_classifier(
-            net, SGD(net.parameters(), lr=0.01), inputs, labels,
-            epochs=1, batch_size=10,
-            on_batch=lambda index, loss: calls.append((index, loss)),
-        )
-        assert [index for index, _ in calls] == [0, 1, 2, 3]
-
     def test_evaluate_empty_raises(self, rng):
         net = build_mlp(2, (4,), 2)
         with pytest.raises(ValueError):
             evaluate_classifier(net, np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+
+class TestTrainHistory:
+    def test_mean_loss_over_last_batches(self):
+        history = TrainHistory(batch_losses=[4.0, 2.0, 0.0])
+        assert history.mean_loss(2) == 1.0
+        assert history.mean_loss(10) == 2.0
+
+    @pytest.mark.parametrize("last", [0, -1])
+    def test_mean_loss_rejects_empty_or_negative_window(self, last):
+        # batch_losses[-0:] is every batch and [-(-1):] drops the first.
+        with pytest.raises(ValueError, match="last must be > 0"):
+            TrainHistory(batch_losses=[4.0, 2.0, 0.0]).mean_loss(last)
 
 
 class TestGANTrainer:

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from repro.api import (
     SCHEMA_VERSION,
     gan_scheme_report,
-    reliability_report,
     validate_gan_scheme_report,
     validate_reliability_report,
     validate_table1_report,
@@ -43,6 +42,7 @@ from repro.core.schedule import (
     simulate_gan_iteration,
     simulate_training_pipeline,
 )
+from repro.reliability import run_campaign
 from repro.serve import InferenceJob
 from repro.serve.server import (
     JobServer,
@@ -207,7 +207,7 @@ def valid_documents():
         ),
         "reliability_report": (
             validate_reliability_report,
-            reliability_report(
+            run_campaign(
                 workload="mlp", rates=(0.0,), seed=0, count=8, batch=8,
                 train_epochs=1, train_count=32, include_tiles=False,
             ),

@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import Simulator, reliability_report
+from repro.api import ReliabilityJob, Simulator, run_job
 from repro.reliability import (
     AXES,
     DEFAULT_RATES,
@@ -138,7 +138,7 @@ class TestCampaignMetrics:
 
     def test_facade_report_matches_campaign(self):
         direct = run_campaign(seed=4, rates=(0.02,), **FAST)
-        facade = reliability_report(seed=4, rates=(0.02,), **FAST)
+        facade = run_job(ReliabilityJob(seed=4, rates=(0.02,), **FAST))
         assert direct == facade
 
     def test_validates_arguments(self):

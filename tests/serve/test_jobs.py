@@ -92,6 +92,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             ReliabilityJob(rates=())
 
+    @pytest.mark.parametrize(
+        "document,message",
+        [
+            ({"axis": "stuck", "rates": [5.0]}, "stuck_off_rate"),
+            ({"axis": "drift", "rates": [-3.0]}, "drift_nu"),
+            ({"axis": "bogus"}, "axis"),
+        ],
+        ids=["stuck-above-one", "negative-drift", "unknown-axis"],
+    )
+    def test_out_of_range_reliability_spec_rejected(self, document, message):
+        # The campaign would fail on these; the boundary refuses them.
+        with pytest.raises(ValueError, match=message):
+            job_from_dict({"kind": "reliability", **document})
+
 
 class TestFieldTypes:
     """Wire values of the wrong type fail at the boundary."""

@@ -91,6 +91,16 @@ class TestHttpSurface:
         assert excinfo.value.status == 400
         assert "rates must be finite" in str(excinfo.value)
 
+    def test_out_of_range_rates_400(self, served):
+        _, (host, port), _ = served
+        client = ServeClient(host, port)
+        with pytest.raises(ServeError) as excinfo:
+            client.submit(
+                {"kind": "reliability", "axis": "stuck", "rates": [5.0]}
+            )
+        assert excinfo.value.status == 400
+        assert "stuck_off_rate" in str(excinfo.value)
+
     def test_oversized_body_413(self, served):
         # The announced length alone is refused; no body is sent.
         _, (host, port), _ = served
@@ -148,17 +158,20 @@ class TestEndToEnd:
             r["result"] for r in drained
         ]
 
-    def test_error_jobs_report_error(self, served):
+    def test_error_jobs_report_error(self, served, monkeypatch):
         server, _, _ = served
-        # A reliability campaign with an unknown axis passes spec
-        # validation (axis is campaign vocabulary) but fails in the
-        # worker; the failure must surface as an error report, not a
-        # hang or a server crash.
+        # A valid spec whose campaign fails in the worker: the failure
+        # must surface as an error report, not a hang or a server crash.
+        # (Spec validation already refuses an unknown axis or rate.)
+        import repro.reliability
+
+        def failing_campaign(**kwargs):
+            raise ValueError("campaign failed in the worker")
+
+        monkeypatch.setattr(repro.reliability, "run_campaign", failing_campaign)
         report = call_on(
             server,
-            server.run_all(
-                [ReliabilityJob(workload="mlp", seed=0, axis="bogus")]
-            ),
+            server.run_all([ReliabilityJob(workload="mlp", seed=0)]),
         )[0]
         validate_job_report(report)
         assert report["status"] == "error"

@@ -12,9 +12,7 @@ from repro.arch.params import DEFAULT_TECH
 from repro.telemetry import (
     COST_KEYS,
     ENERGY_COMPONENTS,
-    Collector,
     attribute_energy,
-    emit_energy_counters,
     energy_counter_map,
     validate_cost_table,
     validate_energy_report,
@@ -152,12 +150,6 @@ class TestCounterEmission:
                 counters[f"energy/{name}_joules"]
                 == report["totals"]["components"][name]
             )
-
-    def test_emit_accumulates_additively(self):
-        collector = Collector()
-        emit_energy_counters(collector, _counters(), COSTS)
-        emit_energy_counters(collector, _counters(), COSTS)
-        assert collector.get("energy/total_joules") == 2 * 91.0
 
 
 class TestArchConsistency:

@@ -7,7 +7,6 @@ from repro.utils.rng import (
     DEFAULT_SEED,
     derive_seed,
     new_rng,
-    optional_rng,
     spawn_rngs,
 )
 
@@ -125,10 +124,3 @@ class TestDeriveSeed:
     def test_anagram_salts_do_not_collide(self):
         assert derive_seed(0, "conv1") != derive_seed(0, "cnov1")
 
-
-class TestOptionalRng:
-    def test_none_stays_none(self):
-        assert optional_rng(None) is None
-
-    def test_int_becomes_generator(self):
-        assert isinstance(optional_rng(1), np.random.Generator)

@@ -82,17 +82,9 @@ class TestCrossbarArray:
             out / step, np.rint(out / step), atol=1e-9
         )
 
-    def test_counters(self, rng):
-        array = CrossbarArray(4, 4, PIPELAYER_DEVICE, rng=0)
-        array.program(np.zeros((4, 4), dtype=int))
-        array.program(np.ones((4, 4), dtype=int))
-        array.mvm(np.ones((3, 4)))
-        assert array.programs == 2
-        assert array.reads == 3
-
 
 class TestPaddedBitLines:
-    """Bit lines past the programmed width are counted, not simulated."""
+    """Bit lines past the programmed width are not simulated."""
 
     def test_only_live_columns_draw_or_convert(self, rng):
         device = DeviceConfig(upset_rate=0.3)
@@ -112,7 +104,7 @@ class TestPaddedBitLines:
             assert out.shape == (batch, cols)
             np.testing.assert_array_equal(
                 out[:, :live],
-                quantize_levels(drive @ levels + impulses, array.adc.config),
+                quantize_levels(drive @ levels + impulses, array.adc),
             )
             # Padded bit lines read as exact zeros.
             assert np.all(out[:, live:] == 0.0)
@@ -123,9 +115,6 @@ class TestPaddedBitLines:
             twin.transient_upset_levels((50,)),
         ):
             np.testing.assert_array_equal(ours, theirs)
-        # Counters keep the physical width.
-        assert array.reads == 3 * batch
-        assert array.adc.conversions == 3 * batch * cols
 
 
 class TestTileGrid:
@@ -186,14 +175,6 @@ class TestTiledCrossbar:
         tiled.program(np.zeros((10, 10), dtype=int))
         with pytest.raises(ValueError):
             tiled.mvm(np.ones((1, 9)))
-
-    def test_total_counters(self, rng):
-        tiled = TiledCrossbar(20, 20, PIPELAYER_DEVICE, array_rows=16,
-                              array_cols=16, rng=0)
-        tiled.program(np.zeros((20, 20), dtype=int))
-        tiled.mvm(np.ones((2, 20)))
-        assert tiled.total_programs == 4
-        assert tiled.total_reads == 8  # 4 arrays x 2 batch rows
 
     def test_independent_noise_across_arrays(self):
         device = DeviceConfig(program_noise=0.2)

@@ -8,10 +8,6 @@ from repro.xbar.memory import ReRAMMemory
 
 
 class TestCapacity:
-    def test_capacity_bits(self):
-        memory = ReRAMMemory.create(rows=16, cols=16, rng=0)
-        assert memory.capacity_bits == 16 * 16 * 4
-
     def test_capacity_words(self):
         memory = ReRAMMemory.create(rows=16, cols=16, rng=0)
         assert memory.capacity_words(16) == 64   # 4 cells/word
@@ -106,4 +102,3 @@ class TestMorphableWorkflow:
         np.testing.assert_allclose(
             array.mvm(drive), drive @ weights, atol=1e-9
         )
-        assert array.programs == 3
