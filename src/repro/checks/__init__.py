@@ -7,7 +7,8 @@ never touches a simulation path (DET001), emitted JSON documents are
 stamped with ``schema_version`` and have a tested validator
 (SCHEMA001), telemetry paths follow the counter grammar and observed
 metrics carry a unit (TEL001), plus generic hygiene (PY001 mutable
-defaults, PY002 float equality, PY003 builtin-shadowing parameters).
+defaults, PY002 float equality, PY003 builtin-shadowing parameters,
+PY004 unused imports).
 Each file is walked once, every node going to the rules that inspect
 its type.
 

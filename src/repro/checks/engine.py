@@ -164,6 +164,11 @@ class Rule:
         """Findings at one node of a type named in :attr:`nodes`."""
         raise NotImplementedError
 
+    def finish(self, context: FileContext) -> Iterator[Finding]:
+        """Findings due once the file's walk is over (a rule that
+        judges the whole file records what it needs in :meth:`visit`)."""
+        return iter(())
+
     def applies_to(self, path: str) -> bool:
         """Whether ``path`` is subject to this rule."""
         return not any(
@@ -317,16 +322,20 @@ def _check_file(
 
     One :func:`ast.walk` hands every node to the rules naming its type.
     """
-    dispatch: Dict[Type[ast.AST], List[Rule]] = {}
-    for rule in rules:
-        if rule.nodes and rule.applies_to(context.path):
-            for node_type in rule.nodes:
-                dispatch.setdefault(node_type, []).append(rule)
-    if not dispatch:
+    active = [
+        rule for rule in rules if rule.nodes and rule.applies_to(context.path)
+    ]
+    if not active:
         return
+    dispatch: Dict[Type[ast.AST], List[Rule]] = {}
+    for rule in active:
+        for node_type in rule.nodes:
+            dispatch.setdefault(node_type, []).append(rule)
     for node in ast.walk(context.tree):
         for rule in dispatch.get(type(node), ()):
             yield from rule.visit(context, node)
+    for rule in active:
+        yield from rule.finish(context)
 
 
 #: The stale-suppression audit's rule id (registered in

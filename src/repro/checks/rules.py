@@ -35,6 +35,8 @@ PY002     ``==`` / ``!=`` against non-sentinel float literals
 PY003     parameter names that shadow a builtin (``filter``,
           ``input``, ``id``, ...); the builtin becomes unreachable
           for the whole function body.
+PY004     imported names the module never uses (names in ``__all__``
+          and imports marked ``# noqa: F401`` are re-exports).
 ========  ==========================================================
 """
 
@@ -595,6 +597,98 @@ class BuiltinShadowParamRule(Rule):
                     "the builtin; rename it (a trailing underscore "
                     "or a qualified name both work)",
                 )
+
+
+# -- PY004 ------------------------------------------------------------------
+
+
+@register
+class UnusedImportRule(Rule):
+    """No imported name that the module never reads.
+
+    A name counts as used when the module loads it anywhere (nested
+    scopes and string annotations included) or lists it in
+    ``__all__``.  An import whose line carries ``# noqa: F401`` is an
+    explicit re-export; ``__future__`` imports are directives.  The
+    rule records imports and uses during the file's one walk and
+    judges them in :meth:`finish`.
+    """
+
+    id = "PY004"
+    summary = "imported name is never used"
+    nodes = (
+        ast.Import, ast.ImportFrom, ast.Name, ast.Assign, ast.arg,
+        ast.FunctionDef, ast.AsyncFunctionDef, ast.AnnAssign,
+    )
+
+    _REEXPORT = re.compile(r"#\s*noqa:\s*F401\b")
+
+    def __init__(self) -> None:
+        self._imports: List[Tuple[ast.stmt, ast.alias, str]] = []
+        self._used: set = set()
+
+    @staticmethod
+    def _strings(node: ast.AST) -> Iterator[str]:
+        for const in ast.walk(node):
+            if isinstance(const, ast.Constant) and isinstance(
+                const.value, str
+            ):
+                yield const.value
+
+    def visit(self, context: FileContext, node: Any) -> Iterator[Finding]:
+        if isinstance(node, ast.Import):
+            self._imports.extend(
+                (node, alias, alias.asname or alias.name.split(".")[0])
+                for alias in node.names
+            )
+        elif isinstance(node, ast.ImportFrom):
+            if node.module != "__future__":
+                self._imports.extend(
+                    (node, alias, alias.asname or alias.name)
+                    for alias in node.names
+                    if alias.name != "*"
+                )
+        elif isinstance(node, ast.Name):
+            if not isinstance(node.ctx, ast.Store):
+                self._used.add(node.id)
+        elif isinstance(node, ast.Assign):
+            if any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets
+            ):
+                self._used.update(self._strings(node.value))
+        else:
+            annotation = getattr(node, "annotation", None) or getattr(
+                node, "returns", None
+            )
+            for text in self._strings(annotation) if annotation else ():
+                try:
+                    parsed = ast.parse(text, mode="eval")
+                except SyntaxError:
+                    continue
+                self._used.update(
+                    name.id
+                    for name in ast.walk(parsed)
+                    if isinstance(name, ast.Name)
+                )
+        return iter(())
+
+    def finish(self, context: FileContext) -> Iterator[Finding]:
+        imports, used = self._imports, self._used
+        self._imports, self._used = [], set()
+        lines = context.source.splitlines()
+        for statement, alias, name in imports:
+            if name in used or any(
+                self._REEXPORT.search(lines[line - 1])
+                for line in {statement.lineno, alias.lineno}
+            ):
+                continue
+            yield context.finding(
+                self,
+                alias,
+                f"{name!r} is imported but never used; delete it "
+                "(or list it in __all__ if it is a re-export)",
+            )
 
 
 #: Rule metadata for docs and ``--list-rules``: id -> (summary, allow).

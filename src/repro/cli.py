@@ -603,10 +603,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
             counters, event_costs(DEFAULT_TECH), source_name=source
         )
         validate_energy_report(report)
-        return _emit(args, report, render_energy_report(report))
-    analysis = analyze_counters(counters, source_name=source)
-    validate_analysis_report(analysis)
-    return _emit(args, analysis, render_analysis_report(analysis))
+        emitted = _emit(args, report, render_energy_report(report))
+    else:
+        analysis = analyze_counters(counters, source_name=source)
+        validate_analysis_report(analysis)
+        emitted = _emit(args, analysis, render_analysis_report(analysis))
+    return exit_code or emitted
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

@@ -86,7 +86,7 @@ class GANTrainer:
         logits = self.discriminator.forward(samples, training=True)
         targets = np.full(logits.shape, label)
         value = self.loss.forward(logits, targets)
-        self.discriminator.backward(self.loss.backward())
+        self.discriminator.backward_params(self.loss.backward())
         return value
 
     # -- the three dataflows ------------------------------------------------
@@ -123,7 +123,7 @@ class GANTrainer:
         targets = np.ones(logits.shape)
         value = self.loss.forward(logits, targets)
         grad_samples = self.discriminator.backward(self.loss.backward())
-        self.generator.backward(grad_samples)
+        self.generator.backward_params(grad_samples)
 
         # "The weights of G are updated ... while D is fixed": discard
         # whatever accumulated in D during this pass.
@@ -170,7 +170,7 @@ class GANTrainer:
         # Branch A (dataflow 3): label '1', gradient flows into G.
         loss_g = self.loss.forward(logits, np.ones(logits.shape))
         grad_into_samples = self.discriminator.backward(self.loss.backward())
-        self.generator.backward(grad_into_samples)
+        self.generator.backward_params(grad_into_samples)
         g_update_grads = [p.grad.copy() for p in self.generator.parameters()]
         self.discriminator.zero_grad()
 
@@ -178,7 +178,7 @@ class GANTrainer:
         # cached activations from the shared forward pass are re-used —
         # no second forward execution of G or D.
         loss_fake = self.loss.forward(logits, np.zeros(logits.shape))
-        self.discriminator.backward(self.loss.backward())
+        self.discriminator.backward_params(self.loss.backward())
 
         # T11: sum derivatives of (1) and (2), update D.
         for parameter, real_grad in zip(

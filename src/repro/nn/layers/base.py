@@ -44,6 +44,15 @@ class Layer:
         """Propagate ``grad_output`` back; returns grad w.r.t. input."""
         raise NotImplementedError
 
+    def backward_params(self, grad_output: np.ndarray) -> None:
+        """Like :meth:`backward`, but for callers that discard the
+        input gradient (the layer's input is the network input).
+
+        Defaults to :meth:`backward`; layers whose input gradient costs
+        a product of its own override it to skip that work.
+        """
+        self.backward(grad_output)
+
     def parameters(self) -> List[Parameter]:
         """Trainable parameters (empty for stateless layers)."""
         return []

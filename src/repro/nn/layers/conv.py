@@ -109,11 +109,11 @@ class Conv2D(Layer):
         out = out.reshape(batch, out_h, out_w, self.out_channels)
         return out.transpose(0, 3, 1, 2)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def _accumulate_grads(self, grad_output: np.ndarray) -> np.ndarray:
+        """Accumulate parameter gradients; returns the gradient rows."""
         if self._cols is None or self._input_shape is None:
             raise RuntimeError(f"{self.name}: backward before forward")
         grad_output = np.asarray(grad_output, dtype=np.float64)
-        batch = grad_output.shape[0]
         # (N, C_out, H, W) -> rows matching the im2col layout.
         grad_rows = grad_output.transpose(0, 2, 3, 1).reshape(
             -1, self.out_channels
@@ -122,7 +122,13 @@ class Conv2D(Layer):
         self.weight.grad += grad_weight_matrix.T.reshape(self.weight.value.shape)
         if self.bias is not None:
             self.bias.grad += grad_rows.sum(axis=0)
+        return grad_rows
 
+    def backward_params(self, grad_output: np.ndarray) -> None:
+        self._accumulate_grads(grad_output)
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        grad_rows = self._accumulate_grads(grad_output)
         grad_cols = grad_rows @ self._weight_matrix().T
         return col2im(
             grad_cols,

@@ -84,14 +84,17 @@ class Dense(Layer):
             outputs = outputs + self.bias.value
         return outputs
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward_params(self, grad_output: np.ndarray) -> None:
         if self._inputs is None:
             raise RuntimeError(f"{self.name}: backward before forward")
         grad_output = np.asarray(grad_output, dtype=np.float64)
         self.weight.grad += self._inputs.T @ grad_output
         if self.bias is not None:
             self.bias.grad += grad_output.sum(axis=0)
-        return grad_output @ self.weight.value.T
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        self.backward_params(grad_output)
+        return np.asarray(grad_output, dtype=np.float64) @ self.weight.value.T
 
     def parameters(self) -> List[Parameter]:
         params = [self.weight]

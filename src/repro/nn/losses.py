@@ -8,8 +8,6 @@ generated ones; the generator is trained with the *inaccurate* label
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +46,24 @@ class Sequential:
             grad = layer.backward(grad)
         return grad
 
+    def backward_params(self, grad_output: np.ndarray) -> None:
+        """Back-propagate for parameter gradients only.
+
+        For callers that discard the input gradient: the first layer
+        with parameters skips it, and the layers in front of that one
+        run no backward at all.  Parameter gradients are bit-identical
+        to :meth:`backward`'s.
+        """
+        first = next(
+            (i for i, layer in enumerate(self.layers) if layer.parameters()),
+            len(self.layers),
+        )
+        grad = grad_output
+        for layer in reversed(self.layers[first + 1 :]):
+            grad = layer.backward(grad)
+        if first < len(self.layers):
+            self.layers[first].backward_params(grad)
+
     def __call__(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         return self.forward(inputs, training=training)
 
@@ -60,7 +78,7 @@ class Sequential:
         """
         outputs = self.forward(inputs, training=True)
         value = loss.forward(outputs, targets)
-        self.backward(loss.backward())
+        self.backward_params(loss.backward())
         return value
 
     # -- introspection -----------------------------------------------------

@@ -21,10 +21,9 @@ from repro.utils.validation import check_positive
 
 @dataclass
 class TrainHistory:
-    """Per-batch loss trace plus per-epoch training-set accuracy."""
+    """Per-batch loss trace."""
 
     batch_losses: List[float] = field(default_factory=list)
-    epoch_train_accuracy: List[float] = field(default_factory=list)
 
     def mean_loss(self, last: int = 10) -> float:
         """Mean loss over the last ``last`` batches (``last >= 1``)."""
@@ -99,10 +98,6 @@ def train_classifier(
                 history.batch_losses.append(value)
                 tel.count("batches", 1)
                 tel.count("samples", int(batch_images.shape[0]))
-            with tel.span(f"epoch[{epoch}]/evaluate"):
-                history.epoch_train_accuracy.append(
-                    evaluate_classifier(network, images, labels, batch_size)
-                )
         tel.count("epochs", 1)
     return history
 

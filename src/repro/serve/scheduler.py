@@ -23,7 +23,7 @@ Grouping rules:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.serve.batcher import batch_invariant

@@ -32,7 +32,7 @@ Counter-path patterns recognised
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Sequence, Union
 
 from repro.telemetry.collector import Collector, Number, SCHEMA_VERSION
 

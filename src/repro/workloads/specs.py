@@ -12,7 +12,7 @@ manipulates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.utils.im2col import conv_output_size
 from repro.utils.validation import check_choice, check_non_negative, check_positive

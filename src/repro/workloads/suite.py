@@ -10,7 +10,7 @@ total weights, activation traffic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.workloads.specs import LayerSpec, conv, fc, fcnn, pool

@@ -20,7 +20,7 @@ Two policies are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 

@@ -43,6 +43,9 @@ VIOLATIONS = {
         def f(filter):
             return filter
         """,
+    "PY004": """
+        import os
+        """,
 }
 
 
@@ -102,7 +105,7 @@ def test_clean_json_on_committed_tree(capsys):
     assert document["findings"] == []
     assert set(document["rules"]) == {
         "RNG001", "DET001", "SCHEMA001", "TEL001",
-        "PY001", "PY002", "PY003",
+        "PY001", "PY002", "PY003", "PY004",
         "ARCH001", "CONC001", "CONC002", "CONC003",
         "NOQA001",
     }

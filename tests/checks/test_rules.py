@@ -594,6 +594,56 @@ class TestPy003:
         assert findings == []
 
 
+# -- PY004 ------------------------------------------------------------------
+
+
+class TestPy004:
+    def test_flags_unused_imports(self):
+        findings = run(
+            """
+            import os
+            import xml.dom
+            import numpy as np
+            from typing import List, Optional
+
+            def f(x: Optional[int]) -> int:
+                return x
+            """,
+            ["PY004"],
+        )
+        assert rule_ids(findings) == ["PY004"] * 4
+        assert [finding.line for finding in findings] == [2, 3, 4, 5]
+        assert "'List' is imported but never used" in findings[3].message
+
+    def test_allows_every_kind_of_use(self):
+        findings = run(
+            """
+            from __future__ import annotations
+
+            import os.path
+            from typing import TYPE_CHECKING, List
+            from repro.a import Exported, Hinted, Inner
+            from repro.b import Shim  # noqa: F401
+            from repro.c import (
+                Wrapped,  # noqa: F401
+            )
+
+            __all__ = ["Exported"]
+
+            def f(items: "List[Hinted]") -> bool:
+                def inner():
+                    return Inner
+                return os.path.exists(inner()) and TYPE_CHECKING
+            """,
+            ["PY004"],
+        )
+        assert findings == []
+
+    def test_noqa_suppression(self):
+        findings = run("import os  # repro: noqa[PY004]\n", ["PY004"])
+        assert findings == []
+
+
 # -- engine-level behavior --------------------------------------------------
 
 

@@ -48,6 +48,7 @@ def test_every_registered_rule_ran_against_the_tree():
         "PY001",
         "PY002",
         "PY003",
+        "PY004",
         "ARCH001",
         "CONC001",
         "CONC002",

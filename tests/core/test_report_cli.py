@@ -73,6 +73,18 @@ class TestReportWrappedRun:
         assert code == 0
         validate_analysis_report(json.loads(captured.out))
 
+    @pytest.mark.parametrize(
+        "wrapped",
+        [["summary", "bogus"], ["reliability", "mlp", "--rates", "5"]],
+        ids=" ".join,
+    )
+    def test_returns_wrapped_exit_code(self, capsys, wrapped):
+        """A failing wrapped command fails the report, as under
+        ``repro profile``."""
+        code, captured = _report(capsys, wrapped)
+        assert code == 2
+        assert captured.err
+
     def test_rejects_wrapping_wrappers(self, capsys):
         for wrapped in ("profile", "report", "bench"):
             code, captured = _report(capsys, [wrapped])

@@ -7,6 +7,7 @@ someone star-imports the module; this test fails at once instead.
 from __future__ import annotations
 
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,8 @@ PACKAGE_ROOT = Path(repro.__file__).resolve().parent
 def _modules_with_all():
     """Dotted names of the ``repro`` modules that define ``__all__``."""
     for path in sorted(PACKAGE_ROOT.rglob("*.py")):
-        if "__all__" not in path.read_text(encoding="utf-8"):
+        text = path.read_text(encoding="utf-8")
+        if not re.search(r"^__all__\b", text, re.M):
             continue
         parts = path.relative_to(PACKAGE_ROOT.parent).with_suffix("").parts
         if parts[-1] == "__init__":

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.nn import (
+    Conv2D,
     Dense,
+    Flatten,
+    MaxPool2D,
     Parameter,
     ParameterSnapshot,
     ReLU,
@@ -16,7 +19,29 @@ from repro.nn import (
     build_mlp,
     build_mnist_cnn,
 )
+from repro.nn.layers import conv
 from tests.conftest import numerical_gradient
+
+
+def _pool_first_network():
+    """A network whose first layer has no parameters."""
+    return Sequential(
+        [
+            MaxPool2D(2),
+            Conv2D(1, 4, kernel_size=3, pad=1, rng=1),
+            ReLU(),
+            Flatten(),
+            Dense(4 * 14 * 14, 10, rng=2),
+        ]
+    )
+
+
+#: name -> (network builder, batch input shape)
+TRAIN_STEP_NETWORKS = {
+    "mnist_cnn": (lambda: build_mnist_cnn(rng=3), (4, 1, 28, 28)),
+    "mlp": (lambda: build_mlp(20, (16, 8), 10, rng=3), (4, 20)),
+    "pool_first": (_pool_first_network, (4, 1, 28, 28)),
+}
 
 
 class TestParameter:
@@ -77,6 +102,40 @@ class TestSequential:
         assert value > 0
         np.testing.assert_array_equal(net.layers[0].weight.value, before)
         assert np.any(net.layers[0].weight.grad != 0)
+
+    @pytest.mark.parametrize("name", sorted(TRAIN_STEP_NETWORKS))
+    def test_train_step_grads_match_full_backward(self, rng, name):
+        # train_step skips the network-input gradient; the parameter
+        # gradients must still equal a full backward's, bit for bit.
+        build, shape = TRAIN_STEP_NETWORKS[name]
+        inputs = rng.normal(size=shape)
+        targets = rng.integers(0, 10, size=shape[0])
+        full, skipped = build(), build()
+        loss = SoftmaxCrossEntropy()
+        expected = loss.forward(full.forward(inputs, training=True), targets)
+        full.backward(loss.backward())
+        value = skipped.train_step(inputs, targets, SoftmaxCrossEntropy())
+        assert value == expected
+        for want, got in zip(full.parameters(), skipped.parameters()):
+            assert got.grad.tobytes() == want.grad.tobytes()
+
+    def test_train_step_skips_first_layer_col2im(self, rng, monkeypatch):
+        calls = []
+        original = conv.col2im
+
+        def counting_col2im(grad_cols, input_shape, *args):
+            calls.append(tuple(input_shape))
+            return original(grad_cols, input_shape, *args)
+
+        monkeypatch.setattr(conv, "col2im", counting_col2im)
+        net = build_mnist_cnn(rng=3)
+        net.train_step(
+            rng.normal(size=(2, 1, 28, 28)),
+            rng.integers(0, 10, size=2),
+            SoftmaxCrossEntropy(),
+        )
+        # Only c2's input gradient is formed; c1's input is the network's.
+        assert calls == [(2, 8, 14, 14)]
 
     def test_parameters_in_layer_order(self):
         net = Sequential([Dense(2, 3), Dense(3, 4)])

@@ -78,7 +78,7 @@ class TestTrainClassifier:
         inputs = rng.normal(size=(300, 2))
         labels = (inputs[:, 0] + inputs[:, 1] > 0).astype(int)
         net = build_mlp(2, (16,), 2, rng=1)
-        history = train_classifier(
+        train_classifier(
             net,
             SGD(net.parameters(), lr=0.1, momentum=0.9),
             inputs,
@@ -87,7 +87,7 @@ class TestTrainClassifier:
             batch_size=32,
             rng=np.random.default_rng(0),
         )
-        assert history.epoch_train_accuracy[-1] > 0.95
+        assert evaluate_classifier(net, inputs, labels, 32) > 0.95
 
     def test_loss_decreases(self, rng):
         inputs = rng.normal(size=(200, 4))
