@@ -47,7 +47,7 @@ from repro.core.schedule import (
 from repro.nn.layers import Conv2D, Dense, FractionalStridedConv2D
 from repro.nn.layers.base import Layer
 from repro.nn.losses import Loss
-from repro.nn.network import Sequential
+from repro.nn.network import Sequential, backward_params
 from repro.nn.optim import Optimizer
 from repro.nn.parameter import ParameterSnapshot
 from repro.utils.validation import check_positive
@@ -102,7 +102,9 @@ def run_wavefront(
     differentiates runs in inference mode and stashes nothing.  The
     loss op scores sample ``b`` against ``target[b]`` (or the scalar
     label ``target``) and scales its gradient by ``1 / B``, so the
-    accumulated gradients equal one batched backward pass.
+    accumulated gradients equal one batched backward pass.  The
+    program's final op, when a backward, forms parameter gradients
+    only: the gradient into the program's input is never read.
 
     Returns the per-sample losses and the first cycle after the drain.
     Raises if a weight moves during the phase (weights stay frozen
@@ -152,8 +154,11 @@ def run_wavefront(
                 else:
                     for layer, cache in zip(group, caches.pop(key)):
                         layer.load_cache(cache)
-                    for layer in reversed(group):
-                        value = layer.backward(value)
+                    if position == length - 1:
+                        backward_params(group, value)
+                    else:
+                        for layer in reversed(group):
+                            value = layer.backward(value)
             values[sample] = value
     if frozen.max_abs_delta() != 0.0:
         raise AssertionError(f"weights changed during {dataflow}")

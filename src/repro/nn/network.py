@@ -11,6 +11,25 @@ from repro.nn.losses import Loss
 from repro.nn.parameter import Parameter
 
 
+def backward_params(layers: Sequence[Layer], grad_output: np.ndarray) -> None:
+    """Back-propagate through ``layers`` for parameter gradients only.
+
+    The first layer with parameters runs its
+    :meth:`~repro.nn.layers.base.Layer.backward_params` hook, and the
+    layers in front of it run nothing: for a chain whose input
+    gradient nobody reads.
+    """
+    first = next(
+        (i for i, layer in enumerate(layers) if layer.parameters()),
+        len(layers),
+    )
+    grad = grad_output
+    for layer in reversed(layers[first + 1 :]):
+        grad = layer.backward(grad)
+    if first < len(layers):
+        layers[first].backward_params(grad)
+
+
 class Sequential:
     """A feed-forward stack of layers (Fig. 1's CONV/POOL/IP chain).
 
@@ -47,22 +66,10 @@ class Sequential:
         return grad
 
     def backward_params(self, grad_output: np.ndarray) -> None:
-        """Back-propagate for parameter gradients only.
-
-        For callers that discard the input gradient: the first layer
-        with parameters skips it, and the layers in front of that one
-        run no backward at all.  Parameter gradients are bit-identical
-        to :meth:`backward`'s.
-        """
-        first = next(
-            (i for i, layer in enumerate(self.layers) if layer.parameters()),
-            len(self.layers),
-        )
-        grad = grad_output
-        for layer in reversed(self.layers[first + 1 :]):
-            grad = layer.backward(grad)
-        if first < len(self.layers):
-            self.layers[first].backward_params(grad)
+        """Back-propagate for parameter gradients only (see
+        :func:`backward_params`); they are bit-identical to
+        :meth:`backward`'s."""
+        backward_params(self.layers, grad_output)
 
     def __call__(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         return self.forward(inputs, training=training)

@@ -61,7 +61,6 @@ class CrossbarArray:
             adc = ADCConfig.lossless_for(rows, device.levels)
         self.adc = adc
         self._levels: Optional[np.ndarray] = None
-        self._conductance: Optional[np.ndarray] = None
         #: Bit lines the last :meth:`program` wrote (the rest is padding).
         self.live_cols = 0
 
@@ -87,28 +86,15 @@ class CrossbarArray:
         # The *level matrix* is the computational state: for an ideal
         # device it is exactly integer-valued, so both evaluation
         # backends compute bit-identical dot products no matter how
-        # BLAS associates the sums.  The conductance matrix is derived
-        # physical bookkeeping.
+        # BLAS associates the sums.
         self._levels = self._model.program_levels(full)
         self._levels.flags.writeable = False
-        self._conductance = (
-            self.device.g_min + self._levels * self.device.g_step
-        )
         self.live_cols = int(levels.shape[1])
 
     @property
     def is_programmed(self) -> bool:
         """Whether the array holds a programmed matrix."""
         return self._levels is not None
-
-    @property
-    def conductance(self) -> np.ndarray:
-        """The programmed conductance matrix (siemens), read-only view."""
-        if self._conductance is None:
-            raise RuntimeError("array has not been programmed")
-        view = self._conductance.view()
-        view.flags.writeable = False
-        return view
 
     def read_noise_levels(self, shape) -> np.ndarray:
         """Draw per-read output noise from *this array's* stream.

@@ -153,18 +153,20 @@ class AnalogDAC(DriveCoder):
 
 def quantize_activations(
     values: np.ndarray, encoding: InputEncoding, max_abs: float
-) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Split signed activations into integer positive/negative streams.
+) -> Tuple[np.ndarray, float]:
+    """Quantize signed activations onto the drive grid.
 
-    Returns ``(pos_int, neg_int, scale)`` where the original values are
-    approximated by ``(pos_int - neg_int) * scale``.  ``max_abs`` is the
-    calibration amplitude; values beyond it clip (driver saturation).
+    Returns ``(signed, scale)``: ``signed`` is an integer-valued float64
+    matrix in ``[-max_int, max_int]`` and ``signed * scale``
+    approximates ``values``.  ``max_abs`` is the calibration amplitude;
+    values beyond it clip (driver saturation).  The clip makes the one
+    new buffer; the divide and the rounding run in place.
     """
     if max_abs <= 0:
         raise ValueError(f"max_abs must be > 0, got {max_abs}")
-    values = np.asarray(values, dtype=np.float64)
     scale = max_abs / encoding.max_int
-    quantized = np.rint(np.clip(values, -max_abs, max_abs) / scale)
-    positive = np.maximum(quantized, 0.0).astype(np.int64)
-    negative = np.maximum(-quantized, 0.0).astype(np.int64)
-    return positive, negative, scale
+    signed = np.clip(np.asarray(values, dtype=np.float64), -max_abs, max_abs)
+    np.divide(signed, scale, out=signed)
+    np.rint(signed, out=signed)
+    return signed, scale
+

@@ -31,12 +31,17 @@ stuck cells) are built on it.  One tally,
 :meth:`CrossbarEngine._record_call_events`, books every counter of a
 full-path call from its sub-cycles, batch and geometry.
 
+Every call quantizes its activations once, into one integer-valued
+signed matrix (:func:`~repro.xbar.dac.quantize_activations`).  The
+exact paths multiply that matrix once and never build drive streams.
 With an ideal device and a lossless ADC the pipeline is exactly integer
 matmul; ``fast_ideal`` exploits that identity to skip the bit-serial
 loop (the equivalence is covered by tests).  ``fast_linear`` applies the
 effective programmed matrix in one matmul when the read path is linear,
 an approximation that drops the ADC's rounding of noisy partial sums
-(bounded by ``test_linear_path_close_to_full_path``).
+(bounded by ``test_linear_path_close_to_full_path``).  Only the
+bit-plane paths split the signed matrix into the positive and negative
+integer streams the drive coder decomposes.
 
 Two interchangeable backends evaluate the full datapath:
 
@@ -59,11 +64,11 @@ Two interchangeable backends evaluate the full datapath:
     the reads are split into calls; and both backends share one ADC
     transfer function (:func:`repro.xbar.adc.quantize_levels`).  When
     the config ``is_collapsible`` — every per-array conversion is
-    provably the identity — the sub-cycle loop collapses onto the
-    cached signed level sum (the same matrix
+    provably the identity — the sub-cycle loop and both input signs
+    collapse onto the cached signed level sum (the same matrix
     :meth:`CrossbarEngine.effective_weights` scales), turning the whole
-    evaluation into one exact integer matmul (~100x over the loop
-    backend on a 256x256 layer).
+    evaluation into one exact integer matmul of the signed activations
+    (~100x over the loop backend on a 256x256 layer).
 
 Neither backend simulates padded bit lines.  An edge array holding
 fewer logical columns than ``array_cols`` evaluates, perturbs, and
@@ -77,8 +82,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Any, Dict, Mapping, Optional, Tuple
+from functools import cached_property, partial
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -359,7 +364,8 @@ class CrossbarEngine(MatmulEngine):
         self._tile_paths: Dict[Tuple[str, int], str] = {}
         #: Signed shift-and-add factor of each tile: ``±radix**slice``.
         self._tile_weights: Dict[Tuple[str, int], float] = {}
-        self._cached_weights: Optional[np.ndarray] = None
+        #: ``(rows, cols)`` of the prepared weight matrix.
+        self._shape: Optional[Tuple[int, int]] = None
         self._cached_weights_hash: Optional[str] = None
         self._quantized: Optional[np.ndarray] = None
         self._coder = _CODERS[self.config.input_mode](self.config.encoding)
@@ -378,11 +384,8 @@ class CrossbarEngine(MatmulEngine):
             # the serve layer's cache) can observe avoided programming.
             self.telemetry.count("prepare.skips", 1)
             return
-        reuse_tiles = (
-            self._cached_weights is not None
-            and self._cached_weights.shape == weights.shape
-        )
-        self._cached_weights = weights.copy()
+        reuse_tiles = self._shape == weights.shape
+        self._shape = weights.shape
         self._cached_weights_hash = incoming_hash
         sliced = map_weights(weights, self.config.mapping)
         self._sliced = sliced
@@ -546,7 +549,7 @@ class CrossbarEngine(MatmulEngine):
         Invalidated whenever ``prepare()`` reprograms the arrays.
         """
         if self._signed_levels is None:
-            total = np.zeros(self._cached_weights.shape)
+            total = np.zeros(self._shape)
             for key, tile in self._tiles.items():
                 total += self._tile_weights[key] * tile.effective_logical()
             self._signed_levels = total
@@ -554,6 +557,15 @@ class CrossbarEngine(MatmulEngine):
 
     # -- evaluation ------------------------------------------------------------
     def matmul(self, activations: np.ndarray) -> np.ndarray:
+        """``activations @ W`` through the simulated datapath.
+
+        Quantizes ``activations`` once into an integer-valued signed
+        matrix.  The exact paths (``fast_ideal``, ``fast_linear`` and
+        the collapsed vectorized path) multiply it once; every term is
+        an integer far below ``2**53``, so the product is exact in any
+        summation order.  The bit-plane paths split it into positive
+        and negative drive streams.
+        """
         if self._sliced is None or self._quantized is None:
             raise RuntimeError("prepare() must be called before matmul()")
         activations = np.asarray(activations, dtype=np.float64)
@@ -561,10 +573,10 @@ class CrossbarEngine(MatmulEngine):
             raise ValueError(
                 f"activations must be 2-D, got {activations.shape}"
             )
-        if activations.shape[1] != self._cached_weights.shape[0]:
+        if activations.shape[1] != self._shape[0]:
             raise ValueError(
                 f"activations width {activations.shape[1]} != weight rows "
-                f"{self._cached_weights.shape[0]}"
+                f"{self._shape[0]}"
             )
         tel = self.telemetry
         tel.count("mvm_calls", 1)
@@ -575,8 +587,8 @@ class CrossbarEngine(MatmulEngine):
         tel.count(
             "macs",
             activations.shape[0]
-            * self._cached_weights.shape[0]
-            * self._cached_weights.shape[1],
+            * self._shape[0]
+            * self._shape[1],
         )
 
         max_abs = self.config.activation_range
@@ -585,13 +597,12 @@ class CrossbarEngine(MatmulEngine):
             # An all-zero batch quantizes to zero drive under any range;
             # it still takes the path (and books the events) below.
             max_abs = observed or 1.0
-        pos_int, neg_int, a_scale = quantize_activations(
+        signed, a_scale = quantize_activations(
             activations, self.config.encoding, max_abs
         )
 
         if self.config.fast_ideal and self.config.is_ideal:
             tel.count("fast_ideal_calls", 1)
-            signed = (pos_int - neg_int).astype(np.float64)
             return signed @ self._quantized * (a_scale * self._sliced.scale)
         if self.config.fast_linear and self.config.is_linear:
             # Opt-in idealisation: with noise only in programming and a
@@ -603,40 +614,41 @@ class CrossbarEngine(MatmulEngine):
             # programming noise), intended for fast crossbar-in-the-
             # loop training studies.
             tel.count("fast_ideal_calls", 1)
-            signed = (pos_int - neg_int).astype(np.float64)
             return signed @ self.effective_weights() * a_scale
         with tel.span("matmul"):
-            if self.config.backend == "vectorized":
-                return self._full_path_vectorized(pos_int, neg_int, a_scale)
-            return self._full_path_loop(pos_int, neg_int, a_scale)
+            if self.config.backend == "loop":
+                return self._bit_plane_path(
+                    signed, a_scale, self._accumulate_loop
+                )
+            state = self._vector_state()
+            if state.collapsed is not None:
+                return self._collapsed_path(state, signed, a_scale)
+            return self._bit_plane_path(
+                signed, a_scale, partial(self._accumulate_vectorized, state)
+            )
 
-    def _full_path_loop(
-        self, pos_int: np.ndarray, neg_int: np.ndarray, a_scale: float
+    def _bit_plane_path(
+        self,
+        signed: np.ndarray,
+        a_scale: float,
+        accumulate: Callable[[np.ndarray, float, np.ndarray], None],
     ) -> np.ndarray:
-        """Bit-serial, slice-by-slice evaluation through the arrays.
+        """Drive each input sign's planes through the arrays.
 
-        The reference oracle for ``backend="vectorized"``: one
-        :meth:`TiledCrossbar.mvm` per (sub-cycle, slice plane), exactly
-        as the module docstring narrates the hardware.
+        ``accumulate(planes, input_sign, accumulator)`` is the backend.
+        Both backends get the same drive planes and add the same terms
+        in the same order: the positive sign first, each sign followed
+        by its offset correction.
         """
         sliced = self._sliced
-        batch = pos_int.shape[0]
-        accumulator = np.zeros((batch, self._cached_weights.shape[1]))
+        batch = signed.shape[0]
+        accumulator = np.zeros((batch, self._shape[1]))
         call_subcycles = 0
-        coder = self._coder
-        for input_sign, integers in ((1.0, pos_int), (-1.0, neg_int)):
+        for input_sign, integers in _sign_streams(signed):
             if not np.any(integers):
                 continue
-            planes = coder.decompose(integers)
-            for plane, plane_weight in zip(planes, coder.plane_weights):
-                for key, tile in self._tiles.items():
-                    accumulator += (
-                        input_sign
-                        * plane_weight
-                        * self._tile_weights[key]
-                        * tile.mvm(plane)
-                    )
-            call_subcycles += coder.subcycles
+            accumulate(self._coder.decompose(integers), input_sign, accumulator)
+            call_subcycles += self._coder.subcycles
             if sliced.mapping.scheme == "offset":
                 # Remove the stored offset: offset * sum_i(x_i), digital.
                 row_sums = integers.sum(axis=1, keepdims=True).astype(np.float64)
@@ -644,6 +656,24 @@ class CrossbarEngine(MatmulEngine):
 
         self._record_call_events(call_subcycles, batch)
         return accumulator * (a_scale * sliced.scale)
+
+    def _accumulate_loop(
+        self, planes: np.ndarray, input_sign: float, accumulator: np.ndarray
+    ) -> None:
+        """Bit-serial, slice-by-slice evaluation through the arrays.
+
+        The reference oracle for ``backend="vectorized"``: one
+        :meth:`TiledCrossbar.mvm` per (sub-cycle, slice plane), exactly
+        as the module docstring narrates the hardware.
+        """
+        for plane, plane_weight in zip(planes, self._coder.plane_weights):
+            for key, tile in self._tiles.items():
+                accumulator += (
+                    input_sign
+                    * plane_weight
+                    * self._tile_weights[key]
+                    * tile.mvm(plane)
+                )
 
     def _record_call_events(self, call_subcycles: int, batch: int) -> None:
         """Operation and physical event counters of one full-path call.
@@ -664,7 +694,7 @@ class CrossbarEngine(MatmulEngine):
         controller-sub-cycles, the time base average power divides by.
         """
         tel = self.telemetry
-        logical_rows, logical_cols = self._cached_weights.shape
+        logical_rows, logical_cols = self._shape
         reads = call_subcycles * self.array_count * batch
         tel.count("array_reads", reads)
         tel.count(
@@ -703,7 +733,7 @@ class CrossbarEngine(MatmulEngine):
         grid_rows, grid_cols = first.grid_rows, first.grid_cols
         rows, cols = self.config.array_rows, self.config.array_cols
         n_planes = len(tiles)
-        logical_cols = self._cached_weights.shape[1]
+        logical_cols = self._shape[1]
         collapsed: Optional[np.ndarray] = None
         gmat: Optional[np.ndarray] = None
         if self.config.is_collapsible:
@@ -749,7 +779,6 @@ class CrossbarEngine(MatmulEngine):
         planes: np.ndarray,
         input_sign: float,
         accumulator: np.ndarray,
-        logical_cols: int,
     ) -> None:
         """Run a ``(subcycles, batch, rows)`` drive stack through the arrays.
 
@@ -771,6 +800,7 @@ class CrossbarEngine(MatmulEngine):
         grid_rows, rows = state.grid_rows, self.config.array_rows
         n_planes = state.n_planes
         subcycles, batch, logical_rows = planes.shape
+        logical_cols = accumulator.shape[1]
         per_subcycle = batch * n_planes * grid_rows * logical_cols
         chunk = max(1, _VECTOR_CHUNK_ELEMENTS // per_subcycle)
         # On a unit count grid every post-ADC value is an integer, so
@@ -847,61 +877,50 @@ class CrossbarEngine(MatmulEngine):
                             * state.plane_weights[plane]
                         ) * folded[sub, :, plane, :]
 
-    def _full_path_vectorized(
-        self, pos_int: np.ndarray, neg_int: np.ndarray, a_scale: float
+    def _collapsed_path(
+        self, state: _VectorizedState, signed: np.ndarray, a_scale: float
     ) -> np.ndarray:
-        """Batched evaluation: all sub-cycles through stacked tensors.
+        """The vectorized backend when every conversion is the identity.
 
-        Bit-for-bit equivalent to :meth:`_full_path_loop` under a
-        shared seed (covered by the backend-equivalence property
-        tests): the level matrices, the per-array noise draws, the ADC
-        transfer function, and the accumulation order all match the
-        loop backend exactly.
-
-        When every per-array ADC conversion is provably the identity
+        Bit-for-bit equivalent to the loop backend (covered by the
+        exact-path property tests).  When every per-array ADC
+        conversion is provably the identity
         (:attr:`CrossbarEngineConfig.is_collapsible`), the sub-cycle
         loop collapses algebraically: the drive planes of one input
-        sign recombine to the integer activations (``sum_k w_k *
-        plane_k = integers`` in all three modes), so the whole
-        evaluation is one matmul with the cached signed level sum.
-        Every quantity involved is an exact float64 integer, so the
-        single matmul is bit-identical to the loop's K*P*grid small
-        ones regardless of BLAS summation order — this is where the
-        >=10x throughput over the loop backend comes from.  Stats still
-        account the full bit-serial schedule: the simulated hardware
-        runs every sub-cycle; only the simulation skips redundant
-        arithmetic.
+        sign recombine to its integer activations (``sum_k w_k *
+        plane_k = integers`` in all three modes), and the two signs
+        recombine to ``signed``, so the whole evaluation is one matmul
+        of ``signed`` with the cached signed level sum.  Every quantity
+        involved is an exact float64 integer, so the single matmul is
+        bit-identical to the loop's K*P*grid small ones regardless of
+        BLAS summation order — this is where the >=10x throughput over
+        the loop backend comes from.  Stats still account the full
+        bit-serial schedule (the sub-cycles of each sign that drives a
+        nonzero): the simulated hardware runs every sub-cycle; only the
+        simulation skips redundant arithmetic.
         """
         sliced = self._sliced
-        state = self._vector_state()
-        batch = pos_int.shape[0]
-        logical_cols = self._cached_weights.shape[1]
-        accumulator = np.zeros((batch, logical_cols))
-        call_subcycles = 0
-        for input_sign, integers in ((1.0, pos_int), (-1.0, neg_int)):
-            if not np.any(integers):
-                continue
-            if state.collapsed is not None:
-                accumulator += input_sign * (
-                    integers.astype(np.float64) @ state.collapsed
-                )
-            else:
-                self._accumulate_vectorized(
-                    state,
-                    self._coder.decompose(integers),
-                    input_sign,
-                    accumulator,
-                    logical_cols,
-                )
-            call_subcycles += self._coder.subcycles
-            if sliced.mapping.scheme == "offset":
-                row_sums = integers.sum(axis=1, keepdims=True).astype(
-                    np.float64
-                )
-                accumulator -= input_sign * sliced.offset_int * row_sums
-
-        self._record_call_events(call_subcycles, batch)
+        accumulator = signed @ state.collapsed
+        if sliced.mapping.scheme == "offset":
+            accumulator -= sliced.offset_int * signed.sum(axis=1, keepdims=True)
+        signs = int(np.any(signed > 0)) + int(np.any(signed < 0))
+        self._record_call_events(self._coder.subcycles * signs, signed.shape[0])
         return accumulator * (a_scale * sliced.scale)
+
+
+def _sign_streams(
+    signed: np.ndarray,
+) -> Tuple[Tuple[float, np.ndarray], Tuple[float, np.ndarray]]:
+    """``(input_sign, integers)`` for the positive then negative drive.
+
+    Differential input drive for the bit-plane paths: ``signed`` splits
+    into two non-negative int64 streams, the form
+    :meth:`~repro.xbar.dac.DriveCoder.decompose` takes.
+    """
+    return (
+        (1.0, np.maximum(signed, 0.0).astype(np.int64)),
+        (-1.0, np.maximum(-signed, 0.0).astype(np.int64)),
+    )
 
 
 _FAULT_COUNTS = ("cells", "stuck_off", "stuck_on")

@@ -8,9 +8,12 @@ float rounding: the pipeline sums per-input gradients one at a time).
 """
 
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+
+import repro.nn.layers.conv as conv
 
 from repro.core.pipeline import training_cycles_per_batch_pipelined
 from repro.core.pipelined_trainer import (
@@ -20,6 +23,7 @@ from repro.core.pipelined_trainer import (
 )
 from repro.core.schedule import PIPE, simulate_training_pipeline
 from repro.core.trace import occupancy_profile
+from repro.datasets.synthetic import make_train_test
 from repro.nn import (
     SGD,
     Dense,
@@ -208,7 +212,9 @@ class TestScheduleProperties:
             network, SGD(network.parameters(), lr=0.1),
             SoftmaxCrossEntropy(),
         )
-        dense = stages[0][0]
+        # The last stage's backward feeds the stage before it, so it
+        # runs in full (the first stage forms parameter gradients only).
+        dense = stages[-1][0]
         backward = dense.backward
 
         def leaky_backward(grad):
@@ -222,6 +228,19 @@ class TestScheduleProperties:
                 rng.normal(size=(2, 6)), SoftmaxCrossEntropy(),
                 rng.integers(0, 3, size=2), [], 0, "train",
             )
+
+    def test_input_gradient_is_not_formed(self):
+        """The first stage's backward skips the network-input gradient:
+        one ``col2im`` per sample (``c2``), none for ``c1``."""
+        network = build_mnist_cnn(rng=11)
+        trainer = PipelinedTrainer(
+            network, SGD(network.parameters(), lr=0.05),
+            SoftmaxCrossEntropy(),
+        )
+        inputs, labels, _, _ = make_train_test(4, 1, rng=7)
+        with mock.patch.object(conv, "col2im", wraps=conv.col2im) as spy:
+            trainer.train_batch(inputs, labels)
+        assert spy.call_count == 4
 
     def test_train_loop_learns(self, rng):
         inputs = rng.normal(size=(120, 6))

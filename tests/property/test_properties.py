@@ -71,9 +71,11 @@ class TestSpikeCoderProperties:
     def test_activation_quantization_error_bounded(self, values, bits):
         encoding = InputEncoding(bits=bits)
         max_abs = max(float(np.max(np.abs(values))), 1e-6)
-        pos, neg, scale = quantize_activations(values, encoding, max_abs)
-        reconstructed = (pos - neg) * scale
-        assert np.all(np.abs(reconstructed - values) <= scale / 2 + 1e-9)
+        signed, scale = quantize_activations(values, encoding, max_abs)
+        assert signed.dtype == np.float64
+        np.testing.assert_array_equal(signed, np.rint(signed))
+        assert np.all(np.abs(signed) <= encoding.max_int)
+        assert np.all(np.abs(signed * scale - values) <= scale / 2 + 1e-9)
 
 
 class TestWeightMappingProperties:

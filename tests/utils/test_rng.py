@@ -1,10 +1,15 @@
 """Tests for repro.utils.rng: determinism and independence."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.utils.rng import (
     DEFAULT_SEED,
+    _seed_from_generator,
     derive_seed,
     new_rng,
     spawn_rngs,
@@ -92,6 +97,35 @@ class TestGeneratorPurity:
         spawn_rngs(generator, 7)  # unrelated derivations in between
         derive_seed(generator, "y")
         assert derive_seed(generator, "x") == first
+
+    @given(
+        bit_generator=st.sampled_from(
+            [np.random.PCG64, np.random.Philox, np.random.SFC64,
+             np.random.MT19937]
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        # An odd number of 32-bit draws leaves half a 64-bit word
+        # buffered in the state; the copy must carry it.
+        draws32=st.integers(0, 3),
+        draws64=st.integers(0, 3),
+        bound=st.sampled_from([2**31 - 1, 2**63 - 1]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_seed_equals_deepcopy_derivation(
+        self, bit_generator, seed, draws32, draws64, bound
+    ):
+        generator = np.random.Generator(bit_generator(seed))
+        generator.integers(0, 2**32, size=draws32, dtype=np.uint32)
+        generator.integers(0, 2**63, size=draws64)
+        twin = copy.deepcopy(generator)
+        expected = int(copy.deepcopy(generator).integers(0, bound))
+        assert _seed_from_generator(generator, bound) == expected
+        # The parent is where it was: its next draws are the twin's.
+        for dtype in (np.uint32, np.uint64):
+            np.testing.assert_array_equal(
+                generator.integers(0, 2**32, size=3, dtype=dtype),
+                twin.integers(0, 2**32, size=3, dtype=dtype),
+            )
 
     def test_caller_draws_unchanged_by_derivation(self):
         plain = np.random.default_rng(5)

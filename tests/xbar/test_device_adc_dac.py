@@ -16,6 +16,7 @@ from repro.xbar.device import (
     DeviceConfig,
     DeviceModel,
 )
+from repro.xbar.engine import _sign_streams
 
 
 class TestDeviceConfig:
@@ -353,23 +354,35 @@ class TestQuantizeActivations:
     def test_round_trip(self, rng):
         encoding = InputEncoding(bits=8)
         values = rng.normal(size=(4, 6))
-        pos, neg, scale = quantize_activations(values, encoding, 3.0)
-        reconstructed = (pos - neg) * scale
-        np.testing.assert_allclose(reconstructed, values, atol=scale / 2 + 1e-12)
+        copy = values.copy()
+        signed, scale = quantize_activations(values, encoding, 3.0)
+        assert signed.dtype == np.float64
+        np.testing.assert_array_equal(signed, np.rint(signed))
+        np.testing.assert_allclose(signed * scale, values, atol=scale / 2 + 1e-12)
+        # The quantizer writes its own buffer, never the caller's.
+        np.testing.assert_array_equal(values, copy)
 
     def test_sign_split_disjoint(self, rng):
-        pos, neg, _ = quantize_activations(
-            rng.normal(size=100), InputEncoding(bits=6), 2.0
+        """The bit-plane paths' drive streams: disjoint, non-negative
+        int64, and recombining to the signed matrix."""
+        signed, _ = quantize_activations(
+            rng.normal(size=(4, 25)), InputEncoding(bits=6), 2.0
         )
+        (pos_sign, pos), (neg_sign, neg) = _sign_streams(signed)
+        assert (pos_sign, neg_sign) == (1.0, -1.0)
+        assert pos.dtype == neg.dtype == np.int64
         assert np.all((pos == 0) | (neg == 0))
+        assert np.all(pos >= 0) and np.all(neg >= 0)
+        np.testing.assert_array_equal(pos - neg, signed)
 
     def test_clipping_at_max_abs(self):
         encoding = InputEncoding(bits=4)
-        pos, neg, scale = quantize_activations(
+        signed, scale = quantize_activations(
             np.array([100.0, -100.0]), encoding, 1.0
         )
-        assert pos[0] == encoding.max_int
-        assert neg[1] == encoding.max_int
+        np.testing.assert_array_equal(
+            signed, [encoding.max_int, -encoding.max_int]
+        )
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
