@@ -20,6 +20,7 @@ All generators are pure functions of their seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -79,6 +80,22 @@ def _class_templates(
     return templates / np.maximum(peak, 1e-12)
 
 
+@lru_cache(maxsize=16)
+def _seeded_templates(
+    classes: int, channels: int, size: int, seed: int
+) -> np.ndarray:
+    """:func:`_class_templates` from a fresh ``seed`` stream, kept.
+
+    A pure function of its arguments, so repeated evaluation sets of
+    one task (every inference job of a simulator) draw the templates
+    once.  Read-only: every caller shares the array.  Bounded like the
+    serve layer's programmed-state cache.
+    """
+    templates = _class_templates(classes, channels, size, new_rng(seed))
+    templates.flags.writeable = False
+    return templates
+
+
 def make_classification_images(
     count: int,
     shape: DatasetShape = MNIST_SHAPE,
@@ -104,10 +121,13 @@ def make_classification_images(
     if jitter < 0:
         raise ValueError(f"jitter must be >= 0, got {jitter}")
     rng = new_rng(rng)
-    template_source = rng if template_rng is None else new_rng(template_rng)
-    templates = _class_templates(
-        shape.classes, shape.channels, shape.size, template_source
-    )
+    args = (shape.classes, shape.channels, shape.size)
+    if isinstance(template_rng, int):
+        templates = _seeded_templates(*args, template_rng)
+    else:
+        templates = _class_templates(
+            *args, rng if template_rng is None else template_rng
+        )
     labels = rng.integers(0, shape.classes, size=count)
     images = np.empty((count, shape.channels, shape.size, shape.size))
     for index, label in enumerate(labels):

@@ -96,18 +96,19 @@ class CrossbarArray:
         """Whether the array holds a programmed matrix."""
         return self._levels is not None
 
-    def read_noise_levels(self, shape) -> np.ndarray:
-        """Draw per-read output noise from *this array's* stream.
+    def read_noise_levels(self, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with *this array's* next read-noise draws.
 
-        The explicit device-noise seam shared by both evaluation
-        backends: one stacked draw of shape ``(subcycles, batch,
-        live_cols)`` consumes the generator exactly like that many
-        sequential per-subcycle draws, which is what makes the
-        vectorized backend bit-identical to the loop path under a shared
-        seed.  Padded bit lines are counted, not simulated: they draw
-        nothing.
+        The device-noise seam both evaluation backends share: ``out``
+        (any ``(subcycles, batch, live_cols)`` buffer the caller owns)
+        receives standard normals from this array's read stream, which
+        the caller scales by ``device.read_noise``.  One stacked fill
+        consumes the generator exactly like that many sequential
+        per-subcycle fills, which is what makes the vectorized backend
+        bit-identical to the loop path under a shared seed.  Padded bit
+        lines are counted, not simulated: they draw nothing.
         """
-        return self._model.read_noise_levels(shape)
+        return self._model.read_noise_levels(out)
 
     def transient_upset_levels(self, shape) -> Tuple[np.ndarray, np.ndarray]:
         """The soft-error upsets of the next ``prod(shape)`` outputs.
@@ -175,18 +176,16 @@ class CrossbarArray:
         # drift scales the signal, then Gaussian read noise, then
         # transient upsets, then the ADC digitises the sum.
         if self.device.drift_nu > 0.0:
-            level_values = level_values * self._model.drift_factors(1)[0]
+            level_values = level_values * self.drift_factors(1)[0]
         if self.device.read_noise > 0.0:
-            level_values = level_values + self._model.read_noise_levels(
-                level_values.shape
-            )
+            noise = self.read_noise_levels(np.empty(level_values.shape))
+            noise *= self.device.read_noise
+            level_values += noise
         if self.device.upset_rate > 0.0:
-            positions, amplitudes = self._model.transient_upset_levels(
+            positions, amplitudes = self.transient_upset_levels(
                 level_values.shape
             )
-            level_values[
-                np.unravel_index(positions, level_values.shape)
-            ] += amplitudes
+            level_values.reshape(-1)[positions] += amplitudes
         digitised = np.zeros((drive.shape[0], self.cols))
         digitised[:, :live] = adc_transfer.quantize_levels(
             level_values, self.adc

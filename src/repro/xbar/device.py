@@ -309,18 +309,25 @@ class DeviceModel:
         effective = self.program_levels(levels)
         return config.g_min + effective * config.g_step
 
-    def read_noise_levels(self, shape, reads: int = 1) -> np.ndarray:
-        """Additive per-read output noise, in conductance-level units.
+    def read_noise_levels(self, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with the next read-noise draws, in units of sigma.
 
-        The sigma is ``read_noise`` level units per column output (the
-        domain the crossbar works in after baseline correction);
-        ``reads`` independent reads accumulate as ``sqrt(reads)``.
+        One standard normal per output from the read stream, in C
+        order; the caller scales them by ``read_noise`` (the sigma in
+        level units per column output), so one multiply may cover the
+        draws of many arrays.  ``sigma * z`` is byte-for-byte what
+        ``Generator.normal(0, sigma)`` returns for the same draw, which
+        computes ``0 + sigma * z``.  A non-contiguous ``out`` is filled
+        through a temporary.  With read noise off the draws are zeros
+        and the stream is untouched.
         """
-        config = self.config
-        if config.read_noise == 0.0:
-            return np.zeros(shape)
-        sigma = config.read_noise * np.sqrt(reads)
-        return self._read_rng.normal(0.0, sigma, size=shape)
+        if self.config.read_noise == 0.0:
+            out[...] = 0.0
+        elif out.flags.c_contiguous:
+            self._read_rng.standard_normal(out=out)
+        else:
+            out[...] = self._read_rng.standard_normal(out.shape)
+        return out
 
     def transient_upset_levels(self, shape) -> Tuple[np.ndarray, np.ndarray]:
         """Per-read soft-error impulses, in conductance-level units.

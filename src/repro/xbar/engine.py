@@ -106,7 +106,7 @@ from repro.xbar.dac import (
     quantize_activations,
 )
 from repro.xbar.device import PIPELAYER_DEVICE, DeviceConfig
-from repro.xbar.mapping import SlicedWeights, WeightMapping, map_weights
+from repro.xbar.mapping import WeightMapping, map_weights
 from repro.xbar.tile import TiledCrossbar
 
 _log = get_logger("engine")
@@ -234,8 +234,9 @@ def weights_hash(weights: np.ndarray) -> str:
 
     The programmed-state identity of one engine: two weight arrays
     with the same hash program byte-identical crossbar levels under
-    the same config, so callers (``prepare``, the serve layer's
-    programmed-state cache) may skip reprogramming on a match.
+    the same config, so callers (the serve layer's programmed-state
+    cache) may skip reprogramming on a match.  ``prepare`` makes the
+    same decision by comparing bytes with its last programmed matrix.
     """
     array = np.ascontiguousarray(np.asarray(weights, dtype=np.float64))
     digest = hashlib.sha256()
@@ -310,9 +311,13 @@ class _VectorizedState:
     logical_cols))`` of that plane's slab.  Padded word lines stay in
     the tensor, but a read multiplies only a block row's live ones
     (the rest carry zero drive).  ``plane_weights`` carries each
-    plane's signed shift-and-add factor (``±radix**slice``).  Built
-    lazily on the first vectorized matmul and invalidated whenever
-    ``prepare()`` reprograms the arrays.  When the config
+    plane's signed shift-and-add factor (``±radix**slice``).
+    ``placements`` and ``geometry`` locate every physical array's live
+    columns in the chunk's partial sums, which is how the read-effect
+    stage hands each array its block of the one noise buffer and
+    scatters every array's upsets at once.  Built lazily on the first
+    vectorized matmul and invalidated whenever ``prepare()``
+    reprograms the arrays.  When the config
     :attr:`~CrossbarEngineConfig.is_collapsible`, ``collapsed`` holds
     the engine's signed level sum instead and ``gmat`` is ``None`` —
     the stacked path is never taken.
@@ -323,6 +328,9 @@ class _VectorizedState:
     #: ``(array, plane, block_row, c0, c1)`` for every physical array:
     #: its live columns are ``[c0, c1)`` of its plane's slab.
     placements: list
+    #: ``(block_row, plane, c0, c1 - c0)`` of each placement, as int64
+    #: rows: the upset scatter's per-array flat offsets.
+    geometry: np.ndarray
     adc: ADCConfig
     grid_rows: int
     grid_cols: int
@@ -359,13 +367,18 @@ class CrossbarEngine(MatmulEngine):
             if collector is not None
             else Collector(record_spans=False)
         )
-        self._sliced: Optional[SlicedWeights] = None
+        #: Quantization scale and stored offset of the programmed
+        #: matrix; its slice planes live on only in the arrays.
+        self._scale = 1.0
+        self._offset_int = 0
         self._tiles: Dict[Tuple[str, int], TiledCrossbar] = {}
         self._tile_paths: Dict[Tuple[str, int], str] = {}
         #: Signed shift-and-add factor of each tile: ``±radix**slice``.
         self._tile_weights: Dict[Tuple[str, int], float] = {}
         #: ``(rows, cols)`` of the prepared weight matrix.
         self._shape: Optional[Tuple[int, int]] = None
+        #: Copy of the last programmed weight matrix and its hash.
+        self._programmed: Optional[np.ndarray] = None
         self._cached_weights_hash: Optional[str] = None
         self._quantized: Optional[np.ndarray] = None
         self._coder = _CODERS[self.config.input_mode](self.config.encoding)
@@ -377,18 +390,22 @@ class CrossbarEngine(MatmulEngine):
         weights = np.asarray(weights, dtype=np.float64)
         if weights.ndim != 2:
             raise ValueError(f"weights must be 2-D, got {weights.shape}")
-        incoming_hash = weights_hash(weights)
-        if self._cached_weights_hash == incoming_hash:
-            # Same programmed state: skip the reprogram entirely.  The
+        if self._programmed is not None and np.array_equal(
+            self._programmed.view(np.uint64), weights.view(np.uint64)
+        ):
+            # Same shape and float64 bytes, so the same weights_hash:
+            # skip the reprogram entirely.  Comparing bit patterns, not
+            # values, keeps -0.0 apart from 0.0 as the hash does.  The
             # skip is counted so callers (the facade's in-process runs,
             # the serve layer's cache) can observe avoided programming.
             self.telemetry.count("prepare.skips", 1)
             return
         reuse_tiles = self._shape == weights.shape
         self._shape = weights.shape
-        self._cached_weights_hash = incoming_hash
+        self._programmed = weights.copy()
+        self._cached_weights_hash = weights_hash(self._programmed)
         sliced = map_weights(weights, self.config.mapping)
-        self._sliced = sliced
+        self._scale, self._offset_int = sliced.scale, sliced.offset_int
         radix = 2**sliced.mapping.cell_bits
         quantized = np.zeros(weights.shape)
         for index, plane in enumerate(sliced.pos_slices):
@@ -501,7 +518,7 @@ class CrossbarEngine(MatmulEngine):
         grid and stuck-cell totals, plus engine-level totals — the
         defect observability consumed by :mod:`repro.reliability`.
         """
-        if self._sliced is None:
+        if self._quantized is None:
             raise RuntimeError("prepare() must be called first")
         tiles = []
         totals = {"cells": 0, "stuck_off": 0, "stuck_on": 0}
@@ -523,9 +540,9 @@ class CrossbarEngine(MatmulEngine):
 
     def quantized_weights(self) -> np.ndarray:
         """The integer weight matrix the crossbars represent (scaled)."""
-        if self._sliced is None or self._quantized is None:
+        if self._quantized is None:
             raise RuntimeError("prepare() must be called first")
-        return self._quantized * self._sliced.scale
+        return self._quantized * self._scale
 
     def effective_weights(self) -> np.ndarray:
         """The matrix the arrays physically hold (scaled, with noise).
@@ -535,10 +552,10 @@ class CrossbarEngine(MatmulEngine):
         :meth:`quantized_weights` for an ideal device; differs under
         programming noise or stuck faults.
         """
-        if self._sliced is None:
+        if self._quantized is None:
             raise RuntimeError("prepare() must be called first")
-        effective = self._signed_level_sum() - self._sliced.offset_int
-        return effective * self._sliced.scale
+        effective = self._signed_level_sum() - self._offset_int
+        return effective * self._scale
 
     def _signed_level_sum(self) -> np.ndarray:
         """Shift-and-add sum of every tile's effective levels (cached).
@@ -566,7 +583,7 @@ class CrossbarEngine(MatmulEngine):
         summation order.  The bit-plane paths split it into positive
         and negative drive streams.
         """
-        if self._sliced is None or self._quantized is None:
+        if self._quantized is None:
             raise RuntimeError("prepare() must be called before matmul()")
         activations = np.asarray(activations, dtype=np.float64)
         if activations.ndim != 2:
@@ -603,7 +620,7 @@ class CrossbarEngine(MatmulEngine):
 
         if self.config.fast_ideal and self.config.is_ideal:
             tel.count("fast_ideal_calls", 1)
-            return signed @ self._quantized * (a_scale * self._sliced.scale)
+            return signed @ self._quantized * (a_scale * self._scale)
         if self.config.fast_linear and self.config.is_linear:
             # Opt-in idealisation: with noise only in programming and a
             # clean read path, apply the effective programmed matrix in
@@ -640,7 +657,6 @@ class CrossbarEngine(MatmulEngine):
         in the same order: the positive sign first, each sign followed
         by its offset correction.
         """
-        sliced = self._sliced
         batch = signed.shape[0]
         accumulator = np.zeros((batch, self._shape[1]))
         call_subcycles = 0
@@ -649,13 +665,13 @@ class CrossbarEngine(MatmulEngine):
                 continue
             accumulate(self._coder.decompose(integers), input_sign, accumulator)
             call_subcycles += self._coder.subcycles
-            if sliced.mapping.scheme == "offset":
+            if self.config.mapping.scheme == "offset":
                 # Remove the stored offset: offset * sum_i(x_i), digital.
                 row_sums = integers.sum(axis=1, keepdims=True).astype(np.float64)
-                accumulator -= input_sign * sliced.offset_int * row_sums
+                accumulator -= input_sign * self._offset_int * row_sums
 
         self._record_call_events(call_subcycles, batch)
-        return accumulator * (a_scale * sliced.scale)
+        return accumulator * (a_scale * self._scale)
 
     def _accumulate_loop(
         self, planes: np.ndarray, input_sign: float, accumulator: np.ndarray
@@ -750,21 +766,29 @@ class CrossbarEngine(MatmulEngine):
                 )[:, :, :logical_cols]
             # (g, R, P*L): one matmul per block row and chunk.
             gmat = stacked.reshape(grid_rows, rows, n_planes * logical_cols)
+        placements = [
+            (
+                array,
+                plane,
+                block_row,
+                block_col * cols,
+                min((block_col + 1) * cols, logical_cols),
+            )
+            for plane, tile in enumerate(tiles.values())
+            for block_row, row in enumerate(tile.arrays)
+            for block_col, array in enumerate(row)
+        ]
         self._vector = _VectorizedState(
             gmat=gmat,
             plane_weights=np.array([self._tile_weights[key] for key in tiles]),
-            placements=[
-                (
-                    array,
-                    plane,
-                    block_row,
-                    block_col * cols,
-                    min((block_col + 1) * cols, logical_cols),
-                )
-                for plane, tile in enumerate(tiles.values())
-                for block_row, row in enumerate(tile.arrays)
-                for block_col, array in enumerate(row)
-            ],
+            placements=placements,
+            geometry=np.array(
+                [
+                    (block_row, plane, c0, c1 - c0)
+                    for _, plane, block_row, c0, c1 in placements
+                ],
+                dtype=np.int64,
+            ),
             adc=self.config.adc_config(),
             grid_rows=grid_rows,
             grid_cols=grid_cols,
@@ -784,17 +808,24 @@ class CrossbarEngine(MatmulEngine):
 
         Adds one input sign's shift-and-add total into ``accumulator``
         with every physical effect applied where the loop backend
-        applies it: per-array read noise (drawn from each array's own
-        stream in sub-cycle order), the I&F ADC on each array's columns
-        *before* the vertical partial-sum add, then the sequential
-        row-block fold of :meth:`TiledCrossbar.mvm`.  Partial sums are
-        laid out ``(grid_rows, span, batch, n_planes, logical_cols)``;
-        each array is the view ``[block_row, :, :, plane, c0:c1]`` over
-        its live columns and draws ``(span, batch, c1 - c0)`` per
-        effect, as the loop's ``span`` sequential ``(batch, c1 - c0)``
-        draws would.  The sub-cycle axis is chunked to bound memory;
-        chunks run in sub-cycle order so the RNG streams and the
-        accumulation order are exactly the loop backend's.
+        applies it: drift, read noise and upsets on each array's analog
+        sums, the I&F ADC on each array's columns *before* the vertical
+        partial-sum add, then the sequential row-block fold of
+        :meth:`TiledCrossbar.mvm`.  One wide matmul per block row lays
+        the partial sums out ``(grid_rows, span, batch, n_planes,
+        logical_cols)``; array ``(block_row, plane)`` owns the elements
+        ``[block_row, :, :, plane, c0:c1]`` and draws ``(span, batch,
+        c1 - c0)`` per effect from its own streams, as the loop's
+        ``span`` sequential ``(batch, c1 - c0)`` draws would.  Each
+        effect then runs once per chunk, not once per array: the read
+        noise fills one array-major ``(grid_rows, n_planes, span, batch,
+        logical_cols)`` buffer that one scale and one permuted add
+        apply, and every array's upsets land in one flat scatter-add.
+        Arrays own disjoint elements, so each element still sees
+        ``signal * drift + noise + upset`` in that order.  The
+        sub-cycle axis is chunked to bound memory; chunks run in
+        sub-cycle order so the RNG streams and the accumulation order
+        are exactly the loop backend's.
         """
         device = self.config.device
         grid_rows, rows = state.grid_rows, self.config.array_rows
@@ -831,13 +862,10 @@ class CrossbarEngine(MatmulEngine):
             levels = levels.reshape(
                 grid_rows, span, batch, n_planes, logical_cols
             )
-            # Per-array read-path effects in the loop backend's order:
-            # drift scales the signal (one multiply by every array's
-            # factors for this chunk, from the read clock the loop
-            # advances), then Gaussian read noise, then transient
-            # upsets.  Each effect draws from its own child stream per
-            # array, so a stacked (span, ...) draw consumes each stream
-            # exactly like the loop's sequential per-sub-cycle draws.
+            # Read-path effects in the loop backend's order: drift
+            # scales the signal (one multiply by every array's factors,
+            # from the read clock the loop advances), then Gaussian
+            # read noise, then transient upsets.
             if drift:
                 factors = np.empty(
                     (grid_rows, span, 1, n_planes, logical_cols)
@@ -846,18 +874,42 @@ class CrossbarEngine(MatmulEngine):
                     decay = array.drift_factors(span)
                     factors[block_row, :, 0, plane, c0:c1] = decay[:, None]
                 levels *= factors
-            if noise or upsets:
+            if noise:
+                # Each array's block is contiguous unless its tile has
+                # several block columns (then it fills via a temporary).
+                draws = np.empty(
+                    (grid_rows, n_planes, span, batch, logical_cols)
+                )
                 for array, plane, block_row, c0, c1 in state.placements:
-                    view = levels[block_row, :, :, plane, c0:c1]
-                    if noise:
-                        view += array.read_noise_levels(view.shape)
-                    if upsets:
-                        positions, amplitudes = array.transient_upset_levels(
-                            view.shape
-                        )
-                        view[np.unravel_index(positions, view.shape)] += (
-                            amplitudes
-                        )
+                    array.read_noise_levels(
+                        draws[block_row, plane, :, :, c0:c1]
+                    )
+                draws *= device.read_noise
+                levels += draws.transpose(0, 2, 3, 1, 4)
+                # Freed before the ADC allocates its output, so a chunk
+                # never holds three partial-sum-sized arrays at once.
+                del draws
+            if upsets:
+                # Upset position p of array (block_row, plane, c0, c1)
+                # is element ((block_row * span * batch + sb) * n_planes
+                # + plane) * logical_cols + c0 + c of levels, where
+                # sb, c = divmod(p, c1 - c0).
+                hits = [
+                    array.transient_upset_levels((span, batch, c1 - c0))
+                    for array, _, _, c0, c1 in state.placements
+                ]
+                hit_row, hit_plane, hit_c0, hit_width = np.repeat(
+                    state.geometry, [hit[0].size for hit in hits], axis=0
+                ).T
+                sb, column = np.divmod(
+                    np.concatenate([hit[0] for hit in hits]), hit_width
+                )
+                flat = (
+                    (hit_row * (span * batch) + sb) * n_planes + hit_plane
+                ) * logical_cols + hit_c0 + column
+                levels.reshape(-1)[flat] += np.concatenate(
+                    [hit[1] for hit in hits]
+                )
             quantized = quantize_levels(levels, state.adc)
             # The row-block fold, in the loop backend's order.
             folded = quantized[0]
@@ -899,13 +951,12 @@ class CrossbarEngine(MatmulEngine):
         nonzero): the simulated hardware runs every sub-cycle; only the
         simulation skips redundant arithmetic.
         """
-        sliced = self._sliced
         accumulator = signed @ state.collapsed
-        if sliced.mapping.scheme == "offset":
-            accumulator -= sliced.offset_int * signed.sum(axis=1, keepdims=True)
+        if self.config.mapping.scheme == "offset":
+            accumulator -= self._offset_int * signed.sum(axis=1, keepdims=True)
         signs = int(np.any(signed > 0)) + int(np.any(signed < 0))
         self._record_call_events(self._coder.subcycles * signs, signed.shape[0])
-        return accumulator * (a_scale * sliced.scale)
+        return accumulator * (a_scale * self._scale)
 
 
 def _sign_streams(

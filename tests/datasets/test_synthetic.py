@@ -72,6 +72,40 @@ class TestClassificationImages:
         assert images.shape == (5, 3, 16, 16)
         assert labels.max() < 4
 
+    @pytest.mark.parametrize("workload", ["mnist_cnn", "mlp"])
+    @pytest.mark.parametrize("input_seed", [None, 11])
+    def test_kept_templates_give_the_same_bytes(self, workload, input_seed):
+        """``Simulator.make_inputs`` keeps its class templates between
+        calls; its images and labels are byte-for-byte those of a
+        template stream drawn afresh, on every call."""
+        from repro import Simulator
+        from repro.datasets.synthetic import _seeded_templates
+        from repro.utils.rng import derive_seed
+
+        sim = Simulator.from_workload(workload, seed=3, deploy=False)
+        first = sim.make_inputs(count=6, input_seed=input_seed)
+        images, labels = make_classification_images(
+            6,
+            shape=sim.dataset,
+            rng=(
+                derive_seed(3, "infer") if input_seed is None else input_seed
+            ),
+            template_rng=np.random.default_rng(derive_seed(3, "train")),
+        )
+        assert first[1].tobytes() == labels.tobytes()
+        assert first[0].tobytes() == sim._inputs(images).tobytes()
+        again = sim.make_inputs(count=6, input_seed=input_seed)
+        assert again[0].tobytes() == first[0].tobytes()
+        assert again[1].tobytes() == first[1].tobytes()
+        kept = _seeded_templates(
+            sim.dataset.classes,
+            sim.dataset.channels,
+            sim.dataset.size,
+            derive_seed(3, "train"),
+        )
+        assert not kept.flags.writeable
+        assert _seeded_templates.cache_info().maxsize <= 16
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             make_classification_images(0)

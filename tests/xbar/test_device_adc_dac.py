@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.utils.rng import spawn_rngs
 from repro.xbar.adc import ADCConfig, quantize_levels
 from repro.xbar.dac import (
     AnalogDAC,
@@ -115,20 +116,25 @@ class TestDeviceModel:
     def test_read_noise_zero_when_disabled(self):
         model = DeviceModel(PIPELAYER_DEVICE, rng=0)
         np.testing.assert_array_equal(
-            model.read_noise_levels((3, 3)), np.zeros((3, 3))
+            model.read_noise_levels(np.ones((3, 3))), np.zeros((3, 3))
         )
 
     def test_read_noise_scale_in_level_units(self):
+        # The draws are unit normals; scaled by the sigma (in level
+        # units) they are byte-for-byte Generator.normal(0, sigma) of
+        # the same read stream, contiguous buffer or not.
         device = DeviceConfig(read_noise=0.7)
         model = DeviceModel(device, rng=5)
-        noise = model.read_noise_levels((10000,))
+        twin = spawn_rngs(5, 4)[2]
+        noise = model.read_noise_levels(np.empty(10000)) * 0.7
         assert np.std(noise) == pytest.approx(0.7, rel=0.05)
-
-    def test_read_noise_accumulates_over_reads(self):
-        device = DeviceConfig(read_noise=1.0)
-        model = DeviceModel(device, rng=6)
-        noise = model.read_noise_levels((10000,), reads=4)
-        assert np.std(noise) == pytest.approx(2.0, rel=0.05)
+        assert noise.tobytes() == twin.normal(0.0, 0.7, 10000).tobytes()
+        strided = np.zeros((6, 8))
+        model.read_noise_levels(strided[:, 2:5])
+        assert (strided[:, 2:5] * 0.7).tobytes() == twin.normal(
+            0.0, 0.7, (6, 3)
+        ).tobytes()
+        assert not strided[:, :2].any() and not strided[:, 5:].any()
 
 
 class TestStuckFaultPersistence:
@@ -259,7 +265,8 @@ class TestTransientFaults:
         )
         busy.transient_upset_levels((8, 8))
         np.testing.assert_array_equal(
-            quiet.read_noise_levels((16,)), busy.read_noise_levels((16,))
+            quiet.read_noise_levels(np.empty(16)),
+            busy.read_noise_levels(np.empty(16)),
         )
 
 

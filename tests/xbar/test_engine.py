@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.xbar.device import DeviceConfig, NOISY_DEVICE, PIPELAYER_DEVICE
-from repro.xbar.engine import CrossbarEngine, CrossbarEngineConfig
+from repro.xbar.engine import (
+    CrossbarEngine,
+    CrossbarEngineConfig,
+    weights_hash,
+)
 from repro.xbar.mapping import WeightMapping
 
 
@@ -152,6 +156,50 @@ class TestEngineMechanics:
         engine.prepare(rng.normal(size=(20, 10)))
         programs = engine.telemetry.get("array_programs")
         engine.prepare(rng.normal(size=(20, 10)))
+        assert engine.telemetry.get("array_programs") > programs
+
+    @pytest.mark.parametrize(
+        "edit",
+        ["next_float", "negative_zero", "transposed_view"],
+    )
+    def test_prepare_skips_exactly_when_weights_hash_matches(
+        self, edit, rng
+    ):
+        """The byte comparison makes the hash's decision: one changed
+        element reprograms, ``-0.0`` differs from ``0.0``, and a
+        transposed view matches its contiguous copy."""
+        weights = rng.normal(size=(20, 10))
+        weights[3, 4] = 0.0
+        incoming = weights.copy()
+        if edit == "next_float":
+            incoming[7, 2] = np.nextafter(incoming[7, 2], np.inf)
+        elif edit == "negative_zero":
+            incoming[3, 4] = -0.0
+        elif edit == "transposed_view":
+            weights = np.ascontiguousarray(weights.T)
+            incoming = incoming.T
+        engine = CrossbarEngine(small_config(), rng=0)
+        engine.prepare(weights)
+        programs = engine.telemetry.get("array_programs")
+        key = engine.cache_key()
+        engine.prepare(incoming)
+        same_hash = weights_hash(incoming) == weights_hash(weights)
+        assert same_hash == (edit == "transposed_view")
+        assert engine.telemetry.get("prepare.skips") == int(same_hash)
+        reprogrammed = engine.telemetry.get("array_programs") > programs
+        assert reprogrammed != same_hash
+        assert (engine.cache_key() == key) == same_hash
+        assert engine.cache_key()[0] == weights_hash(incoming)
+
+    def test_prepare_sees_in_place_updates(self, rng):
+        """The kept copy is the engine's own: editing the caller's
+        matrix in place and preparing it again reprograms."""
+        weights = rng.normal(size=(20, 10))
+        engine = CrossbarEngine(small_config(), rng=0)
+        engine.prepare(weights)
+        programs = engine.telemetry.get("array_programs")
+        weights[0, 0] += 1.0
+        engine.prepare(weights)
         assert engine.telemetry.get("array_programs") > programs
 
     def test_matmul_before_prepare_raises(self, rng):
