@@ -22,7 +22,7 @@ import numpy as np
 
 from benchmarks._common import format_table, record, record_json
 from repro.bench import register
-from repro.telemetry import NULL_COLLECTOR, Collector, TelemetryLike
+from repro.telemetry import NULL_COLLECTOR, Collector
 from repro.telemetry import bench_document as _bench_document
 from repro.xbar.device import PIPELAYER_DEVICE
 from repro.xbar.engine import (
@@ -37,7 +37,7 @@ REPS = 8
 SEED = 7
 
 
-def _run(collector: TelemetryLike):
+def _run(collector: Collector):
     """(Output digest, seconds per matmul) for one collector choice."""
     rng = np.random.default_rng(0)
     weights = rng.normal(size=(ROWS, COLS))

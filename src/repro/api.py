@@ -78,7 +78,7 @@ from repro.serve.jobs import (
     TrainingJob,
     job_from_dict,
 )
-from repro.telemetry import NULL_COLLECTOR, SCHEMA_VERSION, TelemetryLike
+from repro.telemetry import NULL_COLLECTOR, SCHEMA_VERSION, Collector
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_seed, new_rng
 from repro.utils.validation import (
@@ -179,7 +179,7 @@ class Simulator:
         seed: int,
         deployment: Optional[Deployment],
         flatten_inputs: bool = False,
-        collector: Optional[TelemetryLike] = None,
+        collector: Optional[Collector] = None,
     ) -> None:
         self.name = name
         self.network = network
@@ -199,7 +199,7 @@ class Simulator:
         backend: Optional[str] = None,
         seed: int = 0,
         deploy: bool = True,
-        collector: Optional[TelemetryLike] = None,
+        collector: Optional[Collector] = None,
     ) -> "Simulator":
         """Build a named workload and deploy it onto crossbar engines.
 
@@ -208,11 +208,12 @@ class Simulator:
         without rebuilding ``engine_config``; ``deploy=False`` keeps
         the network on exact float matmul (the GPU-baseline
         counterpart).  ``collector`` attaches a
-        :class:`repro.telemetry.Collector` (or scoped view): the
-        per-layer engines write under ``engine/<layer>/...`` and
-        :meth:`run` adds the job's own counters and timing spans.
-        Counter telemetry is deterministic (part of the backend
-        bit-identity contract); spans are wall-clock.
+        :class:`repro.telemetry.Collector` (a scope is a ``Collector``
+        over its root's store): the per-layer engines write under
+        ``engine/<layer>/...`` and :meth:`run` adds the job's own
+        counters and timing spans.  Counter telemetry is deterministic
+        (part of the backend bit-identity contract); spans are
+        wall-clock.
         """
         if name not in cls.WORKLOADS:
             raise ValueError(
@@ -286,14 +287,15 @@ class Simulator:
     def counters_snapshot(self) -> Dict[str, float]:
         """Point-in-time copy of this simulator's counter tree.
 
-        Empty when no collector is attached.  Long-lived holders (the
+        Empty when no collector is attached; a scoped collector gives
+        its own subtree, prefix stripped.  Long-lived holders (the
         serve cache) subtract two snapshots around a run to get the
         exact event counters that run added — the delta a cost table
         prices into per-job energy.
         """
         if self.collector is None:
             return {}
-        return dict(self.collector.counters())
+        return self.collector.counters()
 
     def undeploy(self) -> None:
         """Detach the engines; the network falls back to exact matmul."""
@@ -479,7 +481,7 @@ class Simulator:
 def run_job(
     job: JobSpec,
     engine_config: Optional[CrossbarEngineConfig] = None,
-    collector: Optional[TelemetryLike] = None,
+    collector: Optional[Collector] = None,
     simulator: Optional[Simulator] = None,
 ) -> Union[InferenceResult, TrainResult, Dict[str, Any]]:
     """Build the right simulator for ``job`` and execute it.
@@ -651,7 +653,7 @@ def schedule_trace(
     batch: int = 4,
     gan: bool = False,
     scheme: str = "sp_cs",
-    collector: Optional[TelemetryLike] = None,
+    collector: Optional[Collector] = None,
 ) -> Dict[str, Any]:
     """Cycle-accurate schedule of one pipeline run, with ASCII Gantt.
 

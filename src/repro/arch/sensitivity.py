@@ -32,7 +32,7 @@ from typing import (
 )
 
 from repro.arch.params import DEFAULT_TECH, XbarTechParams
-from repro.telemetry import TelemetryLike
+from repro.telemetry import Collector
 from repro.utils.validation import check_positive
 
 #: Technology fields that are scalable costs (area field excluded from
@@ -126,7 +126,7 @@ def resolve_metric(
 
 
 def run_sensitivity_cell(
-    spec: Dict[str, Any], collector: TelemetryLike
+    spec: Dict[str, Any], collector: Collector
 ) -> Dict[str, Any]:
     """Sweep cell function for one tornado field (kind ``"sensitivity_point"``).
 
@@ -161,7 +161,7 @@ def tech_sensitivity(
     low_factor: float = 0.5,
     high_factor: float = 2.0,
     workers: int = 1,
-    collector: Optional[TelemetryLike] = None,
+    collector: Optional[Collector] = None,
     shard_order: Optional[Sequence[int]] = None,
     mp_context: Optional[str] = None,
 ) -> List[SensitivityRow]:

@@ -26,7 +26,7 @@ from repro.nn.layers import (
     MaxPool2D,
 )
 from repro.nn.network import Sequential
-from repro.telemetry import TelemetryLike
+from repro.telemetry import Collector
 from repro.utils.rng import RngLike, spawn_rngs
 from repro.workloads.specs import LayerSpec
 from repro.workloads.suite import NetworkSpec
@@ -158,7 +158,7 @@ def deploy_network(
     config: Optional[CrossbarEngineConfig] = None,
     rng: RngLike = None,
     backend: Optional[str] = None,
-    collector: Optional[TelemetryLike] = None,
+    collector: Optional[Collector] = None,
 ) -> Deployment:
     """Attach crossbar engines to every Dense/Conv2D layer.
 
@@ -173,10 +173,11 @@ def deploy_network(
     rebuild the config — the two are bit-identical under a shared
     seed, so this is purely a throughput knob.
 
-    ``collector`` attaches a :class:`repro.telemetry.Collector` (or a
-    scoped view): each layer's engine writes its counters and timing
-    spans under ``engine/<layer name>/...``, giving one hierarchical
-    telemetry tree for the whole deployment.  Counter telemetry is
+    ``collector`` attaches a :class:`repro.telemetry.Collector` (a
+    scope is a ``Collector`` over its root's store): each layer's
+    engine writes its counters and timing spans under
+    ``engine/<layer name>/...``, giving one hierarchical telemetry
+    tree for the whole deployment.  Counter telemetry is
     part of the backend bit-identity contract; spans are wall-clock.
 
     The engines are *lazy*: arrays are programmed at the first forward

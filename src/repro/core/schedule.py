@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.gan_pipeline import SCHEMES, iteration_cycles
-from repro.telemetry import NULL_COLLECTOR, TelemetryLike
+from repro.telemetry import NULL_COLLECTOR, Collector
 from repro.utils.validation import check_choice, check_positive
 
 #: The one resource a Fig. 5 chain runs on.
@@ -303,7 +303,7 @@ def update_event(
     return ScheduleEvent(cycle, "ctrl", -1, element, dataflow)
 
 
-def _record_occupancy(tel: TelemetryLike, result: ScheduleResult) -> None:
+def _record_occupancy(tel: Collector, result: ScheduleResult) -> None:
     """Publish one executed schedule's occupancy counters.
 
     Counter paths follow the component-path convention of
@@ -329,7 +329,7 @@ def _record_occupancy(tel: TelemetryLike, result: ScheduleResult) -> None:
 
 def _execute(
     span: str,
-    collector: Optional[TelemetryLike],
+    collector: Optional[Collector],
     build: Callable[[], ScheduleResult],
 ) -> ScheduleResult:
     """Run ``build`` inside a timing span and record its occupancy."""
@@ -346,7 +346,7 @@ def _training_schedule(
     n_inputs: int,
     batch: int,
     in_flight: int,
-    collector: Optional[TelemetryLike],
+    collector: Optional[Collector],
 ) -> ScheduleResult:
     """Batches of ``in_flight``-input phases on the ``2L + 1`` chain."""
     check_positive("layers", layers)
@@ -377,7 +377,7 @@ def simulate_training_pipeline(
     layers: int,
     n_inputs: int,
     batch: int,
-    collector: Optional[TelemetryLike] = None,
+    collector: Optional[Collector] = None,
 ) -> ScheduleResult:
     """Execute the Fig. 5(b) pipelined training schedule.
 
@@ -398,7 +398,7 @@ def simulate_training_sequential(
     layers: int,
     n_inputs: int,
     batch: int,
-    collector: Optional[TelemetryLike] = None,
+    collector: Optional[Collector] = None,
 ) -> ScheduleResult:
     """Execute the unpipelined schedule: one input at a time."""
     return _training_schedule(
@@ -410,7 +410,7 @@ def simulate_training_sequential(
 def simulate_inference_pipeline(
     layers: int,
     n_inputs: int,
-    collector: Optional[TelemetryLike] = None,
+    collector: Optional[Collector] = None,
 ) -> ScheduleResult:
     """Execute the testing pipeline: L stages, no updates."""
     check_positive("layers", layers)
@@ -432,7 +432,7 @@ def simulate_gan_iteration(
     l_g: int,
     batch: int,
     scheme: str,
-    collector: Optional[TelemetryLike] = None,
+    collector: Optional[Collector] = None,
 ) -> ScheduleResult:
     """Execute one GAN training iteration under ``scheme``.
 
@@ -514,7 +514,7 @@ def verify_scheme(
     l_g: int,
     batch: int,
     scheme: str,
-    collector: Optional[TelemetryLike] = None,
+    collector: Optional[Collector] = None,
 ) -> Dict:
     """Run one scheme and compare against the closed form.
 

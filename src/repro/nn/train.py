@@ -15,7 +15,7 @@ import numpy as np
 from repro.nn.losses import Loss, SoftmaxCrossEntropy, accuracy
 from repro.nn.network import Sequential
 from repro.nn.optim import Optimizer
-from repro.telemetry import NULL_COLLECTOR, TelemetryLike
+from repro.telemetry import NULL_COLLECTOR, Collector
 from repro.utils.validation import check_positive
 
 
@@ -68,7 +68,7 @@ def train_classifier(
     batch_size: int = 32,
     loss: Optional[Loss] = None,
     rng: Optional[np.random.Generator] = None,
-    collector: Optional[TelemetryLike] = None,
+    collector: Optional[Collector] = None,
 ) -> TrainHistory:
     """Train a classifier with batch-synchronous updates.
 
@@ -80,9 +80,10 @@ def train_classifier(
     images, labels:
         Full training set, NCHW (or flat) images with integer labels.
     collector:
-        Optional :class:`repro.telemetry.Collector` (or scoped view):
-        records ``epochs``/``batches``/``samples`` counters and a
-        per-epoch ``epoch[<i>]`` timing span.
+        Optional :class:`repro.telemetry.Collector` (a scope is a
+        ``Collector`` over its root's store): records
+        ``epochs``/``batches``/``samples`` counters and a per-epoch
+        ``epoch[<i>]`` timing span.
     """
     loss = loss or SoftmaxCrossEntropy()
     tel = collector if collector is not None else NULL_COLLECTOR

@@ -52,7 +52,7 @@ from repro.reliability.metrics import (
     weight_error,
 )
 from repro.sweep import SweepCache, SweepCell, run_sweep
-from repro.telemetry import NULL_COLLECTOR, SCHEMA_VERSION, TelemetryLike
+from repro.telemetry import NULL_COLLECTOR, SCHEMA_VERSION, Collector
 from repro.utils.validation import check_choice, check_positive
 from repro.xbar.device import DeviceConfig
 from repro.xbar.engine import (
@@ -151,7 +151,7 @@ def _scenario_result(
     backend: str,
     context: ReferenceContext,
     include_tiles: bool,
-    collector: Optional[TelemetryLike] = None,
+    collector: Optional[Collector] = None,
 ) -> Dict[str, Any]:
     """Run one scenario through one backend and report its damage."""
     from repro.api import Simulator
@@ -224,7 +224,7 @@ def _build_reference(
     batch: int,
     train_epochs: int,
     train_count: int,
-    collector: Optional[TelemetryLike],
+    collector: Optional[Collector],
 ) -> ReferenceContext:
     from repro.api import Simulator
     from repro.serve.jobs import TrainingJob
@@ -257,7 +257,7 @@ def reference_context(
     batch: int,
     train_epochs: int,
     train_count: int,
-    collector: Optional[TelemetryLike] = None,
+    collector: Optional[Collector] = None,
 ) -> ReferenceContext:
     """Golden reference for one campaign configuration, memoised.
 
@@ -293,7 +293,7 @@ def reference_context(
 
 
 def run_campaign_cell(
-    spec: Dict[str, Any], collector: TelemetryLike
+    spec: Dict[str, Any], collector: Collector
 ) -> Dict[str, Any]:
     """Sweep cell function for one (backend × scenario) campaign point.
 
@@ -387,7 +387,7 @@ def run_campaign(
     train_epochs: int = 5,
     train_count: int = 256,
     include_tiles: bool = True,
-    collector: Optional[TelemetryLike] = None,
+    collector: Optional[Collector] = None,
     workers: int = 1,
     sweep_cache: Optional[SweepCache] = None,
     shard_order: Optional[Sequence[int]] = None,
@@ -421,12 +421,13 @@ def run_campaign(
     include_tiles:
         Attach the per-tile stuck-cell census to every layer record.
     collector:
-        Optional :class:`repro.telemetry.Collector` (or scoped view):
-        the reference training run writes under ``reference/...``, each
-        scenario's engines under ``scenario[<name>]/...`` (prefixed by
-        ``backend[<name>]/`` in ``"both"`` mode so the two runs stay
-        separable), plus campaign-level ``scenarios`` counters and —
-        on the single-process path — per-scenario timing spans.
+        Optional :class:`repro.telemetry.Collector` (a scope is a
+        ``Collector`` over its root's store): the reference training
+        run writes under ``reference/...``, each scenario's engines
+        under ``scenario[<name>]/...`` (prefixed by ``backend[<name>]/``
+        in ``"both"`` mode so the two runs stay separable), plus
+        campaign-level ``scenarios`` counters and — on the
+        single-process path — per-scenario timing spans.
     workers:
         Process count for the scenario sweep.  ``workers=1`` runs the
         cells inline (the legacy single-process path); any value

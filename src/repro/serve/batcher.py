@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, List, Sequence, Tuple
 import numpy as np
 
 from repro.serve.jobs import InferenceJob
-from repro.telemetry import NULL_COLLECTOR, TelemetryLike
+from repro.telemetry import NULL_COLLECTOR, Collector
 from repro.xbar.engine import CrossbarEngineConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids the cycle)
@@ -50,7 +50,7 @@ def batch_invariant(config: CrossbarEngineConfig) -> bool:
 def run_coalesced(
     simulator: "Simulator",
     jobs: Sequence[InferenceJob],
-    collector: TelemetryLike = NULL_COLLECTOR,
+    collector: Collector = NULL_COLLECTOR,
 ) -> List["InferenceResult"]:
     """One batched crossbar evaluation for several inference jobs.
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.serve.jobs import JobSpec
-from repro.telemetry import Collector, TelemetryLike, wall_clock
+from repro.telemetry import Collector, wall_clock
 from repro.xbar.engine import CrossbarEngineConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids the cycle)
@@ -75,7 +75,7 @@ class ProgrammedStateCache:
     def __init__(
         self,
         engine_config: Optional[CrossbarEngineConfig] = None,
-        collector: Optional[TelemetryLike] = None,
+        collector: Optional[Collector] = None,
         max_entries: int = DEFAULT_MAX_ENTRIES,
     ) -> None:
         if max_entries < 1:

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.serve.batcher import batch_invariant
 from repro.serve.jobs import InferenceJob, JobSpec
-from repro.telemetry import TelemetryLike
+from repro.telemetry import Collector
 from repro.xbar.engine import CrossbarEngineConfig
 
 #: Default ceiling on jobs per coalesced batch.
@@ -69,7 +69,7 @@ def coalesce_plan(
     jobs: Sequence[JobSpec],
     engine_config: CrossbarEngineConfig,
     max_coalesce: int = DEFAULT_MAX_COALESCE,
-    collector: Optional[TelemetryLike] = None,
+    collector: Optional[Collector] = None,
 ) -> Plan:
     """Partition pending ``jobs`` into coalesced groups and singles.
 

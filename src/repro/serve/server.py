@@ -100,7 +100,6 @@ from repro.telemetry import (
     SCHEMA_VERSION,
     Collector,
     EventLogWriter,
-    TelemetryLike,
     TraceContext,
     TraceLog,
     attribute_energy,
@@ -351,10 +350,10 @@ class JobServer:
     def __init__(
         self,
         config: Optional[ServerConfig] = None,
-        collector: Optional[TelemetryLike] = None,
+        collector: Optional[Collector] = None,
     ) -> None:
         self.config = config or ServerConfig()
-        self.collector: TelemetryLike = (
+        self.collector: Collector = (
             collector if collector is not None else Collector()
         )
         self._serve_scope = self.collector.scope("serve")
@@ -605,7 +604,8 @@ class JobServer:
             self._fail(records, exc)
             return
         self._trace_log.absorb(unit_spans)
-        self._merge(self._serve_scope, local)
+        self._serve_scope.merge_counters(local.counters())
+        self._serve_scope.merge_histograms(local.histograms())
         # One evaluation priced once, split across the unit's jobs in
         # proportion to their input counts.
         energy = self._price_energy(delta)
@@ -644,18 +644,12 @@ class JobServer:
         tenant_scope = self.collector.scope(
             f"serve/tenant[{spec.tenant}]"
         )
-        self._merge(tenant_scope, local)
+        tenant_scope.merge_counters(local.counters())
+        tenant_scope.merge_histograms(local.histograms())
         self._record_energy(
             spec.tenant, self._price_energy(local.counters())
         )
         self._finish(record, result, coalesced=False)
-
-    # -- completion (event-loop thread only) ---------------------------------
-    @staticmethod
-    def _merge(target: TelemetryLike, local: Collector) -> None:
-        for path, value in local.counters().items():
-            target.count(path, value)
-        target.merge_histograms(local.histograms())
 
     # -- energy attribution (event-loop thread only) -------------------------
     def _price_energy(
@@ -709,6 +703,7 @@ class JobServer:
                     scope.get("energy/total_joules") / seconds,
                 )
 
+    # -- completion (event-loop thread only) ---------------------------------
     def _close_spans(
         self,
         record: _JobRecord,
@@ -926,7 +921,7 @@ class JobServer:
 @contextmanager
 def running_server(
     config: Optional[ServerConfig] = None,
-    collector: Optional[TelemetryLike] = None,
+    collector: Optional[Collector] = None,
 ) -> Iterator[Tuple[JobServer, Tuple[str, int]]]:
     """Run a :class:`JobServer` on a background event-loop thread.
 

@@ -31,14 +31,13 @@ from typing import Any, Callable, Dict, Mapping, Optional
 from repro.telemetry import (
     SCHEMA_VERSION,
     Collector,
-    TelemetryLike,
     TraceContext,
     TraceLog,
 )
 from repro.telemetry.trace import SPAN_SHAPE
 from repro.utils.validation import Number, check_document
 
-CellFunction = Callable[[Dict[str, Any], TelemetryLike], Dict[str, Any]]
+CellFunction = Callable[[Dict[str, Any], Collector], Dict[str, Any]]
 
 #: Built-in cell kinds, resolved lazily as ``module:function`` so
 #: importing the sweep layer does not drag in every subsystem.  The

@@ -43,7 +43,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.sweep.cache import SweepCache
 from repro.sweep.cells import SweepCell, run_cell
-from repro.telemetry import NULL_COLLECTOR, TelemetryLike, TraceContext
+from repro.telemetry import NULL_COLLECTOR, Collector, TraceContext
 from repro.utils.validation import check_positive
 
 _log = logging.getLogger("repro.sweep")
@@ -79,7 +79,7 @@ def run_sweep(
     cells: Sequence[SweepCell],
     workers: int = 1,
     cache: Optional[SweepCache] = None,
-    collector: Optional[TelemetryLike] = None,
+    collector: Optional[Collector] = None,
     scope_for: ScopeFor = default_scope,
     shard_order: Optional[Sequence[int]] = None,
     mp_context: Optional[str] = None,

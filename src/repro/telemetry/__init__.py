@@ -71,8 +71,6 @@ from repro.telemetry.collector import (
     SIZE_BUCKET_BOUNDS,
     Collector,
     Histogram,
-    ScopedCollector,
-    TelemetryLike,
     default_bucket_bounds,
 )
 from repro.telemetry.energy import (
@@ -120,8 +118,6 @@ from repro.telemetry.trace import (
 
 __all__ = [
     "Collector",
-    "ScopedCollector",
-    "TelemetryLike",
     "NULL_COLLECTOR",
     "SCHEMA_VERSION",
     "DEFAULT_MAX_SPANS",

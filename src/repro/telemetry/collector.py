@@ -57,7 +57,6 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from typing import (
     Any,
-    ContextManager,
     Dict,
     Iterator,
     List,
@@ -203,6 +202,16 @@ class Histogram:
 class Collector:
     """Hierarchical counter + span store (see module docstring).
 
+    :meth:`scope` returns a ``Collector`` over the same store: it keeps
+    a reference to its root and a path prefix (``"engine/fc1/"``; the
+    root's prefix is ``""``), every mutator writes ``prefix + path``
+    into the root's counters and histograms, and every span goes
+    through the root's open-span state and trace log.  Read-backs
+    (:meth:`get`, :meth:`counters`, :meth:`counter_tree`,
+    :meth:`histograms`) see only the scope's own subtree with the
+    prefix stripped, so ``scope.counters()[p] == scope.get(p)``; at the
+    root that subtree is the whole store.
+
     Parameters
     ----------
     enabled:
@@ -230,46 +239,63 @@ class Collector:
         self.enabled = enabled
         self.record_spans = record_spans
         self.max_spans = max_spans
+        self._root = self
+        self._prefix = ""
         self._counters: Dict[str, Number] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._reset_spans()
-
-    def _reset_spans(self) -> None:
-        self._log = TraceLog(max_spans=self.max_spans)
+        # Span state is read and written through ``_root`` only.
+        self._log = TraceLog(max_spans=max_spans)
         self._open: Optional[TraceContext] = None
         self._roots = 0
         self._drop_warned = False
         self._origin = time.perf_counter()
+
+    def scope(self, prefix: str) -> "Collector":
+        """A collector over this store that prefixes every path with
+        ``prefix + '/'`` (see the class docstring)."""
+        if not prefix:
+            raise ValueError("scope prefix must be non-empty")
+        root = self._root
+        view = object.__new__(Collector)
+        view.enabled = root.enabled
+        view.record_spans = root.record_spans
+        view.max_spans = root.max_spans
+        view._root = root
+        view._prefix = f"{self._prefix}{prefix.rstrip('/')}/"
+        view._counters = root._counters
+        view._histograms = root._histograms
+        return view
+
+    def _own(self, store: Mapping[str, Any]) -> Iterator[Tuple[str, Any]]:
+        """``(path, value)`` of this collector's subtree of ``store``,
+        sorted by path, with the prefix stripped."""
+        prefix = self._prefix
+        cut = len(prefix)
+        for path in sorted(store):
+            if path.startswith(prefix):
+                yield path[cut:], store[path]
 
     # -- counters -----------------------------------------------------------
     def count(self, path: str, n: Number = 1) -> None:
         """Add ``n`` to the counter at ``path`` (creating it at 0)."""
         if not self.enabled:
             return
+        path = self._prefix + path
         self._counters[path] = self._counters.get(path, 0) + n
 
     def set(self, path: str, value: Number) -> None:
         """Set the counter at ``path`` to an absolute value (a gauge)."""
         if not self.enabled:
             return
-        self._counters[path] = value
+        self._counters[self._prefix + path] = value
 
     def get(self, path: str, default: Number = 0) -> Number:
         """Current value of the counter at ``path``."""
-        return self._counters.get(path, default)
-
-    def clear(self, path: str) -> None:
-        """Drop one counter (no-op if absent)."""
-        self._counters.pop(path, None)
-
-    def clear_tree(self, prefix: str) -> None:
-        """Drop every counter whose path starts with ``prefix``."""
-        for key in [k for k in self._counters if k.startswith(prefix)]:
-            del self._counters[key]
+        return self._counters.get(self._prefix + path, default)
 
     def counters(self) -> Dict[str, Number]:
         """Flat path -> value map, sorted by path (deterministic)."""
-        return {path: self._counters[path] for path in sorted(self._counters)}
+        return dict(self._own(self._counters))
 
     def merge_counters(self, counters: Mapping[str, Number]) -> None:
         """Fold another collector's counter map into this one, additively.
@@ -284,7 +310,7 @@ class Collector:
         if not self.enabled:
             return
         for path in sorted(counters):
-            self._counters[path] = self._counters.get(path, 0) + counters[path]
+            self.count(path, counters[path])
 
     def counter_tree(self) -> Dict[str, Any]:
         """Counters nested by ``/`` path segment.
@@ -293,7 +319,7 @@ class Collector:
         under the empty-string key of the node dict.
         """
         tree: Dict[str, Any] = {}
-        for path in sorted(self._counters):
+        for path, value in self._own(self._counters):
             node = tree
             *parents, leaf = path.split("/")
             for segment in parents:
@@ -304,9 +330,9 @@ class Collector:
                 node = child
             existing = node.get(leaf)
             if isinstance(existing, dict):
-                existing[""] = self._counters[path]
+                existing[""] = value
             else:
-                node[leaf] = self._counters[path]
+                node[leaf] = value
         return tree
 
     # -- histograms ---------------------------------------------------------
@@ -325,6 +351,7 @@ class Collector:
         """
         if not self.enabled:
             return
+        path = self._prefix + path
         histogram = self._histograms.get(path)
         if histogram is None:
             histogram = Histogram(
@@ -359,15 +386,11 @@ class Collector:
         finally:
             self.observe(path, time.perf_counter() - start)
 
-    def histogram(self, path: str) -> Optional[Histogram]:
-        """The live histogram at ``path``, if one exists."""
-        return self._histograms.get(path)
-
     def histograms(self) -> Dict[str, Dict[str, Any]]:
         """Flat path -> histogram-dict map, sorted by path."""
         return {
-            path: self._histograms[path].to_dict()
-            for path in sorted(self._histograms)
+            path: histogram.to_dict()
+            for path, histogram in self._own(self._histograms)
         }
 
     def merge_histograms(
@@ -383,77 +406,62 @@ class Collector:
             return
         for path in sorted(histograms):
             view = histograms[path]
-            histogram = self._histograms.get(path)
+            key = self._prefix + path
+            histogram = self._histograms.get(key)
             if histogram is None:
                 histogram = Histogram(view["bounds"])
-                self._histograms[path] = histogram
+                self._histograms[key] = histogram
             histogram.merge(view)
 
     # -- spans --------------------------------------------------------------
     @contextmanager
     def span(self, path: str) -> Iterator[None]:
-        """Time a block of work as one span named ``path``.
+        """Time a block of work as one span named ``prefix + path``.
 
-        The innermost open span is the parent; the closed
+        The innermost open span of the root is the parent; the closed
         :class:`~repro.telemetry.trace.TraceSpan` carries its wall
         start and duration, which no determinism contract covers.
         """
         if not (self.enabled and self.record_spans):
             yield
             return
-        parent = self._open
+        root = self._root
+        path = self._prefix + path
+        parent = root._open
         if parent is None:
             context = TraceContext(
-                _COLLECTOR_TRACE_ID, str(self._roots), None, path, self._log
+                _COLLECTOR_TRACE_ID, str(root._roots), None, path, root._log
             )
-            self._roots += 1
+            root._roots += 1
         else:
             context = parent.start(path)
-        self._open = context
+        root._open = context
         start = time.perf_counter()
         try:
             yield
         finally:
-            context.wall_start_s = start - self._origin
+            context.wall_start_s = start - root._origin
             context.wall_duration_s = time.perf_counter() - start
-            self._open = parent
-            dropped = self._log.dropped
+            root._open = parent
+            dropped = root._log.dropped
             context.finish()
-            if self._log.dropped > dropped:
+            if root._log.dropped > dropped:
                 # Surface the overflow instead of discarding silently:
                 # account the drop as a counter (visible in every
                 # report) and warn once per collector.
-                self._counters[DROPPED_SPANS_COUNTER] = (
-                    self._counters.get(DROPPED_SPANS_COUNTER, 0) + 1
-                )
-                if not self._drop_warned:
-                    self._drop_warned = True
+                root.count(DROPPED_SPANS_COUNTER)
+                if not root._drop_warned:
+                    root._drop_warned = True
                     _log.warning(
                         "span buffer full (max_spans=%d): dropping "
                         "further spans; drops are counted under %r",
-                        self.max_spans,
+                        root.max_spans,
                         DROPPED_SPANS_COUNTER,
                     )
 
     def spans(self) -> List[TraceSpan]:
-        """The recorded spans, in closing order."""
-        return self._log.spans()
-
-    @property
-    def spans_dropped(self) -> int:
-        """Spans timed but not stored because ``max_spans`` was hit."""
-        return self._log.dropped
-
-    # -- lifecycle ----------------------------------------------------------
-    def reset(self) -> None:
-        """Drop all counters, histograms, and spans; restart the origin."""
-        self._counters.clear()
-        self._histograms.clear()
-        self._reset_spans()
-
-    def scope(self, prefix: str) -> "ScopedCollector":
-        """A view that prefixes every path with ``prefix + '/'``."""
-        return ScopedCollector(self, prefix)
+        """The root's recorded spans, in closing order."""
+        return self._root._log.spans()
 
     def __bool__(self) -> bool:
         """Truthy iff enabled — lets hooks guard optional aggregation."""
@@ -461,9 +469,9 @@ class Collector:
 
     def __repr__(self) -> str:
         return (
-            f"Collector(enabled={self.enabled}, "
-            f"counters={len(self._counters)}, "
-            f"spans={len(self._log.spans())})"
+            f"Collector(prefix={self._prefix!r}, enabled={self.enabled}, "
+            f"counters={len(self.counters())}, "
+            f"spans={len(self.spans())})"
         )
 
     # -- export -------------------------------------------------------------
@@ -474,110 +482,16 @@ class Collector:
         seed and across engine backends; the span section measures the
         host and is excluded from every equality check.
         """
+        log = self._root._log
         return {
             "schema_version": SCHEMA_VERSION,
             "counters": self.counters(),
             "counter_tree": self.counter_tree(),
             "histograms": self.histograms(),
-            "spans": self._log.to_dicts(),
-            "spans_dropped": self._log.dropped,
+            "spans": log.to_dicts(),
+            "spans_dropped": log.dropped,
         }
 
-
-class ScopedCollector:
-    """A prefixing view onto a base collector.
-
-    Carries the same hook API (``count`` / ``set`` / ``get`` /
-    ``clear`` / ``span`` / ``scope``), rewriting every path to
-    ``prefix/path`` — this is how one collector threads through nested
-    components (simulator -> deployment -> engine -> tile) and ends up
-    with one coherent hierarchy.
-    """
-
-    def __init__(self, base: Collector, prefix: str) -> None:
-        if not prefix:
-            raise ValueError("scope prefix must be non-empty")
-        self._base = base
-        self._prefix = prefix.rstrip("/")
-
-    @property
-    def enabled(self) -> bool:
-        return self._base.enabled
-
-    @property
-    def prefix(self) -> str:
-        return self._prefix
-
-    @property
-    def base(self) -> Collector:
-        """The root collector this view writes into."""
-        return self._base
-
-    def _path(self, path: str) -> str:
-        return f"{self._prefix}/{path}"
-
-    def count(self, path: str, n: Number = 1) -> None:
-        self._base.count(self._path(path), n)
-
-    def set(self, path: str, value: Number) -> None:
-        self._base.set(self._path(path), value)
-
-    def get(self, path: str, default: Number = 0) -> Number:
-        return self._base.get(self._path(path), default)
-
-    def clear(self, path: str) -> None:
-        self._base.clear(self._path(path))
-
-    def clear_tree(self, prefix: str) -> None:
-        self._base.clear_tree(self._path(prefix))
-
-    def merge_counters(self, counters: Mapping[str, Number]) -> None:
-        """Additively merge a counter map, rewriting paths under the scope."""
-        if not self._base.enabled:
-            return
-        for path in sorted(counters):
-            self._base.count(self._path(path), counters[path])
-
-    def observe(
-        self,
-        path: str,
-        value: Number,
-        bounds: Optional[Sequence[float]] = None,
-    ) -> None:
-        self._base.observe(self._path(path), value, bounds=bounds)
-
-    def timed(self, path: str) -> ContextManager[None]:
-        return self._base.timed(self._path(path))
-
-    def histogram(self, path: str) -> Optional[Histogram]:
-        return self._base.histogram(self._path(path))
-
-    def merge_histograms(
-        self, histograms: Mapping[str, Mapping[str, Any]]
-    ) -> None:
-        """Merge a histogram map, rewriting paths under the scope."""
-        if not self._base.enabled:
-            return
-        for path in sorted(histograms):
-            view = histograms[path]
-            self._base.merge_histograms({self._path(path): view})
-
-    def span(self, path: str) -> ContextManager[None]:
-        return self._base.span(self._path(path))
-
-    def scope(self, prefix: str) -> "ScopedCollector":
-        return ScopedCollector(self._base, self._path(prefix))
-
-    def __bool__(self) -> bool:
-        return self._base.enabled
-
-    def __repr__(self) -> str:
-        return f"ScopedCollector({self._prefix!r} -> {self._base!r})"
-
-
-#: Any object honouring the collector hook API (a :class:`Collector`
-#: or a :class:`ScopedCollector` view).
-TelemetryLike = Union[Collector, ScopedCollector]
 
 #: Shared disabled collector: the ``collector or NULL_COLLECTOR``
 #: fallback that makes every instrumentation hook a cheap no-op when

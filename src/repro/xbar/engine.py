@@ -88,7 +88,7 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.nn.engine import MatmulEngine
-from repro.telemetry import SCHEMA_VERSION, Collector, TelemetryLike
+from repro.telemetry import SCHEMA_VERSION, Collector
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngLike, derive_seed, new_rng
 from repro.utils.validation import (
@@ -232,11 +232,12 @@ class CrossbarEngineConfig:
 def weights_hash(weights: np.ndarray) -> str:
     """Content digest of a weight matrix (shape + float64 bytes).
 
-    The programmed-state identity of one engine: two weight arrays
-    with the same hash program byte-identical crossbar levels under
-    the same config, so callers (the serve layer's programmed-state
-    cache) may skip reprogramming on a match.  ``prepare`` makes the
-    same decision by comparing bytes with its last programmed matrix.
+    Two weight arrays with the same hash program byte-identical
+    crossbar levels under the same config.
+    :meth:`repro.api.Simulator.cache_key` hashes every network
+    parameter with it to key the serve layer's programmed-state cache;
+    ``CrossbarEngine.prepare`` makes the same skip decision by
+    comparing bytes with its last programmed matrix.
     """
     array = np.ascontiguousarray(np.asarray(weights, dtype=np.float64))
     digest = hashlib.sha256()
@@ -353,7 +354,7 @@ class CrossbarEngine(MatmulEngine):
         self,
         config: Optional[CrossbarEngineConfig] = None,
         rng: RngLike = None,
-        collector: Optional[TelemetryLike] = None,
+        collector: Optional[Collector] = None,
     ) -> None:
         self.config = config or CrossbarEngineConfig()
         self._rng = new_rng(rng)
@@ -362,7 +363,7 @@ class CrossbarEngine(MatmulEngine):
         # collector (usually a per-layer scope from deploy_network)
         # additionally receives prepare/matmul timing spans and the
         # per-tile counter hierarchy.
-        self.telemetry: TelemetryLike = (
+        self.telemetry: Collector = (
             collector
             if collector is not None
             else Collector(record_spans=False)
@@ -377,9 +378,8 @@ class CrossbarEngine(MatmulEngine):
         self._tile_weights: Dict[Tuple[str, int], float] = {}
         #: ``(rows, cols)`` of the prepared weight matrix.
         self._shape: Optional[Tuple[int, int]] = None
-        #: Copy of the last programmed weight matrix and its hash.
+        #: Copy of the last programmed weight matrix.
         self._programmed: Optional[np.ndarray] = None
-        self._cached_weights_hash: Optional[str] = None
         self._quantized: Optional[np.ndarray] = None
         self._coder = _CODERS[self.config.input_mode](self.config.encoding)
         self._signed_levels: Optional[np.ndarray] = None
@@ -403,7 +403,6 @@ class CrossbarEngine(MatmulEngine):
         reuse_tiles = self._shape == weights.shape
         self._shape = weights.shape
         self._programmed = weights.copy()
-        self._cached_weights_hash = weights_hash(self._programmed)
         sliced = map_weights(weights, self.config.mapping)
         self._scale, self._offset_int = sliced.scale, sliced.offset_int
         radix = 2**sliced.mapping.cell_bits
@@ -490,17 +489,6 @@ class CrossbarEngine(MatmulEngine):
     def array_count(self) -> int:
         """Physical arrays holding the prepared matrix (all planes)."""
         return sum(tile.array_count for tile in self._tiles.values())
-
-    def cache_key(self) -> Tuple[str, str]:
-        """``(weights_hash, device_config_hash)`` of the programmed state.
-
-        Two engines with equal keys hold byte-identical programmed
-        levels (same weights, same pipeline config), so one may stand
-        in for the other without reprogramming.
-        """
-        if self._cached_weights_hash is None:
-            raise RuntimeError("prepare() must be called first")
-        return self._cached_weights_hash, device_config_hash(self.config)
 
     def info(self) -> dict:
         """Engine description surfaced by deployments and the facade."""

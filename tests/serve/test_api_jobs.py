@@ -18,6 +18,7 @@ from repro.api import (
     TrainingJob,
     run_job,
 )
+from repro.telemetry import Collector
 from repro.xbar.engine import CrossbarEngineConfig
 
 
@@ -31,6 +32,21 @@ class TestSimulatorRun:
         sim = Simulator.from_workload("mlp", seed=1)
         with pytest.raises(TypeError, match="run_job"):
             sim.run(ReliabilityJob(workload="mlp", seed=1))
+
+    def test_scoped_collector_counters_snapshot(self):
+        """A simulator on a scope snapshots that scope's subtree."""
+        root = Collector()
+        sim = Simulator.from_workload(
+            "mlp", seed=1, collector=root.scope("job")
+        )
+        sim.run(InferenceJob(workload="mlp", seed=1, count=4, batch=4))
+        expected = {
+            path[len("job/"):]: value
+            for path, value in root.counters().items()
+            if path.startswith("job/")
+        }
+        assert expected
+        assert sim.counters_snapshot() == expected
 
     def test_input_seed_draws_independent_stream(self):
         sim = Simulator.from_workload("mlp", seed=3)

@@ -12,7 +12,6 @@ from repro.telemetry import (
     NULL_COLLECTOR,
     SCHEMA_VERSION,
     Collector,
-    ScopedCollector,
     TraceSpan,
     profile_report,
     trace_chrome_document,
@@ -52,16 +51,6 @@ class TestCounters:
         collector.count("m/x")
         assert list(collector.counters()) == ["a", "m/x", "z"]
 
-    def test_clear_single_and_tree(self):
-        collector = Collector()
-        collector.count("tile[0]/reads", 1)
-        collector.count("tile[1]/reads", 1)
-        collector.count("mvm_calls", 1)
-        collector.clear("mvm_calls")
-        assert collector.get("mvm_calls") == 0
-        collector.clear_tree("tile[")
-        assert collector.counters() == {}
-
     def test_counter_tree_nests_by_slash(self):
         collector = Collector()
         collector.count("engine/fc1/reads", 4)
@@ -78,15 +67,6 @@ class TestCounters:
         tree = collector.counter_tree()
         assert tree["a"]["b"][""] == 1
         assert tree["a"]["b"]["c"] == 2
-
-    def test_reset_clears_everything(self):
-        collector = Collector()
-        collector.count("x", 1)
-        with collector.span("s"):
-            pass
-        collector.reset()
-        assert collector.counters() == {}
-        assert collector.spans() == []
 
 
 class TestMergeCounters:
@@ -187,7 +167,7 @@ class TestSpans:
             with collector.span("s"):
                 pass
         assert len(collector.spans()) == 2
-        assert collector.spans_dropped == 3
+        assert collector.report()["spans_dropped"] == 3
 
     def test_negative_max_spans_rejected(self):
         with pytest.raises(ValueError):
@@ -233,11 +213,76 @@ class TestScopedCollector:
 
     def test_scope_requires_prefix(self):
         with pytest.raises(ValueError):
-            ScopedCollector(Collector(), "")
+            Collector().scope("")
 
     def test_scope_truthiness_follows_base(self):
         assert not Collector(enabled=False).scope("x")
         assert Collector().scope("x")
+
+    def test_scope_is_a_collector(self):
+        assert isinstance(Collector().scope("a"), Collector)
+
+    def test_nested_scope_hooks_land_in_root_store(self):
+        collector = Collector()
+        scoped = collector.scope("a").scope("b")
+        scoped.count("hits", 2)
+        scoped.set("gauge", 7)
+        scoped.observe("batch", 3)
+        scoped.merge_counters({"merged": 4})
+        scoped.merge_histograms({
+            "sizes": {"bounds": [1.0, 2.0], "counts": [1, 0, 0],
+                      "count": 1, "sum": 0.5},
+        })
+        with scoped.span("work"):
+            pass
+        assert collector.counters() == {
+            "a/b/gauge": 7, "a/b/hits": 2, "a/b/merged": 4,
+        }
+        assert sorted(collector.histograms()) == ["a/b/batch", "a/b/sizes"]
+        assert collector.histograms()["a/b/sizes"]["count"] == 1
+        (record,) = collector.spans()
+        assert record.name == "a/b/work"
+
+    def test_scope_span_overflow_counts_at_root(self):
+        collector = Collector(max_spans=1)
+        scoped = collector.scope("engine")
+        for _ in range(3):
+            with scoped.span("matmul"):
+                pass
+        assert collector.get("telemetry/dropped_spans") == 2
+        assert collector.report()["spans_dropped"] == 2
+        assert scoped.get("telemetry/dropped_spans") == 0
+
+    def test_scope_of_disabled_collector_records_nothing(self):
+        collector = Collector(enabled=False)
+        scoped = collector.scope("a")
+        scoped.count("hits")
+        scoped.set("gauge", 1)
+        scoped.observe("batch", 3)
+        scoped.merge_counters({"merged": 1})
+        with scoped.span("work"):
+            pass
+        assert not scoped
+        assert collector.counters() == {}
+        assert collector.histograms() == {}
+        assert collector.spans() == []
+
+    def test_scope_reads_its_own_subtree(self):
+        collector = Collector()
+        collector.count("top", 1)
+        collector.count("engine/fc1/reads", 3)
+        collector.count("engine/fc1/tile[pos,0]/reads", 2)
+        collector.count("engine/fc10/reads", 9)
+        collector.observe("engine/fc1/batch", 4)
+        scoped = collector.scope("engine/fc1")
+        assert scoped.counters() == {"reads": 3, "tile[pos,0]/reads": 2}
+        for path, value in scoped.counters().items():
+            assert scoped.get(path) == value
+        assert list(scoped.histograms()) == ["batch"]
+        assert scoped.counter_tree() == {
+            "reads": 3, "tile[pos,0]": {"reads": 2},
+        }
+        assert len(collector.counters()) == 4
 
 
 class TestExport:
