@@ -14,7 +14,7 @@ Subpackages
     integrate-and-fire ADC, tiled arrays, and a drop-in matmul engine.
 ``repro.arch``
     Cost models: technology parameter tables, per-component energy,
-    bank/subarray organisation, and the GTX 1080 roofline baseline.
+    area/power and endurance reports, and the GTX 1080 roofline baseline.
 ``repro.core``
     The paper's contribution: PipeLayer data mapping and inter-layer
     pipeline, ReGAN's FCNN mapping and GAN training pipelines (with

@@ -10,7 +10,6 @@ from repro.arch.components import (
 )
 from repro.arch.endurance import (
     LifetimeReport,
-    lifetime_for,
     training_lifetime,
 )
 from repro.arch.gpu import BACKWARD_FLOP_FACTOR, GpuLayerTiming, GpuModel
@@ -18,7 +17,6 @@ from repro.arch.report import (
     GTX1080_DIE_MM2,
     AreaPowerReport,
     pipelayer_report,
-    regan_report,
 )
 from repro.arch.params import DEFAULT_TECH, GTX1080, GpuParams, XbarTechParams
 from repro.arch.sensitivity import (
@@ -28,7 +26,6 @@ from repro.arch.sensitivity import (
     scaled_tech,
     tech_sensitivity,
 )
-from repro.arch.subarray import Bank, Subarray, SubarrayKind, SubarrayMode
 
 __all__ = [
     "EnergyBreakdown",
@@ -39,7 +36,6 @@ __all__ = [
     "chip_area_mm2",
     "LifetimeReport",
     "training_lifetime",
-    "lifetime_for",
     "GpuModel",
     "GpuLayerTiming",
     "BACKWARD_FLOP_FACTOR",
@@ -50,14 +46,9 @@ __all__ = [
     "GTX1080_DIE_MM2",
     "AreaPowerReport",
     "pipelayer_report",
-    "regan_report",
     "SensitivityRow",
     "SWEEPABLE_FIELDS",
     "tech_sensitivity",
     "scaled_tech",
     "conclusion_robustness",
-    "Bank",
-    "Subarray",
-    "SubarrayKind",
-    "SubarrayMode",
 ]

@@ -92,18 +92,3 @@ def training_lifetime(
         batch=batch,
         seconds_per_batch=seconds_per_batch,
     )
-
-
-def lifetime_for(
-    network_name: str,
-    endurance: float,
-    seconds_per_batch: float,
-    batch: int = 32,
-) -> LifetimeReport:
-    """Direct lifetime computation from raw quantities."""
-    return LifetimeReport(
-        network=network_name,
-        endurance=endurance,
-        batch=batch,
-        seconds_per_batch=seconds_per_batch,
-    )

@@ -3,8 +3,7 @@
 The PipeLayer/ReGAN papers report area and power alongside speedup;
 the overview paper's Table I keeps only speedup/energy, but any
 credible deployment answer needs the physical budget too.  This module
-derives both from a :class:`~repro.core.pipelayer.PipeLayerModel` or
-:class:`~repro.core.regan.ReGANModel`:
+derives both from a :class:`~repro.core.pipelayer.PipeLayerModel`:
 
 * **area** — deployed arrays x per-array area (crossbar + periphery
   share), plus the memory/buffer subarray share;
@@ -25,7 +24,6 @@ from repro.utils.validation import check_positive
 
 if TYPE_CHECKING:  # annotation-only: core sits above arch (ARCH001)
     from repro.core.pipelayer import PipeLayerModel
-    from repro.core.regan import ReGANModel
 
 #: GP104 die area (mm^2), the GTX 1080's silicon.
 GTX1080_DIE_MM2 = 314.0
@@ -91,21 +89,4 @@ def pipelayer_report(
         memory_area_mm2=compute_area * MEMORY_REGION_FACTOR,
         static_power_w=model.static_power_watts(),
         dynamic_power_w=dynamic_power,
-    )
-
-
-def regan_report(model: ReGANModel, batch: int = 32) -> AreaPowerReport:
-    """Area/power budget of a ReGAN deployment."""
-    check_positive("batch", batch)
-    arrays = model.total_arrays
-    compute_area = chip_area_mm2(model.tech, arrays)
-    time = model.time_per_iteration(batch)
-    energy = model.energy_per_iteration(batch)
-    return AreaPowerReport(
-        name=model.dataset,
-        array_count=arrays,
-        compute_area_mm2=compute_area,
-        memory_area_mm2=compute_area * MEMORY_REGION_FACTOR,
-        static_power_w=model.static_power_watts(),
-        dynamic_power_w=energy.dynamic / time,
     )

@@ -728,16 +728,29 @@ def _comma_list(kind: Callable[[str], Any], noun: str) -> Callable:
     return parse
 
 
-def _positive_int(text: str) -> int:
-    """An argparse ``type=`` for a count, size or depth (``> 0``)."""
+def _integer(text: str) -> int:
+    """Parse an integer flag value; a non-integer is a usage error."""
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"must be an integer, got {text!r}"
         ) from None
+
+
+def _positive_int(text: str) -> int:
+    """An argparse ``type=`` for a count, size or depth (``> 0``)."""
+    value = _integer(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    """An argparse ``type=`` for an epoch count (``>= 0``)."""
+    value = _integer(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -791,7 +804,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated sweep points (default: per-axis preset)",
     )
     campaign.add_argument("--count", type=_positive_int, default=32)
-    campaign.add_argument("--train-epochs", type=int, default=5)
+    campaign.add_argument(
+        "--train-epochs", type=_non_negative_int, default=5
+    )
     campaign.add_argument(
         "--no-tiles",
         action="store_true",

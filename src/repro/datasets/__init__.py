@@ -1,9 +1,7 @@
 """Synthetic stand-ins for the paper's datasets (offline substitution)."""
 
 from repro.datasets.synthetic import (
-    CELEBA_SHAPE,
     CIFAR10_SHAPE,
-    LSUN_SHAPE,
     MNIST_SHAPE,
     DatasetShape,
     gan_mode_templates,
@@ -16,8 +14,6 @@ __all__ = [
     "DatasetShape",
     "MNIST_SHAPE",
     "CIFAR10_SHAPE",
-    "CELEBA_SHAPE",
-    "LSUN_SHAPE",
     "gan_mode_templates",
     "make_classification_images",
     "make_train_test",

@@ -43,12 +43,9 @@ class DatasetShape:
         return (self.channels, self.size, self.size)
 
 
-#: Shapes matching the paper's datasets (GAN sets are sized to the
-#: nearest power of two, the DCGAN convention).
+#: Shapes matching the paper's classification datasets.
 MNIST_SHAPE = DatasetShape("mnist", 1, 28, 10)
 CIFAR10_SHAPE = DatasetShape("cifar10", 3, 32, 10)
-CELEBA_SHAPE = DatasetShape("celeba", 3, 64, 2)
-LSUN_SHAPE = DatasetShape("lsun", 3, 64, 10)
 
 
 def _class_templates(

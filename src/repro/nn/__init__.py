@@ -9,8 +9,6 @@ discriminator pair of Fig. 2.
 from repro.nn.engine import ExactEngine, MatmulEngine, run_engine
 from repro.nn.gan import GANHistory, GANTrainer
 from repro.nn.gan_metrics import (
-    discriminator_gap,
-    gan_quality_report,
     mode_coverage,
     mode_histogram,
     sample_diversity,
@@ -37,7 +35,6 @@ from repro.nn.layers import (
 from repro.nn.losses import (
     BinaryCrossEntropyWithLogits,
     Loss,
-    MeanSquaredError,
     SoftmaxCrossEntropy,
     accuracy,
 )
@@ -49,10 +46,8 @@ from repro.nn.models import (
     build_mnist_cnn,
 )
 from repro.nn.network import Sequential
-from repro.nn.serialization import load_network, network_state, save_network
-from repro.nn.optim import SGD, Adam, Optimizer, clip_gradients
+from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.parameter import Parameter, ParameterSnapshot
-from repro.nn.schedule import CosineLR, LRSchedule, StepLR, WarmupLR
 from repro.nn.train import (
     TrainHistory,
     evaluate_classifier,
@@ -69,8 +64,6 @@ __all__ = [
     "mode_coverage",
     "mode_histogram",
     "sample_diversity",
-    "discriminator_gap",
-    "gan_quality_report",
     "Layer",
     "StatelessLayer",
     "Dense",
@@ -89,7 +82,6 @@ __all__ = [
     "Reshape",
     "Dropout",
     "Loss",
-    "MeanSquaredError",
     "SoftmaxCrossEntropy",
     "BinaryCrossEntropyWithLogits",
     "accuracy",
@@ -99,17 +91,9 @@ __all__ = [
     "build_dcgan_generator",
     "build_dcgan_discriminator",
     "Sequential",
-    "save_network",
-    "load_network",
-    "network_state",
     "Optimizer",
     "SGD",
     "Adam",
-    "clip_gradients",
-    "LRSchedule",
-    "StepLR",
-    "CosineLR",
-    "WarmupLR",
     "Parameter",
     "ParameterSnapshot",
     "TrainHistory",

@@ -10,13 +10,9 @@ synthetic data makes exact:
   generated sample lands nearest to.  Mode collapse shows up directly.
 * **sample diversity** — mean pairwise L2 distance between generated
   samples; collapse also crushes this.
-* **discriminator gap** — mean D score on real minus on fake; a healthy
-  adversarial game keeps it small but positive.
 """
 
 from __future__ import annotations
-
-from typing import Tuple
 
 import numpy as np
 
@@ -71,27 +67,3 @@ def sample_diversity(samples: np.ndarray) -> float:
         )
         count += len(rest)
     return total / count
-
-
-def discriminator_gap(
-    real_scores: np.ndarray, fake_scores: np.ndarray
-) -> float:
-    """Mean D(real) minus mean D(fake), scores in [0, 1]."""
-    real_scores = np.asarray(real_scores, dtype=np.float64)
-    fake_scores = np.asarray(fake_scores, dtype=np.float64)
-    if np.any((real_scores < 0) | (real_scores > 1)):
-        raise ValueError("real scores must lie in [0, 1]")
-    if np.any((fake_scores < 0) | (fake_scores > 1)):
-        raise ValueError("fake scores must lie in [0, 1]")
-    return float(np.mean(real_scores) - np.mean(fake_scores))
-
-
-def gan_quality_report(
-    samples: np.ndarray, templates: np.ndarray
-) -> Tuple[float, float, np.ndarray]:
-    """(mode coverage, diversity, per-mode histogram) in one call."""
-    return (
-        mode_coverage(samples, templates),
-        sample_diversity(samples),
-        mode_histogram(samples, templates),
-    )

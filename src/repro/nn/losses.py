@@ -25,28 +25,6 @@ class Loss:
         return self.forward(predictions, targets)
 
 
-class MeanSquaredError(Loss):
-    """Mean squared error over all elements."""
-
-    def __init__(self) -> None:
-        self._diff: np.ndarray | None = None
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        predictions = np.asarray(predictions, dtype=np.float64)
-        targets = np.asarray(targets, dtype=np.float64)
-        if predictions.shape != targets.shape:
-            raise ValueError(
-                f"shape mismatch: {predictions.shape} vs {targets.shape}"
-            )
-        self._diff = predictions - targets
-        return float(np.mean(self._diff**2))
-
-    def backward(self) -> np.ndarray:
-        if self._diff is None:
-            raise RuntimeError("backward before forward")
-        return 2.0 * self._diff / self._diff.size
-
-
 class SoftmaxCrossEntropy(Loss):
     """Softmax + cross-entropy over integer class labels.
 

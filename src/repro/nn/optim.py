@@ -118,20 +118,3 @@ class Adam(Optimizer):
             parameter.value -= (
                 self.lr * corrected_first / (np.sqrt(corrected_second) + self.eps)
             )
-
-
-def clip_gradients(parameters: Iterable[Parameter], max_norm: float) -> float:
-    """Scale gradients so their global L2 norm is at most ``max_norm``.
-
-    Returns the pre-clip norm, handy for monitoring divergence.
-    """
-    check_positive("max_norm", max_norm)
-    parameters = list(parameters)
-    total = float(
-        np.sqrt(sum(float(np.sum(p.grad**2)) for p in parameters))
-    )
-    if total > max_norm and total > 0.0:
-        scale = max_norm / total
-        for parameter in parameters:
-            parameter.grad *= scale
-    return total

@@ -53,7 +53,11 @@ from repro.reliability.metrics import (
 )
 from repro.sweep import SweepCache, SweepCell, run_sweep
 from repro.telemetry import NULL_COLLECTOR, SCHEMA_VERSION, Collector
-from repro.utils.validation import check_choice, check_positive
+from repro.utils.validation import (
+    check_choice,
+    check_non_negative,
+    check_positive,
+)
 from repro.xbar.device import DeviceConfig
 from repro.xbar.engine import (
     CrossbarEngineConfig,
@@ -348,6 +352,7 @@ def campaign_cells(
     ``name``, ``seed`` and ``backend``, so callers name the cells'
     telemetry scopes from the cell itself.
     """
+    check_non_negative("train_epochs", train_epochs)
     config_dict = engine_config_to_dict(
         engine_config or CrossbarEngineConfig()
     )
@@ -442,6 +447,7 @@ def run_campaign(
     check_choice("backend", backend, BACKENDS)
     check_positive("count", count)
     check_positive("batch", batch)
+    check_non_negative("train_epochs", train_epochs)
     tel = collector if collector is not None else NULL_COLLECTOR
     scenarios = scenarios_for(axis, rates)
     base_config = engine_config or CrossbarEngineConfig()

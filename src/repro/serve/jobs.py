@@ -201,9 +201,9 @@ class TrainingJob(JobSpec):
 class ReliabilityJob(JobSpec):
     """A fault-injection campaign (see :mod:`repro.reliability`).
 
-    ``rates=None`` sweeps the per-axis preset; ``backend`` here also
-    accepts ``"both"`` semantics through the campaign runner when left
-    ``None`` — the job pins one backend, the campaign's cross-backend
+    ``rates=None`` sweeps the per-axis preset.  ``backend=None`` runs
+    the campaign on the ``"vectorized"`` backend: a job pins one
+    backend, and the campaign's cross-backend (``"both"``)
     verification stays a CLI/API concern.
     """
 

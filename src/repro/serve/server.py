@@ -153,9 +153,22 @@ def _counter_delta(
 #: without buffering the body.
 MAX_BODY_BYTES = 1 << 20
 
+#: Most header lines the server reads from one request; a request with
+#: more is answered with 431.
+MAX_HEADER_LINES = 100
 
-class _BodyTooLarge(Exception):
-    """A request announced a body over :data:`MAX_BODY_BYTES`."""
+#: Seconds a client gets to send its request line, headers and body; a
+#: client that stalls past it is answered with 408.  A ``?wait=1`` hold
+#: starts after the request is read, so the deadline does not cover it.
+REQUEST_READ_TIMEOUT_S = 10.0
+
+
+class _RequestRefused(Exception):
+    """A request the server stops reading; ``status`` is its answer."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 _REASONS = {
@@ -164,7 +177,9 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
 }
 
 
@@ -805,10 +820,19 @@ class JobServer:
         writer: asyncio.StreamWriter,
     ) -> None:
         try:
-            method, target, body = await self._read_request(reader)
+            try:
+                method, target, body = await asyncio.wait_for(
+                    self._read_request(reader), REQUEST_READ_TIMEOUT_S
+                )
+            except asyncio.TimeoutError:  # not the builtin before 3.11
+                raise _RequestRefused(
+                    408,
+                    f"request not received within "
+                    f"{REQUEST_READ_TIMEOUT_S} s",
+                ) from None
             status, document = await self._route(method, target, body)
-        except _BodyTooLarge as exc:
-            status, document = 413, {"error": str(exc)}
+        except _RequestRefused as exc:
+            status, document = exc.status, {"error": str(exc)}
         except (
             asyncio.IncompleteReadError,
             ConnectionError,
@@ -847,17 +871,22 @@ class JobServer:
             raise ValueError(f"malformed request line {request_line!r}")
         method, target = parts[0].upper(), parts[1]
         length = 0
-        while True:
+        for _ in range(MAX_HEADER_LINES + 1):
             line = await reader.readline()
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
                 length = int(value.strip())
+        else:
+            raise _RequestRefused(
+                431, f"more than {MAX_HEADER_LINES} header lines"
+            )
         if length > MAX_BODY_BYTES:
-            raise _BodyTooLarge(
+            raise _RequestRefused(
+                413,
                 f"request body of {length} bytes exceeds the "
-                f"{MAX_BODY_BYTES}-byte limit"
+                f"{MAX_BODY_BYTES}-byte limit",
             )
         body = await reader.readexactly(length) if length else b""
         return method, target, body

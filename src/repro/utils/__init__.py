@@ -1,4 +1,4 @@
-"""Shared utilities: RNG management, quantization, im2col, validation,
+"""Shared utilities: RNG management, im2col, validation,
 component-prefixed logging."""
 
 from repro.utils.im2col import (
@@ -10,19 +10,11 @@ from repro.utils.im2col import (
 )
 from repro.utils.logging import configure as configure_logging
 from repro.utils.logging import get_logger
-from repro.utils.quant import (
-    QuantSpec,
-    clip_to_range,
-    dequantize_uniform,
-    quantize_symmetric,
-    quantize_uniform,
-)
 from repro.utils.rng import new_rng, spawn_rngs
 from repro.utils.validation import (
     check_in_range,
     check_non_negative,
     check_positive,
-    check_shape,
 )
 
 __all__ = [
@@ -30,11 +22,6 @@ __all__ = [
     "get_logger",
     "new_rng",
     "spawn_rngs",
-    "QuantSpec",
-    "quantize_uniform",
-    "dequantize_uniform",
-    "quantize_symmetric",
-    "clip_to_range",
     "im2col",
     "col2im",
     "conv_output_size",
@@ -43,5 +30,4 @@ __all__ = [
     "check_positive",
     "check_non_negative",
     "check_in_range",
-    "check_shape",
 ]

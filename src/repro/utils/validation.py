@@ -13,8 +13,6 @@ import numbers
 import sys
 from typing import Any, Callable, Sequence, Tuple
 
-import numpy as np
-
 
 def check_positive(name: str, value: float) -> None:
     """Raise ``ValueError`` unless ``value`` is strictly positive."""
@@ -32,25 +30,6 @@ def check_in_range(name: str, value: float, low: float, high: float) -> None:
     """Raise ``ValueError`` unless ``low <= value <= high``."""
     if not (low <= value <= high):
         raise ValueError(f"{name} must be in [{low}, {high}], got {value!r}")
-
-
-def check_shape(name: str, array: np.ndarray, shape: Tuple[int, ...]) -> None:
-    """Raise ``ValueError`` unless ``array.shape == shape``.
-
-    A ``-1`` entry in ``shape`` matches any extent along that axis.
-    """
-    actual = array.shape
-    if len(actual) != len(shape):
-        raise ValueError(
-            f"{name} must have {len(shape)} dimensions {shape}, "
-            f"got shape {actual}"
-        )
-    for axis, (want, got) in enumerate(zip(shape, actual)):
-        if want != -1 and want != got:
-            raise ValueError(
-                f"{name} axis {axis} must have extent {want}, "
-                f"got shape {actual}"
-            )
 
 
 def check_choice(name: str, value: str, choices: Sequence[str]) -> None:

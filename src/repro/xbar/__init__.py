@@ -22,15 +22,7 @@ from repro.xbar.device import (
     DeviceModel,
     apply_ir_drop,
 )
-from repro.xbar.calibration import (
-    LayerCalibration,
-    calibrated_configs,
-    calibration_report,
-    collect_calibration,
-    deploy_calibrated,
-)
 from repro.xbar.engine import CrossbarEngine, CrossbarEngineConfig
-from repro.xbar.memory import ReRAMMemory
 from repro.xbar.mapping import (
     SlicedWeights,
     WeightMapping,
@@ -54,14 +46,8 @@ __all__ = [
     "PIPELAYER_DEVICE",
     "NOISY_DEVICE",
     "SOFT_ERROR_DEVICE",
-    "LayerCalibration",
-    "collect_calibration",
-    "calibrated_configs",
-    "calibration_report",
-    "deploy_calibrated",
     "CrossbarEngine",
     "CrossbarEngineConfig",
-    "ReRAMMemory",
     "WeightMapping",
     "SlicedWeights",
     "map_weights",

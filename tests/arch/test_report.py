@@ -6,10 +6,9 @@ from repro.arch.report import (
     GTX1080_DIE_MM2,
     AreaPowerReport,
     pipelayer_report,
-    regan_report,
 )
-from repro.core import PipeLayerModel, ReGANModel
-from repro.workloads import alexnet_spec, dcgan_spec, mnist_cnn_spec
+from repro.core import PipeLayerModel
+from repro.workloads import alexnet_spec, mnist_cnn_spec
 
 
 class TestPipeLayerReport:
@@ -63,28 +62,3 @@ class TestPipeLayerReport:
         )
         assert "arrays" in report.summary()
         assert "W" in report.summary()
-
-
-class TestReGANReport:
-    def test_report_positive(self):
-        generator, discriminator = dcgan_spec(32, 1, base_channels=64)
-        model = ReGANModel(
-            generator, discriminator, array_budget=131072, dataset="mnist"
-        )
-        report = regan_report(model)
-        assert report.total_area_mm2 > 0
-        assert report.total_power_w > 0
-        assert report.array_count == model.total_arrays
-
-    def test_sp_costs_more_area_than_pipelined(self):
-        generator, discriminator = dcgan_spec(32, 1, base_channels=64)
-        base = ReGANModel(
-            generator, discriminator, array_budget=131072,
-            scheme="pipelined", dataset="mnist",
-        )
-        # Same budget: SP spends part of it duplicating D, but the
-        # duplicated deployment never *shrinks* relative to what its
-        # own budget allows; compare at equal D duplication by using
-        # each model's own report consistency instead.
-        report = regan_report(base)
-        assert report.summary().startswith("mnist")

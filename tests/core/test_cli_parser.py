@@ -163,7 +163,9 @@ def test_malformed_or_empty_list_exits_two(capsys, argv):
         ["train", "mlp", "--epochs", "0"],
         ["sensitivity", "--workers", "0"],
         ["reliability", "mlp", "--count", "0"],
+        ["reliability", "mlp", "--train-epochs", "-1"],
         ["sweep", "mlp", "--workers", "0"],
+        ["sweep", "mlp", "--train-epochs", "-1"],
         ["serve", "--smoke", "0"],
         ["bench", "--workers", "-1"],
         ["report", "trace", "--layers", "0"],

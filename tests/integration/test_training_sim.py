@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.arch import lifetime_for, training_lifetime
+from repro.arch import LifetimeReport, training_lifetime
 from repro.core import PipeLayerModel
 from repro.core.training_sim import compare_noise_aware, train_on_crossbar
 from repro.datasets import make_train_test
@@ -163,26 +163,27 @@ class TestEnduranceAnalysis:
         assert report.lifetime_examples == pytest.approx(32e9)
 
     def test_low_endurance_short_lifetime(self):
-        fragile = lifetime_for("net", endurance=1e6,
-                               seconds_per_batch=1e-4)
-        robust = lifetime_for("net", endurance=1e12,
-                              seconds_per_batch=1e-4)
+        fragile = LifetimeReport("net", endurance=1e6, batch=32,
+                                 seconds_per_batch=1e-4)
+        robust = LifetimeReport("net", endurance=1e12, batch=32,
+                                seconds_per_batch=1e-4)
         assert fragile.lifetime_seconds < robust.lifetime_seconds
         assert fragile.lifetime_days == pytest.approx(
             1e6 * 1e-4 / 86400.0
         )
 
     def test_faster_training_wears_out_sooner_in_wall_clock(self):
-        slow = lifetime_for("net", endurance=1e9, seconds_per_batch=1e-2)
-        fast = lifetime_for("net", endurance=1e9, seconds_per_batch=1e-5)
+        slow = LifetimeReport("net", 1e9, batch=32, seconds_per_batch=1e-2)
+        fast = LifetimeReport("net", 1e9, batch=32, seconds_per_batch=1e-5)
         assert fast.lifetime_seconds < slow.lifetime_seconds
         # Same number of batches either way: the budget is writes.
         assert fast.lifetime_batches == slow.lifetime_batches
 
     def test_summary_renders(self):
-        report = lifetime_for("mnist", 1e9, 1e-4)
+        report = LifetimeReport("mnist", 1e9, 32, 1e-4)
         assert "endurance" in report.summary()
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            lifetime_for("net", endurance=0, seconds_per_batch=1e-4)
+            LifetimeReport("net", endurance=0, batch=32,
+                           seconds_per_batch=1e-4)

@@ -5,8 +5,6 @@ import pytest
 
 from repro.datasets import DatasetShape, gan_mode_templates, make_gan_images
 from repro.nn.gan_metrics import (
-    discriminator_gap,
-    gan_quality_report,
     mode_assignments,
     mode_coverage,
     mode_histogram,
@@ -54,17 +52,6 @@ class TestModeCoverage:
         histogram = mode_histogram(samples, templates)
         assert histogram.min() > 0.5 * 100  # ~100 expected per mode
 
-    def test_report_bundles_all(self):
-        templates = gan_mode_templates(SHAPE, modes=4, rng=7)
-        samples = make_gan_images(16, SHAPE, modes=4, rng=7)
-        coverage, diversity, histogram = gan_quality_report(
-            samples, templates
-        )
-        assert coverage == mode_coverage(samples, templates)
-        assert diversity > 0
-        assert histogram.sum() == 16
-
-
 class TestDiversity:
     def test_identical_samples_zero(self):
         samples = np.ones((5, 1, 4, 4))
@@ -87,17 +74,3 @@ class TestDiversity:
                 total += np.linalg.norm(flat[i] - flat[j])
                 count += 1
         assert sample_diversity(samples) == pytest.approx(total / count)
-
-
-class TestDiscriminatorGap:
-    def test_perfect_discrimination(self):
-        assert discriminator_gap(np.ones(4), np.zeros(4)) == 1.0
-
-    def test_fooled_discriminator(self):
-        assert discriminator_gap(
-            np.full(4, 0.5), np.full(4, 0.5)
-        ) == pytest.approx(0.0)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            discriminator_gap(np.array([1.5]), np.array([0.5]))

@@ -5,40 +5,12 @@ import pytest
 
 from repro.nn.losses import (
     BinaryCrossEntropyWithLogits,
-    MeanSquaredError,
     SoftmaxCrossEntropy,
     accuracy,
 )
-from repro.nn.optim import SGD, Adam, clip_gradients
+from repro.nn.optim import SGD, Adam
 from repro.nn.parameter import Parameter
 from tests.conftest import numerical_gradient
-
-
-class TestMeanSquaredError:
-    def test_zero_at_match(self, rng):
-        values = rng.normal(size=(4, 3))
-        assert MeanSquaredError().forward(values, values) == 0.0
-
-    def test_known_value(self):
-        loss = MeanSquaredError()
-        assert loss.forward(np.array([1.0, 3.0]), np.array([0.0, 1.0])) == 2.5
-
-    def test_gradient_numeric(self, rng):
-        loss = MeanSquaredError()
-        predictions = rng.normal(size=(3, 4))
-        targets = rng.normal(size=(3, 4))
-
-        def value():
-            return loss.forward(predictions, targets)
-
-        value()
-        np.testing.assert_allclose(
-            loss.backward(), numerical_gradient(value, predictions), atol=1e-7
-        )
-
-    def test_shape_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            MeanSquaredError().forward(np.zeros((2, 3)), np.zeros((3, 2)))
 
 
 class TestSoftmaxCrossEntropy:
@@ -213,18 +185,3 @@ class TestAdam:
             Adam([parameter], beta1=1.0)
         with pytest.raises(ValueError):
             Adam([parameter], beta2=-0.1)
-
-
-class TestClipGradients:
-    def test_no_clip_below_threshold(self):
-        parameter = Parameter(np.zeros(2))
-        parameter.grad[:] = [0.3, 0.4]  # norm 0.5
-        norm = clip_gradients([parameter], max_norm=1.0)
-        assert norm == pytest.approx(0.5)
-        np.testing.assert_allclose(parameter.grad, [0.3, 0.4])
-
-    def test_clips_above_threshold(self):
-        parameter = Parameter(np.zeros(2))
-        parameter.grad[:] = [3.0, 4.0]  # norm 5
-        clip_gradients([parameter], max_norm=1.0)
-        assert np.linalg.norm(parameter.grad) == pytest.approx(1.0)

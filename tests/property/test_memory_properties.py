@@ -1,4 +1,4 @@
-"""Property tests: memory round trips and pipelined-trainer schedules."""
+"""Property tests: pipelined-trainer schedules."""
 
 from collections import Counter
 
@@ -13,37 +13,6 @@ from repro.core.schedule import (
     simulate_training_pipeline,
 )
 from repro.nn import SGD, Dense, Sequential, SoftmaxCrossEntropy
-from repro.xbar.memory import ReRAMMemory
-
-
-class TestMemoryRoundTrip:
-    @given(
-        width=st.sampled_from([4, 8, 12, 16]),
-        count=st.integers(1, 32),
-        seed=st.integers(0, 1000),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_ideal_round_trip_any_width(self, width, count, seed):
-        """Every word width and payload survives an ideal store/load."""
-        memory = ReRAMMemory.create(rows=16, cols=16, rng=0)
-        if count > memory.capacity_words(width):
-            return
-        rng = np.random.default_rng(seed)
-        values = rng.integers(0, 2**width, size=count)
-        memory.store(values, width=width)
-        np.testing.assert_array_equal(memory.load(), values)
-        assert memory.bit_error_rate(values) == 0.0
-
-    @given(
-        width=st.sampled_from([8, 16]),
-        seed=st.integers(0, 100),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_extreme_values_round_trip(self, width, seed):
-        memory = ReRAMMemory.create(rows=16, cols=16, rng=0)
-        values = np.array([0, 2**width - 1, 1, 2 ** (width - 1)])
-        memory.store(values, width=width)
-        np.testing.assert_array_equal(memory.load(), values)
 
 
 def _dense_stack(depth, width, outputs, seed):

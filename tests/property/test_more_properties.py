@@ -1,5 +1,5 @@
-"""Additional property-based tests: pipelined equivalence, allocation,
-rate coding, calibration, mapping balance."""
+"""Additional property-based tests: pipelined equivalence, rate coding,
+mapping balance."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -125,30 +125,3 @@ class TestBalanceDuplicationProperty:
         assert set(mappings) == {"c", "f"}
         assert sum(m.total_arrays for m in mappings.values()) <= budget
         del single
-
-
-class TestAllocationProperty:
-    @given(
-        budget=st.sampled_from([2048, 4096, 8192]),
-        morphable=st.sampled_from([64, 128, 384]),
-    )
-    @settings(max_examples=12, deadline=None)
-    def test_every_array_placed_no_bank_overfull(self, budget, morphable):
-        from repro.core.allocation import BankConfig, allocate_banks
-        from repro.core.pipelayer import PipeLayerModel
-        from repro.workloads import mnist_cnn_spec
-
-        model = PipeLayerModel(mnist_cnn_spec(), array_budget=budget)
-        result = allocate_banks(
-            model, BankConfig(morphable=morphable, memory=16, buffer=4)
-        )
-        assert result.total_compute_subarrays == model.total_arrays
-        for bank in result.banks:
-            from repro.arch.subarray import SubarrayKind
-
-            assigned = sum(
-                1
-                for s in bank.of_kind(SubarrayKind.MORPHABLE)
-                if s.assigned_to is not None
-            )
-            assert assigned <= morphable

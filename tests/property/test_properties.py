@@ -12,7 +12,6 @@ from repro.core.pipeline import (
 )
 from repro.core.schedule import simulate_training_pipeline
 from repro.utils.im2col import col2im, im2col
-from repro.utils.quant import QuantSpec
 from repro.xbar.dac import InputEncoding, SpikeCoder, quantize_activations
 from repro.xbar.mapping import WeightMapping, map_weights
 
@@ -20,30 +19,6 @@ from repro.xbar.mapping import WeightMapping, map_weights
 small_floats = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
 )
-
-
-class TestQuantProperties:
-    @given(
-        values=arrays(np.float64, st.integers(1, 40), elements=small_floats),
-        bits=st.integers(2, 10),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_quantization_error_bounded(self, values, bits):
-        """|q(x) - clip(x)| <= step/2 for every input and resolution."""
-        spec = QuantSpec(low=-50.0, high=50.0, levels=2**bits)
-        quantized = spec.apply(values)
-        clipped = np.clip(values, spec.low, spec.high)
-        assert np.all(np.abs(quantized - clipped) <= spec.step / 2 + 1e-9)
-
-    @given(
-        values=arrays(np.float64, st.integers(1, 40), elements=small_floats),
-        bits=st.integers(2, 10),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_quantization_idempotent(self, values, bits):
-        spec = QuantSpec(low=-50.0, high=50.0, levels=2**bits)
-        once = spec.apply(values)
-        np.testing.assert_allclose(spec.apply(once), once, atol=1e-9)
 
 
 class TestSpikeCoderProperties:

@@ -26,6 +26,7 @@ from repro.reliability import (
     run_campaign,
     scenarios_for,
 )
+from repro.reliability import campaign as campaign_module
 from repro.reliability.campaign import _build_reference
 from repro.xbar.device import PIPELAYER_DEVICE
 
@@ -146,6 +147,21 @@ class TestCampaignMetrics:
             run_campaign(backend="gpu", **FAST)
         with pytest.raises(ValueError):
             run_campaign(count=0)
+
+    def test_negative_train_epochs_rejected_before_training(
+        self, monkeypatch
+    ):
+        def no_reference(*args, **kwargs):
+            raise AssertionError("reference built for a rejected campaign")
+
+        monkeypatch.setattr(campaign_module, "reference_context", no_reference)
+        with pytest.raises(ValueError, match="train_epochs"):
+            run_campaign(**{**FAST, "train_epochs": -1})
+        with pytest.raises(ValueError, match="train_epochs"):
+            campaign_module.campaign_cells(
+                "mlp", scenarios_for("stuck"), (0,), ("vectorized",),
+                count=16, batch=8, train_epochs=-2, include_tiles=False,
+            )
 
 
 class TestMetricsHelpers:

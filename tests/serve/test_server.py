@@ -12,10 +12,13 @@ import socket
 
 import pytest
 
+from repro.serve import server as server_module
+
 from repro.serve import InferenceJob, ReliabilityJob, TrainingJob
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.server import (
     MAX_BODY_BYTES,
+    MAX_HEADER_LINES,
     ServerConfig,
     call_on,
     job_report,
@@ -36,6 +39,13 @@ def _mix():
         TrainingJob(workload="mlp", seed=6, epochs=1, batch=8,
                     train_count=32, test_count=16, tenant="bob"),
     ]
+
+
+def _read_all(sock: socket.socket) -> bytes:
+    response = b""
+    while chunk := sock.recv(4096):
+        response += chunk
+    return response
 
 
 @pytest.fixture(scope="module")
@@ -109,10 +119,60 @@ class TestHttpSurface:
                 b"POST /v1/jobs HTTP/1.1\r\n"
                 b"Content-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1)
             )
-            response = b""
-            while chunk := sock.recv(4096):
-                response += chunk
+            response = _read_all(sock)
         assert response.startswith(b"HTTP/1.1 413 Payload Too Large")
+
+    def test_too_many_header_lines_431(self, served):
+        # The server stops at the first line past the cap, so the
+        # request is sent without its closing blank line.
+        _, (host, port), _ = served
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(
+                b"GET /v1/healthz HTTP/1.1\r\n"
+                + b"X-Filler: 1\r\n" * (MAX_HEADER_LINES + 1)
+            )
+            response = _read_all(sock)
+        assert response.startswith(
+            b"HTTP/1.1 431 Request Header Fields Too Large"
+        )
+
+    def test_header_lines_up_to_the_cap_accepted(self, served):
+        _, (host, port), _ = served
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(
+                b"GET /v1/healthz HTTP/1.1\r\n"
+                + b"X-Filler: 1\r\n" * MAX_HEADER_LINES
+                + b"\r\n"
+            )
+            response = _read_all(sock)
+        assert response.startswith(b"HTTP/1.1 200 OK")
+
+    def test_stalled_request_408(self, served, monkeypatch):
+        # Half a request head, then silence: the read deadline answers.
+        monkeypatch.setattr(server_module, "REQUEST_READ_TIMEOUT_S", 0.2)
+        _, (host, port), _ = served
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(b"GET /v1/healthz HTTP/1.1\r\n")
+            response = _read_all(sock)
+        assert response.startswith(b"HTTP/1.1 408 Request Timeout")
+
+    def test_wait_hold_outlasts_the_read_deadline(self, served, monkeypatch):
+        # ``?wait=1`` blocks after the request is read, so a job slower
+        # than the deadline still answers with its report.
+        import time
+
+        import repro.reliability
+
+        def slow_campaign(**kwargs):
+            time.sleep(0.6)
+            raise ValueError("slow campaign")
+
+        monkeypatch.setattr(server_module, "REQUEST_READ_TIMEOUT_S", 0.2)
+        monkeypatch.setattr(repro.reliability, "run_campaign", slow_campaign)
+        _, (host, port), _ = served
+        client = ServeClient(host, port)
+        report = client.run(ReliabilityJob(workload="mlp", seed=11))
+        assert report["status"] == "error"
 
     def test_unknown_route_404(self, served):
         _, (host, port), _ = served

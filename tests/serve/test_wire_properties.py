@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serve.jobs import BACKENDS, JOB_KINDS, job_from_dict
-from repro.serve.server import MAX_BODY_BYTES, JobServer, _BodyTooLarge
+from repro.serve.server import MAX_BODY_BYTES, JobServer, _RequestRefused
 from repro.telemetry import SCHEMA_VERSION
 from repro.workloads import RUNNABLE_WORKLOADS
 
@@ -136,7 +136,7 @@ def http_requests(draw):
 def test_read_request_parses_or_refuses(data):
     try:
         method, target, body = asyncio.run(_read(data))
-    except (ValueError, asyncio.IncompleteReadError, _BodyTooLarge):
+    except (ValueError, asyncio.IncompleteReadError, _RequestRefused):
         return
     assert isinstance(method, str) and method == method.upper()
     assert isinstance(target, str) and target

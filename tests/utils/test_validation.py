@@ -1,6 +1,5 @@
 """Tests for repro.utils.validation."""
 
-import numpy as np
 import pytest
 
 from repro.utils.validation import (
@@ -10,7 +9,6 @@ from repro.utils.validation import (
     check_in_range,
     check_non_negative,
     check_positive,
-    check_shape,
     non_empty,
 )
 
@@ -43,22 +41,6 @@ class TestCheckInRange:
     def test_rejects_outside(self):
         with pytest.raises(ValueError):
             check_in_range("x", 1.1, 0.0, 1.0)
-
-
-class TestCheckShape:
-    def test_exact_match(self):
-        check_shape("a", np.zeros((2, 3)), (2, 3))
-
-    def test_wildcard(self):
-        check_shape("a", np.zeros((5, 3)), (-1, 3))
-
-    def test_wrong_rank(self):
-        with pytest.raises(ValueError, match="dimensions"):
-            check_shape("a", np.zeros((2, 3)), (2, 3, 1))
-
-    def test_wrong_extent(self):
-        with pytest.raises(ValueError, match="axis 1"):
-            check_shape("a", np.zeros((2, 3)), (2, 4))
 
 
 class TestCheckChoice:
