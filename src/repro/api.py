@@ -22,6 +22,9 @@ True
 * :func:`run_job` — one-shot entry point: build the right simulator
   for any job spec (including
   :class:`~repro.serve.jobs.ReliabilityJob`) and execute it;
+* :func:`run_coalesced` — the one inference forward loop: several
+  jobs on one simulator in one batched evaluation (the job server's
+  coalesced units; :meth:`Simulator.run` is its unit of one);
 * :meth:`Simulator.table1` — the paper's headline Table I rows.
 
 :func:`weights_hash` / :func:`device_config_hash` (re-exported from
@@ -369,11 +372,8 @@ class Simulator:
                 f"describe this simulator ({self.name!r}, "
                 f"seed={self.seed})"
             )
-        if isinstance(job, InferenceJob):
-            return self._run_inference_job(job)
-        return self._run_training_job(job)
-
-    def _run_inference_job(self, job: InferenceJob) -> InferenceResult:
+        if isinstance(job, TrainingJob):
+            return self._run_training_job(job)
         tel = self.collector if self.collector is not None else NULL_COLLECTOR
         _log.info(
             "inference on %s: %d inputs in batches of %d",
@@ -381,28 +381,11 @@ class Simulator:
             job.count,
             job.batch,
         )
-        inputs, labels = self.make_inputs(
-            job.count, input_seed=job.input_seed
-        )
-        outputs = []
         with tel.span("inference"):
-            for start in range(0, job.count, job.batch):
-                outputs.append(
-                    self.network.forward(
-                        inputs[start : start + job.batch], training=False
-                    )
-                )
+            (result,) = run_coalesced(self, [job])
         tel.count("inference.runs", 1)
         tel.count("inference.inputs", job.count)
-        logits = np.concatenate(outputs, axis=0)
-        accuracy = float(np.mean(np.argmax(logits, axis=1) == labels))
-        return InferenceResult(
-            accuracy=accuracy,
-            count=job.count,
-            outputs=logits,
-            stats=self.stats(),
-            engine_info=self.engine_info(),
-        )
+        return result
 
     def _run_training_job(self, job: TrainingJob) -> TrainResult:
         tel = self.collector if self.collector is not None else NULL_COLLECTOR
@@ -476,6 +459,70 @@ class Simulator:
             "pipelayer": pipelayer_table1(batch=batch),
             "regan": regan_table1(batch=batch),
         }
+
+
+def run_coalesced(
+    simulator: Simulator,
+    jobs: Sequence[InferenceJob],
+    collector: Collector = NULL_COLLECTOR,
+) -> List[InferenceResult]:
+    """One batched crossbar evaluation for one or more inference jobs.
+
+    The one forward loop of inference: :meth:`Simulator.run` calls it
+    with a single job, and the job server with each cached execution
+    unit.  All ``jobs`` must describe ``simulator`` (same
+    workload/seed, checked by :meth:`Simulator.run` and by the
+    scheduler's grouping).  Each job's inputs come from its own spec;
+    they are concatenated into one stream, evaluated in slabs of the
+    *largest* member batch size, and split back per job.  Under a
+    batch-invariant config
+    (:attr:`~repro.xbar.engine.CrossbarEngineConfig.is_batch_invariant`)
+    each job's accuracy and outputs are exactly what it gets alone;
+    only the shared engine counters (``stats``) reflect the coalesced
+    schedule, which is why job reports carry per-job output digests.
+    Only two or more jobs count in the ``coalesced.*`` tallies.
+    """
+    if not jobs:
+        return []
+    per_job = [
+        simulator.make_inputs(job.count, input_seed=job.input_seed)
+        for job in jobs
+    ]
+    inputs = np.concatenate([pair[0] for pair in per_job], axis=0)
+    total = inputs.shape[0]
+    slab = max(job.batch for job in jobs)
+    outputs = []
+    with collector.span("coalesced_forward"), \
+            collector.timed("latency/engine_evaluate_seconds"):
+        for start in range(0, total, slab):
+            outputs.append(
+                simulator.network.forward(
+                    inputs[start : start + slab], training=False
+                )
+            )
+    logits = np.concatenate(outputs, axis=0)
+    if len(jobs) > 1:
+        collector.count("coalesced.batches", 1)
+        collector.count("coalesced.jobs", len(jobs))
+        collector.count("coalesced.inputs", total)
+
+    results: List[InferenceResult] = []
+    offset = 0
+    for job, (_, labels) in zip(jobs, per_job):
+        job_logits = logits[offset : offset + job.count]
+        offset += job.count
+        results.append(
+            InferenceResult(
+                accuracy=float(
+                    np.mean(np.argmax(job_logits, axis=1) == labels)
+                ),
+                count=job.count,
+                outputs=job_logits,
+                stats=simulator.stats(),
+                engine_info=simulator.engine_info(),
+            )
+        )
+    return results
 
 
 def run_job(
@@ -693,6 +740,7 @@ __all__ = [
     "TrainingJob",
     "ReliabilityJob",
     "job_from_dict",
+    "run_coalesced",
     "run_job",
     "weights_hash",
     "device_config_hash",

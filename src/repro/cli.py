@@ -117,8 +117,8 @@ def _fail(message: str, code: int = 2) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    document = api.validate_table1_report(api.table1_report(args.batch))
     rows = api.Simulator.table1(batch=args.batch)
-    document = {name: row.to_dict() for name, row in rows.items()}
     text = "\n\n".join(row.summary() for row in rows.values())
     return _emit(args, document, text)
 
@@ -152,7 +152,9 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig9(args: argparse.Namespace) -> int:
-    report = api.gan_scheme_report(batch=args.batch)
+    report = api.validate_gan_scheme_report(
+        api.gan_scheme_report(batch=args.batch)
+    )
     depths = {
         name: (generator.depth, discriminator.depth)
         for name, (generator, discriminator) in regan_suite().items()
@@ -769,22 +771,30 @@ def _non_negative_float(text: str) -> float:
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
-        "--seed", type=int, default=0, help="master RNG seed (default 0)"
-    )
-    shared.add_argument(
-        "--batch",
-        type=_positive_int,
-        default=32,
-        help="batch size (default 32)",
-    )
-    shared.add_argument(
-        "--json",
-        action="store_true",
-        help="emit a machine-readable JSON document instead of text",
-    )
-    _add_logging_flags(shared, default=argparse.SUPPRESS)
+
+    def shared_options(batch: int) -> argparse.ArgumentParser:
+        # One parent per --batch default: set_defaults() on a child
+        # parser writes into the parent's shared action, so it would
+        # change the default of every subcommand built from it.
+        shared = argparse.ArgumentParser(add_help=False)
+        shared.add_argument(
+            "--seed", type=int, default=0, help="master RNG seed (default 0)"
+        )
+        shared.add_argument(
+            "--batch",
+            type=_positive_int,
+            default=batch,
+            help="batch size (default %(default)s)",
+        )
+        shared.add_argument(
+            "--json",
+            action="store_true",
+            help="emit a machine-readable JSON document instead of text",
+        )
+        _add_logging_flags(shared, default=argparse.SUPPRESS)
+        return shared
+
+    shared = shared_options(batch=32)
 
     workload = argparse.ArgumentParser(add_help=False)
     workload.add_argument(
@@ -879,12 +889,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_area.add_argument("--budget", type=_positive_int, default=262144)
 
     p_trace = command(
-        "trace", _cmd_trace, shared, help="ASCII Gantt of a schedule"
+        "trace",
+        _cmd_trace,
+        shared_options(batch=4),
+        help="ASCII Gantt of a schedule",
     )
     p_trace.add_argument("--layers", type=_positive_int, default=3)
     p_trace.add_argument("--gan", action="store_true")
     p_trace.add_argument("--scheme", choices=SCHEMES, default="sp_cs")
-    p_trace.set_defaults(batch=4)
 
     p_infer = command(
         "infer",

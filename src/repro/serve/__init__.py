@@ -9,7 +9,7 @@ concurrent tenants and drives them through the
 
 * **coalescing** — compatible inference requests (same programmed
   state, batch-invariant pipeline config) merge into single batched
-  crossbar evaluations (:mod:`repro.serve.batcher`), with outputs
+  crossbar evaluations (:func:`repro.api.run_coalesced`), with outputs
   split back per job, bit-identical to running each job alone;
 * **programmed-state caching** — deployed simulators are cached by
   ``(weights_hash, device_config_hash)``
@@ -58,7 +58,6 @@ __all__ = [
     "ServerConfig",
     "ProgrammedStateCache",
     "ServeClient",
-    "batch_invariant",
     "coalesce_plan",
     "job_report",
     "validate_job_report",
@@ -76,7 +75,6 @@ _LAZY = {
     "validate_stats_report": "repro.serve.server",
     "ProgrammedStateCache": "repro.serve.cache",
     "ServeClient": "repro.serve.client",
-    "batch_invariant": "repro.serve.batcher",
     "coalesce_plan": "repro.serve.scheduler",
 }
 

@@ -14,7 +14,7 @@ Grouping rules:
 * inference jobs coalesce iff they share a *compatibility key* —
   ``(workload, seed, resolved backend)``, i.e. the same programmed
   crossbar state — and the engine config is batch-invariant
-  (:func:`repro.serve.batcher.batch_invariant`);
+  (:attr:`repro.xbar.engine.CrossbarEngineConfig.is_batch_invariant`);
 * groups are capped at ``max_coalesce`` jobs (slabs of unbounded
   width would blow the activation working set);
 * training and reliability jobs never coalesce: training mutates the
@@ -23,10 +23,8 @@ Grouping rules:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.serve.batcher import batch_invariant
 from repro.serve.jobs import InferenceJob, JobSpec
 from repro.telemetry import Collector
 from repro.xbar.engine import CrossbarEngineConfig
@@ -51,44 +49,31 @@ def compatibility_key(
     return job.workload, job.seed, job.backend or engine_config.backend
 
 
-@dataclass(frozen=True)
-class Plan:
-    """One scheduling decision over a pending set.
-
-    ``groups`` are coalesced inference batches (>= 2 jobs, one batched
-    evaluation each); ``singles`` run alone.  Indices refer to the
-    original pending sequence, and every index appears exactly once,
-    so the plan is an exact partition.
-    """
-
-    groups: Tuple[Tuple[int, ...], ...] = ()
-    singles: Tuple[int, ...] = ()
-
-
 def coalesce_plan(
     jobs: Sequence[JobSpec],
     engine_config: CrossbarEngineConfig,
     max_coalesce: int = DEFAULT_MAX_COALESCE,
     collector: Optional[Collector] = None,
-) -> Plan:
-    """Partition pending ``jobs`` into coalesced groups and singles.
+) -> Tuple[Tuple[int, ...], ...]:
+    """Partition pending ``jobs`` into execution units.
 
-    Deterministic in the pending sequence: grouping preserves arrival
-    order within and across groups (first-come, first-batched), so a
-    drained queue always yields the same plan — and therefore the
-    same batched evaluations — for the same submission order.
+    Each unit is a tuple of indices into ``jobs``, and every index
+    appears in exactly one unit.  Coalesced inference groups (>= 2
+    jobs, one batched evaluation each) come first, in compatibility
+    key order; then every other job as a unit of one, in arrival
+    order.  Deterministic in the pending sequence, so a drained queue
+    always yields the same units — and therefore the same batched
+    evaluations — for the same submission order.
 
     ``collector`` (optional) records one
-    ``coalesce/batch_size_jobs`` histogram observation per execution
-    unit — ``len(group)`` for each coalesced group, ``1`` for each
-    single — the distribution the ``serve_throughput`` benchmark
-    gates on.
+    ``coalesce/batch_size_jobs`` histogram observation per unit — the
+    distribution the ``serve_throughput`` benchmark gates on.
     """
     if max_coalesce < 1:
         raise ValueError(
             f"max_coalesce must be >= 1, got {max_coalesce}"
         )
-    invariant = batch_invariant(engine_config)
+    invariant = engine_config.is_batch_invariant
     buckets: Dict[Tuple[str, int, str], List[int]] = {}
     singles: List[int] = []
     for index, job in enumerate(jobs):
@@ -107,18 +92,15 @@ def coalesce_plan(
                 groups.append(tuple(chunk))
             else:
                 singles.extend(chunk)
-    plan = Plan(groups=tuple(groups), singles=tuple(sorted(singles)))
+    units = tuple(groups) + tuple((index,) for index in sorted(singles))
     if collector is not None:
-        for group in plan.groups:
-            collector.observe("coalesce/batch_size_jobs", len(group))
-        for _ in plan.singles:
-            collector.observe("coalesce/batch_size_jobs", 1)
-    return plan
+        for unit in units:
+            collector.observe("coalesce/batch_size_jobs", len(unit))
+    return units
 
 
 __all__ = [
     "DEFAULT_MAX_COALESCE",
-    "Plan",
     "coalesce_plan",
     "compatibility_key",
 ]

@@ -40,7 +40,7 @@ are serialized by the cache lock and touch no loop-written paths.
 
 Determinism: a job's numerical result is a function of its spec alone
 (coalescing is bit-exact by construction — see
-:mod:`repro.serve.batcher`), so rerunning any mix of specs reproduces
+:func:`repro.api.run_coalesced`), so rerunning any mix of specs reproduces
 every ``result`` payload byte-for-byte; only scheduling artifacts
 (the ``coalesced`` flag under live traffic) may differ.
 :meth:`JobServer.run_all` enqueues a whole spec list before the
@@ -83,13 +83,12 @@ from typing import (
 )
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.serve.batcher import batch_invariant, run_coalesced
+from repro.api import run_coalesced, run_job
 from repro.serve.cache import ProgrammedStateCache
 from repro.serve.jobs import (
     JOB_KINDS,
     InferenceJob,
     JobSpec,
-    ReliabilityJob,
     TrainingJob,
     job_from_dict,
 )
@@ -185,9 +184,9 @@ _REASONS = {
 
 def _default_engine_config() -> CrossbarEngineConfig:
     # activation_range pinned -> batch-invariant pipeline (see
-    # repro.serve.batcher): coalescing and programmed-state reuse stay
-    # bit-exact.  8.0 comfortably covers the synthetic workloads'
-    # post-ReLU activations.
+    # CrossbarEngineConfig.is_batch_invariant): coalescing and
+    # programmed-state reuse stay bit-exact.  8.0 comfortably covers
+    # the synthetic workloads' post-ReLU activations.
     return CrossbarEngineConfig(activation_range=8.0)
 
 
@@ -373,7 +372,6 @@ class JobServer:
         )
         self._serve_scope = self.collector.scope("serve")
         self._event_costs = event_costs(DEFAULT_TECH)
-        self._reusable = batch_invariant(self.config.engine_config)
         self._cache = ProgrammedStateCache(
             engine_config=self.config.engine_config,
             collector=self._serve_scope,
@@ -416,7 +414,7 @@ class JobServer:
             port,
             self.config.workers,
             self.config.max_coalesce,
-            self._reusable,
+            self.config.engine_config.is_batch_invariant,
         )
 
     async def stop(self) -> None:
@@ -537,7 +535,7 @@ class JobServer:
 
     def _dispatch(self, records: List[_JobRecord]) -> None:
         """Plan ``records`` and start one task per execution unit."""
-        plan = coalesce_plan(
+        units = coalesce_plan(
             [record.spec for record in records],
             self.config.engine_config,
             max_coalesce=self.config.max_coalesce,
@@ -557,21 +555,18 @@ class JobServer:
                 record.queue_span = None
             record.execute_span = record.trace.start("execute")
             self._event("dispatched", record)
-        units = [
-            self._execute_cached([records[i] for i in group])
-            for group in plan.groups
+        cached = self.config.engine_config.is_batch_invariant
+        coroutines = [
+            self._execute_cached([records[i] for i in unit])
+            if cached and isinstance(records[unit[0]].spec, InferenceJob)
+            else self._execute_fresh(records[unit[0]])
+            for unit in units
         ]
-        for index in plan.singles:
-            record = records[index]
-            if isinstance(record.spec, InferenceJob) and self._reusable:
-                units.append(self._execute_cached([record]))
-            else:
-                units.append(self._execute_fresh(record))
         # Counted now, not when the tasks first run, so the dispatcher
         # never sees a free worker that a unit has already claimed.
-        self._busy_units += len(units)
-        for unit in units:
-            task = asyncio.ensure_future(unit)
+        self._busy_units += len(coroutines)
+        for coroutine in coroutines:
+            task = asyncio.ensure_future(coroutine)
             self._inflight.add(task)
             task.add_done_callback(self._inflight.discard)
 
@@ -641,14 +636,8 @@ class JobServer:
         spec = record.spec
 
         def work() -> Any:
-            from repro.api import run_job
-
-            if isinstance(spec, ReliabilityJob):
-                return run_job(spec, collector=local)
             return run_job(
-                spec,
-                engine_config=self._cache.resolved_config(spec.backend),
-                collector=local,
+                spec, engine_config=self.config.engine_config, collector=local
             )
 
         try:

@@ -228,6 +228,19 @@ class CrossbarEngineConfig:
             and self.is_collapsible
         )
 
+    @property
+    def is_batch_invariant(self) -> bool:
+        """True when each output row depends on its input row alone.
+
+        Then forwards may be coalesced across requests bit-exactly.
+        Both conditions are needed: with ``activation_range=None`` the
+        activation scale is calibrated from the batch maximum, and a
+        non-ideal pipeline draws per-call read noise shaped by the
+        batch (an ideal one is exact integer arithmetic in float64,
+        whatever the BLAS blocking).
+        """
+        return self.activation_range is not None and self.is_ideal
+
 
 def weights_hash(weights: np.ndarray) -> str:
     """Content digest of a weight matrix (shape + float64 bytes).

@@ -1,6 +1,5 @@
 """Tests for the GPU roofline model and component cost helpers."""
 
-import numpy as np
 import pytest
 
 from repro.arch.components import (

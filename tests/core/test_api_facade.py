@@ -17,6 +17,7 @@ from repro.api import (
     mapping_sweep,
     pipeline_sweep,
     schedule_trace,
+    table1_report,
 )
 from repro.cli import main
 from repro.xbar.engine import CrossbarEngineConfig
@@ -240,6 +241,13 @@ class TestCliJson:
              "--test-count", "16", "--batch", "16", "--json"],
         )
         assert document["stats"]["array_programs"] > 0
+
+    def test_table1_json_is_the_api_document(self, capsys):
+        # Without --batch the command runs at the documented 32.
+        assert main(["table1", "--json"]) == 0
+        assert capsys.readouterr().out == (
+            json.dumps(table1_report(32), indent=2) + "\n"
+        )
 
     @pytest.mark.slow
     def test_table1_json(self, capsys):

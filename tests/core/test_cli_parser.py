@@ -193,3 +193,50 @@ def test_out_of_range_rate_exits_two_without_traceback(capsys, command):
     assert repro.cli.main([command, "mlp", "--rates", "5"]) == 2
     err = capsys.readouterr().err
     assert "stuck_off_rate" in err and "Traceback" not in err
+
+
+#: The shortest argv of each subcommand that takes ``--batch``, and
+#: the batch size it runs at when the flag is omitted.
+BATCH_DEFAULTS = [
+    (["table1"], 32),
+    (["fig4"], 32),
+    (["fig5"], 32),
+    (["fig9"], 32),
+    (["summary", "alexnet"], 32),
+    (["sensitivity"], 32),
+    (["area", "alexnet"], 32),
+    (["infer"], 32),
+    (["train"], 32),
+    (["reliability"], 32),
+    (["sweep"], 32),
+    (["serve"], 32),
+    (["top", "--port", "8077"], 32),
+    (["bench"], 32),
+    (["profile", "infer"], 32),
+    (["report", "infer"], 32),
+    (["trace"], 4),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,batch", BATCH_DEFAULTS, ids=[argv[0] for argv, _ in BATCH_DEFAULTS]
+)
+def test_batch_default(argv, batch):
+    """Only ``trace`` defaults to a batch of 4; its default must not
+    leak into the other subcommands through the shared parent."""
+    assert _parse(argv).batch == batch
+
+
+def test_batch_defaults_cover_every_batch_subcommand():
+    parser = build_parser()
+    (subparsers,) = (
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    takes_batch = {
+        name
+        for name, subparser in subparsers.choices.items()
+        if any(action.dest == "batch" for action in subparser._actions)
+    }
+    assert takes_batch == {argv[0] for argv, _ in BATCH_DEFAULTS}

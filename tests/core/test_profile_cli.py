@@ -6,9 +6,8 @@ the loop/vectorized engine backends.  The span section is wall-clock
 and never compared.
 """
 
+import hashlib
 import json
-
-import pytest
 
 from repro.cli import main
 from repro.telemetry import validate_profile_report
@@ -84,6 +83,24 @@ class TestProfileCommand:
             second["counters"], sort_keys=True
         )
         assert first["counter_tree"] == second["counter_tree"]
+
+    def test_profile_infer_counter_tree_is_pinned(self, capsys, tmp_path):
+        """The inference counter tree (``inference.*``, engine events,
+        energy) does not move; CI checks the same pin at one BLAS
+        thread."""
+        document, _ = _profile(
+            capsys, tmp_path,
+            ["infer", "--json", "--count", "16", "--seed", "3",
+             "--batch", "4"],
+        )
+        counters = document["counters"]
+        digest = hashlib.sha256(
+            json.dumps(counters, sort_keys=True).encode()
+        ).hexdigest()
+        assert (digest, len(counters)) == (
+            "dcf1ec2b603875b9ce88ecda87d15bc7e855ce2834adab78a4f9a1a859ad0093",
+            32,
+        )
 
     def test_profile_counters_identical_across_backends(
         self, capsys, tmp_path

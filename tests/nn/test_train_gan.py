@@ -15,7 +15,7 @@ from repro.nn import (
     iterate_batches,
     train_classifier,
 )
-from repro.datasets import MNIST_SHAPE, DatasetShape, make_gan_images
+from repro.datasets import DatasetShape, make_gan_images
 
 
 def tiny_gan(rng_seed=1, noise_dim=8):

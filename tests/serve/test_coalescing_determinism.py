@@ -11,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import InferenceJob, Simulator
-from repro.serve.batcher import batch_invariant, run_coalesced
+from repro.api import InferenceJob, Simulator, run_coalesced
 from repro.telemetry import Collector
 from repro.xbar.engine import CrossbarEngineConfig
 
@@ -39,7 +38,7 @@ def test_coalesced_bit_identical_to_sequential(backend, fast_ideal):
         array_rows=32,
         array_cols=32,
     )
-    assert batch_invariant(config)
+    assert config.is_batch_invariant
     shared = Simulator.from_workload(
         "mlp", engine_config=config, backend=backend, seed=3
     )

@@ -6,34 +6,27 @@ import threading
 
 import pytest
 
-from repro.serve.batcher import batch_invariant
 from repro.serve.cache import ProgrammedStateCache
 from repro.serve.jobs import InferenceJob, TrainingJob
-from repro.serve.scheduler import (
-    Plan,
-    coalesce_plan,
-    compatibility_key,
-)
+from repro.serve.scheduler import coalesce_plan, compatibility_key
 from repro.telemetry import Collector
 from repro.xbar.engine import CrossbarEngineConfig
 
 INVARIANT = CrossbarEngineConfig(activation_range=8.0)
 
 
-def _partition_of(plan: Plan, n: int) -> list:
-    indices = sorted(
-        [i for group in plan.groups for i in group] + list(plan.singles)
-    )
+def _partition_of(units: tuple, n: int) -> list:
+    indices = sorted(i for unit in units for i in unit)
     assert indices == list(range(n))
     return indices
 
 
 class TestBatchInvariance:
     def test_pinned_ideal_config_is_invariant(self):
-        assert batch_invariant(INVARIANT)
+        assert INVARIANT.is_batch_invariant
 
     def test_observed_range_is_not(self):
-        assert not batch_invariant(CrossbarEngineConfig())
+        assert not CrossbarEngineConfig().is_batch_invariant
 
     def test_nonideal_pipeline_is_not(self):
         from dataclasses import replace
@@ -44,7 +37,7 @@ class TestBatchInvariance:
             activation_range=8.0,
             device=replace(PIPELAYER_DEVICE, read_noise=0.05),
         )
-        assert not batch_invariant(noisy)
+        assert not noisy.is_batch_invariant
 
 
 class TestCoalescePlan:
@@ -52,10 +45,9 @@ class TestCoalescePlan:
         jobs = [
             InferenceJob(workload="mlp", seed=3) for _ in range(3)
         ]
-        plan = coalesce_plan(jobs, INVARIANT)
-        assert plan.groups == ((0, 1, 2),)
-        assert plan.singles == ()
-        _partition_of(plan, 3)
+        units = coalesce_plan(jobs, INVARIANT)
+        assert units == ((0, 1, 2),)
+        _partition_of(units, 3)
 
     def test_mixed_kinds_and_seeds(self):
         jobs = [
@@ -64,23 +56,38 @@ class TestCoalescePlan:
             InferenceJob(workload="mlp", seed=4),
             InferenceJob(workload="mlp", seed=3, input_seed=9),
         ]
-        plan = coalesce_plan(jobs, INVARIANT)
-        assert plan.groups == ((0, 3),)
-        assert set(plan.singles) == {1, 2}
-        _partition_of(plan, 4)
+        units = coalesce_plan(jobs, INVARIANT)
+        assert units == ((0, 3), (1,), (2,))
+        _partition_of(units, 4)
 
     def test_non_invariant_config_never_groups(self):
         jobs = [InferenceJob(workload="mlp", seed=3) for _ in range(4)]
-        plan = coalesce_plan(jobs, CrossbarEngineConfig())
-        assert plan.groups == ()
-        assert plan.singles == (0, 1, 2, 3)
+        units = coalesce_plan(jobs, CrossbarEngineConfig())
+        assert units == ((0,), (1,), (2,), (3,))
 
     def test_max_coalesce_chunks(self):
         jobs = [InferenceJob(workload="mlp", seed=3) for _ in range(5)]
-        plan = coalesce_plan(jobs, INVARIANT, max_coalesce=2)
-        assert plan.groups == ((0, 1), (2, 3))
-        assert plan.singles == (4,)
-        _partition_of(plan, 5)
+        units = coalesce_plan(jobs, INVARIANT, max_coalesce=2)
+        assert units == ((0, 1), (2, 3), (4,))
+        _partition_of(units, 5)
+
+    def test_units_run_groups_in_key_order_then_singles_by_arrival(self):
+        jobs = [
+            InferenceJob(workload="mlp", seed=4),
+            TrainingJob(workload="mlp", seed=3),
+            InferenceJob(workload="mlp", seed=4),
+            InferenceJob(workload="mlp", seed=3),
+            InferenceJob(workload="mlp", seed=3),
+            InferenceJob(workload="mlp", seed=4),
+        ]
+        collector = Collector()
+        units = coalesce_plan(
+            jobs, INVARIANT, max_coalesce=2, collector=collector
+        )
+        assert units == ((3, 4), (0, 2), (1,), (5,))
+        histogram = collector.histograms()["coalesce/batch_size_jobs"]
+        assert histogram["count"] == len(units)
+        assert histogram["sum"] == len(jobs)
 
     def test_backend_splits_compatibility(self):
         jobs = [
@@ -88,10 +95,9 @@ class TestCoalescePlan:
             InferenceJob(workload="mlp", seed=3, backend="vectorized"),
             InferenceJob(workload="mlp", seed=3),
         ]
-        plan = coalesce_plan(jobs, INVARIANT)
+        units = coalesce_plan(jobs, INVARIANT)
         # default backend resolves to vectorized -> 1 and 2 share a key
-        assert plan.groups == ((1, 2),)
-        assert plan.singles == (0,)
+        assert units == ((1, 2), (0,))
         assert compatibility_key(jobs[2], INVARIANT) == compatibility_key(
             jobs[1], INVARIANT
         )
@@ -105,9 +111,8 @@ class TestCoalescePlan:
             InferenceJob(workload="mlp", seed=3, backend="loop"),
             InferenceJob(workload="mlp", seed=3, backend="vectorized"),
         ]
-        plan = coalesce_plan(jobs, loop)
-        assert plan.groups == ((0, 1),)
-        assert plan.singles == (2,)
+        units = coalesce_plan(jobs, loop)
+        assert units == ((0, 1), (2,))
         # The cache deploys the unpinned job under the same backend.
         cache = ProgrammedStateCache(engine_config=loop)
         assert cache.resolved_config(jobs[0].backend).backend == "loop"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.xbar.device import DeviceConfig, NOISY_DEVICE, PIPELAYER_DEVICE
+from repro.xbar.device import DeviceConfig, NOISY_DEVICE
 from repro.xbar.engine import (
     CrossbarEngine,
     CrossbarEngineConfig,

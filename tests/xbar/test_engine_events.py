@@ -8,7 +8,6 @@ event streams, the priced MVM-path energy equals the closed-form
 dynamic read events (only the one-time programming writes).
 """
 
-import numpy as np
 import pytest
 
 from repro.arch.components import array_subcycle_energy, event_costs
