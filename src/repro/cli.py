@@ -20,8 +20,11 @@ Usage::
 (``python -m repro.cli ...`` works identically when the console script
 is not installed.)
 
-Every subcommand except ``check`` accepts the shared ``--seed`` /
-``--batch`` options, and every one accepts a ``--json`` flag that
+Each option is declared only on the subcommands that read it:
+``--seed`` (default 0) on ``infer``, ``train``, ``reliability``,
+``sweep`` and ``serve``; ``--batch`` on ``table1``, ``fig9``, ``area``,
+``infer``, ``train``, ``reliability`` and ``sweep`` (default 32) and
+``trace`` (default 4).  Every subcommand accepts a ``--json`` flag that
 switches the output to a machine-readable document.  All result data
 comes from :mod:`repro.api` — the CLI is a thin presentation layer
 over the same facade library users import.
@@ -44,6 +47,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import operator
+import os
 import sys
 import time
 from contextlib import redirect_stdout
@@ -51,6 +56,7 @@ from pathlib import Path
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro import api
+from repro.core.estimator import render_table1_row
 from repro.core.gan_pipeline import SCHEMES
 from repro.reliability import (
     AXES,
@@ -118,8 +124,11 @@ def _fail(message: str, code: int = 2) -> int:
 
 def _cmd_table1(args: argparse.Namespace) -> int:
     document = api.validate_table1_report(api.table1_report(args.batch))
-    rows = api.Simulator.table1(batch=args.batch)
-    text = "\n\n".join(row.summary() for row in rows.values())
+    text = "\n\n".join(
+        render_table1_row(row)
+        for key, row in document.items()
+        if key != "schema_version"
+    )
     return _emit(args, document, text)
 
 
@@ -171,21 +180,8 @@ def _cmd_fig9(args: argparse.Namespace) -> int:
     return _emit(args, report, "\n".join(lines))
 
 
-def _workload_spec(args: argparse.Namespace) -> Any:
-    """The ``summary``/``area`` workload spec, or ``None`` if unknown."""
-    if args.workload in _WORKLOADS:
-        return _WORKLOADS[args.workload]()
-    _fail(
-        f"unknown workload {args.workload!r}; pick from "
-        f"{sorted(_WORKLOADS)}"
-    )
-    return None
-
-
 def _cmd_summary(args: argparse.Namespace) -> int:
-    spec = _workload_spec(args)
-    if spec is None:
-        return 2
+    spec = _WORKLOADS[args.workload]()
     document = {
         "name": spec.name,
         "depth": spec.depth,
@@ -246,10 +242,9 @@ def _cmd_area(args: argparse.Namespace) -> int:
     from repro.arch.report import pipelayer_report
     from repro.core.pipelayer import PipeLayerModel
 
-    spec = _workload_spec(args)
-    if spec is None:
-        return 2
-    model = PipeLayerModel(spec, array_budget=args.budget)
+    model = PipeLayerModel(
+        _WORKLOADS[args.workload](), array_budget=args.budget
+    )
     report = pipelayer_report(model, batch=args.batch)
     keys = (
         "name", "array_count", "compute_area_mm2", "memory_area_mm2",
@@ -730,78 +725,60 @@ def _comma_list(kind: Callable[[str], Any], noun: str) -> Callable:
     return parse
 
 
-def _integer(text: str) -> int:
-    """Parse an integer flag value; a non-integer is a usage error."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer, got {text!r}"
-        ) from None
+def _number(kind: Callable[[str], Any], relation: str) -> Callable:
+    """An argparse ``type=`` for a ``kind`` number ``> 0`` or ``>= 0``.
+
+    The check is written so that it fails on NaN, which compares false
+    with everything.
+    """
+    holds = {">": operator.gt, ">=": operator.ge}[relation]
+    noun = "an integer" if kind is int else "a number"
+
+    def parse(text: str) -> Any:
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be {noun}, got {text!r}"
+            ) from None
+        if not holds(value, 0):
+            raise argparse.ArgumentTypeError(
+                f"must be {relation} 0, got {value}"
+            )
+        return value
+
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    """An argparse ``type=`` for a count, size or depth (``> 0``)."""
-    value = _integer(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    """An argparse ``type=`` for an epoch count (``>= 0``)."""
-    value = _integer(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _non_negative_float(text: str) -> float:
-    """An argparse ``type=`` for a duration in seconds (``>= 0``)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be a number, got {text!r}"
-        ) from None
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+#: A count, size or depth.
+_POSITIVE = _number(int, ">")
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
 
-    def shared_options(batch: int) -> argparse.ArgumentParser:
-        # One parent per --batch default: set_defaults() on a child
-        # parser writes into the parent's shared action, so it would
-        # change the default of every subcommand built from it.
-        shared = argparse.ArgumentParser(add_help=False)
-        shared.add_argument(
-            "--seed", type=int, default=0, help="master RNG seed (default 0)"
-        )
-        shared.add_argument(
-            "--batch",
-            type=_positive_int,
-            default=batch,
-            help="batch size (default %(default)s)",
-        )
-        shared.add_argument(
-            "--json",
-            action="store_true",
-            help="emit a machine-readable JSON document instead of text",
-        )
-        _add_logging_flags(shared, default=argparse.SUPPRESS)
-        return shared
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument(
+        "--json",
+        action="store_true",
+        help="emit a machine-readable JSON document instead of text",
+    )
+    _add_logging_flags(shared, default=argparse.SUPPRESS)
 
-    shared = shared_options(batch=32)
+    batch = argparse.ArgumentParser(add_help=False)
+    batch.add_argument(
+        "--batch", type=_POSITIVE, default=32, help="batch size (default 32)"
+    )
 
-    workload = argparse.ArgumentParser(add_help=False)
-    workload.add_argument(
+    job = argparse.ArgumentParser(add_help=False, parents=[batch])
+    job.add_argument(
         "workload",
         nargs="?",
         default="mlp",
         choices=api.Simulator.WORKLOADS,
+    )
+    job.add_argument(
+        "--seed", type=int, default=0, help="master RNG seed (default 0)"
     )
 
     campaign = argparse.ArgumentParser(add_help=False)
@@ -813,14 +790,28 @@ def build_parser() -> argparse.ArgumentParser:
         type=_comma_list(float, "numbers"),
         help="comma-separated sweep points (default: per-axis preset)",
     )
-    campaign.add_argument("--count", type=_positive_int, default=32)
+    campaign.add_argument("--count", type=_POSITIVE, default=32)
     campaign.add_argument(
-        "--train-epochs", type=_non_negative_int, default=5
+        "--train-epochs", type=_number(int, ">="), default=5
     )
     campaign.add_argument(
         "--no-tiles",
         action="store_true",
         help="omit the per-tile stuck-cell census from layer records",
+    )
+    campaign.add_argument(
+        "--backend",
+        choices=("loop", "vectorized", "both"),
+        default="vectorized",
+        help="'both' runs every scenario on both engines (reliability "
+        "also checks that their fault outcomes match)",
+    )
+    campaign.add_argument(
+        "--workers",
+        type=_POSITIVE,
+        default=1,
+        help="shard the work over N processes (default 1: inline; "
+        "byte-identical report for any N)",
     )
 
     wrapper = argparse.ArgumentParser(add_help=False)
@@ -846,30 +837,27 @@ def build_parser() -> argparse.ArgumentParser:
         **kw: Any,
     ) -> argparse.ArgumentParser:
         """Register subcommand ``name`` running ``func``."""
-        subparser = sub.add_parser(name, parents=list(parents), **kw)
+        subparser = sub.add_parser(name, parents=[shared, *parents], **kw)
         subparser.set_defaults(func=func)
         return subparser
 
-    for name, func, summary in (
-        ("table1", _cmd_table1, "Table I: both accelerators"),
+    for name, func, summary, *parents in (
+        ("table1", _cmd_table1, "Table I: both accelerators", batch),
         ("fig4", _cmd_fig4, "Fig. 4 mapping sweep"),
         ("fig5", _cmd_fig5, "Fig. 5 pipeline cycles"),
-        ("fig9", _cmd_fig9, "Fig. 9 GAN pipeline schemes"),
+        ("fig9", _cmd_fig9, "Fig. 9 GAN pipeline schemes", batch),
     ):
-        command(name, func, shared, help=summary)
+        command(name, func, *parents, help=summary)
     sub.choices["fig5"].add_argument(
-        "--layers", type=_positive_int, default=8
+        "--layers", type=_POSITIVE, default=8
     )
 
-    p_summary = command(
-        "summary", _cmd_summary, shared, help="workload inventory"
-    )
-    p_summary.add_argument("workload")
+    p_summary = command("summary", _cmd_summary, help="workload inventory")
+    p_summary.add_argument("workload", choices=_WORKLOADS)
 
     p_sens = command(
         "sensitivity",
         _cmd_sensitivity,
-        shared,
         help="tech-parameter tornado for Table I",
     )
     p_sens.add_argument(
@@ -877,66 +865,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sens.add_argument(
         "--workers",
-        type=_positive_int,
+        type=_POSITIVE,
         default=1,
         help="shard the tornado fields over N processes",
     )
 
     p_area = command(
-        "area", _cmd_area, shared, help="area/power budget of a workload"
+        "area", _cmd_area, batch, help="area/power budget of a workload"
     )
-    p_area.add_argument("workload")
-    p_area.add_argument("--budget", type=_positive_int, default=262144)
+    p_area.add_argument("workload", choices=_WORKLOADS)
+    p_area.add_argument("--budget", type=_POSITIVE, default=262144)
 
-    p_trace = command(
-        "trace",
-        _cmd_trace,
-        shared_options(batch=4),
-        help="ASCII Gantt of a schedule",
+    p_trace = command("trace", _cmd_trace, help="ASCII Gantt of a schedule")
+    p_trace.add_argument(
+        "--batch", type=_POSITIVE, default=4, help="batch size (default 4)"
     )
-    p_trace.add_argument("--layers", type=_positive_int, default=3)
+    p_trace.add_argument("--layers", type=_POSITIVE, default=3)
     p_trace.add_argument("--gan", action="store_true")
     p_trace.add_argument("--scheme", choices=SCHEMES, default="sp_cs")
 
     p_infer = command(
         "infer",
         _cmd_infer,
-        shared,
-        workload,
+        job,
         help="run synthetic inference through the crossbar simulator",
     )
     p_infer.add_argument(
         "--backend", choices=("loop", "vectorized")
     )
-    p_infer.add_argument("--count", type=_positive_int, default=64)
+    p_infer.add_argument("--count", type=_POSITIVE, default=64)
 
-    p_reliability = command(
+    command(
         "reliability",
         _cmd_reliability,
-        shared,
-        workload,
+        job,
         campaign,
         help="deterministic fault-injection campaign over a workload",
-    )
-    p_reliability.add_argument(
-        "--backend",
-        choices=("loop", "vectorized", "both"),
-        default="vectorized",
-        help="'both' also verifies loop == vectorized fault outcomes",
-    )
-    p_reliability.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="shard scenarios over N processes (byte-identical report "
-        "for any N)",
     )
 
     p_sweep = command(
         "sweep",
         _cmd_sweep,
-        shared,
-        workload,
+        job,
         campaign,
         help="distributed deterministic sweep over (scenario x seed "
         "x backend) cells",
@@ -950,18 +920,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds",
         type=_comma_list(int, "integers"),
         help="comma-separated master seeds (default: --seed)",
-    )
-    p_sweep.add_argument(
-        "--backend",
-        choices=("loop", "vectorized", "both"),
-        default="vectorized",
-        help="'both' adds one cell per backend per scenario",
-    )
-    p_sweep.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="process count for the cell pool (default 1: inline)",
     )
     p_sweep.add_argument(
         "--cache-dir",
@@ -985,21 +943,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = command(
         "train",
         _cmd_train,
-        shared,
-        workload,
+        job,
         help="crossbar-in-the-loop training on a synthetic set",
     )
     p_train.add_argument(
         "--backend", choices=("loop", "vectorized")
     )
-    p_train.add_argument("--epochs", type=_positive_int, default=1)
-    p_train.add_argument("--train-count", type=_positive_int, default=256)
-    p_train.add_argument("--test-count", type=_positive_int, default=64)
+    p_train.add_argument("--epochs", type=_POSITIVE, default=1)
+    p_train.add_argument("--train-count", type=_POSITIVE, default=256)
+    p_train.add_argument("--test-count", type=_POSITIVE, default=64)
 
     p_serve = command(
         "serve",
         _cmd_serve,
-        shared,
         help="async multi-tenant job server over the simulator",
         description="Serve simulation-as-a-service: accept "
         "schema-versioned JSON job specs (inference/training/"
@@ -1024,21 +980,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--workers",
-        type=_positive_int,
+        type=_POSITIVE,
         default=4,
         help="worker threads executing jobs (default 4)",
     )
     p_serve.add_argument(
         "--max-coalesce",
-        type=_positive_int,
+        type=_POSITIVE,
         default=8,
         help="max inference jobs per coalesced batch (default 8)",
     )
     p_serve.add_argument(
         "--smoke",
-        type=_positive_int,
+        type=_POSITIVE,
         metavar="N",
         help="run the N-job self-check instead of serving forever",
+    )
+    p_serve.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="master RNG seed of the --smoke job mix (default 0)",
     )
     p_serve.add_argument(
         "--event-log",
@@ -1051,7 +1013,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_top = command(
         "top",
         _cmd_top,
-        shared,
         help="live per-tenant throughput/latency table from a running "
         "server",
         description="Poll a job server's /v1/stats and render "
@@ -1067,13 +1028,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_top.add_argument(
         "--interval",
-        type=_non_negative_float,
+        type=_number(float, ">="),
         default=2.0,
         help="seconds between polls (default 2)",
     )
     p_top.add_argument(
         "--count",
-        type=_positive_int,
+        type=_POSITIVE,
         default=1,
         help="how many frames to render before exiting (default 1)",
     )
@@ -1081,7 +1042,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile = command(
         "profile",
         _cmd_profile,
-        shared,
         wrapper,
         help="run any subcommand under a telemetry collector",
         description="Wrap another subcommand in a telemetry collector "
@@ -1099,7 +1059,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = command(
         "report",
         _cmd_report,
-        shared,
         wrapper,
         help="derived metrics (utilization, bubbles, ADC/MAC) from "
         "telemetry",
@@ -1127,7 +1086,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = command(
         "bench",
         _cmd_bench,
-        shared,
         help="run the benchmark suite and gate on committed baselines",
         description="Discover benchmarks/bench_*.py through the "
         "repro.bench registry, execute the selected suite, append the "
@@ -1149,7 +1107,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--workers",
-        type=_positive_int,
+        type=_POSITIVE,
         default=1,
         help="shard benches over N processes (deterministic metrics "
         "are unaffected; wall times then share the host)",
@@ -1183,15 +1141,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the registered benches and exit",
     )
 
-    p_check = command(
+    p_check = sub.add_parser(
         "check",
-        _cmd_check,
         help="AST-based determinism & contract linter over the package",
         description="Run the repro.checks rules (see --list-rules) "
         "over the installed package or the given paths.  "
         "Exits 1 on findings, 0 when clean.  Suppress one line "
         "with '# repro: noqa[RULE]'.",
     )
+    p_check.set_defaults(func=_cmd_check)
     p_check.add_argument(
         "paths",
         nargs="*",
@@ -1230,7 +1188,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.log_level or args.verbose:
         _configure_logging(args.log_level, args.verbose)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro table1 | head -3``).
+        # Point stdout at /dev/null so the interpreter's exit-time
+        # flush of what is still buffered cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -70,17 +70,22 @@ class TableOneRow:
         }
 
     def summary(self) -> str:
-        lines = [
-            f"{self.accelerator}: speedup {self.speedup:.2f}x "
-            f"(paper {self.paper_speedup}x), energy saving "
-            f"{self.energy_saving:.2f}x (paper {self.paper_energy_saving}x)"
-        ]
-        for name, speedup, energy in self.per_workload:
-            lines.append(
-                f"  {name:<16s} speedup {speedup:8.1f}x   "
-                f"energy saving {energy:6.1f}x"
-            )
-        return "\n".join(lines)
+        return render_table1_row(self.to_dict())
+
+
+def render_table1_row(row: Dict[str, Any]) -> str:
+    """Human text of one Table I row document (``TableOneRow.to_dict``)."""
+    lines = [
+        f"{row['accelerator']}: speedup {row['speedup']:.2f}x "
+        f"(paper {row['paper_speedup']}x), energy saving "
+        f"{row['energy_saving']:.2f}x (paper {row['paper_energy_saving']}x)"
+    ]
+    for entry in row["per_workload"]:
+        lines.append(
+            f"  {entry['network']:<16s} speedup {entry['speedup']:8.1f}x   "
+            f"energy saving {entry['energy_saving']:6.1f}x"
+        )
+    return "\n".join(lines)
 
 
 def pipelayer_table1(

@@ -249,6 +249,14 @@ class TestCliJson:
             json.dumps(table1_report(32), indent=2) + "\n"
         )
 
+    def test_table1_text_is_the_row_summaries(self, capsys):
+        # The text is rendered from the emitted document, byte for byte
+        # what each TableOneRow prints.
+        assert main(["table1"]) == 0
+        assert capsys.readouterr().out == "\n\n".join(
+            row.summary() for row in Simulator.table1(32).values()
+        ) + "\n"
+
     @pytest.mark.slow
     def test_table1_json(self, capsys):
         document = self._json_out(capsys, ["table1", "--json"])

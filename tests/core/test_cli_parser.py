@@ -199,23 +199,37 @@ def test_out_of_range_rate_exits_two_without_traceback(capsys, command):
 #: the batch size it runs at when the flag is omitted.
 BATCH_DEFAULTS = [
     (["table1"], 32),
-    (["fig4"], 32),
-    (["fig5"], 32),
     (["fig9"], 32),
-    (["summary", "alexnet"], 32),
-    (["sensitivity"], 32),
     (["area", "alexnet"], 32),
     (["infer"], 32),
     (["train"], 32),
     (["reliability"], 32),
     (["sweep"], 32),
-    (["serve"], 32),
-    (["top", "--port", "8077"], 32),
-    (["bench"], 32),
-    (["profile", "infer"], 32),
-    (["report", "infer"], 32),
     (["trace"], 4),
 ]
+
+#: The same for ``--seed``: every subcommand that reads it starts at 0.
+SEED_DEFAULTS = [
+    (["infer"], 0),
+    (["train"], 0),
+    (["reliability"], 0),
+    (["sweep"], 0),
+    (["serve"], 0),
+]
+
+
+def _subcommands_taking(dest: str) -> set:
+    """The subcommand names whose parser declares ``dest``."""
+    (subparsers,) = (
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        name
+        for name, subparser in subparsers.choices.items()
+        if any(action.dest == dest for action in subparser._actions)
+    }
 
 
 @pytest.mark.parametrize(
@@ -223,20 +237,71 @@ BATCH_DEFAULTS = [
 )
 def test_batch_default(argv, batch):
     """Only ``trace`` defaults to a batch of 4; its default must not
-    leak into the other subcommands through the shared parent."""
+    leak into the other subcommands."""
     assert _parse(argv).batch == batch
 
 
 def test_batch_defaults_cover_every_batch_subcommand():
-    parser = build_parser()
-    (subparsers,) = (
-        action
-        for action in parser._actions
-        if isinstance(action, argparse._SubParsersAction)
-    )
-    takes_batch = {
-        name
-        for name, subparser in subparsers.choices.items()
-        if any(action.dest == "batch" for action in subparser._actions)
+    assert _subcommands_taking("batch") == {
+        argv[0] for argv, _ in BATCH_DEFAULTS
     }
-    assert takes_batch == {argv[0] for argv, _ in BATCH_DEFAULTS}
+
+
+@pytest.mark.parametrize(
+    "argv,seed", SEED_DEFAULTS, ids=[argv[0] for argv, _ in SEED_DEFAULTS]
+)
+def test_seed_default(argv, seed):
+    assert _parse(argv).seed == seed
+
+
+def test_seed_defaults_cover_every_seed_subcommand():
+    assert _subcommands_taking("seed") == {
+        argv[0] for argv, _ in SEED_DEFAULTS
+    }
+
+
+#: Every ``--seed``/``--batch`` a subcommand does not read.
+IGNORED_FLAGS = [
+    ("--seed", name)
+    for name in ("table1", "fig4", "fig5", "fig9", "summary", "sensitivity",
+                 "area", "trace", "top", "bench", "profile", "report")
+] + [
+    ("--batch", name)
+    for name in ("fig4", "fig5", "summary", "sensitivity", "serve", "top",
+                 "bench", "profile", "report")
+]
+
+#: What the subcommands that need more than their name must be given.
+_REQUIRED = {
+    "summary": ["alexnet"],
+    "area": ["alexnet"],
+    "top": ["--port", "1"],
+}
+
+
+def _with_flag(name: str, flag: str) -> List[str]:
+    """``name``'s shortest argv plus ``flag 3``; a wrapper's own flags
+    come before the command it wraps."""
+    if name in ("profile", "report"):
+        return [name, flag, "3", "infer"]
+    return [name, *_REQUIRED.get(name, []), flag, "3"]
+
+
+@pytest.mark.parametrize(
+    "flag,name", IGNORED_FLAGS, ids=[f"{n} {f}" for f, n in IGNORED_FLAGS]
+)
+def test_unread_flag_is_a_usage_error(capsys, flag, name):
+    """A flag the handler would ignore is refused, not dropped;
+    dropped, ``repro profile --seed 3 infer`` would profile seed 0."""
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(_with_flag(name, flag))
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
+
+
+def test_unread_flags_cover_every_subcommand():
+    every = _subcommands_taking("json") - {"check"}
+    for flag, dest in (("--seed", "seed"), ("--batch", "batch")):
+        unread = {name for other, name in IGNORED_FLAGS if other == flag}
+        assert unread == every - _subcommands_taking(dest), flag

@@ -1,5 +1,10 @@
 """Tests for the schedule trace renderer and the CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -108,7 +113,10 @@ class TestCli:
         assert "alexnet" in capsys.readouterr().out
 
     def test_summary_unknown_workload(self, capsys):
-        assert main(["summary", "resnet"]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["summary", "resnet"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'resnet'" in capsys.readouterr().err
 
     def test_trace_training(self, capsys):
         assert main(["trace", "--layers", "2", "--batch", "2"]) == 0
@@ -139,7 +147,10 @@ class TestCliExtensions:
     def test_area_unknown_workload(self, capsys):
         from repro.cli import main
 
-        assert main(["area", "resnet"]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["area", "resnet"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'resnet'" in capsys.readouterr().err
 
     def test_sensitivity_subcommand(self, capsys):
         from repro.cli import main
@@ -148,3 +159,23 @@ class TestCliExtensions:
         out = capsys.readouterr().out
         assert "subcycle_time" in out
         assert "swing" in out
+
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+@pytest.mark.parametrize(
+    "argv", [["table1"], ["table1", "--json"], ["fig4"]], ids=" ".join
+)
+def test_closed_stdout_exits_one_quietly(argv):
+    """A reader that closes the pipe early (``repro table1 | head -3``)
+    ends the command with exit 1 and nothing on stderr."""
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    process.stdout.close()
+    _, stderr = process.communicate(timeout=120)
+    assert (process.returncode, stderr) == (1, b"")
