@@ -19,18 +19,9 @@ from repro.core.estimator import pipelayer_table1, regan_table1
 from repro.telemetry import bench_document as _bench_document
 
 
-def pipelayer_speedup(tech):
-    return pipelayer_table1(tech=tech).speedup
-
-
-def pipelayer_energy(tech):
-    return pipelayer_table1(tech=tech).energy_saving
-
-
 def sweep():
     return {
-        "speedup": tech_sensitivity(pipelayer_speedup),
-        "energy": tech_sensitivity(pipelayer_energy),
+        metric: tech_sensitivity(metric) for metric in ("speedup", "energy")
     }
 
 

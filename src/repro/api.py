@@ -620,6 +620,20 @@ def mapping_sweep(
     return {"schema_version": SCHEMA_VERSION, "rows": rows}
 
 
+def render_mapping_sweep(document: Dict[str, Any]) -> str:
+    """Text table of a :func:`mapping_sweep` document."""
+    lines = [
+        "Fig. 4 mapping trade-off (114x114x128 -> 112x112x256, 3x3):",
+        f"{'X':>8s} {'passes/img':>12s} {'arrays':>10s}",
+    ]
+    for row in document["rows"]:
+        lines.append(
+            f"{row['duplication']:>8d} {row['passes_per_image']:>12d} "
+            f"{row['arrays']:>10d}"
+        )
+    return "\n".join(lines)
+
+
 def pipeline_sweep(
     layers: int = 8,
     batches: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128),
@@ -643,6 +657,20 @@ def pipeline_sweep(
         "layers": int(layers),
         "rows": rows,
     }
+
+
+def render_pipeline_sweep(document: Dict[str, Any]) -> str:
+    """Text table of a :func:`pipeline_sweep` document."""
+    lines = [
+        f"Fig. 5 pipeline, L = {document['layers']}:",
+        f"{'B':>6s} {'sequential':>12s} {'pipelined':>12s} {'speedup':>9s}",
+    ]
+    for row in document["rows"]:
+        lines.append(
+            f"{row['batch']:>6d} {row['sequential_cycles']:>12d} "
+            f"{row['pipelined_cycles']:>12d} {row['speedup']:>8.2f}x"
+        )
+    return "\n".join(lines)
 
 
 _RELIABILITY_SHAPE = {
@@ -693,6 +721,24 @@ def validate_gan_scheme_report(
 ) -> Dict[str, Any]:
     """Raise ``ValueError`` unless ``document`` is a scheme report."""
     return check_document(document, _GAN_SCHEME_SHAPE, "gan_scheme_report")
+
+
+def render_gan_scheme_report(document: Dict[str, Any]) -> str:
+    """Per-dataset scheme table of a :func:`gan_scheme_report` document."""
+    suite = regan_suite()
+    lines = []
+    for dataset, rows in document["datasets"].items():
+        generator, discriminator = suite[dataset]
+        lines.append(
+            f"{dataset} (L_G={generator.depth}, L_D={discriminator.depth}, "
+            f"B={document['batch']}):"
+        )
+        for row in rows:
+            lines.append(
+                f"  {row['scheme']:<12s} {row['cycles']:>6d} cycles "
+                f"{row['speedup']:>7.2f}x"
+            )
+    return "\n".join(lines)
 
 
 def schedule_trace(
@@ -746,7 +792,10 @@ __all__ = [
     "device_config_hash",
     "table1_report",
     "mapping_sweep",
+    "render_mapping_sweep",
     "pipeline_sweep",
+    "render_pipeline_sweep",
     "gan_scheme_report",
+    "render_gan_scheme_report",
     "schedule_trace",
 ]

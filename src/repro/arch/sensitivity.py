@@ -25,10 +25,10 @@ from typing import (
     Callable,
     Dict,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from repro.arch.params import DEFAULT_TECH, XbarTechParams
@@ -110,12 +110,8 @@ METRICS: Dict[str, Callable[[XbarTechParams], float]] = {
 }
 
 
-def resolve_metric(
-    metric: Union[str, Callable[[XbarTechParams], float]]
-) -> Callable[[XbarTechParams], float]:
-    """A metric callable from a :data:`METRICS` name (callables pass through)."""
-    if callable(metric):
-        return metric
+def resolve_metric(metric: str) -> Callable[[XbarTechParams], float]:
+    """The metric callable a :data:`METRICS` name stands for."""
     function = METRICS.get(metric)
     if function is None:
         raise ValueError(
@@ -155,7 +151,7 @@ def run_sensitivity_cell(
 
 
 def tech_sensitivity(
-    metric: Union[str, Callable[[XbarTechParams], float]],
+    metric: str,
     tech: XbarTechParams = DEFAULT_TECH,
     field_names: Sequence[str] = SWEEPABLE_FIELDS,
     low_factor: float = 0.5,
@@ -165,88 +161,63 @@ def tech_sensitivity(
     shard_order: Optional[Sequence[int]] = None,
     mp_context: Optional[str] = None,
 ) -> List[SensitivityRow]:
-    """Tornado sweep: ``metric`` under per-field scaling.
+    """Tornado sweep: the :data:`METRICS` entry ``metric`` per field.
 
-    ``metric`` maps a technology table to a scalar — either a
-    :data:`METRICS` name (``"speedup"``, ``"energy"``) or a bare
-    callable.  Returns one row per field, sorted by swing, widest
-    first.
-
-    A *named* metric runs through the sweep-cell machinery
-    (:func:`run_sensitivity_cell`), so ``workers=N`` shards the fields
-    over a process pool with the same result for any worker count; a
-    bare callable cannot be pickled to a worker and therefore only
-    supports ``workers=1`` (the in-process legacy path).
+    Each field is scaled by ``low_factor`` and ``high_factor`` in turn.
+    Returns one row per field, sorted by swing, widest first.  Each
+    field is one sweep cell (:func:`run_sensitivity_cell`), so
+    ``workers=N`` shards the fields over a process pool with the same
+    result for any worker count.
     """
     check_positive("low_factor", low_factor)
     check_positive("high_factor", high_factor)
-    if isinstance(metric, str):
-        # Lazy: sweep sits above arch in the layer DAG (ARCH001);
-        # only the sharded path needs the cell machinery.
-        from repro.sweep import SweepCell, run_sweep
+    # Lazy: sweep sits above arch in the layer DAG (ARCH001).
+    from repro.sweep import SweepCell, run_sweep
 
-        cells = [
-            SweepCell(
-                "sensitivity_point",
-                {
-                    "name": field_name,
-                    "metric": metric,
-                    "field": field_name,
-                    "low_factor": float(low_factor),
-                    "high_factor": float(high_factor),
-                    "tech": asdict(tech),
-                },
-            )
-            for field_name in field_names
-        ]
-        sweep = run_sweep(
-            cells,
-            workers=workers,
-            collector=collector,
-            scope_for=lambda index, cell: f"field[{cell.spec['field']}]",
-            shard_order=shard_order,
-            mp_context=mp_context,
+    cells = [
+        SweepCell(
+            "sensitivity_point",
+            {
+                "name": field_name,
+                "metric": metric,
+                "field": field_name,
+                "low_factor": float(low_factor),
+                "high_factor": float(high_factor),
+                "tech": asdict(tech),
+            },
         )
-        results = sweep.results()
-        if any(point["metric_nominal"] == 0 for point in results):
-            raise ValueError("metric is zero at the nominal point")
-        rows = [
-            SensitivityRow(
-                field=point["field"],
-                low_factor=point["low_factor"],
-                high_factor=point["high_factor"],
-                metric_low=point["metric_low"],
-                metric_nominal=point["metric_nominal"],
-                metric_high=point["metric_high"],
-            )
-            for point in results
-        ]
-        rows.sort(key=lambda row: row.swing, reverse=True)
-        return rows
-    if workers != 1:
-        raise ValueError(
-            "workers > 1 needs a named metric (a METRICS key); a bare "
-            "callable cannot be shipped to worker processes"
-        )
-    nominal = metric(tech)
-    if nominal == 0:
+        for field_name in field_names
+    ]
+    sweep = run_sweep(
+        cells,
+        workers=workers,
+        collector=collector,
+        scope_for=lambda index, cell: f"field[{cell.spec['field']}]",
+        shard_order=shard_order,
+        mp_context=mp_context,
+    )
+    results = sweep.results()
+    if any(point["metric_nominal"] == 0 for point in results):
         raise ValueError("metric is zero at the nominal point")
-    rows = []
-    for field_name in field_names:
-        low = metric(scaled_tech(tech, field_name, low_factor))
-        high = metric(scaled_tech(tech, field_name, high_factor))
-        rows.append(
-            SensitivityRow(
-                field=field_name,
-                low_factor=low_factor,
-                high_factor=high_factor,
-                metric_low=low,
-                metric_nominal=nominal,
-                metric_high=high,
-            )
-        )
+    rows = [SensitivityRow(**point) for point in results]
     rows.sort(key=lambda row: row.swing, reverse=True)
     return rows
+
+
+def render_tornado(document: Sequence[Mapping[str, Any]], metric: str) -> str:
+    """Text table of tornado rows (``field``, ``metric_*``, ``swing``)."""
+    lines = [
+        f"PipeLayer {metric} sensitivity (0.5x .. 2x per field):",
+        f"{'parameter':<28s}{'0.5x':>10s}{'nominal':>10s}{'2x':>10s}"
+        f"{'swing':>8s}",
+    ]
+    for row in document:
+        lines.append(
+            f"{row['field']:<28s}{row['metric_low']:>10.2f}"
+            f"{row['metric_nominal']:>10.2f}{row['metric_high']:>10.2f}"
+            f"{row['swing']:>8.2f}"
+        )
+    return "\n".join(lines)
 
 
 def conclusion_robustness(

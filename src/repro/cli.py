@@ -20,95 +20,103 @@ Usage::
 (``python -m repro.cli ...`` works identically when the console script
 is not installed.)
 
-Each option is declared only on the subcommands that read it:
-``--seed`` (default 0) on ``infer``, ``train``, ``reliability``,
-``sweep`` and ``serve``; ``--batch`` on ``table1``, ``fig9``, ``area``,
-``infer``, ``train``, ``reliability`` and ``sweep`` (default 32) and
-``trace`` (default 4).  Every subcommand accepts a ``--json`` flag that
-switches the output to a machine-readable document.  All result data
-comes from :mod:`repro.api` — the CLI is a thin presentation layer
-over the same facade library users import.
+Each option is declared only on the subcommands that read it, and
+every subcommand accepts ``--json`` for a machine-readable document.
 
-``repro profile <subcommand> ...`` wraps any other subcommand in a
-:class:`repro.telemetry.Collector` and reports hierarchical counters,
-timing spans, and a Chrome-trace file on top of the wrapped workload.
-``repro report`` renders the *derived* metrics — stage utilization,
-bubbles, ADC conversions per MAC — from a saved profile JSON or a
-freshly run subcommand.  ``repro bench`` drives the whole benchmark
-suite through one registry and gates on the committed baselines.
+Twelve subcommands are *rows* (:data:`_ROWS`): ``table1``, ``fig4``,
+``fig5``, ``fig9``, ``summary``, ``trace``, ``sensitivity``, ``area``,
+``reliability``, ``sweep``, ``infer`` and ``train``.  A row is one
+function ``(args, collector) -> (document, text)`` over the library
+(:mod:`repro.api` and the modules beside it, which also render the
+text), plus its document's validator if it has one.  Every row runs
+the same way: compute, validate, print the JSON or the text.  A row
+that refuses its arguments prints one ``repro <cmd>: error: ...`` line
+and exits 2, as does any subcommand, before any work, whose output
+file (``--trace-out``, ``--stats-out``, ``--event-log``) has no
+directory to go to.
+
+``repro profile <row> ...`` calls the row's function with a
+:class:`repro.telemetry.Collector` and prints its counters, spans and
+Chrome-trace path after the row's own text; ``repro report <row> ...``
+renders the derived metrics (stage utilization, bubbles, ADC
+conversions per MAC) of the row's counters or of a saved profile.
+Neither wraps ``serve``, ``top``, ``check``, ``bench``, ``profile`` or
+``report``.  ``repro bench`` runs the benchmark suite through one
+registry and gates on the committed baselines.
 
 The global ``--log-level`` / ``-v`` flags wire Python ``logging``
-through the stack (component-prefixed ``repro.*`` loggers); the
-default is WARNING, so unflagged output is byte-identical.
+through the component-prefixed ``repro.*`` loggers; the default is
+WARNING, so unflagged output is byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import operator
 import os
 import sys
 import time
-from contextlib import redirect_stdout
 from pathlib import Path
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro import api
+from repro import api, telemetry
+from repro.arch.components import event_costs
+from repro.arch.params import DEFAULT_TECH
+from repro.arch.report import pipelayer_report
+from repro.arch.sensitivity import render_tornado, tech_sensitivity
 from repro.core.estimator import render_table1_row
 from repro.core.gan_pipeline import SCHEMES
+from repro.core.pipelayer import PipeLayerModel
 from repro.reliability import (
     AXES,
     campaign_summary,
     run_campaign,
     scenarios_for,
 )
-from repro.telemetry import (
-    SCHEMA_VERSION,
-    Collector,
-    TraceContext,
-    TraceLog,
-    analyze_counters,
-    profile_report,
-    render_analysis_report,
-    trace_chrome_document,
-    validate_analysis_report,
-    validate_profile_report,
+from repro.reliability.campaign import campaign_cells
+from repro.sweep import (
+    SweepCache,
+    run_sweep,
+    sweep_report,
+    sweep_summary,
+    validate_sweep_report,
 )
 from repro.utils.io import write_json_atomic
 from repro.utils.logging import configure as _configure_logging
-from repro.workloads import (
-    alexnet_spec,
-    mnist_cnn_spec,
-    regan_suite,
-    vggnet_spec,
-)
-
-#: Subcommands that may not be wrapped by profile/report (they are
-#: wrappers, whole-suite drivers, long-lived servers, or — like the
-#: linter — not simulations at all).
-_UNWRAPPABLE = ("profile", "report", "bench", "check", "serve", "top")
+from repro.workloads import alexnet_spec, mnist_cnn_spec, vggnet_spec
 
 _WORKLOADS = {
-    "mnist": mnist_cnn_spec,
-    "alexnet": alexnet_spec,
-    "vggnet": vggnet_spec,
+    "mnist": mnist_cnn_spec, "alexnet": alexnet_spec, "vggnet": vggnet_spec,
 }
+
+#: What a row returns: its document and the text rendering of it.
+Rendered = Tuple[Any, str]
+#: The collector a row reports to (``None`` outside profile/report).
+Sink = Optional[telemetry.Collector]
+#: A row: ``(args, collector) -> (document, text)``.
+Row = Callable[[argparse.Namespace, Sink], Rendered]
+
+
+class _CommandError(Exception):
+    """A subcommand's one-line error; ``code`` is its exit code."""
+
+    def __init__(self, message: str, code: int = 2) -> None:
+        super().__init__(message)
+        self.code = code
 
 
 def _emit(args: argparse.Namespace, document: Any, text: str) -> int:
     """Print ``document`` as JSON or the human ``text`` rendering.
 
-    Every JSON document leaving the CLI carries ``schema_version``:
-    dictionaries that lack the field gain it, bare lists are wrapped as
-    ``{"schema_version": ..., "rows": [...]}``.
+    Every JSON document leaving the CLI carries ``schema_version``; a
+    bare list is wrapped as ``{"schema_version": ..., "rows": [...]}``.
     """
     if args.json:
         if not isinstance(document, dict):
-            document = {"schema_version": SCHEMA_VERSION, "rows": document}
-        elif "schema_version" not in document:
-            document = {"schema_version": SCHEMA_VERSION, **document}
+            document = {"rows": document}
+        if "schema_version" not in document:
+            document = {"schema_version": telemetry.SCHEMA_VERSION, **document}
         json.dump(document, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
@@ -122,129 +130,85 @@ def _fail(message: str, code: int = 2) -> int:
     return code
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    document = api.validate_table1_report(api.table1_report(args.batch))
-    text = "\n\n".join(
-        render_table1_row(row)
-        for key, row in document.items()
-        if key != "schema_version"
-    )
-    return _emit(args, document, text)
+def _refuse(args: argparse.Namespace, error: _CommandError) -> int:
+    """Print ``error`` as ``repro <cmd>: error: ...``; return its code."""
+    return _fail(f"repro {args.command}: error: {error}", error.code)
 
 
-def _cmd_fig4(args: argparse.Namespace) -> int:
-    sweep = api.mapping_sweep()
-    lines = [
-        "Fig. 4 mapping trade-off (114x114x128 -> 112x112x256, 3x3):",
-        f"{'X':>8s} {'passes/img':>12s} {'arrays':>10s}",
-    ]
-    for row in sweep["rows"]:
-        lines.append(
-            f"{row['duplication']:>8d} {row['passes_per_image']:>12d} "
-            f"{row['arrays']:>10d}"
-        )
-    return _emit(args, sweep, "\n".join(lines))
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Refuse, before any work, an output file that cannot be created."""
+    for name in ("trace_out", "stats_out", "event_log"):
+        path = vars(args).get(name)
+        if path is not None and not Path(path).parent.is_dir():
+            raise _CommandError(f"cannot write {path}: "
+                                f"{Path(path).parent} is not a directory")
 
 
-def _cmd_fig5(args: argparse.Namespace) -> int:
-    sweep = api.pipeline_sweep(layers=args.layers)
-    lines = [
-        f"Fig. 5 pipeline, L = {args.layers}:",
-        f"{'B':>6s} {'sequential':>12s} {'pipelined':>12s} {'speedup':>9s}",
-    ]
-    for row in sweep["rows"]:
-        lines.append(
-            f"{row['batch']:>6d} {row['sequential_cycles']:>12d} "
-            f"{row['pipelined_cycles']:>12d} {row['speedup']:>8.2f}x"
-        )
-    return _emit(args, sweep, "\n".join(lines))
+def _write_json(path: Any, document: Any) -> None:
+    """:func:`write_json_atomic`; a failure is a one-line error (exit 1)."""
+    try:
+        write_json_atomic(Path(path), document)
+    except OSError as error:
+        raise _CommandError(f"cannot write {path}: "
+                            f"{error.strerror or error}", 1) from None
 
 
-def _cmd_fig9(args: argparse.Namespace) -> int:
-    report = api.validate_gan_scheme_report(
-        api.gan_scheme_report(batch=args.batch)
-    )
-    depths = {
-        name: (generator.depth, discriminator.depth)
-        for name, (generator, discriminator) in regan_suite().items()
-    }
-    lines = []
-    for dataset, rows in report["datasets"].items():
-        l_g, l_d = depths[dataset]
-        lines.append(f"{dataset} (L_G={l_g}, L_D={l_d}, B={args.batch}):")
-        for row in rows:
-            lines.append(
-                f"  {row['scheme']:<12s} {row['cycles']:>6d} cycles "
-                f"{row['speedup']:>7.2f}x"
-            )
-    return _emit(args, report, "\n".join(lines))
+def _table1(args: argparse.Namespace, collector: Sink) -> Rendered:
+    document = api.table1_report(args.batch)
+    rows = [row for key, row in document.items() if key != "schema_version"]
+    return document, "\n\n".join(map(render_table1_row, rows))
 
 
-def _cmd_summary(args: argparse.Namespace) -> int:
+def _fig4(args: argparse.Namespace, collector: Sink) -> Rendered:
+    document = api.mapping_sweep()
+    return document, api.render_mapping_sweep(document)
+
+
+def _fig5(args: argparse.Namespace, collector: Sink) -> Rendered:
+    document = api.pipeline_sweep(layers=args.layers)
+    return document, api.render_pipeline_sweep(document)
+
+
+def _fig9(args: argparse.Namespace, collector: Sink) -> Rendered:
+    document = api.gan_scheme_report(batch=args.batch)
+    return document, api.render_gan_scheme_report(document)
+
+
+def _summary(args: argparse.Namespace, collector: Sink) -> Rendered:
     spec = _WORKLOADS[args.workload]()
     document = {
-        "name": spec.name,
-        "depth": spec.depth,
-        "layers": len(spec.layers),
-        "total_macs": spec.total_macs,
-        "total_weights": spec.total_weights,
+        "name": spec.name, "depth": spec.depth, "layers": len(spec.layers),
+        "total_macs": spec.total_macs, "total_weights": spec.total_weights,
         "total_activations": spec.total_activations,
     }
-    return _emit(args, document, spec.summary())
+    return document, spec.summary()
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
+def _trace(args: argparse.Namespace, collector: Sink) -> Rendered:
     document = api.schedule_trace(
-        layers=args.layers,
-        batch=args.batch,
-        gan=args.gan,
-        scheme=args.scheme,
-        collector=getattr(args, "collector", None),
+        layers=args.layers, batch=args.batch, gan=args.gan,
+        scheme=args.scheme, collector=collector,
     )
     if args.gan:
-        header = (
-            f"GAN iteration, L_D=L_G={args.layers}, B={args.batch}, "
-            f"scheme={args.scheme} -> {document['makespan']} cycles"
-        )
+        run = (f"GAN iteration, L_D=L_G={args.layers}, B={args.batch}, "
+               f"scheme={args.scheme}")
     else:
-        header = (
-            f"training pipeline, L={args.layers}, B={args.batch}, "
-            f"2 batches -> {document['makespan']} cycles"
-        )
-    return _emit(args, document, header + "\n" + document["gantt"])
+        run = f"training pipeline, L={args.layers}, B={args.batch}, 2 batches"
+    header = f"{run} -> {document['makespan']} cycles"
+    return document, header + "\n" + document["gantt"]
 
 
-def _cmd_sensitivity(args: argparse.Namespace) -> int:
-    from repro.arch.sensitivity import tech_sensitivity
-
-    rows = tech_sensitivity(
-        args.metric,
-        workers=args.workers,
-        collector=getattr(args, "collector", None),
-    )
+def _sensitivity(args: argparse.Namespace, collector: Sink) -> Rendered:
+    rows = tech_sensitivity(args.metric, workers=args.workers,
+                            collector=collector)
     keys = ("field", "metric_low", "metric_nominal", "metric_high", "swing")
     document = [{key: getattr(row, key) for key in keys} for row in rows]
-    lines = [
-        f"PipeLayer {args.metric} sensitivity (0.5x .. 2x per field):",
-        f"{'parameter':<28s}{'0.5x':>10s}{'nominal':>10s}{'2x':>10s}"
-        f"{'swing':>8s}",
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.field:<28s}{row.metric_low:>10.2f}"
-            f"{row.metric_nominal:>10.2f}{row.metric_high:>10.2f}"
-            f"{row.swing:>8.2f}"
-        )
-    return _emit(args, document, "\n".join(lines))
+    return document, render_tornado(document, args.metric)
 
 
-def _cmd_area(args: argparse.Namespace) -> int:
-    from repro.arch.report import pipelayer_report
-    from repro.core.pipelayer import PipeLayerModel
-
-    model = PipeLayerModel(
-        _WORKLOADS[args.workload](), array_budget=args.budget
-    )
+def _area(args: argparse.Namespace, collector: Sink) -> Rendered:
+    model = PipeLayerModel(_WORKLOADS[args.workload](),
+                           array_budget=args.budget)
     report = pipelayer_report(model, batch=args.batch)
     keys = (
         "name", "array_count", "compute_area_mm2", "memory_area_mm2",
@@ -252,63 +216,45 @@ def _cmd_area(args: argparse.Namespace) -> int:
         "total_power_w", "area_vs_gpu",
     )
     document = {key: getattr(report, key) for key in keys}
-    return _emit(args, document, report.summary())
+    return document, report.summary()
 
 
 def _campaign_scenarios(args: argparse.Namespace) -> Any:
-    """The ``--axis``/``--rates`` scenarios, or ``None`` if out of range."""
+    """The ``--axis``/``--rates`` scenarios; refused if out of range."""
     try:
         return scenarios_for(args.axis, args.rates)
     except ValueError as error:
-        _fail(f"repro {args.command}: error: {error}")
-        return None
+        raise _CommandError(str(error)) from None
 
 
-def _cmd_reliability(args: argparse.Namespace) -> int:
-    if _campaign_scenarios(args) is None:
-        return 2
+def _reliability(args: argparse.Namespace, collector: Sink) -> Rendered:
+    _campaign_scenarios(args)
     report = run_campaign(
-        workload=args.workload,
-        axis=args.axis,
-        rates=args.rates,
-        seed=args.seed,
-        count=args.count,
-        batch=args.batch,
-        backend=args.backend,
-        train_epochs=args.train_epochs,
-        include_tiles=not args.no_tiles,
-        collector=getattr(args, "collector", None),
+        workload=args.workload, axis=args.axis, rates=args.rates,
+        seed=args.seed, count=args.count, batch=args.batch,
+        backend=args.backend, train_epochs=args.train_epochs,
+        include_tiles=not args.no_tiles, collector=collector,
         workers=args.workers,
     )
-    return _emit(args, report, campaign_summary(report))
+    return report, campaign_summary(report)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _sweep(args: argparse.Namespace, collector: Sink) -> Rendered:
     """Distributed deterministic sweep: (scenario × seed × backend) cells."""
-    from repro.reliability.campaign import campaign_cells
-    from repro.sweep import SweepCache, run_sweep, sweep_report, sweep_summary
-
     seeds = args.seeds or [args.seed]
     backends = (
         ("loop", "vectorized") if args.backend == "both" else (args.backend,)
     )
     scenarios = _campaign_scenarios(args)
-    if scenarios is None:
-        return 2
+    options = {
+        "count": args.count, "batch": args.batch,
+        "train_epochs": args.train_epochs, "include_tiles": not args.no_tiles,
+    }
     cells = campaign_cells(
-        args.workload,
-        scenarios,
-        seeds,
-        backends,
-        count=args.count,
-        batch=args.batch,
-        train_epochs=args.train_epochs,
-        include_tiles=not args.no_tiles,
+        args.workload, scenarios, seeds, backends, **options
     )
-
-    trace_log = TraceLog(proc="driver") if args.trace_out else None
-    trace_root = TraceContext.root("sweep", trace_log) if trace_log else None
-    collector = getattr(args, "collector", None)
+    trace_log = telemetry.TraceLog(proc="driver")
+    trace = telemetry.TraceContext.root("sweep", trace_log)
     run = run_sweep(
         cells,
         workers=args.workers,
@@ -317,67 +263,77 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         scope_for=lambda index, cell: (
             "cell[{name},seed={seed},backend={backend}]".format(**cell.spec)
         ),
-        trace=trace_root,
+        trace=trace if args.trace_out else None,
     )
-    if trace_root is not None and trace_log is not None:
-        trace_root.finish({"cells": len(cells)})
-        write_json_atomic(
-            Path(args.trace_out), trace_chrome_document(trace_log.spans())
-        )
-    report = sweep_report(
-        run,
-        {
-            "workload": args.workload,
-            "axis": args.axis,
-            "rates": [scenario.rate for scenario in scenarios],
-            "seeds": seeds,
-            "backends": list(backends),
-            "count": args.count,
-            "batch": args.batch,
-            "train_epochs": args.train_epochs,
-            "include_tiles": not args.no_tiles,
-        },
-    )
+    if args.trace_out:
+        trace.finish({"cells": len(cells)})
+        spans = trace_log.spans()
+        _write_json(args.trace_out, telemetry.trace_chrome_document(spans))
+    report = sweep_report(run, {
+        "workload": args.workload, "axis": args.axis,
+        "rates": [scenario.rate for scenario in scenarios],
+        "seeds": seeds, "backends": list(backends), **options,
+    })
     if args.stats_out:
         # Execution facts (worker count, cache hits) are deliberately
         # not part of the deterministic report document.
-        write_json_atomic(Path(args.stats_out), run.stats)
+        _write_json(args.stats_out, run.stats)
     stats = run.stats
     text = sweep_summary(report) + (
         f"\n{stats['workers']} worker(s): {stats['cache_hits']} cached, "
         f"{stats['recomputed']} computed"
     )
-    return _emit(args, report, text)
+    return report, text
 
 
-def _run_job(args: argparse.Namespace, job: "api.JobSpec") -> int:
-    """Run an ``infer``/``train`` job spec through :func:`api.run_job`."""
-    result = api.run_job(job, collector=getattr(args, "collector", None))
-    return _emit(args, result.to_dict(), result.summary())
-
-
-def _cmd_infer(args: argparse.Namespace) -> int:
+def _infer(args: argparse.Namespace, collector: Sink) -> Rendered:
     job = api.InferenceJob(
-        workload=args.workload,
-        seed=args.seed,
-        backend=args.backend,
-        count=args.count,
-        batch=args.batch,
+        workload=args.workload, seed=args.seed, backend=args.backend,
+        count=args.count, batch=args.batch,
     )
-    return _run_job(args, job)
+    result = api.run_job(job, collector=collector)
+    return result.to_dict(), result.summary()
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
+def _train(args: argparse.Namespace, collector: Sink) -> Rendered:
     job = api.TrainingJob(
-        workload=args.workload,
-        seed=args.seed,
-        backend=args.backend,
-        epochs=args.epochs,
-        batch=args.batch,
-        train_count=args.train_count,
-        test_count=args.test_count,
+        workload=args.workload, seed=args.seed, backend=args.backend,
+        epochs=args.epochs, batch=args.batch,
+        train_count=args.train_count, test_count=args.test_count,
     )
-    return _run_job(args, job)
+    result = api.run_job(job, collector=collector)
+    return result.to_dict(), result.summary()
+
+
+#: Every row by subcommand name, with its document's validator.
+_ROWS: Dict[str, Tuple[Row, Optional[Callable[[Any], Any]]]] = {
+    "table1": (_table1, api.validate_table1_report),
+    "fig4": (_fig4, None),
+    "fig5": (_fig5, None),
+    "fig9": (_fig9, api.validate_gan_scheme_report),
+    "summary": (_summary, None),
+    "trace": (_trace, None),
+    "sensitivity": (_sensitivity, None),
+    "area": (_area, None),
+    "reliability": (_reliability, api.validate_reliability_report),
+    "sweep": (_sweep, validate_sweep_report),
+    "infer": (_infer, None),
+    "train": (_train, None),
+}
+
+
+def _compute(args: argparse.Namespace, collector: Sink) -> Rendered:
+    """Run the row ``args.command`` names and validate its document."""
+    row, validate = _ROWS[args.command]
+    document, text = row(args, collector)
+    if validate is not None:
+        validate(document)
+    return document, text
+
+
+def _cmd_row(args: argparse.Namespace) -> int:
+    """Every row subcommand: compute, validate, emit."""
+    return _emit(args, *_compute(args, None))
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -385,11 +341,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.server import ServerConfig, running_server
 
     config = ServerConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        max_coalesce=args.max_coalesce,
-        event_log=args.event_log,
+        host=args.host, port=args.port, workers=args.workers,
+        max_coalesce=args.max_coalesce, event_log=args.event_log,
     )
     if args.smoke is not None:
         from repro.serve.smoke import run_smoke
@@ -401,10 +354,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         _emit(args, document, text)
         return 0 if document["ok"] else 1
     with running_server(config) as (_, (host, port)):
-        print(
-            f"repro serve listening on http://{host}:{port} "
-            "(POST /v1/jobs; Ctrl-C to stop)"
-        )
+        print(f"repro serve listening on http://{host}:{port} "
+              "(POST /v1/jobs; Ctrl-C to stop)")
         try:
             while True:
                 time.sleep(3600)
@@ -413,146 +364,91 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_top(stats: dict, rows: List[dict]) -> str:
-    """One ``repro top`` frame as plain text."""
-    cache = stats.get("cache", {})
-    lookups = cache.get("hits", 0) + cache.get("misses", 0)
-    hit_ratio = cache.get("hits", 0) / lookups if lookups else 0.0
-    lines = [
-        f"queue depth {stats.get('queue_depth', 0)}; cache "
-        f"{cache.get('hits', 0)}/{lookups} hits "
-        f"({hit_ratio:.0%}), {cache.get('entries', 0)} resident",
-        f"{'tenant':<12s}{'subm':>6s}{'done':>6s}{'jobs/s':>8s}"
-        f"{'p50(s)':>10s}{'p95(s)':>10s}{'p99(s)':>10s}"
-        f"{'energy(J)':>11s}",
-    ]
-    for row in rows:
-        lines.append(
-            f"{row['tenant']:<12s}{row['submitted']:>6d}"
-            f"{row['done']:>6d}{row['throughput_jobs_s']:>8.2f}"
-            f"{row['p50']:>10.4f}{row['p95']:>10.4f}{row['p99']:>10.4f}"
-            f"{row['energy_joules']:>11.3e}"
-        )
-    if len(lines) == 2:
-        lines.append("(no tenant activity yet)")
-    return "\n".join(lines)
-
-
 def _cmd_top(args: argparse.Namespace) -> int:
     """Live per-tenant throughput/latency table over ``/v1/stats``."""
-    from repro.serve.client import ServeClient, ServeError, tenant_rows
+    from repro.serve import client as serve_client
 
-    client = ServeClient(args.host, args.port)
+    client = serve_client.ServeClient(args.host, args.port)
     previous: Optional[dict] = None
     for iteration in range(args.count):
         if iteration:
             time.sleep(args.interval)
         try:
             stats = client.stats()
-        except (OSError, ServeError) as error:
+        except (OSError, serve_client.ServeError) as error:
             return _fail(f"top: cannot reach server: {error}", 1)
-        rows = tenant_rows(
+        rows = serve_client.tenant_rows(
             stats, previous, args.interval if iteration else 0.0
         )
         document = {
             "queue_depth": stats.get("queue_depth", 0),
-            "cache": stats.get("cache", {}),
-            "tenants": rows,
+            "cache": stats.get("cache", {}), "tenants": rows,
         }
-        _emit(args, document, _render_top(stats, rows))
+        _emit(args, document, serve_client.render_top(stats, rows))
         previous = stats
     return 0
-
-
-def _profile_summary(document: dict) -> str:
-    """Human rendering of a profile report (text mode)."""
-    counters = document["counters"]
-    lines = [
-        f"profiled `repro {' '.join(document['command'])}` in "
-        f"{document['wall_time_s']:.3f} s (exit {document['exit_code']}): "
-        f"{len(counters)} counters, {len(document['spans'])} spans"
-        + (
-            f" ({document['spans_dropped']} dropped)"
-            if document["spans_dropped"]
-            else ""
-        ),
-    ]
-    top = sorted(counters.items(), key=lambda kv: -abs(kv[1]))[:10]
-    width = max((len(path) for path, _ in top), default=0)
-    for path, value in top:
-        lines.append(f"  {path:<{width}s}  {value}")
-    if len(counters) > len(top):
-        lines.append(f"  ... {len(counters) - len(top)} more")
-    if "chrome_trace" in document:
-        lines.append(
-            f"chrome trace written to {document['chrome_trace']} "
-            "(load in chrome://tracing or ui.perfetto.dev)"
-        )
-    return "\n".join(lines)
 
 
 def _parse_wrapped(
     args: argparse.Namespace, wrapper: str
 ) -> Tuple[Optional[List[str]], Optional[argparse.Namespace], int]:
-    """Parse the remainder arguments of a wrapper subcommand.
+    """Parse the row a wrapper runs: ``(command, inner_args, code)``.
 
-    Returns ``(command, inner_namespace, exit_code)``; on usage errors
-    ``command``/``inner_namespace`` are ``None`` and ``exit_code`` is
-    the code to return.
+    On a usage error the first two are ``None`` and ``code`` is the exit
+    code; the row's output paths are checked here too.
     """
     command = list(args.wrapped)
     if command[:1] == ["--"]:
         command = command[1:]
     if not command:
-        return None, None, _fail(
-            f"{wrapper}: name a subcommand to wrap, e.g. "
-            f"'repro {wrapper} infer mlp --json'"
-        )
-    if command[0] in _UNWRAPPABLE:
+        return None, None, _fail(f"{wrapper}: name a subcommand to wrap, "
+                                 f"e.g. 'repro {wrapper} infer mlp --json'")
+    if command[0] not in _ROWS:
         return None, None, _fail(f"{wrapper}: cannot wrap {command[0]!r}")
     try:
         inner = build_parser().parse_args(command)
+        _check_outputs(inner)
     except SystemExit:
         return None, None, 2
+    except _CommandError as error:
+        return None, None, _refuse(inner, error)
     return command, inner, 0
 
 
 def _run_wrapped(
     command: List[str], inner: argparse.Namespace
-) -> Tuple[Collector, int, float, str]:
-    """Run a parsed subcommand under a fresh telemetry collector.
+) -> Tuple[telemetry.Collector, int, float, Optional[str]]:
+    """Run a parsed row under a fresh collector, in one command span.
 
-    The wrapped command prints its own report; stdout is captured so
-    the wrapper's document can be the only thing on stdout.  Returns
-    ``(collector, exit_code, wall_time_s, captured_stdout)``.
+    Returns ``(collector, exit_code, wall_time_s, text)``; a refused
+    row prints its error line and gives ``text`` ``None``.
     """
-    collector = Collector()
-    inner.collector = collector
-    buffer = io.StringIO()
+    collector = telemetry.Collector()
     start = time.perf_counter()
-    with redirect_stdout(buffer), collector.span(f"command[{command[0]}]"):
-        exit_code = inner.func(inner)
-    wall_time_s = time.perf_counter() - start
-    return collector, exit_code, wall_time_s, buffer.getvalue()
+    exit_code, text = 0, None
+    with collector.span(f"command[{command[0]}]"):
+        try:
+            _, text = _compute(inner, collector)
+        except _CommandError as error:
+            exit_code = _refuse(inner, error)
+    return collector, exit_code, time.perf_counter() - start, text
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    """Run any other subcommand under a telemetry collector."""
+    """Run a row under a telemetry collector."""
     command, inner, code = _parse_wrapped(args, "profile")
-    if command is None:
+    if command is None or inner is None:
         return code
-    collector, exit_code, wall_time_s, wrapped_output = _run_wrapped(
-        command, inner
-    )
-    write_json_atomic(
-        Path(args.trace_out), trace_chrome_document(collector.spans())
-    )
-    document = profile_report(
+    collector, exit_code, wall_time_s, text = _run_wrapped(command, inner)
+    spans = collector.spans()
+    _write_json(args.trace_out, telemetry.trace_chrome_document(spans))
+    document = telemetry.profile_report(
         collector, command, exit_code, wall_time_s, chrome_trace=args.trace_out
     )
-    validate_profile_report(document)
-    args.json = args.json or getattr(inner, "json", False)
-    _emit(args, document, wrapped_output + _profile_summary(document))
+    telemetry.validate_profile_report(document)
+    args.json = args.json or inner.json
+    summary = telemetry.render_profile_report(document)
+    _emit(args, document, summary if text is None else f"{text}\n{summary}")
     return exit_code
 
 
@@ -560,51 +456,40 @@ def _cmd_report(args: argparse.Namespace) -> int:
     """Derived-metrics analysis of a profile JSON or a fresh run."""
     if args.profile_path:
         if [word for word in args.wrapped if word != "--"]:
-            return _fail(
-                "report: pass either --profile or a subcommand to run, "
-                "not both"
-            )
+            return _fail("report: pass either --profile or a subcommand "
+                         "to run, not both")
         try:
             with open(args.profile_path) as handle:
                 document = json.load(handle)
         except (OSError, json.JSONDecodeError) as error:
             return _fail(f"report: cannot read profile: {error}")
         try:
-            validate_profile_report(document)
+            telemetry.validate_profile_report(document)
         except ValueError as error:
-            return _fail(
-                f"report: {error} — regenerate {args.profile_path} with "
-                "'repro profile ... --json'"
-            )
+            return _fail(f"report: {error} — regenerate {args.profile_path}"
+                         " with 'repro profile ... --json'")
         counters = document["counters"]
         source = args.profile_path
         exit_code = 0
     else:
         command, inner, code = _parse_wrapped(args, "report")
-        if command is None:
+        if command is None or inner is None:
             return code
         collector, exit_code, _, _ = _run_wrapped(command, inner)
         counters = collector.counters()
         source = "repro " + " ".join(command)
-        args.json = args.json or getattr(inner, "json", False)
+        args.json = args.json or inner.json
     if args.energy:
-        from repro.arch.components import event_costs
-        from repro.arch.params import DEFAULT_TECH
-        from repro.telemetry import (
-            attribute_energy,
-            render_energy_report,
-            validate_energy_report,
-        )
-
-        report = attribute_energy(
+        report = telemetry.attribute_energy(
             counters, event_costs(DEFAULT_TECH), source_name=source
         )
-        validate_energy_report(report)
-        emitted = _emit(args, report, render_energy_report(report))
+        telemetry.validate_energy_report(report)
+        text = telemetry.render_energy_report(report)
     else:
-        analysis = analyze_counters(counters, source_name=source)
-        validate_analysis_report(analysis)
-        emitted = _emit(args, analysis, render_analysis_report(analysis))
+        report = telemetry.analyze_counters(counters, source_name=source)
+        telemetry.validate_analysis_report(report)
+        text = telemetry.render_analysis_report(report)
+    emitted = _emit(args, report, text)
     return exit_code or emitted
 
 
@@ -641,13 +526,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         sys.stdout.write("\n")
     else:
         args.json = args.json or args.format == "json"
+        roots = args.paths or [str(checks.default_root())]
         _emit(
             args,
-            checks.check_report(
-                findings,
-                args.paths or [str(checks.default_root())],
-                select,
-            ),
+            checks.check_report(findings, roots, select),
             checks.render_findings(
                 findings, select if select is not None else checks.RULES
             ),
@@ -659,22 +541,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     """Unified benchmark runner with baseline regression gating."""
     from repro import bench as bench_mod
 
-    if args.list_benches:
-        try:
-            specs = bench_mod.discover(args.bench_dir)
-        except FileNotFoundError as error:
-            return _fail(f"bench: {error}")
-        width = max((len(spec.name) for spec in specs), default=0)
-        for spec in specs:
-            print(f"{spec.name:<{width}s}  suite={spec.suite}")
-        return 0
     try:
+        if args.list_benches:
+            specs = bench_mod.discover(args.bench_dir)
+            width = max((len(spec.name) for spec in specs), default=0)
+            for spec in specs:
+                print(f"{spec.name:<{width}s}  suite={spec.suite}")
+            return 0
         run = bench_mod.run_suite(
-            suite=args.suite,
-            name_filter=args.filter,
-            workers=args.workers,
-            bench_dir=args.bench_dir,
-            baseline_dir=args.baseline_dir,
+            suite=args.suite, name_filter=args.filter, workers=args.workers,
+            bench_dir=args.bench_dir, baseline_dir=args.baseline_dir,
             trajectory_path=args.trajectory,
             update_baselines=args.update_baselines,
         )
@@ -687,25 +563,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _add_logging_flags(parser: argparse.ArgumentParser, **kwargs) -> None:
     """Attach the global logging flags to ``parser``.
 
-    The flags live on the main parser (with real defaults) AND on the
-    shared subcommand parent with ``default=argparse.SUPPRESS`` — a
-    subparser otherwise overwrites the main parser's value with its own
-    default, which would discard ``repro -v infer``.
+    The main parser has real defaults; the shared subcommand parent
+    passes ``default=argparse.SUPPRESS``, or a subparser's default
+    would overwrite the value of ``repro -v infer``.
     """
-    parser.add_argument(
-        "--log-level",
-        choices=("critical", "error", "warning", "info", "debug"),
-        help="logging threshold for the repro.* loggers "
-        "(default warning; overrides -v)",
-        **kwargs,
-    )
-    parser.add_argument(
-        "-v",
-        "--verbose",
-        action="count",
-        help="increase log verbosity (-v info, -vv debug)",
-        **kwargs,
-    )
+    parser.add_argument("--log-level",
+                        choices=("critical", "error", "warning", "info",
+                                 "debug"),
+                        help="logging threshold for the repro.* loggers "
+                        "(default warning; overrides -v)", **kwargs)
+    parser.add_argument("-v", "--verbose", action="count",
+                        help="increase log verbosity (-v info, -vv debug)",
+                        **kwargs)
 
 
 def _comma_list(kind: Callable[[str], Any], noun: str) -> Callable:
@@ -757,69 +626,46 @@ _POSITIVE = _number(int, ">")
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
 
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
-        "--json",
-        action="store_true",
-        help="emit a machine-readable JSON document instead of text",
-    )
+    def parent(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+    shared = parent()
+    shared.add_argument("--json", action="store_true",
+                        help="emit a machine-readable JSON document "
+                        "instead of text")
     _add_logging_flags(shared, default=argparse.SUPPRESS)
 
-    batch = argparse.ArgumentParser(add_help=False)
-    batch.add_argument(
-        "--batch", type=_POSITIVE, default=32, help="batch size (default 32)"
-    )
+    batch = parent()
+    batch.add_argument("--batch", type=_POSITIVE, default=32,
+                       help="batch size (default 32)")
 
-    job = argparse.ArgumentParser(add_help=False, parents=[batch])
-    job.add_argument(
-        "workload",
-        nargs="?",
-        default="mlp",
-        choices=api.Simulator.WORKLOADS,
-    )
-    job.add_argument(
-        "--seed", type=int, default=0, help="master RNG seed (default 0)"
-    )
+    job = parent(batch)
+    job.add_argument("workload", nargs="?", default="mlp",
+                     choices=api.Simulator.WORKLOADS)
+    job.add_argument("--seed", type=int, default=0,
+                     help="master RNG seed (default 0)")
 
-    campaign = argparse.ArgumentParser(add_help=False)
-    campaign.add_argument(
-        "--axis", choices=tuple(sorted(AXES)), default="stuck"
-    )
-    campaign.add_argument(
-        "--rates",
-        type=_comma_list(float, "numbers"),
-        help="comma-separated sweep points (default: per-axis preset)",
-    )
-    campaign.add_argument("--count", type=_POSITIVE, default=32)
-    campaign.add_argument(
-        "--train-epochs", type=_number(int, ">="), default=5
-    )
-    campaign.add_argument(
-        "--no-tiles",
-        action="store_true",
-        help="omit the per-tile stuck-cell census from layer records",
-    )
-    campaign.add_argument(
-        "--backend",
-        choices=("loop", "vectorized", "both"),
+    campaign = parent()
+    add = campaign.add_argument
+    add("--axis", choices=tuple(sorted(AXES)), default="stuck")
+    add("--rates", type=_comma_list(float, "numbers"),
+        help="comma-separated sweep points (default: per-axis preset)")
+    add("--count", type=_POSITIVE, default=32)
+    add("--train-epochs", type=_number(int, ">="), default=5)
+    add("--no-tiles", action="store_true",
+        help="omit the per-tile stuck-cell census from layer records")
+    add("--backend", choices=("loop", "vectorized", "both"),
         default="vectorized",
         help="'both' runs every scenario on both engines (reliability "
-        "also checks that their fault outcomes match)",
-    )
-    campaign.add_argument(
-        "--workers",
-        type=_POSITIVE,
-        default=1,
+        "also checks that their fault outcomes match)")
+    add("--workers", type=_POSITIVE, default=1,
         help="shard the work over N processes (default 1: inline; "
-        "byte-identical report for any N)",
-    )
+        "byte-identical report for any N)")
 
-    wrapper = argparse.ArgumentParser(add_help=False)
-    wrapper.add_argument(
-        "wrapped",
-        nargs=argparse.REMAINDER,
-        help="the subcommand to run, with its own arguments",
-    )
+    wrapper = parent()
+    wrapper.add_argument("wrapped", nargs=argparse.REMAINDER,
+                         help="the subcommand to run, with its own "
+                         "arguments")
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -830,367 +676,214 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(log_level=None, verbose=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(
-        name: str,
-        func: Callable[[argparse.Namespace], int],
-        *parents: argparse.ArgumentParser,
-        **kw: Any,
-    ) -> argparse.ArgumentParser:
-        """Register subcommand ``name`` running ``func``."""
+    def command(name: str, *parents: argparse.ArgumentParser,
+                func: Callable[[argparse.Namespace], int] = _cmd_row,
+                **kw: Any) -> Callable[..., Any]:
+        """Register subcommand ``name``; return its ``add_argument``."""
         subparser = sub.add_parser(name, parents=[shared, *parents], **kw)
         subparser.set_defaults(func=func)
-        return subparser
+        return subparser.add_argument
 
-    for name, func, summary, *parents in (
-        ("table1", _cmd_table1, "Table I: both accelerators", batch),
-        ("fig4", _cmd_fig4, "Fig. 4 mapping sweep"),
-        ("fig5", _cmd_fig5, "Fig. 5 pipeline cycles"),
-        ("fig9", _cmd_fig9, "Fig. 9 GAN pipeline schemes", batch),
-    ):
-        command(name, func, *parents, help=summary)
-    sub.choices["fig5"].add_argument(
-        "--layers", type=_POSITIVE, default=8
-    )
+    command("table1", batch, help="Table I: both accelerators")
+    command("fig4", help="Fig. 4 mapping sweep")
+    add = command("fig5", help="Fig. 5 pipeline cycles")
+    add("--layers", type=_POSITIVE, default=8)
+    command("fig9", batch, help="Fig. 9 GAN pipeline schemes")
+    add = command("summary", help="workload inventory")
+    add("workload", choices=_WORKLOADS)
 
-    p_summary = command("summary", _cmd_summary, help="workload inventory")
-    p_summary.add_argument("workload", choices=_WORKLOADS)
+    add = command("sensitivity", help="tech-parameter tornado for Table I")
+    add("--metric", choices=("speedup", "energy"), default="speedup")
+    add("--workers", type=_POSITIVE, default=1,
+        help="shard the tornado fields over N processes")
 
-    p_sens = command(
-        "sensitivity",
-        _cmd_sensitivity,
-        help="tech-parameter tornado for Table I",
-    )
-    p_sens.add_argument(
-        "--metric", choices=("speedup", "energy"), default="speedup"
-    )
-    p_sens.add_argument(
-        "--workers",
-        type=_POSITIVE,
-        default=1,
-        help="shard the tornado fields over N processes",
-    )
+    add = command("area", batch, help="area/power budget of a workload")
+    add("workload", choices=_WORKLOADS)
+    add("--budget", type=_POSITIVE, default=262144)
 
-    p_area = command(
-        "area", _cmd_area, batch, help="area/power budget of a workload"
-    )
-    p_area.add_argument("workload", choices=_WORKLOADS)
-    p_area.add_argument("--budget", type=_POSITIVE, default=262144)
+    add = command("trace", help="ASCII Gantt of a schedule")
+    add("--batch", type=_POSITIVE, default=4, help="batch size (default 4)")
+    add("--layers", type=_POSITIVE, default=3)
+    add("--gan", action="store_true")
+    add("--scheme", choices=SCHEMES, default="sp_cs")
 
-    p_trace = command("trace", _cmd_trace, help="ASCII Gantt of a schedule")
-    p_trace.add_argument(
-        "--batch", type=_POSITIVE, default=4, help="batch size (default 4)"
-    )
-    p_trace.add_argument("--layers", type=_POSITIVE, default=3)
-    p_trace.add_argument("--gan", action="store_true")
-    p_trace.add_argument("--scheme", choices=SCHEMES, default="sp_cs")
+    add = command("infer", job, help="run synthetic inference through the "
+                  "crossbar simulator")
+    add("--backend", choices=("loop", "vectorized"))
+    add("--count", type=_POSITIVE, default=64)
 
-    p_infer = command(
-        "infer",
-        _cmd_infer,
-        job,
-        help="run synthetic inference through the crossbar simulator",
-    )
-    p_infer.add_argument(
-        "--backend", choices=("loop", "vectorized")
-    )
-    p_infer.add_argument("--count", type=_POSITIVE, default=64)
+    command("reliability", job, campaign, help="deterministic "
+            "fault-injection campaign over a workload")
 
-    command(
-        "reliability",
-        _cmd_reliability,
-        job,
-        campaign,
-        help="deterministic fault-injection campaign over a workload",
+    add = command(
+        "sweep", job, campaign,
+        help="distributed deterministic sweep over (scenario x seed x "
+        "backend) cells",
+        description="Shard fault-injection scenario cells over a process "
+        "pool (repro.sweep).  The merged sweep_report is byte-identical "
+        "for any --workers value; with --cache-dir, completed cells "
+        "replay from disk so interrupted sweeps resume without "
+        "recomputation.",
     )
-
-    p_sweep = command(
-        "sweep",
-        _cmd_sweep,
-        job,
-        campaign,
-        help="distributed deterministic sweep over (scenario x seed "
-        "x backend) cells",
-        description="Shard fault-injection scenario cells over a "
-        "process pool (repro.sweep).  The merged sweep_report is "
-        "byte-identical for any --workers value; with --cache-dir, "
-        "completed cells replay from disk so interrupted sweeps "
-        "resume without recomputation.",
-    )
-    p_sweep.add_argument(
-        "--seeds",
-        type=_comma_list(int, "integers"),
-        help="comma-separated master seeds (default: --seed)",
-    )
-    p_sweep.add_argument(
-        "--cache-dir",
-        type=Path,
+    add("--seeds", type=_comma_list(int, "integers"),
+        help="comma-separated master seeds (default: --seed)")
+    add("--cache-dir", type=Path,
         help="on-disk cell cache keyed by (config_hash, seed); "
-        "enables resume-after-interruption",
-    )
-    p_sweep.add_argument(
-        "--stats-out",
-        type=Path,
+        "enables resume-after-interruption")
+    add("--stats-out", type=Path,
         help="write execution stats (workers, cache hits) to this "
-        "file; they are kept out of the deterministic report",
-    )
-    p_sweep.add_argument(
-        "--trace-out",
-        type=Path,
+        "file; they are kept out of the deterministic report")
+    add("--trace-out", type=Path,
         help="write a stitched Chrome-trace of the sweep (logical "
-        "clocks; byte-identical for any --workers value)",
-    )
+        "clocks; byte-identical for any --workers value)")
 
-    p_train = command(
-        "train",
-        _cmd_train,
-        job,
-        help="crossbar-in-the-loop training on a synthetic set",
-    )
-    p_train.add_argument(
-        "--backend", choices=("loop", "vectorized")
-    )
-    p_train.add_argument("--epochs", type=_POSITIVE, default=1)
-    p_train.add_argument("--train-count", type=_POSITIVE, default=256)
-    p_train.add_argument("--test-count", type=_POSITIVE, default=64)
+    add = command("train", job, help="crossbar-in-the-loop training on a "
+                  "synthetic set")
+    add("--backend", choices=("loop", "vectorized"))
+    add("--epochs", type=_POSITIVE, default=1)
+    add("--train-count", type=_POSITIVE, default=256)
+    add("--test-count", type=_POSITIVE, default=64)
 
-    p_serve = command(
-        "serve",
-        _cmd_serve,
+    add = command(
+        "serve", func=_cmd_serve,
         help="async multi-tenant job server over the simulator",
-        description="Serve simulation-as-a-service: accept "
-        "schema-versioned JSON job specs (inference/training/"
-        "reliability) from concurrent tenants on a tiny HTTP API, "
-        "coalesce compatible inference requests into single batched "
-        "crossbar evaluations (bit-identical to running them alone), "
-        "and cache programmed-crossbar state by (weights_hash, "
-        "device_config_hash) so repeat tenants skip reprogramming.  "
-        "--smoke N runs an in-process server+client self-check: the "
-        "same N-job mix three times, asserting every report validates, "
-        "results are deterministic, and the cache was hit.",
+        description="Serve simulation-as-a-service: accept schema-versioned "
+        "JSON job specs (inference/training/reliability) from concurrent "
+        "tenants on a tiny HTTP API, coalesce compatible inference "
+        "requests into single batched crossbar evaluations (bit-identical "
+        "to running them alone), and cache programmed-crossbar state by "
+        "(weights_hash, device_config_hash) so repeat tenants skip "
+        "reprogramming.  --smoke N runs an in-process server+client "
+        "self-check: the same N-job mix three times, asserting every "
+        "report validates, results are deterministic, and the cache was "
+        "hit.",
     )
-
-    p_serve.add_argument(
-        "--host", default="127.0.0.1", help="bind address"
-    )
-    p_serve.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="TCP port (default 0 = ephemeral, printed at startup)",
-    )
-    p_serve.add_argument(
-        "--workers",
-        type=_POSITIVE,
-        default=4,
-        help="worker threads executing jobs (default 4)",
-    )
-    p_serve.add_argument(
-        "--max-coalesce",
-        type=_POSITIVE,
-        default=8,
-        help="max inference jobs per coalesced batch (default 8)",
-    )
-    p_serve.add_argument(
-        "--smoke",
-        type=_POSITIVE,
-        metavar="N",
-        help="run the N-job self-check instead of serving forever",
-    )
-    p_serve.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="master RNG seed of the --smoke job mix (default 0)",
-    )
-    p_serve.add_argument(
-        "--event-log",
-        type=Path,
-        metavar="FILE",
+    add("--host", default="127.0.0.1", help="bind address")
+    add("--port", type=int, default=0,
+        help="TCP port (default 0 = ephemeral, printed at startup)")
+    add("--workers", type=_POSITIVE, default=4,
+        help="worker threads executing jobs (default 4)")
+    add("--max-coalesce", type=_POSITIVE, default=8,
+        help="max inference jobs per coalesced batch (default 8)")
+    add("--smoke", type=_POSITIVE, metavar="N",
+        help="run the N-job self-check instead of serving forever")
+    add("--seed", type=int, default=0,
+        help="master RNG seed of the --smoke job mix (default 0)")
+    add("--event-log", type=Path, metavar="FILE",
         help="append one JSONL event per job lifecycle transition "
-        "(submitted/dispatched/done/error) to FILE",
-    )
+        "(submitted/dispatched/done/error) to FILE")
 
-    p_top = command(
-        "top",
-        _cmd_top,
+    add = command(
+        "top", func=_cmd_top,
         help="live per-tenant throughput/latency table from a running "
         "server",
-        description="Poll a job server's /v1/stats and render "
-        "per-tenant submitted/done counts, throughput, e2e latency "
-        "percentiles (p50/p95/p99 from the server's histograms), and "
-        "the programmed-state cache hit ratio.",
+        description="Poll a job server's /v1/stats and render per-tenant "
+        "submitted/done counts, throughput, e2e latency percentiles "
+        "(p50/p95/p99 from the server's histograms), and the "
+        "programmed-state cache hit ratio.",
     )
-    p_top.add_argument(
-        "--host", default="127.0.0.1", help="server address"
-    )
-    p_top.add_argument(
-        "--port", type=int, required=True, help="server port"
-    )
-    p_top.add_argument(
-        "--interval",
-        type=_number(float, ">="),
-        default=2.0,
-        help="seconds between polls (default 2)",
-    )
-    p_top.add_argument(
-        "--count",
-        type=_POSITIVE,
-        default=1,
-        help="how many frames to render before exiting (default 1)",
-    )
+    add("--host", default="127.0.0.1", help="server address")
+    add("--port", type=int, required=True, help="server port")
+    add("--interval", type=_number(float, ">="), default=2.0,
+        help="seconds between polls (default 2)")
+    add("--count", type=_POSITIVE, default=1,
+        help="how many frames to render before exiting (default 1)")
 
-    p_profile = command(
-        "profile",
-        _cmd_profile,
-        wrapper,
+    add = command(
+        "profile", wrapper, func=_cmd_profile,
         help="run any subcommand under a telemetry collector",
-        description="Wrap another subcommand in a telemetry collector "
-        "and report hierarchical counters, timing spans, and a "
-        "Chrome-trace file.  The counter section is deterministic "
-        "(byte-identical across same-seed runs and across engine "
-        "backends); spans are wall-clock.",
+        description="Wrap another subcommand in a telemetry collector and "
+        "report hierarchical counters, timing spans, and a Chrome-trace "
+        "file.  The counter section is deterministic (byte-identical "
+        "across same-seed runs and across engine backends); spans are "
+        "wall-clock.",
     )
-    p_profile.add_argument(
-        "--trace-out",
-        default="profile_trace.json",
-        help="Chrome-trace output path (default profile_trace.json)",
-    )
+    add("--trace-out", default="profile_trace.json",
+        help="Chrome-trace output path (default profile_trace.json)")
 
-    p_report = command(
-        "report",
-        _cmd_report,
-        wrapper,
+    add = command(
+        "report", wrapper, func=_cmd_report,
         help="derived metrics (utilization, bubbles, ADC/MAC) from "
         "telemetry",
-        description="Turn a telemetry counter tree into derived "
-        "metrics: per-stage pipeline utilization and bubble cycles, "
-        "per-tile crossbar occupancy, and ADC conversions per MAC.  "
-        "Reads a saved `repro profile --json` document (--profile) or "
-        "runs a subcommand fresh and analyses its counters.",
+        description="Turn a telemetry counter tree into derived metrics: "
+        "per-stage pipeline utilization and bubble cycles, per-tile "
+        "crossbar occupancy, and ADC conversions per MAC.  Reads a saved "
+        "`repro profile --json` document (--profile) or runs a "
+        "subcommand fresh and analyses its counters.",
     )
-    p_report.add_argument(
-        "--profile",
-        dest="profile_path",
-        metavar="FILE",
+    add("--profile", dest="profile_path", metavar="FILE",
         help="analyse a saved 'repro profile --json' document instead "
-        "of running a subcommand",
-    )
-    p_report.add_argument(
-        "--energy",
-        action="store_true",
+        "of running a subcommand")
+    add("--energy", action="store_true",
         help="attribute energy instead: price the event counters "
         "through the technology cost table and render the per-group "
-        "energy/power breakdown",
-    )
+        "energy/power breakdown")
 
-    p_bench = command(
-        "bench",
-        _cmd_bench,
+    add = command(
+        "bench", func=_cmd_bench,
         help="run the benchmark suite and gate on committed baselines",
-        description="Discover benchmarks/bench_*.py through the "
-        "repro.bench registry, execute the selected suite, append the "
-        "run to BENCH_trajectory.json, and compare deterministic "
-        "metrics against benchmarks/baselines/*.json.  Exits non-zero "
-        "on any bench failure or out-of-tolerance metric.",
+        description="Discover benchmarks/bench_*.py through the repro.bench "
+        "registry, execute the selected suite, append the run to "
+        "BENCH_trajectory.json, and compare deterministic metrics against "
+        "benchmarks/baselines/*.json.  Exits non-zero on any bench "
+        "failure or out-of-tolerance metric.",
     )
-    p_bench.add_argument(
-        "--suite",
-        choices=("quick", "full"),
-        default="quick",
+    add("--suite", choices=("quick", "full"), default="quick",
         help="suite tier to run (default quick; full includes slow "
-        "benches)",
-    )
-    p_bench.add_argument(
-        "--filter",
-        metavar="GLOB",
-        help="fnmatch glob over bench names, e.g. 'fig*'",
-    )
-    p_bench.add_argument(
-        "--workers",
-        type=_POSITIVE,
-        default=1,
+        "benches)")
+    add("--filter", metavar="GLOB",
+        help="fnmatch glob over bench names, e.g. 'fig*'")
+    add("--workers", type=_POSITIVE, default=1,
         help="shard benches over N processes (deterministic metrics "
-        "are unaffected; wall times then share the host)",
-    )
-    p_bench.add_argument(
-        "--bench-dir",
-        type=Path,
+        "are unaffected; wall times then share the host)")
+    add("--bench-dir", type=Path,
         help="benchmark directory (default: ./benchmarks or the "
-        "checkout's)",
-    )
-    p_bench.add_argument(
-        "--baseline-dir",
-        type=Path,
-        help="baseline directory (default: <bench-dir>/baselines)",
-    )
-    p_bench.add_argument(
-        "--trajectory",
-        type=Path,
+        "checkout's)")
+    add("--baseline-dir", type=Path,
+        help="baseline directory (default: <bench-dir>/baselines)")
+    add("--trajectory", type=Path,
         help="run-history file (default: <bench-dir>/../"
-        "BENCH_trajectory.json)",
-    )
-    p_bench.add_argument(
-        "--update-baselines",
-        action="store_true",
-        help="rewrite the baselines from this run instead of comparing",
-    )
-    p_bench.add_argument(
-        "--list",
-        dest="list_benches",
-        action="store_true",
-        help="list the registered benches and exit",
-    )
+        "BENCH_trajectory.json)")
+    add("--update-baselines", action="store_true",
+        help="rewrite the baselines from this run instead of comparing")
+    add("--list", dest="list_benches", action="store_true",
+        help="list the registered benches and exit")
 
     p_check = sub.add_parser(
         "check",
         help="AST-based determinism & contract linter over the package",
-        description="Run the repro.checks rules (see --list-rules) "
-        "over the installed package or the given paths.  "
-        "Exits 1 on findings, 0 when clean.  Suppress one line "
-        "with '# repro: noqa[RULE]'.",
+        description="Run the repro.checks rules (see --list-rules) over the "
+        "installed package or the given paths.  Exits 1 on findings, 0 "
+        "when clean.  Suppress one line with '# repro: noqa[RULE]'.",
     )
     p_check.set_defaults(func=_cmd_check)
-    p_check.add_argument(
-        "paths",
-        nargs="*",
+    add = p_check.add_argument
+    add("paths", nargs="*",
         help="files or directories to check (default: the installed "
-        "repro package)",
-    )
-    p_check.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
+        "repro package)")
+    add("--format", choices=("text", "json", "sarif"), default="text",
         help="output format (default text; sarif emits a SARIF 2.1.0 "
-        "log for GitHub code scanning)",
-    )
-    p_check.add_argument(
-        "--json",
-        action="store_true",
-        help="shorthand for --format json",
-    )
-    p_check.add_argument(
-        "--select",
-        metavar="RULES",
+        "log for GitHub code scanning)")
+    add("--json", action="store_true", help="shorthand for --format json")
+    add("--select", metavar="RULES",
         help="comma-separated rule ids to run, e.g. RNG001,DET001 "
-        "(default: all)",
-    )
-    p_check.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="list the registered rules and exit",
-    )
+        "(default: all)")
+    add("--list-rules", action="store_true",
+        help="list the registered rules and exit")
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.log_level or args.verbose:
         _configure_logging(args.log_level, args.verbose)
     try:
+        _check_outputs(args)
         code = args.func(args)
         sys.stdout.flush()
+    except _CommandError as error:
+        return _refuse(args, error)
     except BrokenPipeError:
         # The reader closed stdout early (``repro table1 | head -3``).
         # Point stdout at /dev/null so the interpreter's exit-time

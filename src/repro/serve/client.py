@@ -212,10 +212,36 @@ def tenant_rows(
     return rows
 
 
+def render_top(stats: Dict[str, Any], rows: List[Dict[str, Any]]) -> str:
+    """One ``repro top`` frame: the cache line, then one row per tenant."""
+    cache = stats.get("cache", {})
+    lookups = cache.get("hits", 0) + cache.get("misses", 0)
+    hit_ratio = cache.get("hits", 0) / lookups if lookups else 0.0
+    lines = [
+        f"queue depth {stats.get('queue_depth', 0)}; cache "
+        f"{cache.get('hits', 0)}/{lookups} hits "
+        f"({hit_ratio:.0%}), {cache.get('entries', 0)} resident",
+        f"{'tenant':<12s}{'subm':>6s}{'done':>6s}{'jobs/s':>8s}"
+        f"{'p50(s)':>10s}{'p95(s)':>10s}{'p99(s)':>10s}"
+        f"{'energy(J)':>11s}",
+    ]
+    for row in rows:
+        lines.append(
+            f"{row['tenant']:<12s}{row['submitted']:>6d}"
+            f"{row['done']:>6d}{row['throughput_jobs_s']:>8.2f}"
+            f"{row['p50']:>10.4f}{row['p95']:>10.4f}{row['p99']:>10.4f}"
+            f"{row['energy_joules']:>11.3e}"
+        )
+    if len(lines) == 2:
+        lines.append("(no tenant activity yet)")
+    return "\n".join(lines)
+
+
 __all__ = [
     "ServeClient",
     "ServeError",
     "TENANT_PREFIX",
+    "render_top",
     "tenant_ids",
     "tenant_rows",
 ]

@@ -97,8 +97,10 @@ def run_sweep(
         Optional on-disk cell cache: hits replay stored payloads with
         zero recomputation, misses are computed and written back one
         by one.  When a cell raises, the inline path stops there; the
-        pool path still takes (and stores) every other submitted cell,
-        then re-raises the first failure in submission order.
+        pool path still takes (and stores) every other submitted cell.
+        Either way the failed cells are counted as ``cells.failed``
+        and named in one error log line, then the first failure in
+        submission order is re-raised.
     collector:
         Optional telemetry sink; per-cell counters merge under
         ``scope_for(index, cell)`` and executor totals are recorded as
@@ -162,11 +164,15 @@ def run_sweep(
         if cache is not None:
             cache.store(cells[index], payload)
 
-    failure: Optional[BaseException] = None
+    failed: Dict[int, BaseException] = {}
     if workers == 1:
         for index in pending:
-            with tel.span(scope_for(index, cells[index])):
-                computed = run_cell(cells[index], carriers[index])
+            try:
+                with tel.span(scope_for(index, cells[index])):
+                    computed = run_cell(cells[index], carriers[index])
+            except Exception as error:
+                failed[index] = error
+                break
             keep(index, computed)
     elif pending:
         import multiprocessing
@@ -193,9 +199,15 @@ def run_sweep(
                     _log.exception(
                         "sweep: cell %s failed", cells[index].label
                     )
-                    failure = failure or error
-    if failure is not None:
-        raise failure
+                    failed[index] = error
+    if failed:
+        tel.count("cells.failed", len(failed))
+        _log.error(
+            "sweep: %d cell(s) failed: %s",
+            len(failed),
+            ", ".join(cells[index].label for index in failed),
+        )
+        raise next(iter(failed.values()))
 
     # Canonical merge: telemetry lands in input order, independent of
     # completion or submission order.

@@ -91,6 +91,7 @@ from repro.telemetry.events import (
 from repro.telemetry.export import (
     bench_document,
     profile_report,
+    render_profile_report,
     trace_chrome_document,
     validate_analysis_report,
     validate_bench_document,
@@ -127,6 +128,7 @@ __all__ = [
     "SIZE_BUCKET_BOUNDS",
     "default_bucket_bounds",
     "profile_report",
+    "render_profile_report",
     "bench_document",
     "trace_chrome_document",
     "validate_profile_report",

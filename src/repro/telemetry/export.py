@@ -55,6 +55,33 @@ def profile_report(
     return document
 
 
+def render_profile_report(document: Dict[str, Any]) -> str:
+    """Text summary of a :func:`profile_report`: the ten largest counters."""
+    counters = document["counters"]
+    lines = [
+        f"profiled `repro {' '.join(document['command'])}` in "
+        f"{document['wall_time_s']:.3f} s (exit {document['exit_code']}): "
+        f"{len(counters)} counters, {len(document['spans'])} spans"
+        + (
+            f" ({document['spans_dropped']} dropped)"
+            if document["spans_dropped"]
+            else ""
+        ),
+    ]
+    top = sorted(counters.items(), key=lambda kv: -abs(kv[1]))[:10]
+    width = max((len(path) for path, _ in top), default=0)
+    for path, value in top:
+        lines.append(f"  {path:<{width}s}  {value}")
+    if len(counters) > len(top):
+        lines.append(f"  ... {len(counters) - len(top)} more")
+    if "chrome_trace" in document:
+        lines.append(
+            f"chrome trace written to {document['chrome_trace']} "
+            "(load in chrome://tracing or ui.perfetto.dev)"
+        )
+    return "\n".join(lines)
+
+
 def bench_document(
     bench: str,
     workload: str,

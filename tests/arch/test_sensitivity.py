@@ -4,6 +4,7 @@ import pytest
 
 from repro.arch.params import DEFAULT_TECH
 from repro.arch.sensitivity import (
+    METRICS,
     SWEEPABLE_FIELDS,
     SensitivityRow,
     conclusion_robustness,
@@ -42,37 +43,57 @@ class TestSensitivityRow:
         assert row.swing == 0.0
 
 
+def _subcycle_ns(tech):
+    return tech.subcycle_time * 1e9
+
+
 class TestTechSensitivity:
-    def test_linear_metric_has_unit_swing(self):
+    @pytest.fixture
+    def metric(self, monkeypatch):
+        """Register ``fn`` as a named metric for one test; return its name."""
+
+        def register(fn):
+            monkeypatch.setitem(METRICS, "under_test", fn)
+            return "under_test"
+
+        return register
+
+    def test_linear_metric_has_unit_swing(self, metric):
         rows = tech_sensitivity(
-            lambda tech: tech.subcycle_time * 1e9,
-            field_names=("subcycle_time",),
+            metric(_subcycle_ns), field_names=("subcycle_time",)
         )
         # Metric linear in the field: swing = (2 - 0.5) = 1.5.
         assert rows[0].swing == pytest.approx(1.5)
 
-    def test_independent_field_flat(self):
+    def test_independent_field_flat(self, metric):
         rows = tech_sensitivity(
-            lambda tech: tech.subcycle_time * 1e9,
-            field_names=("cell_write_energy",),
+            metric(_subcycle_ns), field_names=("cell_write_energy",)
         )
         assert rows[0].swing == 0.0
 
-    def test_sorted_by_swing(self):
+    def test_sorted_by_swing(self, metric):
         rows = tech_sensitivity(
-            lambda tech: tech.subcycle_time * 1e9
-            + tech.cell_write_energy * 1e10,
+            metric(
+                lambda tech: tech.subcycle_time * 1e9
+                + tech.cell_write_energy * 1e10
+            ),
             field_names=("subcycle_time", "cell_write_energy"),
         )
         assert rows[0].swing >= rows[1].swing
 
-    def test_zero_nominal_rejected(self):
+    def test_zero_nominal_rejected(self, metric):
         with pytest.raises(ValueError):
-            tech_sensitivity(lambda tech: 0.0, field_names=("subcycle_time",))
+            tech_sensitivity(
+                metric(lambda tech: 0.0), field_names=("subcycle_time",)
+            )
 
-    def test_default_sweep_covers_declared_fields(self):
-        rows = tech_sensitivity(lambda tech: tech.subcycle_time * 1e9)
+    def test_default_sweep_covers_declared_fields(self, metric):
+        rows = tech_sensitivity(metric(_subcycle_ns))
         assert {row.field for row in rows} == set(SWEEPABLE_FIELDS)
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(ValueError, match="unknown sensitivity metric"):
+            tech_sensitivity("latency")
 
 
 class TestConclusionRobustness:

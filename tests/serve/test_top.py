@@ -1,13 +1,12 @@
 """Golden-frame tests for the ``repro top`` renderer.
 
-``tenant_rows``/``_render_top`` are pure functions of a ``/v1/stats``
+``tenant_rows``/``render_top`` are pure functions of a ``/v1/stats``
 document, so a fixture stats dict pins the exact frame text — column
 layout, the energy(J) column, throughput deltas against a previous
 snapshot, and the empty-server placeholder.
 """
 
-from repro.cli import _render_top
-from repro.serve.client import tenant_rows
+from repro.serve.client import render_top, tenant_rows
 
 
 def _stats():
@@ -60,7 +59,7 @@ class TestTopRows:
 class TestRenderTop:
     def test_golden_frame(self):
         stats = _stats()
-        frame = _render_top(stats, tenant_rows(stats, None, 0.0))
+        frame = render_top(stats, tenant_rows(stats, None, 0.0))
         assert frame == "\n".join(
             [
                 "queue depth 2; cache 3/4 hits (75%), 2 resident",
@@ -80,7 +79,7 @@ class TestRenderTop:
             "counters": {},
             "histograms": {},
         }
-        frame = _render_top(stats, tenant_rows(stats, None, 0.0))
+        frame = render_top(stats, tenant_rows(stats, None, 0.0))
         assert frame == "\n".join(
             [
                 "queue depth 0; cache 0/0 hits (0%), 0 resident",
@@ -92,5 +91,5 @@ class TestRenderTop:
 
     def test_frame_fits_terminal_width(self):
         stats = _stats()
-        frame = _render_top(stats, tenant_rows(stats, None, 0.0))
+        frame = render_top(stats, tenant_rows(stats, None, 0.0))
         assert all(len(line) <= 79 for line in frame.splitlines())

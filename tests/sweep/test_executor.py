@@ -176,6 +176,31 @@ class TestFailedSweepKeepsFinishedCells:
         assert len(cache) == 5
         self._resume(cache, cached=5)
 
+    def test_pool_counts_and_names_every_failed_cell(self, caplog):
+        register_cell_kind("toy_flaky", flaky_cell)
+        cells = self.CELLS + [
+            SweepCell("toy_flaky", {"name": "f3b", "x": 3, "seed": 7})
+        ]
+        collector = Collector()
+        with caplog.at_level("ERROR", logger="repro.sweep"):
+            with pytest.raises(RuntimeError, match="cell 3 fails"):
+                run_sweep(
+                    cells, workers=2, collector=collector, mp_context="fork"
+                )
+        assert collector.get("cells.failed") == 2
+        (summary,) = [
+            record.getMessage()
+            for record in caplog.records
+            if "cell(s) failed" in record.getMessage()
+        ]
+        assert summary == "sweep: 2 cell(s) failed: f3, f3b"
+
+    def test_inline_counts_the_failure_it_stops_at(self):
+        collector = Collector()
+        with pytest.raises(RuntimeError, match="cell 3 fails"):
+            run_sweep(self.CELLS, workers=1, collector=collector)
+        assert collector.get("cells.failed") == 1
+
 
 def dying_cell(spec, collector):
     """Cell 3 kills its worker process while the marker file exists."""
