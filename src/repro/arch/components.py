@@ -109,21 +109,3 @@ class EnergyBreakdown:
     @property
     def dynamic(self) -> float:
         return self.mvm + self.buffer + self.weight_write
-
-    def scaled(self, factor: float) -> "EnergyBreakdown":
-        """All categories multiplied by ``factor`` (e.g. per-image)."""
-        check_non_negative("factor", factor)
-        return EnergyBreakdown(
-            mvm=self.mvm * factor,
-            buffer=self.buffer * factor,
-            weight_write=self.weight_write * factor,
-            static=self.static * factor,
-        )
-
-    def __add__(self, other: "EnergyBreakdown") -> "EnergyBreakdown":
-        return EnergyBreakdown(
-            mvm=self.mvm + other.mvm,
-            buffer=self.buffer + other.buffer,
-            weight_write=self.weight_write + other.weight_write,
-            static=self.static + other.static,
-        )

@@ -108,12 +108,6 @@ class GpuModel:
             self.params.board_power
         )
 
-    def throughput(
-        self, network: NetworkSpec, batch: int, training: bool = False
-    ) -> float:
-        """Images per second."""
-        return 1.0 / self.time_per_image(network, batch, training)
-
     # -- GAN training -----------------------------------------------------------
     def gan_iteration_time(
         self,
@@ -132,9 +126,7 @@ class GpuModel:
         g_train = self.network_time(generator, batch, training=True)
         phase1 = d_train
         phase2 = g_forward + d_train
-        phase3 = g_train + self.network_time(
-            discriminator, batch, training=True
-        )
+        phase3 = g_train + d_train
         return phase1 + phase2 + phase3
 
     def gan_iteration_energy(

@@ -75,13 +75,8 @@ def pipelayer_report(
     check_positive("batch", batch)
     arrays = model.total_arrays
     compute_area = chip_area_mm2(model.tech, arrays)
-    time_per_image = (
-        model.training_time_per_image(batch)
-        if training
-        else model.inference_time_per_image()
-    )
     energy = model.energy_per_image(batch, training)
-    dynamic_power = energy.dynamic / time_per_image
+    dynamic_power = energy.dynamic / model.time_per_image(batch, training)
     return AreaPowerReport(
         name=model.network.name,
         array_count=arrays,

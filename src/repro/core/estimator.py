@@ -11,12 +11,12 @@ the two rows of Table I.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.pipelayer import PipeLayerModel, PipeLayerReport
-from repro.core.regan import ReGANModel, ReGANReport
+from repro.core.pipelayer import PipeLayerModel
+from repro.core.regan import ReGANModel
 from repro.arch.params import DEFAULT_TECH, XbarTechParams
 from repro.utils.validation import check_positive
 from repro.workloads.suite import pipelayer_suite, regan_suite
@@ -88,6 +88,55 @@ def render_table1_row(row: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
+def _pipelayer_models(
+    array_budget: int, tech: XbarTechParams
+) -> List[Tuple[str, PipeLayerModel]]:
+    """``(network, model)`` over the MNIST/ImageNet suite."""
+    return [
+        (spec.name, PipeLayerModel(spec, array_budget=array_budget, tech=tech))
+        for spec in pipelayer_suite()
+    ]
+
+
+def _regan_models(
+    array_budget: int, scheme: str, tech: XbarTechParams
+) -> List[Tuple[str, ReGANModel]]:
+    """``(dataset, model)`` over the four-dataset DCGAN suite."""
+    return [
+        (
+            name,
+            ReGANModel(
+                generator,
+                discriminator,
+                array_budget=array_budget,
+                scheme=scheme,
+                tech=tech,
+                dataset=name,
+            ),
+        )
+        for name, (generator, discriminator) in regan_suite().items()
+    ]
+
+
+def _table1_row(
+    accelerator: str,
+    reports: Sequence[Tuple[str, Any]],
+    paper_speedup: float,
+    paper_energy_saving: float,
+) -> TableOneRow:
+    """One Table I row: geomeans over ``(workload, report)`` pairs."""
+    return TableOneRow(
+        accelerator=accelerator,
+        speedup=geometric_mean([r.speedup for _, r in reports]),
+        energy_saving=geometric_mean([r.energy_saving for _, r in reports]),
+        paper_speedup=paper_speedup,
+        paper_energy_saving=paper_energy_saving,
+        per_workload=tuple(
+            (name, r.speedup, r.energy_saving) for name, r in reports
+        ),
+    )
+
+
 def pipelayer_table1(
     array_budget: int = PIPELAYER_ARRAY_BUDGET,
     batch: int = 32,
@@ -96,19 +145,12 @@ def pipelayer_table1(
 ) -> TableOneRow:
     """Table I row 1: PipeLayer over the MNIST/ImageNet suite."""
     check_positive("batch", batch)
-    reports: List[PipeLayerReport] = []
-    for spec in pipelayer_suite():
-        model = PipeLayerModel(spec, array_budget=array_budget, tech=tech)
-        reports.append(model.report(batch=batch, training=training))
-    return TableOneRow(
-        accelerator="PipeLayer",
-        speedup=geometric_mean([r.speedup for r in reports]),
-        energy_saving=geometric_mean([r.energy_saving for r in reports]),
-        paper_speedup=PAPER_PIPELAYER_SPEEDUP,
-        paper_energy_saving=PAPER_PIPELAYER_ENERGY,
-        per_workload=tuple(
-            (r.network, r.speedup, r.energy_saving) for r in reports
-        ),
+    reports = [
+        (name, model.report(batch=batch, training=training))
+        for name, model in _pipelayer_models(array_budget, tech)
+    ]
+    return _table1_row(
+        "PipeLayer", reports, PAPER_PIPELAYER_SPEEDUP, PAPER_PIPELAYER_ENERGY
     )
 
 
@@ -120,34 +162,20 @@ def regan_table1(
 ) -> TableOneRow:
     """Table I row 2: ReGAN over the four-dataset DCGAN suite."""
     check_positive("batch", batch)
-    reports: List[ReGANReport] = []
-    for name, (generator, discriminator) in regan_suite().items():
-        model = ReGANModel(
-            generator,
-            discriminator,
-            array_budget=array_budget,
-            scheme=scheme,
-            tech=tech,
-            dataset=name,
-        )
-        reports.append(model.report(batch=batch))
-    return TableOneRow(
-        accelerator="ReGAN",
-        speedup=geometric_mean([r.speedup for r in reports]),
-        energy_saving=geometric_mean([r.energy_saving for r in reports]),
-        paper_speedup=PAPER_REGAN_SPEEDUP,
-        paper_energy_saving=PAPER_REGAN_ENERGY,
-        per_workload=tuple(
-            (r.dataset, r.speedup, r.energy_saving) for r in reports
-        ),
+    reports = [
+        (name, model.report(batch=batch))
+        for name, model in _regan_models(array_budget, scheme, tech)
+    ]
+    return _table1_row(
+        "ReGAN", reports, PAPER_REGAN_SPEEDUP, PAPER_REGAN_ENERGY
     )
 
 
 #: Documented tolerance of the counter-vs-analytic consistency gate:
-#: both paths multiply the same operation counts by the same
-#: technology costs, differing only in float summation order, so the
-#: relative disagreement must stay within a few ULP-scale rounding
-#: steps.
+#: both paths price each model's one work count with the same
+#: technology costs, grouped differently (per-sub-cycle energy vs
+#: per-event costs), so the relative disagreement must stay within a
+#: few ULP-scale rounding steps.
 MEASURED_CONSISTENCY_RTOL = 1e-9
 
 
@@ -162,12 +190,12 @@ def measured_table1(
     (``record_event_counters``), prices the counters through
     :func:`repro.telemetry.attribute_energy` with the
     :func:`repro.arch.components.event_costs` table, and rebuilds the
-    energy-saving ratios from the attributed totals.  The closed-form
-    :func:`pipelayer_table1` / :func:`regan_table1` path is the
-    consistency oracle: per workload, ``consistency`` records the
-    worst relative disagreement between the counter-derived total and
-    the analytic ``EnergyBreakdown.total``, and the gate asserts it
-    stays within :data:`MEASURED_CONSISTENCY_RTOL`.
+    energy-saving ratios from the attributed totals.  Each model's
+    counters and closed-form report read one work count, so the gate
+    checks the *pricing* (``event_costs`` against the component
+    formulas): per workload, ``consistency`` is the relative
+    disagreement with the analytic ``EnergyBreakdown.total``, and the
+    worst must stay within :data:`MEASURED_CONSISTENCY_RTOL`.
 
     Counters land under ``table1/pipelayer[<net>]/`` and
     ``table1/regan[<dataset>]/`` on ``collector`` when given (and on a
@@ -184,83 +212,60 @@ def measured_table1(
     costs = event_costs(tech)
     rows: Dict[str, Any] = {}
     worst = 0.0
-
-    def measure(prefix: str, analytic_total: float,
-                gpu_energy: float) -> Dict[str, Any]:
-        nonlocal worst
-        report = attribute_energy(
-            {
-                path: value
-                for path, value in tel.counters().items()
-                if path.startswith(prefix + "/")
-            },
-            costs,
-            source_name=prefix,
-        )
-        measured = report["totals"]["total_joules"]
-        error = abs(measured - analytic_total) / analytic_total
-        worst = max(worst, error)
-        return {
-            "measured_joules": measured,
-            "analytic_joules": analytic_total,
-            "consistency": error,
-            "energy_saving": gpu_energy / measured,
-            "average_watts": report["totals"]["average_watts"],
+    for accelerator, models, paper_energy_saving, energies in (
+        (
+            "PipeLayer",
+            _pipelayer_models(PIPELAYER_ARRAY_BUDGET, tech),
+            PAPER_PIPELAYER_ENERGY,
+            lambda r: (r.energy_per_image.total, r.gpu_energy_per_image),
+        ),
+        (
+            "ReGAN",
+            _regan_models(REGAN_ARRAY_BUDGET, "sp_cs", tech),
+            PAPER_REGAN_ENERGY,
+            lambda r: (
+                r.energy_per_iteration.total,
+                r.gpu_energy_per_iteration,
+            ),
+        ),
+    ):
+        workloads: Dict[str, Any] = {}
+        analytic_savings = []
+        for name, model in models:
+            prefix = f"table1/{accelerator.lower()}[{name.lower()}]"
+            model.record_event_counters(tel.scope(prefix), batch=batch)
+            report = model.report(batch=batch)
+            analytic_total, gpu_energy = energies(report)
+            attributed = attribute_energy(
+                {
+                    path: value
+                    for path, value in tel.counters().items()
+                    if path.startswith(prefix + "/")
+                },
+                costs,
+                source_name=prefix,
+            )
+            measured = attributed["totals"]["total_joules"]
+            error = abs(measured - analytic_total) / analytic_total
+            worst = max(worst, error)
+            workloads[name] = {
+                "measured_joules": measured,
+                "analytic_joules": analytic_total,
+                "consistency": error,
+                "energy_saving": gpu_energy / measured,
+                "average_watts": attributed["totals"]["average_watts"],
+            }
+            analytic_savings.append(report.energy_saving)
+        rows[accelerator] = {
+            "workloads": workloads,
+            "energy_saving_geomean": geometric_mean(
+                [w["energy_saving"] for w in workloads.values()]
+            ),
+            "analytic_energy_saving_geomean": geometric_mean(
+                analytic_savings
+            ),
+            "paper_energy_saving": paper_energy_saving,
         }
-
-    pipelayer_workloads: Dict[str, Any] = {}
-    for spec in pipelayer_suite():
-        model = PipeLayerModel(
-            spec, array_budget=PIPELAYER_ARRAY_BUDGET, tech=tech
-        )
-        scope = tel.scope(f"table1/pipelayer[{spec.name.lower()}]")
-        model.record_event_counters(scope, batch=batch, training=True)
-        report = model.report(batch=batch, training=True)
-        pipelayer_workloads[spec.name] = measure(
-            f"table1/pipelayer[{spec.name.lower()}]",
-            report.energy_per_image.total,
-            report.gpu_energy_per_image,
-        )
-    regan_workloads: Dict[str, Any] = {}
-    for name, (generator, discriminator) in regan_suite().items():
-        model = ReGANModel(
-            generator,
-            discriminator,
-            array_budget=REGAN_ARRAY_BUDGET,
-            scheme="sp_cs",
-            tech=tech,
-            dataset=name,
-        )
-        scope = tel.scope(f"table1/regan[{name.lower()}]")
-        model.record_event_counters(scope, batch=batch)
-        report = model.report(batch=batch)
-        regan_workloads[name] = measure(
-            f"table1/regan[{name.lower()}]",
-            report.energy_per_iteration.total,
-            report.gpu_energy_per_iteration,
-        )
-    rows = {
-        "PipeLayer": {
-            "workloads": pipelayer_workloads,
-            "energy_saving_geomean": geometric_mean(
-                [w["energy_saving"] for w in pipelayer_workloads.values()]
-            ),
-            "analytic_energy_saving_geomean": pipelayer_table1(
-                batch=batch, tech=tech
-            ).energy_saving,
-            "paper_energy_saving": PAPER_PIPELAYER_ENERGY,
-        },
-        "ReGAN": {
-            "workloads": regan_workloads,
-            "energy_saving_geomean": geometric_mean(
-                [w["energy_saving"] for w in regan_workloads.values()]
-            ),
-            "analytic_energy_saving_geomean": regan_table1(
-                batch=batch, tech=tech
-            ).energy_saving,
-            "paper_energy_saving": PAPER_REGAN_ENERGY,
-        },
-    }
     if worst > MEASURED_CONSISTENCY_RTOL:
         raise ValueError(
             f"counter-derived Table I energy disagrees with the "

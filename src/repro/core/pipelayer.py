@@ -22,12 +22,16 @@ PipeLayer [12]; see DESIGN.md):
 * **Weight updates** rewrite every cell of every copy once per batch.
 * **Static power** scales with deployed arrays (always-on ADC share,
   sense amplifiers, decoders) plus a controller constant.
+
+Work is counted once (:func:`sweep_work`, :meth:`PipeLayerModel._work`)
+and read by both the energy ledger and the event counters
+(:func:`record_events`); ReGAN reuses both helpers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.arch.components import (
     EnergyBreakdown,
@@ -51,6 +55,56 @@ TRAINING_MVM_FACTOR = 3
 ACCUMULATOR_BITS = 16
 
 
+def sweep_work(
+    mappings: Dict[str, LayerMapping], config: MappingConfig
+) -> Tuple[int, int, int]:
+    """``(array activations, buffer bits, cells)`` of one MVM sweep.
+
+    Buffer bits are the word-line drive reads (every input re-read
+    once per output vector) plus the accumulator-width result writes;
+    cells are the programmed weight cells of every copy.
+    """
+    activations = bits = cells = 0
+    for m in mappings.values():
+        activations += m.array_activations_per_image
+        bits += (
+            m.layer.output_vectors
+            * m.layer.matrix_rows
+            * config.activation_bits
+            + m.layer.output_size * ACCUMULATOR_BITS
+        )
+        cells += m.cells
+    return activations, bits, cells
+
+
+def record_events(
+    tel,
+    config: MappingConfig,
+    reads: float,
+    bits: float,
+    cell_writes: float,
+    arrays: int,
+    occupancy: float,
+) -> None:
+    """Write an analytic model's work in the crossbar engine's event grammar.
+
+    ``array_reads`` fan out into ``dac.line_fires`` (one per word
+    line), ``adc.samples`` and ``shift_adds`` (one per bit line);
+    ``occupancy`` is the makespan in sub-cycles, during which every
+    deployed array and the controller burn static power.  A zero
+    ``cell_writes`` (inference) emits no counter.
+    """
+    tel.count("array_reads", reads)
+    tel.count("dac.line_fires", reads * config.array_rows)
+    tel.count("adc.samples", reads * config.array_cols)
+    tel.count("shift_adds", reads * config.array_cols)
+    tel.count("buffer.bits", bits)
+    if cell_writes:
+        tel.count("cell_writes", cell_writes)
+    tel.count("static.array_subcycles", arrays * occupancy)
+    tel.count("static.controller_subcycles", occupancy)
+
+
 @dataclass(frozen=True)
 class PipeLayerReport:
     """Timing/energy results for one network on PipeLayer."""
@@ -59,7 +113,6 @@ class PipeLayerReport:
     mode: str
     batch: int
     cycle_time: float
-    cycles_per_batch: int
     time_per_image: float
     energy_per_image: EnergyBreakdown
     total_arrays: int
@@ -156,42 +209,33 @@ class PipeLayerModel:
         """Steady-state pipelined inference: one image per cycle."""
         return self.cycle_time
 
-    # -- energy --------------------------------------------------------------------
-    def _mvm_energy_per_image(self, waves: int) -> float:
-        """Dynamic array energy for ``waves`` MVM sweeps of the net."""
-        per_subcycle = array_subcycle_energy(
-            self.tech, self.config.array_rows, self.config.array_cols
-        )
-        activations = sum(
-            m.array_activations_per_image for m in self.mappings.values()
-        )
-        return activations * per_subcycle * waves
-
-    def _buffer_energy_per_image(self, training: bool) -> float:
-        """Memory-subarray traffic: drive reads + result writes."""
-        drive_bits = sum(
-            m.layer.output_vectors
-            * m.layer.matrix_rows
-            * self.config.activation_bits
-            for m in self.mappings.values()
-        )
-        result_bits = sum(
-            m.layer.output_size * ACCUMULATOR_BITS
-            for m in self.mappings.values()
-        )
-        bits = drive_bits + result_bits
+    def time_per_image(self, batch: int, training: bool) -> float:
+        """Per-image time in the given mode."""
         if training:
-            # Errors retrace the same traffic; cached activations for
-            # the weight-gradient step are read once more.
-            bits *= TRAINING_MVM_FACTOR
-        return buffer_transfer_energy(self.tech, bits)
+            return self.training_time_per_image(batch)
+        return self.inference_time_per_image()
 
-    def _update_energy_per_batch(self) -> float:
-        """Rewriting every weight cell of every copy once per batch."""
-        cells = sum(m.cells for m in self.mappings.values())
+    # -- work and energy --------------------------------------------------------
+    def _work(
+        self, batch: int, training: bool
+    ) -> Tuple[int, int, int, int, float]:
+        """Per-image ``(waves, activations, bits, cells, seconds)``.
+
+        ``bits`` covers every wave (errors retrace the forward traffic);
+        ``cells`` is the per-batch weight update, 0 in inference.
+        """
+        check_positive("batch", batch)
+        waves = TRAINING_MVM_FACTOR if training else 1
+        activations, bits, cells = sweep_work(self.mappings, self.config)
         if self.training_arrays:
             cells *= TRAINING_ARRAY_FACTOR
-        return weight_write_energy(self.tech, cells)
+        return (
+            waves,
+            activations,
+            bits * waves,
+            cells if training else 0,
+            self.time_per_image(batch, training),
+        )
 
     def static_power_watts(self) -> float:
         """Always-on chip power for the deployed arrays."""
@@ -199,97 +243,48 @@ class PipeLayerModel:
 
     def energy_per_image(self, batch: int, training: bool) -> EnergyBreakdown:
         """Full per-image energy ledger."""
-        check_positive("batch", batch)
-        waves = TRAINING_MVM_FACTOR if training else 1
-        mvm = self._mvm_energy_per_image(waves)
-        buffer = self._buffer_energy_per_image(training)
-        update = self._update_energy_per_batch() / batch if training else 0.0
-        time_per_image = (
-            self.training_time_per_image(batch)
-            if training
-            else self.inference_time_per_image()
+        waves, activations, bits, cells, seconds = self._work(batch, training)
+        per_subcycle = array_subcycle_energy(
+            self.tech, self.config.array_rows, self.config.array_cols
         )
-        static = self.static_power_watts() * time_per_image
         return EnergyBreakdown(
-            mvm=mvm, buffer=buffer, weight_write=update, static=static
+            mvm=activations * per_subcycle * waves,
+            buffer=buffer_transfer_energy(self.tech, bits),
+            weight_write=weight_write_energy(self.tech, cells) / batch,
+            static=self.static_power_watts() * seconds,
         )
 
-    # -- event counters --------------------------------------------------------------
     def record_event_counters(
         self, tel, batch: int = 32, training: bool = True
     ) -> None:
         """Emit this model's per-image work as physical event counters.
 
-        Writes the same event grammar the crossbar engine emits
-        (``array_reads``, ``dac.line_fires``, ``adc.samples``,
-        ``shift_adds``, ``buffer.bits``, ``cell_writes``,
-        ``static.*_subcycles``) onto ``tel``, scaled to *one image* —
-        so pricing the counters through
+        The :meth:`_work` that :meth:`energy_per_image` prices, per
+        image, so pricing the counters through
         :func:`repro.arch.components.event_costs` reconstructs
-        :meth:`energy_per_image` exactly.  This is what lets the
-        measured Table I path derive the paper's energy ratios from
-        counters rather than formulas, with the closed-form model as
-        its consistency oracle.  Counters are per-image averages and
-        may be fractional (e.g. weight-update cells amortised over the
-        batch).
+        :meth:`energy_per_image` exactly.  Counters may be fractional
+        (weight-update cells amortised over the batch).
         """
-        check_positive("batch", batch)
-        waves = TRAINING_MVM_FACTOR if training else 1
-        activations = sum(
-            m.array_activations_per_image for m in self.mappings.values()
+        waves, activations, bits, cells, seconds = self._work(batch, training)
+        record_events(
+            tel,
+            self.config,
+            reads=activations * waves,
+            bits=bits,
+            cell_writes=cells / batch,
+            arrays=self.total_arrays,
+            occupancy=seconds / self.tech.subcycle_time,
         )
-        reads = activations * waves
-        tel.count("array_reads", reads)
-        tel.count("dac.line_fires", reads * self.config.array_rows)
-        tel.count("adc.samples", reads * self.config.array_cols)
-        tel.count("shift_adds", reads * self.config.array_cols)
-        drive_bits = sum(
-            m.layer.output_vectors
-            * m.layer.matrix_rows
-            * self.config.activation_bits
-            for m in self.mappings.values()
-        )
-        result_bits = sum(
-            m.layer.output_size * ACCUMULATOR_BITS
-            for m in self.mappings.values()
-        )
-        bits = drive_bits + result_bits
-        if training:
-            bits *= TRAINING_MVM_FACTOR
-        tel.count("buffer.bits", bits)
-        if training:
-            cells = sum(m.cells for m in self.mappings.values())
-            if self.training_arrays:
-                cells *= TRAINING_ARRAY_FACTOR
-            tel.count("cell_writes", cells / batch)
-        time_per_image = (
-            self.training_time_per_image(batch)
-            if training
-            else self.inference_time_per_image()
-        )
-        occupancy = time_per_image / self.tech.subcycle_time
-        tel.count("static.array_subcycles", self.total_arrays * occupancy)
-        tel.count("static.controller_subcycles", occupancy)
 
     # -- comparison ------------------------------------------------------------------
     def report(self, batch: int = 32, training: bool = True) -> PipeLayerReport:
         """Full comparison record against the GPU baseline."""
-        check_positive("batch", batch)
-        mode = "training" if training else "inference"
-        time_per_image = (
-            self.training_time_per_image(batch)
-            if training
-            else self.inference_time_per_image()
-        )
         return PipeLayerReport(
             network=self.network.name,
-            mode=mode,
+            mode="training" if training else "inference",
             batch=batch,
             cycle_time=self.cycle_time,
-            cycles_per_batch=training_cycles_per_batch_pipelined(
-                self.network.depth, batch
-            ),
-            time_per_image=time_per_image,
+            time_per_image=self.time_per_image(batch, training),
             energy_per_image=self.energy_per_image(batch, training),
             total_arrays=self.total_arrays,
             gpu_time_per_image=self.gpu.time_per_image(

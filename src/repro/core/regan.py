@@ -26,6 +26,9 @@ Model assumptions (mirroring ReGAN [13]):
   power, update writes) in exchange for hiding dataflow (1).
 * D and G are each updated once per iteration; every cell of every
   copy is rewritten.
+
+As in PipeLayer, one :meth:`ReGANModel._work` feeds both the energy
+ledger and the event counters.
 """
 
 from __future__ import annotations
@@ -44,7 +47,11 @@ from repro.arch.gpu import GpuModel
 from repro.arch.params import DEFAULT_TECH, XbarTechParams
 from repro.core.gan_pipeline import SCHEME_COSTS, SCHEMES, iteration_cycles
 from repro.core.mapping import LayerMapping, MappingConfig, balance_duplication
-from repro.core.pipelayer import ACCUMULATOR_BITS, TRAINING_ARRAY_FACTOR
+from repro.core.pipelayer import (
+    TRAINING_ARRAY_FACTOR,
+    record_events,
+    sweep_work,
+)
 from repro.utils.validation import check_choice, check_positive
 from repro.workloads.suite import NetworkSpec
 
@@ -130,7 +137,7 @@ class ReGANModel:
         )
 
     def _single_copy_arrays(self, network: NetworkSpec) -> int:
-        """Arrays for one undulplicated copy of a network."""
+        """Arrays for one unduplicated copy of a network."""
         return sum(
             LayerMapping(layer, self.config, 1).total_arrays
             for layer in network.matrix_layers
@@ -165,48 +172,24 @@ class ReGANModel:
         """Wall time of one GAN training iteration."""
         return self.cycles_per_iteration(batch) * self.cycle_time
 
-    # -- energy --------------------------------------------------------------------
-    def _sweep_energy(self, mappings: Dict[str, LayerMapping]) -> float:
-        """Dynamic energy of one full MVM sweep of one subnetwork."""
-        per_subcycle = array_subcycle_energy(
-            self.tech, self.config.array_rows, self.config.array_cols
-        )
-        activations = sum(
-            m.array_activations_per_image for m in mappings.values()
-        )
-        return activations * per_subcycle
+    # -- work and energy --------------------------------------------------------
+    def _work(self):
+        """``(g_sweeps, d_sweeps, g_work, d_work, cells)`` of one iteration.
 
-    def _sweep_counts(self) -> Dict[str, float]:
-        """MVM sweeps of G and D per batch element per iteration."""
+        The sweep counts are MVM sweeps of G and D per batch element
+        (the dataflow accounting in the module docstring);
+        ``g_work``/``d_work`` are each subnetwork's :func:`sweep_work`;
+        ``cells`` is the once-per-iteration update of every copy.
+        """
         g_sweeps = 1.0 + 3.0  # dataflow (2) forward + dataflow (3)
         d_sweeps = 3.0 + 3.0 + 2.0  # dataflows (1) + (2) + (3)
         if self.scheme in ("cs", "sp_cs"):
             g_sweeps -= 1.0  # shared G forward of dataflows (2)/(3)
             d_sweeps -= 1.0  # shared D forward
-        return {"g": g_sweeps, "d": d_sweeps}
-
-    def _buffer_energy_per_image(self, network_mappings) -> float:
-        """Drive reads + result writes for one sweep of one network."""
-        drive_bits = sum(
-            m.layer.output_vectors
-            * m.layer.matrix_rows
-            * self.config.activation_bits
-            for m in network_mappings.values()
-        )
-        result_bits = sum(
-            m.layer.output_size * ACCUMULATOR_BITS
-            for m in network_mappings.values()
-        )
-        return buffer_transfer_energy(self.tech, drive_bits + result_bits)
-
-    def _update_energy(self) -> float:
-        """Rewriting every weight cell of every copy once per iteration."""
-        g_cells = sum(m.cells for m in self.g_mappings.values())
-        d_cells = sum(m.cells for m in self.d_mappings.values())
-        cells = TRAINING_ARRAY_FACTOR * (
-            g_cells + d_cells * self.d_copies
-        )
-        return weight_write_energy(self.tech, cells)
+        g_work = sweep_work(self.g_mappings, self.config)
+        d_work = sweep_work(self.d_mappings, self.config)
+        cells = TRAINING_ARRAY_FACTOR * (g_work[2] + d_work[2] * self.d_copies)
+        return g_sweeps, d_sweeps, g_work, d_work, cells
 
     def static_power_watts(self) -> float:
         """Always-on chip power."""
@@ -215,77 +198,39 @@ class ReGANModel:
     def energy_per_iteration(self, batch: int) -> EnergyBreakdown:
         """Full energy ledger of one training iteration."""
         check_positive("batch", batch)
-        sweeps = self._sweep_counts()
-        mvm = batch * (
-            sweeps["g"] * self._sweep_energy(self.g_mappings)
-            + sweeps["d"] * self._sweep_energy(self.d_mappings)
+        sg, sd, (g_act, g_bits, _), (d_act, d_bits, _), cells = self._work()
+        ps = array_subcycle_energy(
+            self.tech, self.config.array_rows, self.config.array_cols
         )
-        buffer = batch * self.storage_factor * (
-            sweeps["g"] * self._buffer_energy_per_image(self.g_mappings)
-            + sweeps["d"] * self._buffer_energy_per_image(self.d_mappings)
-        )
-        update = self._update_energy()
-        static = self.static_power_watts() * self.time_per_iteration(batch)
         return EnergyBreakdown(
-            mvm=mvm, buffer=buffer, weight_write=update, static=static
+            mvm=batch * (sg * (g_act * ps) + sd * (d_act * ps)),
+            buffer=batch * self.storage_factor * (
+                sg * buffer_transfer_energy(self.tech, g_bits)
+                + sd * buffer_transfer_energy(self.tech, d_bits)
+            ),
+            weight_write=weight_write_energy(self.tech, cells),
+            static=self.static_power_watts() * self.time_per_iteration(batch),
         )
 
-    # -- event counters --------------------------------------------------------------
     def record_event_counters(self, tel, batch: int = 32) -> None:
         """Emit one training iteration's work as physical event counters.
 
-        The ReGAN twin of
-        :meth:`repro.core.pipelayer.PipeLayerModel.record_event_counters`:
-        the same event grammar the crossbar engine emits, scaled to one
-        iteration, so pricing the counters through
+        The :meth:`_work` that :meth:`energy_per_iteration` prices, so
+        pricing the counters through
         :func:`repro.arch.components.event_costs` reconstructs
         :meth:`energy_per_iteration` exactly.
         """
         check_positive("batch", batch)
-        sweeps = self._sweep_counts()
-
-        def activations(mappings: Dict[str, LayerMapping]) -> float:
-            return sum(
-                m.array_activations_per_image for m in mappings.values()
-            )
-
-        def sweep_bits(mappings: Dict[str, LayerMapping]) -> float:
-            drive_bits = sum(
-                m.layer.output_vectors
-                * m.layer.matrix_rows
-                * self.config.activation_bits
-                for m in mappings.values()
-            )
-            result_bits = sum(
-                m.layer.output_size * ACCUMULATOR_BITS
-                for m in mappings.values()
-            )
-            return drive_bits + result_bits
-
-        reads = batch * (
-            sweeps["g"] * activations(self.g_mappings)
-            + sweeps["d"] * activations(self.d_mappings)
+        sg, sd, (g_act, g_bits, _), (d_act, d_bits, _), cells = self._work()
+        record_events(
+            tel,
+            self.config,
+            reads=batch * (sg * g_act + sd * d_act),
+            bits=batch * self.storage_factor * (sg * g_bits + sd * d_bits),
+            cell_writes=cells,
+            arrays=self.total_arrays,
+            occupancy=self.time_per_iteration(batch) / self.tech.subcycle_time,
         )
-        tel.count("array_reads", reads)
-        tel.count("dac.line_fires", reads * self.config.array_rows)
-        tel.count("adc.samples", reads * self.config.array_cols)
-        tel.count("shift_adds", reads * self.config.array_cols)
-        tel.count(
-            "buffer.bits",
-            batch * self.storage_factor * (
-                sweeps["g"] * sweep_bits(self.g_mappings)
-                + sweeps["d"] * sweep_bits(self.d_mappings)
-            ),
-        )
-        g_cells = sum(m.cells for m in self.g_mappings.values())
-        d_cells = sum(m.cells for m in self.d_mappings.values())
-        tel.count(
-            "cell_writes",
-            TRAINING_ARRAY_FACTOR * (g_cells + d_cells * self.d_copies),
-        )
-        occupancy = self.time_per_iteration(batch) / self.tech.subcycle_time
-        tel.count("static.array_subcycles", self.total_arrays * occupancy)
-        tel.count("static.controller_subcycles", occupancy)
 
     # -- comparison ------------------------------------------------------------------
     def report(self, batch: int = 32) -> ReGANReport:

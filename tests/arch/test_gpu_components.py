@@ -86,13 +86,6 @@ class TestGpuModel:
         t = model.time_per_image(alexnet_spec(), 32, training=True)
         assert 0.5e-3 < t < 5e-3
 
-    def test_throughput_inverse_of_time(self):
-        model = GpuModel()
-        net = mnist_cnn_spec()
-        assert model.throughput(net, 8) == pytest.approx(
-            1.0 / model.time_per_image(net, 8)
-        )
-
     def test_gan_iteration_longer_than_three_phases_of_d(self):
         model = GpuModel()
         from repro.workloads import dcgan_spec
@@ -150,16 +143,6 @@ class TestEnergyBreakdown:
                                     static=4.0)
         assert breakdown.total == 10.0
         assert breakdown.dynamic == 6.0
-
-    def test_add(self):
-        a = EnergyBreakdown(mvm=1.0)
-        b = EnergyBreakdown(buffer=2.0)
-        assert (a + b).total == 3.0
-
-    def test_scaled(self):
-        breakdown = EnergyBreakdown(mvm=2.0, static=4.0).scaled(0.5)
-        assert breakdown.mvm == 1.0
-        assert breakdown.static == 2.0
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

@@ -131,8 +131,10 @@ class TestReGANModel:
         """CS removes one G forward and one D forward per element."""
         base = self.make(scheme="pipelined")
         shared = self.make(scheme="cs")
-        assert shared._sweep_counts()["g"] == base._sweep_counts()["g"] - 1
-        assert shared._sweep_counts()["d"] == base._sweep_counts()["d"] - 1
+        g_base, d_base = base._work()[:2]
+        g_shared, d_shared = shared._work()[:2]
+        assert g_shared == g_base - 1
+        assert d_shared == d_base - 1
 
     def test_speedup_large(self):
         report = self.make().report(batch=32)
@@ -237,3 +239,53 @@ class TestMeasuredTable1:
         assert any(
             path.startswith("table1/regan[") for path in counters
         )
+
+    def test_document_and_counters_pinned(self):
+        """Measured Table I is pinned byte for byte: a refactor of the
+        models' work counts or of their pricing cannot move it."""
+        import hashlib
+        import json
+
+        from repro.core.estimator import measured_table1
+        from repro.telemetry import Collector
+
+        def digest(value):
+            text = json.dumps(value, sort_keys=True)
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        collector = Collector(record_spans=False)
+        document = measured_table1(batch=32, collector=collector)
+        assert digest(document) == (
+            "3e7eff3c1fca36a5445c93aaa1d0d48b12ac3468b4a18ef2c667f2567078f9ee"
+        )
+        assert len(collector.counters()) == 56
+        assert digest(collector.counters()) == (
+            "cd6cd10cb88eca0c5b786c84ce5a9065b7cfefc80dd24c4372344bd2229686af"
+        )
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "array_read_joules",
+            "buffer_bit_joules",
+            "cell_write_joules",
+            "controller_static_watts",
+        ],
+    )
+    def test_mispriced_event_fails_consistency_gate(self, key, monkeypatch):
+        """Both paths share one work count, so the gate checks the
+        pricing: the event-cost table against the closed-form component
+        energies.  Nudging one cost by 1e-6 must trip it."""
+        import repro.arch.components as components
+        from repro.core.estimator import measured_table1
+
+        exact = components.event_costs
+
+        def mispriced(tech):
+            costs = exact(tech)
+            costs[key] *= 1 + 1e-6
+            return costs
+
+        monkeypatch.setattr(components, "event_costs", mispriced)
+        with pytest.raises(ValueError, match="disagrees"):
+            measured_table1(batch=32)
